@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: statics | collapse | register | scenario | sweep | validate.
-Each reads a flat key = value config file, writes CSV/JSON artifacts plus
+Each one selects stages of the single pipeline in :mod:`curieweiss.scenario`:
+it reads a flat key = value config file, writes CSV/JSON artifacts plus
 gnuplot-ready .dat twins into the output directory, and finishes with a
 checksummed manifest.  Outputs are byte-deterministic for a given config
 and seed.
@@ -13,95 +14,43 @@ Exit status: 0 completed, 1 error, 2 measurement failed (trapped sector),
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, CurieWeissError, SpinodalUndefined
-from .model import CONFIG_KEYS, params_from_mapping, read_config_mapping
+from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
+from .model import validate_regime, validate_state
 from . import offdiag, output, registration, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
-_RUN_KEYS = ("t_max", "samples", "spacing", "bath", "dispersion", "seed")
 
-
-def _load_run_config(path) -> scenario.RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = read_config_mapping(fh.read())
-    unknown = set(mapping) - set(CONFIG_KEYS) - set(_RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params, state = params_from_mapping(mapping)
-
-    def maybe_float(key):
-        return float(mapping[key]) if key in mapping else None
-
-    def maybe_bool(key):
-        if key not in mapping:
-            return None
-        v = mapping[key].lower()
-        if v in ("on", "true", "1", "yes"):
-            return True
-        if v in ("off", "false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected on/off, got {mapping[key]!r}")
-
-    return scenario.RunConfig(
-        params=params,
-        state=state,
-        t_max=maybe_float("t_max"),
-        samples=int(float(mapping.get("samples", 400))),
-        spacing=mapping.get("spacing", "log"),
-        bath=maybe_bool("bath"),
-        dispersion=maybe_bool("dispersion"),
-        seed=int(float(mapping.get("seed", 0))),
-    )
-
-
-def _finalize(out_dir, payload) -> None:
-    payload["files"] = []
-    output.write_json(os.path.join(out_dir, "manifest.json"), payload)
-    payload["files"] = output.file_inventory(out_dir)
-    output.write_json(os.path.join(out_dir, "manifest.json"), payload)
-
-
-def cmd_validate(cfg: scenario.RunConfig, out_dir: str, margin: float) -> int:
-    from .model import validate_regime, validate_state
-
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     validate_state(cfg.state)
-    report = validate_regime(cfg.params, margin=margin)
-    payload = {
-        "config": scenario._config_payload(cfg),
-        "regime": scenario._regime_payload(report),
-    }
-    _finalize(out_dir, payload)
-    print(f"regime overall_valid = {report.overall_valid} (margin {margin})")
+    report = validate_regime(cfg.params, margin=cfg.margin)
+    output.write_manifest(out_dir, {
+        "config": scenario.config_payload(cfg),
+        "regime": scenario.regime_payload(report),
+    })
+    print(f"regime overall_valid = {report.overall_valid} (margin {cfg.margin})")
     for c in report.checks:
         mark = "pass" if c.passed else "FAIL"
         print(f"  {c.name:28s} {mark}  lhs={c.lhs:.6g} rhs={c.rhs:.6g}")
     return 0
 
 
-def cmd_statics(cfg: scenario.RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     params = cfg.params
-    m, f_up, f_down = statics.landscape_table(params)
-    output.write_csv(
-        os.path.join(out_dir, "landscape.csv"),
-        ["m", "F_up", "F_down"],
-        zip(m.tolist(), f_up.tolist(), f_down.tolist()),
-    )
-    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), [m.tolist(), f_up.tolist()])
+    m, _, f_down = scenario.write_landscape(out_dir, params)
     output.write_dat(os.path.join(out_dir, "landscape_down.dat"), [m.tolist(), f_down.tolist()])
 
-    summary: dict = {"config": scenario._config_payload(cfg)}
-    for sign, name in ((+1, "up"), (-1, "down")):
-        scape = statics.stationary_magnetizations(sign, params)
+    summary: dict = {"config": scenario.config_payload(cfg)}
+    scapes = {name: statics.stationary_magnetizations(sign, params)
+              for sign, name in ((+1, "up"), (-1, "down"))}
+    for name, scape in scapes.items():
         output.write_csv(
             os.path.join(out_dir, f"stationary_{name}.csv"),
             ["m", "free_energy", "kind", "label"],
@@ -115,120 +64,66 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str) -> int:
         summary["critical_g_error"] = f"SpinodalUndefined: {exc}"
     summary["curie_temperature"] = statics.curie_temperature(params)
     try:
-        scape_up = statics.stationary_magnetizations(+1, params)
-        summary["m_ferromagnetic"] = scape_up.ferromagnetic.m
-    except CurieWeissError:
+        summary["m_ferromagnetic"] = scapes["up"].ferromagnetic.m
+    except NoFerromagneticSolution:
         summary["m_ferromagnetic"] = None
-    gap = None
     try:
         est = statics.ferromagnetic_gap(params)
-        gap = {"gap": est.gap, "asymptote_2exp_minus_2j_over_t": est.asymptote}
-    except CurieWeissError:
-        pass
-    summary["ferromagnetic_gap"] = gap
-    _finalize(out_dir, summary)
+        summary["ferromagnetic_gap"] = {
+            "gap": est.gap, "asymptote_2exp_minus_2j_over_t": est.asymptote,
+        }
+    except NoFerromagneticSolution:
+        summary["ferromagnetic_gap"] = None
+    output.write_manifest(out_dir, summary)
     print(f"statics: critical_g = {summary['critical_g']}, "
           f"T_c = {summary['curie_temperature']:.4f}, "
           f"m_f = {summary['m_ferromagnetic']}")
     return 0
 
 
-def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, echo_at: float | None) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     cfg = cfg.resolved()
-    params, state = cfg.params, cfg.state
+    params, echo_at = cfg.params, args.echo_at
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
-    t_hi = cfg.t_max if cfg.t_max is not None else 1.2 * math.pi * params.hbar / params.coupling_g
-    grid = scenario._time_grid(cfg, t_hi)
-    couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
-    traj = offdiag.offdiag_trajectory(
-        params, state.r_ud, grid, couplings=couplings, include_bath=cfg.bath
-    )
-    scenario.write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), traj)
-    output.write_dat(
-        os.path.join(out_dir, "offdiag_log10.dat"),
-        [traj.times.tolist(), traj.log10_abs.tolist()],
-    )
-
-    timescales: dict = {"tau_red": offdiag.reduction_time(params)}
-    if cfg.bath:
-        timescales["tau_2"] = offdiag.decay_time_bath(params)
-        timescales["log10_recurrence_bath"] = (
-            offdiag.log_recurrence_height_bath(params) / math.log(10.0)
-        )
-    if cfg.dispersion:
-        timescales["tau_2_prime"] = offdiag.dispersion_decay_time(params)
-        timescales["log10_recurrence_dispersion"] = (
-            offdiag.log_recurrence_height_dispersed(params) / math.log(10.0)
-        )
-    payload = {"config": scenario._config_payload(cfg), "timescales": timescales}
+    traj, couplings = scenario.collapse_run(cfg, cfg.t_max)
+    scenario.write_offdiag(out_dir, traj)
+    timescales = scenario.collapse_timescales(cfg)
+    payload = {"config": scenario.config_payload(cfg), "timescales": timescales}
 
     if echo_at is not None:
-        echo_couplings = couplings if couplings is not None else offdiag.sample_couplings(
-            params, cfg.seed
-        )
-        echo = offdiag.spin_echo(echo_at, echo_couplings, state.r_ud, grid, hbar=params.hbar)
+        if couplings is None:
+            couplings = offdiag.sample_couplings(params, cfg.seed)
+        echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times, hbar=params.hbar)
         scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo)
         payload["pulse_time"] = echo_at
-        idx = int(np.argmin(np.abs(grid - 2.0 * echo_at)))
+        idx = int(np.argmin(np.abs(traj.times - 2.0 * echo_at)))
         payload["echo_revival_log10"] = float(echo.log10_abs[idx])
-    _finalize(out_dir, payload)
+    output.write_manifest(out_dir, payload)
     print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
           + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
           + (f", tau_2' = {timescales['tau_2_prime']:.6g}" if cfg.dispersion else ""))
     return 0
 
 
-def cmd_register(cfg: scenario.RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     cfg = cfg.resolved()
     params = cfg.params
     if params.gamma == 0:
         raise ConfigError("registration requires the bath (gamma > 0)")
-    t_max = cfg.t_max if cfg.t_max is not None else 200.0 * params.hbar / (
-        params.gamma * params.temperature
-    )
-    summary: dict = {"config": scenario._config_payload(cfg)}
-    trajs = {}
-    for sign, name in ((+1, "up"), (-1, "down")):
-        traj = registration.integrate_registration(sign, params, t_max)
-        trajs[name] = traj
-        scenario.write_registration_csv(
-            os.path.join(out_dir, f"registration_{name}.csv"), traj, params
-        )
-        output.write_dat(
-            os.path.join(out_dir, f"registration_{name}.dat"),
-            [traj.times.tolist(), traj.m.tolist()],
-        )
-        summary[f"terminal_{name}"] = traj.terminal.value
-        summary[f"m_final_{name}"] = traj.m_final
-    try:
-        summary["tau_reg_quadrature"] = registration.registration_time_quadrature(params)
-        summary["tau_reg_asymptotic"] = registration.registration_time_asymptotic(params)
-    except CurieWeissError as exc:
-        summary["tau_reg_quadrature"] = None
-        summary["tau_reg_error"] = type(exc).__name__
-    threshold = registration.registration_threshold(params)
-    summary["threshold"] = threshold
-    try:
-        summary["crossing_time"] = registration.crossing_time(trajs["up"], threshold)
-    except CurieWeissError:
-        summary["crossing_time"] = None
-    try:
-        fit = registration.asymptotic_rate(trajs["up"], params)
-        summary["tail_rate_fitted"] = fit.fitted
-        summary["tail_rate_predicted"] = fit.predicted
-    except CurieWeissError:
-        summary["tail_rate_fitted"] = None
-    _finalize(out_dir, summary)
-    print(f"register: up -> {summary['m_final_up']:.6f} ({summary['terminal_up']}), "
-          f"down -> {summary['m_final_down']:.6f} ({summary['terminal_down']})")
+    up, down = scenario.sector_runs(params, cfg.t_max)
+    scenario.write_sectors(out_dir, (up, down), params)
+    output.write_manifest(out_dir, {
+        "config": scenario.config_payload(cfg),
+        **scenario.registration_summary(up, down, params),
+        **scenario.registration_times(params),
+    })
+    print(f"register: up -> {up.m_final:.6f} ({up.terminal.value}), "
+          f"down -> {down.m_final:.6f} ({down.terminal.value})")
     return 0
 
 
-def cmd_scenario(cfg: scenario.RunConfig, out_dir: str, margin: float) -> int:
-    cfg = replace(cfg, margin=margin)
+def cmd_scenario(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     report = scenario.run_scenario(cfg)
     scenario.write_run(report, out_dir)
     print(f"scenario: {report.status}"
@@ -252,71 +147,67 @@ def _parse_sweep_axis(spec: str):
     return key, np.linspace(start, stop, steps)
 
 
-def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, axes: list[str]) -> int:
-    if not axes:
+def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
+    if not args.sweep:
         raise ConfigError("sweep requires at least one --sweep KEY=START:STOP:STEPS")
-    if len(axes) > 2:
+    if len(args.sweep) > 2:
         raise ConfigError("at most two sweep axes are supported")
-    os.makedirs(out_dir, exist_ok=True)
-    parsed = [_parse_sweep_axis(a) for a in axes]
-    keys = [k for k, _ in parsed]
-    grids = [v for _, v in parsed]
+    parsed = [_parse_sweep_axis(a) for a in args.sweep]
+    keys, grids = zip(*parsed)
 
-    header = keys + ["outcome", "critical_g", "tau_reg", "m_final"]
+    header = [*keys, "outcome", "critical_g", "tau_reg", "m_final"]
     rows = []
-    mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
-        (v1, v2) for v1 in grids[0] for v2 in grids[1]
-    ]
-    for values in mesh:
+    for values in itertools.product(*grids):
         overrides = dict(zip(keys, values))
         if "n_spins" in overrides:
             overrides["n_spins"] = int(round(overrides["n_spins"]))
         try:
             params = replace(cfg.params, **overrides)
-        except ConfigError as exc:
+        except ConfigError:
             rows.append(list(values) + ["invalid-params", None, None, None])
             continue
-        row = list(values)
-        from .model import validate_regime
-
-        regime = validate_regime(params, margin=cfg.margin)
         try:
             g_c = statics.critical_coupling(params)
         except SpinodalUndefined:
             g_c = None
         tau_reg = None
-        m_final = None
         if params.coupling_g == 0 or params.gamma == 0:
             outcome = "not-a-measurement"
             scape = statics.stationary_magnetizations(+1, params)
             m_final = scape.points[scape.global_minimum].m
         else:
-            t_max = cfg.t_max if cfg.t_max is not None else 200.0 * params.hbar / (
-                params.gamma * params.temperature
-            )
-            up = registration.integrate_registration(+1, params, t_max)
+            horizon = scenario.registration_horizon(params, cfg.t_max)
+            up = registration.integrate_registration(+1, params, horizon)
             m_final = up.m_final
             if up.terminal is registration.TerminalKind.CONVERGED_FERRO:
                 outcome = "registered"
-                try:
-                    tau_reg = registration.registration_time_quadrature(params)
-                except CurieWeissError:
-                    tau_reg = None
+                tau_reg = scenario.registration_times(params)["tau_reg_quadrature"]
             else:
                 outcome = "failed"
-            if not regime.overall_valid:
-                outcome = outcome + "/invalid-regime"
-        rows.append(row + [outcome, g_c, tau_reg, m_final])
+            if not validate_regime(params, margin=cfg.margin).overall_valid:
+                outcome += "/invalid-regime"
+        rows.append(list(values) + [outcome, g_c, tau_reg, m_final])
 
     output.write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
-    payload = {
-        "config": scenario._config_payload(cfg),
+    output.write_manifest(out_dir, {
+        "config": scenario.config_payload(cfg),
         "axes": [{"key": k, "values": g.tolist()} for k, g in parsed],
         "rows": len(rows),
-    }
-    _finalize(out_dir, payload)
+    })
     print(f"sweep: {len(rows)} points -> {os.path.join(out_dir, 'sweep.csv')}")
     return 0
+
+
+#: subcommand -> (handler, help); the handler gets the loaded config, the
+#: output directory (created by its first write) and the parsed arguments
+COMMANDS = {
+    "statics": (cmd_statics, "free-energy landscape, critical coupling, Curie temperature"),
+    "collapse": (cmd_collapse, "off-diagonal collapse, recurrences, optional spin echo"),
+    "register": (cmd_register, "diagonal-sector registration dynamics"),
+    "scenario": (cmd_scenario, "full measurement pipeline with manifest"),
+    "sweep": (cmd_sweep, "grid sweep over one or two parameters"),
+    "validate": (cmd_validate, "validity-regime report"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,14 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curie-Weiss measurement model: batch simulation commands",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("statics", "free-energy landscape, critical coupling, Curie temperature"),
-        ("collapse", "off-diagonal collapse, recurrences, optional spin echo"),
-        ("register", "diagonal-sector registration dynamics"),
-        ("scenario", "full measurement pipeline with manifest"),
-        ("sweep", "grid sweep over one or two parameters"),
-        ("validate", "validity-regime report"),
-    ):
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="flat key = value parameter file")
         p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
@@ -352,23 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_run_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        cfg = scenario.load_run_config(args.config)
+        seed = cfg.seed if args.seed is None else args.seed
+        cfg = replace(cfg, seed=seed, margin=args.margin)
         out_dir = args.out if args.out is not None else os.path.join("runs", args.command)
-        if args.command == "validate":
-            return cmd_validate(cfg, out_dir, args.margin)
-        if args.command == "statics":
-            return cmd_statics(cfg, out_dir)
-        if args.command == "collapse":
-            return cmd_collapse(cfg, out_dir, args.echo_at)
-        if args.command == "register":
-            return cmd_register(cfg, out_dir)
-        if args.command == "scenario":
-            return cmd_scenario(cfg, out_dir, args.margin)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.sweep)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](cfg, out_dir, args)
     except CurieWeissError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,10 +7,11 @@ hbar and J symbolic, so any consistent rescaling works the same way.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, PositivityError, TraceError
+from .errors import ConfigError, DomainError, PositivityError, TraceError
 
 #: keys accepted in a flat ``key = value`` parameter file, in canonical order
 CONFIG_KEYS = (
@@ -130,12 +131,16 @@ def validate_state(state: SystemState2x2, tol: float = 1e-12) -> SystemState2x2:
 
     Raises
     ------
+    DomainError
+        If an entry is NaN or infinite (NaN fails every comparison below).
     TraceError
         If r_uu + r_dd differs from 1 by more than ``tol``.
     PositivityError
         If the determinant r_uu*r_dd - |r_ud|^2 is below ``-tol`` or a
         diagonal entry is negative.
     """
+    if not all(cmath.isfinite(v) for v in (state.r_uu, state.r_dd, state.r_ud)):
+        raise DomainError(f"non-finite density-matrix entry in {state}")
     tr = state.r_uu + state.r_dd
     if abs(tr - 1.0) > tol:
         raise TraceError(f"trace is {tr!r}, expected 1")
@@ -259,7 +264,7 @@ def read_config_mapping(text: str) -> dict[str, str]:
     return out
 
 
-def _get_float(mapping: dict[str, str], key: str) -> float:
+def get_float(mapping: dict[str, str], key: str) -> float:
     try:
         return float(mapping[key])
     except KeyError:
@@ -268,28 +273,41 @@ def _get_float(mapping: dict[str, str], key: str) -> float:
         raise ConfigError(f"config key {key!r}: not a number: {mapping[key]!r}") from None
 
 
+def get_int(mapping: dict[str, str], key: str) -> int:
+    """Integer-valued key; '1e5' is accepted, '100000.9' is rejected, not truncated."""
+    value = get_float(mapping, key)
+    if not value.is_integer():
+        raise ConfigError(f"config key {key!r}: not an integer: {mapping[key]!r}")
+    return int(value)
+
+
 def params_from_mapping(mapping: dict[str, str]) -> tuple[ModelParams, SystemState2x2]:
     """Build (ModelParams, SystemState2x2) from a parsed config mapping."""
     params = ModelParams(
-        n_spins=int(_get_float(mapping, "n_spins")),
-        coupling_j=_get_float(mapping, "coupling_j"),
-        coupling_g=_get_float(mapping, "coupling_g"),
-        delta_g=_get_float(mapping, "delta_g"),
-        temperature=_get_float(mapping, "temperature"),
-        gamma=_get_float(mapping, "gamma"),
-        debye_cutoff=_get_float(mapping, "debye_cutoff"),
+        n_spins=get_int(mapping, "n_spins"),
+        coupling_j=get_float(mapping, "coupling_j"),
+        coupling_g=get_float(mapping, "coupling_g"),
+        delta_g=get_float(mapping, "delta_g"),
+        temperature=get_float(mapping, "temperature"),
+        gamma=get_float(mapping, "gamma"),
+        debye_cutoff=get_float(mapping, "debye_cutoff"),
     )
-    r_uu = _get_float(mapping, "r_uu")
-    r_ud = complex(_get_float(mapping, "re_r_ud"), _get_float(mapping, "im_r_ud"))
+    r_uu = get_float(mapping, "r_uu")
+    r_ud = complex(get_float(mapping, "re_r_ud"), get_float(mapping, "im_r_ud"))
     state = SystemState2x2.from_upper(r_uu, r_ud)
     return params, state
 
 
-def load_config(path) -> tuple[ModelParams, SystemState2x2]:
-    """Read a parameter file; unknown keys are rejected."""
+def read_config_file(path, keys) -> dict[str, str]:
+    """Parse a parameter file; keys not in ``keys`` are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         mapping = read_config_mapping(fh.read())
-    unknown = set(mapping) - set(CONFIG_KEYS)
+    unknown = set(mapping) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return params_from_mapping(mapping)
+    return mapping
+
+
+def load_config(path) -> tuple[ModelParams, SystemState2x2]:
+    """Read a parameter file; unknown keys are rejected."""
+    return params_from_mapping(read_config_file(path, CONFIG_KEYS))

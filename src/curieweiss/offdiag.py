@@ -232,12 +232,10 @@ def dispersion_envelope(t, couplings: CouplingVector, hbar: float = 1.0):
 
 @dataclass(frozen=True)
 class OffDiagState:
-    """Per-spin factor parameters at one instant; zeta_x, zeta_y vanish here."""
+    """Per-spin factor parameters at one instant (zeta_x, zeta_y vanish identically)."""
 
     zeta0: complex
     zetaz: complex
-    zetax: complex = 0j
-    zetay: complex = 0j
 
 
 @dataclass(frozen=True)
@@ -372,14 +370,6 @@ class ZetaTrajectory:
     zeta0: np.ndarray
     zetaz: np.ndarray
     params: ModelParams = field(repr=False, compare=False, default=None)
-
-    @property
-    def zetax(self) -> np.ndarray:
-        return np.zeros_like(self.zeta0)
-
-    @property
-    def zetay(self) -> np.ndarray:
-        return np.zeros_like(self.zeta0)
 
     def at(self, i: int) -> OffDiagState:
         return OffDiagState(zeta0=complex(self.zeta0[i]), zetaz=complex(self.zetaz[i]))

@@ -24,19 +24,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _create(path):
+    """Open a text file for writing, creating its run directory on first use."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """RFC-4180-style CSV: comma separated, '.' decimal, LF line endings."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_dat(path, columns) -> None:
     """Two-or-more-column whitespace table (gnuplot-ready), no header."""
     rows = zip(*columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         for row in rows:
             fh.write(" ".join(fmt(v) for v in row) + "\n")
 
@@ -69,7 +75,7 @@ def _jsonify(obj):
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -93,3 +99,12 @@ def file_inventory(directory, exclude=("manifest.json",)) -> list[dict]:
             {"name": name, "bytes": os.path.getsize(full), "sha256": sha256_of(full)}
         )
     return entries
+
+
+def write_manifest(directory, payload: dict) -> dict:
+    """Write ``manifest.json`` with the checksums of every other file in the
+    run directory; returns the payload with its ``files`` listing."""
+    os.makedirs(directory, exist_ok=True)
+    payload["files"] = file_inventory(directory)
+    write_json(os.path.join(directory, "manifest.json"), payload)
+    return payload

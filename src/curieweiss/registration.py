@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     InsufficientTail,
     NeverCrossed,
+    SpinodalUndefined,
     StepFailure,
 )
 from .model import ModelParams
@@ -225,21 +226,38 @@ def registration_threshold(params: ModelParams) -> float:
     return (params.temperature / (3.0 * params.coupling_j)) ** 0.25
 
 
+def _supercritical_low_t_gc(params: ModelParams) -> float:
+    """Low-temperature g_c of the bottleneck formulas, once the statics allow registration.
+
+    Raises CriticalOrSubcritical when g <= g_c of the statics (or no g_c
+    exists, T >= 3J/4) and when there is no bath: a trapped sector has no
+    registration time, whatever the low-temperature asymptote says.
+    """
+    try:
+        gc = statics.critical_coupling(params)
+    except SpinodalUndefined as exc:
+        raise CriticalOrSubcritical(f"no critical coupling: {exc}") from exc
+    if params.coupling_g <= gc:
+        raise CriticalOrSubcritical(
+            f"g = {params.coupling_g} <= g_c = {gc}: bottleneck integral diverges"
+        )
+    if params.gamma == 0:
+        raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
+    return statics.critical_coupling_low_t(params)
+
+
 def registration_time_quadrature(params: ModelParams) -> float:
     """Registration time by quadrature of the small-m bottleneck integral.
 
     tau_reg = (3 hbar / gamma T) * integral_0^inf dx / ((x-1)^2 (x+2) + eps),
-    eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J).
-    The half line is mapped to (0, 1) and the integrand peak at x = 1 is
-    passed to the adaptive rule as a known feature.
+    eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J);
+    defined only above the exact g_c of the statics.  The half line is
+    mapped to (0, 1) and the integrand peak at x = 1 is passed to the
+    adaptive rule as a known feature.
     """
-    t, j, g = params.temperature, params.coupling_j, params.coupling_g
-    gc = (2.0 * t / 3.0) * math.sqrt(t / (3.0 * j))
-    if g <= gc:
-        raise CriticalOrSubcritical(f"g = {g} <= g_c = {gc}: bottleneck integral diverges")
-    if params.gamma == 0:
-        raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
-    eps = 2.0 * (g - gc) / gc
+    gc = _supercritical_low_t_gc(params)
+    t = params.temperature
+    eps = 2.0 * (params.coupling_g - gc) / gc
 
     def mapped(u):
         x = u / (1.0 - u)
@@ -250,16 +268,14 @@ def registration_time_quadrature(params: ModelParams) -> float:
 
 
 def registration_time_asymptotic(params: ModelParams) -> float:
-    """Near-critical closed form tau_reg = (pi hbar/gamma T) sqrt(3 g_c / 2(g - g_c))."""
-    t, j, g = params.temperature, params.coupling_j, params.coupling_g
-    gc = (2.0 * t / 3.0) * math.sqrt(t / (3.0 * j))
-    if g <= gc:
-        raise CriticalOrSubcritical(f"g = {g} <= g_c = {gc}")
-    if params.gamma == 0:
-        raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
+    """Near-critical closed form tau_reg = (pi hbar/gamma T) sqrt(3 g_c / 2(g - g_c)).
+
+    g_c is the low-temperature asymptote; defined only above the exact g_c.
+    """
+    gc = _supercritical_low_t_gc(params)
     return (
         math.pi
         * params.hbar
-        / (params.gamma * t)
-        * math.sqrt(3.0 * gc / (2.0 * (g - gc)))
+        / (params.gamma * params.temperature)
+        * math.sqrt(3.0 * gc / (2.0 * (params.coupling_g - gc)))
     )

@@ -11,15 +11,34 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, MeasurementFailed
-from .model import ModelParams, RegimeReport, SystemState2x2, validate_regime, validate_state
+from .errors import (
+    ConfigError,
+    CurieWeissError,
+    InsufficientTail,
+    MeasurementFailed,
+    NeverCrossed,
+    SpinodalUndefined,
+)
+from .model import (
+    CONFIG_KEYS,
+    ModelParams,
+    RegimeReport,
+    SystemState2x2,
+    get_float,
+    get_int,
+    params_from_mapping,
+    read_config_file,
+    validate_regime,
+    validate_state,
+)
 from . import offdiag, output, registration, statics
 
 LN2 = math.log(2.0)
+LN10 = math.log(10.0)
 
 
 # --- Born rule and simple state functionals ---------------------------------
@@ -74,14 +93,6 @@ class FinalState:
         return self.branches[0].weight, self.branches[1].weight
 
 
-def _sector_runs(params: ModelParams, t_max: float | None = None, stop_delta: float = 1e-6):
-    if t_max is None:
-        t_max = 200.0 * params.hbar / (params.gamma * params.temperature)
-    up = registration.integrate_registration(+1, params, t_max, stop_delta=stop_delta)
-    down = registration.integrate_registration(-1, params, t_max, stop_delta=stop_delta)
-    return up, down
-
-
 def _offdiag_residual_log10(params: ModelParams, state: SystemState2x2,
                             t_final: float, seed: int) -> float:
     if state.r_ud == 0:
@@ -94,7 +105,7 @@ def _offdiag_residual_log10(params: ModelParams, state: SystemState2x2,
         logmag, _ = offdiag.envelope_dispersed_log(t_final, couplings, params.hbar)
     else:
         logmag, _ = offdiag.envelope_uniform_log(t_final, params)
-    return (log_amp + logmag) / math.log(10.0)
+    return (log_amp + logmag) / LN10
 
 
 def assemble_final_state(
@@ -106,13 +117,14 @@ def assemble_final_state(
 ) -> FinalState:
     """Post-measurement state: two exclusive branches and the dead off-diagonal.
 
-    Registration must succeed in both sectors (g > g_c); the final time is
+    Registration must succeed in both sectors; the final time is
     max(3 tau_reg, both sector stop times), late enough that every reported
-    residual is astronomically small.
+    residual is astronomically small.  Where tau_reg is undefined (no
+    spinodal above T = 3J/4) the sector stop times alone set it.
     """
     validate_state(state)
     if sector_up is None or sector_down is None:
-        up, down = _sector_runs(params)
+        up, down = sector_runs(params, None)
     else:
         up, down = sector_up, sector_down
     for traj in (up, down):
@@ -121,8 +133,7 @@ def assemble_final_state(
                 f"sector {traj.field_sign:+d} ended {traj.terminal.value} "
                 f"at m = {traj.m_final:.4f}"
             )
-    tau_reg = registration.registration_time_quadrature(params)
-    t_final = max(3.0 * tau_reg, float(up.times[-1]), float(down.times[-1]))
+    t_final = _registration_end(params, up, down)
 
     p_up, p_down = born_probabilities(state)
     branches = (
@@ -196,7 +207,7 @@ def entropy_budget(
     )
 
 
-# --- run configuration and orchestration --------------------------------------
+# --- run configuration ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,6 @@ class RunConfig:
     bath: bool | None = None
     dispersion: bool | None = None
     seed: int = 0
-    out_dir: str | None = None
     margin: float = 10.0
 
     def resolved(self) -> "RunConfig":
@@ -227,6 +237,38 @@ class RunConfig:
         return replace(self, bath=bath, dispersion=disp)
 
 
+def _get_toggle(mapping: dict[str, str], key: str) -> bool:
+    value = mapping[key].lower()
+    if value in ("on", "true", "1", "yes"):
+        return True
+    if value in ("off", "false", "0", "no"):
+        return False
+    raise ConfigError(f"config key {key!r}: expected on/off, got {mapping[key]!r}")
+
+
+#: optional run keys of a parameter file, each with its reader
+RUN_KEYS = {
+    "t_max": get_float,
+    "samples": get_int,
+    "spacing": lambda mapping, key: mapping[key],
+    "bath": _get_toggle,
+    "dispersion": _get_toggle,
+    "seed": get_int,
+}
+
+
+def load_run_config(path) -> RunConfig:
+    """Read a parameter file plus optional run keys into a RunConfig.
+
+    Unknown keys are rejected, and so are non-integer counts (n_spins,
+    samples, seed) rather than truncated.
+    """
+    mapping = read_config_file(path, CONFIG_KEYS + tuple(RUN_KEYS))
+    params, state = params_from_mapping(mapping)
+    run = {key: read(mapping, key) for key, read in RUN_KEYS.items() if key in mapping}
+    return RunConfig(params=params, state=state, **run)
+
+
 @dataclass(frozen=True)
 class Timescales:
     tau_red: float
@@ -236,6 +278,8 @@ class Timescales:
     log10_recurrence_dispersion: float | None
     tau_reg_quadrature: float | None
     tau_reg_asymptotic: float | None
+    #: exception type that left tau_reg undefined (trapped, no spinodal, no bath)
+    tau_reg_error: str | None
 
 
 @dataclass(frozen=True)
@@ -254,6 +298,26 @@ class ScenarioReport:
     config: RunConfig
 
 
+# --- pipeline stages -------------------------------------------------------------
+# Every CLI command selects some of these stages; run_scenario chains them all.
+
+
+def collapse_timescales(cfg: RunConfig) -> dict:
+    """Reduction time, plus decay time and log10 first-recurrence height of
+    each damping mechanism the resolved config switches on."""
+    params = cfg.params
+    out = {"tau_red": offdiag.reduction_time(params)}
+    if cfg.bath:
+        out["tau_2"] = offdiag.decay_time_bath(params)
+        out["log10_recurrence_bath"] = offdiag.log_recurrence_height_bath(params) / LN10
+    if cfg.dispersion:
+        out["tau_2_prime"] = offdiag.dispersion_decay_time(params)
+        out["log10_recurrence_dispersion"] = (
+            offdiag.log_recurrence_height_dispersed(params) / LN10
+        )
+    return out
+
+
 def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
     if cfg.spacing == "linear":
         return np.linspace(0.0, t_hi, cfg.samples)
@@ -262,166 +326,162 @@ def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
     return np.concatenate([[0.0], grid])
 
 
+def collapse_run(cfg: RunConfig, t_hi: float | None):
+    """Off-diagonal trajectory of the resolved config on its grid up to t_hi
+    (None: 1.2 pi hbar/g); returns it with the sampled couplings, which are
+    None without dispersion."""
+    params = cfg.params
+    if t_hi is None:
+        t_hi = 1.2 * math.pi * params.hbar / params.coupling_g
+    couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
+    traj = offdiag.offdiag_trajectory(
+        params, cfg.state.r_ud, _time_grid(cfg, t_hi), couplings=couplings,
+        include_bath=cfg.bath,
+    )
+    return traj, couplings
+
+
+def registration_horizon(params: ModelParams, t_max: float | None) -> float:
+    """Integration horizon of a sector: t_max if set, else 200 hbar/(gamma T)."""
+    if t_max is not None:
+        return t_max
+    return 200.0 * params.hbar / (params.gamma * params.temperature)
+
+
+def sector_runs(params: ModelParams, t_max: float | None):
+    """Registration flows of the up and down sectors from m = 0."""
+    horizon = registration_horizon(params, t_max)
+    return tuple(registration.integrate_registration(s, params, horizon) for s in (+1, -1))
+
+
+def registration_times(params: ModelParams) -> dict:
+    """Quadrature and asymptotic tau_reg; both None, with the error type, when
+    the statics leave nothing to register."""
+    try:
+        return {
+            "tau_reg_quadrature": registration.registration_time_quadrature(params),
+            "tau_reg_asymptotic": registration.registration_time_asymptotic(params),
+        }
+    except CurieWeissError as exc:
+        return {"tau_reg_quadrature": None, "tau_reg_asymptotic": None,
+                "tau_reg_error": type(exc).__name__}
+
+
+def _registration_end(params: ModelParams, up, down) -> float:
+    """max(3 tau_reg, both sector stop times); tau_reg counts as 0 where undefined."""
+    tau_reg = registration_times(params)["tau_reg_quadrature"] or 0.0
+    return max(3.0 * tau_reg, float(up.times[-1]), float(down.times[-1]))
+
+
+def registration_summary(up, down, params: ModelParams) -> dict:
+    """Terminal states, threshold crossing times and tail rate of both sectors."""
+    threshold = registration.registration_threshold(params)
+    summary: dict = {
+        "terminal_up": up.terminal.value,
+        "terminal_down": down.terminal.value,
+        "m_final_up": up.m_final,
+        "m_final_down": down.m_final,
+        "threshold": threshold,
+    }
+    try:
+        summary["crossing_time"] = registration.crossing_time(up, threshold)
+        # sensitivity of the operational registration time to the threshold
+        summary["crossing_time_low"] = registration.crossing_time(up, 0.8 * threshold)
+        summary["crossing_time_high"] = registration.crossing_time(up, 1.25 * threshold)
+    except NeverCrossed:
+        summary["crossing_time"] = None
+    try:
+        fit = registration.asymptotic_rate(up, params)
+        summary["tail_rate_fitted"] = fit.fitted
+        summary["tail_rate_predicted"] = fit.predicted
+    except InsufficientTail:
+        summary["tail_rate_fitted"] = None
+    return summary
+
+
 def run_scenario(config: RunConfig) -> ScenarioReport:
     """Execute the full measurement pipeline for one configuration.
 
     A trapped sector reports status "measurement_failed" rather than raising;
     g = 0 (no coupling) and gamma = 0 (no bath, hence no registration) are
-    reported as "not_a_measurement".  If the config names an output
-    directory, all artifacts are persisted there with a manifest.
+    reported as "not_a_measurement".  :func:`write_run` persists the report.
     """
-    report = _run_scenario_inner(config)
-    if config.out_dir is not None:
-        write_run(report, config.out_dir)
-    return report
-
-
-def _run_scenario_inner(config: RunConfig) -> ScenarioReport:
     cfg = config.resolved()
     params, state = cfg.params, cfg.state
     validate_state(state)
-    regime = validate_regime(params, margin=cfg.margin)
-    scape = statics.stationary_magnetizations(+1, params)
     try:
         g_c = statics.critical_coupling(params)
-    except Exception:
+    except SpinodalUndefined:
         g_c = None
-
-    base = dict(regime=regime, landscape_up=scape, critical_g=g_c, config=cfg)
-
-    if params.coupling_g == 0:
-        return ScenarioReport(
-            status="not_a_measurement",
-            reason="no system-apparatus coupling (g = 0): nothing is measured",
-            timescales=None, offdiag=None, sector_up=None, sector_down=None,
-            final_state=None, entropy=None, **base,
-        )
-
-    tau_red = offdiag.reduction_time(params)
-    tau_2 = offdiag.decay_time_bath(params) if cfg.bath else None
-    tau_2p = offdiag.dispersion_decay_time(params) if cfg.dispersion else None
-    log_rec_bath = offdiag.log_recurrence_height_bath(params) if cfg.bath else None
-    log_rec_disp = (
-        offdiag.log_recurrence_height_dispersed(params) if cfg.dispersion else None
+    report = ScenarioReport(
+        status="not_a_measurement",
+        reason="no system-apparatus coupling (g = 0): nothing is measured",
+        regime=validate_regime(params, margin=cfg.margin),
+        landscape_up=statics.stationary_magnetizations(+1, params),
+        critical_g=g_c, timescales=None, offdiag=None, sector_up=None,
+        sector_down=None, final_state=None, entropy=None, config=cfg,
     )
-
+    if params.coupling_g == 0:
+        return report
+    timescales = dict.fromkeys(f.name for f in fields(Timescales))
+    timescales.update(collapse_timescales(cfg))
     if not cfg.bath:
         # dispersion alone kills the off-diagonal blocks but cannot relax the
         # magnet: the diagonal sectors never register without the bath
-        timescales = Timescales(
-            tau_red=tau_red, tau_2=None, tau_2_prime=tau_2p,
-            log10_recurrence_bath=None,
-            log10_recurrence_dispersion=(
-                log_rec_disp / math.log(10.0) if log_rec_disp is not None else None
-            ),
-            tau_reg_quadrature=None, tau_reg_asymptotic=None,
-        )
-        couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
-        t_hi = cfg.t_max if cfg.t_max is not None else 1.2 * math.pi * params.hbar / params.coupling_g
-        traj = offdiag.offdiag_trajectory(
-            params, state.r_ud, _time_grid(cfg, t_hi), couplings=couplings,
-            include_bath=False,
-        )
-        return ScenarioReport(
-            status="not_a_measurement",
+        return replace(
+            report,
             reason="no bath (gamma = 0): off-diagonal blocks die but the "
                    "magnet cannot relax, so nothing is registered",
-            timescales=timescales, offdiag=traj,
-            sector_up=None, sector_down=None, final_state=None, entropy=None,
-            **base,
+            timescales=Timescales(**timescales), offdiag=collapse_run(cfg, cfg.t_max)[0],
         )
-
+    timescales.update(registration_times(params))
+    up, down = sector_runs(params, cfg.t_max)
+    t_hi = _registration_end(params, up, down)
+    report = replace(
+        report, timescales=Timescales(**timescales), offdiag=collapse_run(cfg, t_hi)[0],
+        sector_up=up, sector_down=down,
+    )
     try:
-        tau_reg_q = registration.registration_time_quadrature(params)
-        tau_reg_a = registration.registration_time_asymptotic(params)
-    except Exception:
-        tau_reg_q = tau_reg_a = None
-
-    up, down = _sector_runs(params, t_max=cfg.t_max)
-
-    t_final_scale = max(
-        3.0 * tau_reg_q if tau_reg_q else 0.0, float(up.times[-1]), float(down.times[-1])
-    )
-    couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
-    traj = offdiag.offdiag_trajectory(
-        params, state.r_ud, _time_grid(cfg, t_final_scale), couplings=couplings,
-    )
-    timescales = Timescales(
-        tau_red=tau_red,
-        tau_2=tau_2,
-        tau_2_prime=tau_2p,
-        log10_recurrence_bath=(
-            log_rec_bath / math.log(10.0) if log_rec_bath is not None else None
-        ),
-        log10_recurrence_dispersion=(
-            log_rec_disp / math.log(10.0) if log_rec_disp is not None else None
-        ),
-        tau_reg_quadrature=tau_reg_q,
-        tau_reg_asymptotic=tau_reg_a,
-    )
-
-    try:
-        final = assemble_final_state(
-            state, params, seed=cfg.seed, sector_up=up, sector_down=down
-        )
+        final = assemble_final_state(state, params, seed=cfg.seed, sector_up=up, sector_down=down)
     except MeasurementFailed as exc:
-        return ScenarioReport(
-            status="measurement_failed", reason=str(exc),
-            timescales=timescales, offdiag=traj, sector_up=up, sector_down=down,
-            final_state=None, entropy=None, **base,
-        )
-    budget = entropy_budget(state, params, final)
-    return ScenarioReport(
-        status="completed", reason=None,
-        timescales=timescales, offdiag=traj, sector_up=up, sector_down=down,
-        final_state=final, entropy=budget, **base,
-    )
+        return replace(report, status="measurement_failed", reason=str(exc))
+    return replace(report, status="completed", reason=None, final_state=final,
+                   entropy=entropy_budget(state, params, final))
 
 
 # --- persistence ---------------------------------------------------------------
 
 
-def _config_payload(cfg: RunConfig) -> dict:
+def config_payload(cfg: RunConfig) -> dict:
     p, s = cfg.params, cfg.state
-    return {
-        "n_spins": p.n_spins,
-        "coupling_j": p.coupling_j,
-        "coupling_g": p.coupling_g,
-        "delta_g": p.delta_g,
-        "temperature": p.temperature,
-        "gamma": p.gamma,
-        "debye_cutoff": p.debye_cutoff,
+    return {  # the config and run keys of a parameter file, and the margin
+        **{f.name: getattr(p, f.name) for f in fields(p) if f.name in CONFIG_KEYS},
         "r_uu": s.r_uu,
         "r_dd": s.r_dd,
         "re_r_ud": s.r_ud.real,
         "im_r_ud": s.r_ud.imag,
-        "t_max": cfg.t_max,
-        "samples": cfg.samples,
-        "spacing": cfg.spacing,
-        "bath": cfg.bath,
-        "dispersion": cfg.dispersion,
-        "seed": cfg.seed,
-        "margin": cfg.margin,
+        **{key: getattr(cfg, key) for key in (*RUN_KEYS, "margin")},
     }
 
 
-def _regime_payload(regime: RegimeReport) -> dict:
+def regime_payload(regime: RegimeReport) -> dict:
     return {
         "margin": regime.margin,
         "overall_valid": regime.overall_valid,
-        "checks": [
-            {
-                "name": c.name,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "required_factor": c.required_factor,
-                "passed": c.passed,
-                "margin_ratio": c.margin_ratio,
-                "counted": c.counted,
-            }
-            for c in regime.checks
-        ],
+        "checks": [asdict(c) for c in regime.checks],
     }
+
+
+def write_landscape(out_dir, params: ModelParams):
+    """landscape.csv (m, F_up, F_down) and landscape_up.dat; returns the table."""
+    m, f_up, f_down = statics.landscape_table(params)
+    output.write_csv(
+        os.path.join(out_dir, "landscape.csv"),
+        ["m", "F_up", "F_down"],
+        zip(m.tolist(), f_up.tolist(), f_down.tolist()),
+    )
+    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), [m.tolist(), f_up.tolist()])
+    return m, f_up, f_down
 
 
 def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> None:
@@ -437,78 +497,61 @@ def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> None:
     output.write_csv(path, header, rows)
 
 
-def write_registration_csv(path, traj, params: ModelParams) -> None:
-    header = ["t", "m", "dm_dt", "free_energy"]
-    rows = []
-    for t, m in zip(traj.times, traj.m):
-        rate = registration.registration_rhs(float(m), traj.field_sign, params) if abs(m) < 1 else 0.0
-        rows.append([float(t), float(m), rate, float(statics.free_energy(float(m), traj.field_sign, params))])
-    output.write_csv(path, header, rows)
+def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> None:
+    """offdiag.csv and the (t, log10|r|) curve offdiag_log10.dat."""
+    write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), traj)
+    output.write_dat(
+        os.path.join(out_dir, "offdiag_log10.dat"), [traj.times.tolist(), traj.log10_abs.tolist()]
+    )
+
+
+def write_sectors(out_dir, sectors, params: ModelParams) -> None:
+    """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m)."""
+    for traj in sectors:
+        sign = traj.field_sign
+        name = "up" if sign > 0 else "down"
+        energies = statics.free_energy(traj.m, sign, params).tolist()
+        rows = [
+            [float(t), float(m),
+             registration.registration_rhs(float(m), sign, params) if abs(m) < 1 else 0.0, f]
+            for t, m, f in zip(traj.times, traj.m, energies)
+        ]
+        output.write_csv(
+            os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], rows
+        )
+        output.write_dat(
+            os.path.join(out_dir, f"registration_{name}.dat"), [traj.times.tolist(), traj.m.tolist()]
+        )
 
 
 def write_run(report: ScenarioReport, out_dir) -> dict:
     """Persist all artifacts of a scenario run; returns the manifest payload."""
-    os.makedirs(out_dir, exist_ok=True)
     cfg = report.config
     params = cfg.params
-
-    m, f_up, f_down = statics.landscape_table(params)
-    output.write_csv(
-        os.path.join(out_dir, "landscape.csv"),
-        ["m", "F_up", "F_down"],
-        zip(m.tolist(), f_up.tolist(), f_down.tolist()),
-    )
-    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), [m.tolist(), f_up.tolist()])
-
-    stages = {"regime": "done", "statics": "done"}
+    write_landscape(out_dir, params)
+    stages = {"regime": "done", "statics": "done", "collapse": "skipped"}
     if report.offdiag is not None:
-        write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), report.offdiag)
-        output.write_dat(
-            os.path.join(out_dir, "offdiag_log10.dat"),
-            [report.offdiag.times.tolist(), report.offdiag.log10_abs.tolist()],
-        )
+        write_offdiag(out_dir, report.offdiag)
         stages["collapse"] = "done"
-    else:
-        stages["collapse"] = "skipped"
-    for name, traj in (("up", report.sector_up), ("down", report.sector_down)):
-        if traj is not None:
-            write_registration_csv(
-                os.path.join(out_dir, f"registration_{name}.csv"), traj, params
-            )
-            output.write_dat(
-                os.path.join(out_dir, f"registration_{name}.dat"),
-                [traj.times.tolist(), traj.m.tolist()],
-            )
-            stages[f"registration_{name}"] = traj.terminal.value
-        else:
-            stages[f"registration_{name}"] = "unavailable"
+    sectors = (report.sector_up, report.sector_down)
+    for name, traj in zip(("up", "down"), sectors):
+        stages[f"registration_{name}"] = "unavailable" if traj is None else traj.terminal.value
 
     payload: dict = {
         "status": report.status,
         "reason": report.reason,
-        "config": _config_payload(cfg),
+        "config": config_payload(cfg),
         "stages": stages,
-        "regime": _regime_payload(report.regime),
+        "regime": regime_payload(report.regime),
         "statics": {
             "critical_g": report.critical_g,
-            "stationary_points": [
-                {"m": p.m, "free_energy": p.free_energy, "kind": p.kind.value,
-                 "label": p.label.value}
-                for p in report.landscape_up.points
-            ],
+            "stationary_points": [asdict(p) for p in report.landscape_up.points],
         },
     }
     if report.timescales is not None:
-        ts = report.timescales
-        payload["timescales"] = {
-            "tau_red": ts.tau_red,
-            "tau_2": ts.tau_2,
-            "tau_2_prime": ts.tau_2_prime,
-            "log10_recurrence_bath": ts.log10_recurrence_bath,
-            "log10_recurrence_dispersion": ts.log10_recurrence_dispersion,
-            "tau_reg_quadrature": ts.tau_reg_quadrature,
-            "tau_reg_asymptotic": ts.tau_reg_asymptotic,
-        }
+        payload["timescales"] = asdict(report.timescales)
+        if report.timescales.tau_reg_error is None:
+            del payload["timescales"]["tau_reg_error"]
     if report.final_state is not None:
         fs = report.final_state
         payload["final_state"] = {
@@ -522,46 +565,9 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
             "pointer_variance": list(pointer_correlation(fs, params)),
         }
     if report.entropy is not None:
-        e = report.entropy
-        payload["entropy"] = {
-            "s_system_initial": e.s_system_initial,
-            "s_system_final": e.s_system_final,
-            "s_magnet_initial": e.s_magnet_initial,
-            "s_magnet_final": e.s_magnet_final,
-            "bath_entropy_change_estimate": e.bath_entropy_change,
-            "delta_total": e.delta_total,
-        }
+        entropy = payload["entropy"] = asdict(report.entropy)
+        entropy["bath_entropy_change_estimate"] = entropy.pop("bath_entropy_change")
     if report.sector_up is not None:
-        payload["registration_summary"] = _registration_summary(report, params)
-
-    payload["files"] = []
-    output.write_json(os.path.join(out_dir, "manifest.json"), payload)
-    payload["files"] = output.file_inventory(out_dir)
-    output.write_json(os.path.join(out_dir, "manifest.json"), payload)
-    return payload
-
-
-def _registration_summary(report: ScenarioReport, params: ModelParams) -> dict:
-    up = report.sector_up
-    summary: dict = {
-        "terminal_up": up.terminal.value,
-        "terminal_down": report.sector_down.terminal.value,
-        "m_final_up": up.m_final,
-        "m_final_down": report.sector_down.m_final,
-    }
-    threshold = registration.registration_threshold(params)
-    summary["threshold"] = threshold
-    try:
-        summary["crossing_time"] = registration.crossing_time(up, threshold)
-        # sensitivity of the operational registration time to the threshold
-        summary["crossing_time_low"] = registration.crossing_time(up, 0.8 * threshold)
-        summary["crossing_time_high"] = registration.crossing_time(up, 1.25 * threshold)
-    except Exception:
-        summary["crossing_time"] = None
-    try:
-        fit = registration.asymptotic_rate(up, params)
-        summary["tail_rate_fitted"] = fit.fitted
-        summary["tail_rate_predicted"] = fit.predicted
-    except Exception:
-        summary["tail_rate_fitted"] = None
-    return summary
+        write_sectors(out_dir, sectors, params)
+        payload["registration_summary"] = registration_summary(*sectors, params)
+    return output.write_manifest(out_dir, payload)

@@ -56,11 +56,11 @@ class Landscape:
 
     @property
     def ferromagnetic(self) -> StationaryPoint:
-        """Minimum with the largest |m|."""
-        mins = self.minima
-        if not mins:
-            raise NoFerromagneticSolution("landscape has no minima")
-        return max(mins, key=lambda p: abs(p.m))
+        """Ferromagnetic minimum with the largest |m|; the central well never counts."""
+        ferro = [p for p in self.minima if p.label is not PointLabel.PARAMAGNETIC]
+        if not ferro:
+            raise NoFerromagneticSolution("landscape has no ferromagnetic minimum")
+        return max(ferro, key=lambda p: abs(p.m))
 
     @property
     def paramagnetic(self) -> StationaryPoint | None:

@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curieweiss.cli import main
+
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
 REFERENCE = """\
 n_spins      = 100000
@@ -60,12 +63,16 @@ def test_statics_command(cfg_path, tmp_path, capsys):
 
 
 def test_statics_spinodal_recorded(tmp_path):
-    cfg = write_cfg(tmp_path, temperature=0.75, coupling_g=0.0)
-    out = tmp_path / "statics75"
-    assert main(["statics", "--config", str(cfg), "--out", str(out)]) == 0
-    m = load_manifest(out)
-    assert m["critical_g"] is None
-    assert "SpinodalUndefined" in m["critical_g_error"]
+    # above T = 3J/4 the only minimum is the (shifted) paramagnet
+    for temperature, g in ((0.75, 0.0), (0.8, 0.05)):
+        cfg = write_cfg(tmp_path, temperature=temperature, coupling_g=g)
+        out = tmp_path / f"statics{temperature}"
+        assert main(["statics", "--config", str(cfg), "--out", str(out)]) == 0
+        m = load_manifest(out)
+        assert m["critical_g"] is None
+        assert "SpinodalUndefined" in m["critical_g_error"]
+        assert m["m_ferromagnetic"] is None
+        assert m["ferromagnetic_gap"] is None
 
 
 def test_statics_two_ferro_minima_at_zero_field(tmp_path):
@@ -148,13 +155,42 @@ def test_scenario_command_exit_codes(cfg_path, tmp_path):
     assert m["final_state"]["branches"][0]["weight"] == 0.5
     assert m["entropy"]["delta_total"] > 0
 
-    cfg_fail = write_cfg(tmp_path, coupling_g=0.05)
-    assert main(["scenario", "--config", str(cfg_fail), "--out",
-                 str(tmp_path / "scnf")]) == 2
+    # g = 0.080 lies above the low-T g_c (0.0763) but below the statics g_c:
+    # a trapped run reports no registration time
+    for g in (0.05, 0.080):
+        cfg_fail = write_cfg(tmp_path, coupling_g=g)
+        assert main(["scenario", "--config", str(cfg_fail), "--out",
+                     str(tmp_path / f"scnf{g}")]) == 2
+        ts = load_manifest(tmp_path / f"scnf{g}")["timescales"]
+        assert ts["tau_reg_quadrature"] is None and ts["tau_reg_asymptotic"] is None
+        assert ts["tau_reg_error"] == "CriticalOrSubcritical"
+
+    # above T = 3J/4 there is no spinodal, hence no tau_reg, yet both sectors
+    # reach the ferromagnetic minimum at g = 0.5 and the measurement completes
+    cfg_hot = write_cfg(tmp_path, temperature=0.8, coupling_g=0.5)
+    assert main(["scenario", "--config", str(cfg_hot), "--out",
+                 str(tmp_path / "scnh")]) == 0
+    m = load_manifest(tmp_path / "scnh")
+    assert m["status"] == "completed"
+    assert m["timescales"]["tau_reg_quadrature"] is None
+    assert m["timescales"]["tau_reg_asymptotic"] is None
+    assert m["timescales"]["tau_reg_error"] == "CriticalOrSubcritical"
 
     cfg_nom = write_cfg(tmp_path, coupling_g=0.0)
     assert main(["scenario", "--config", str(cfg_nom), "--out",
                  str(tmp_path / "scnn")]) == 3
+
+
+def test_register_keys_match_scenario_summary(tmp_path):
+    reg, scn = tmp_path / "reg", tmp_path / "scn"
+    assert main(["register", "--config", str(REFERENCE_CFG), "--out", str(reg)]) == 0
+    assert main(["scenario", "--config", str(REFERENCE_CFG), "--out", str(scn)]) == 0
+    summary = load_manifest(scn)["registration_summary"]
+    registered = load_manifest(reg)
+    assert {k: registered[k] for k in summary} == summary
+    timescales = load_manifest(scn)["timescales"]
+    for key in ("tau_reg_quadrature", "tau_reg_asymptotic"):
+        assert registered[key] == timescales[key]
 
 
 def test_scenario_manifest_checksums(cfg_path, tmp_path):
@@ -204,6 +240,16 @@ def test_sweep_coupling_through_critical(tmp_path):
             assert outcome.startswith("registered")
 
 
+def test_sweep_margin_flag(tmp_path):
+    cfg = write_cfg(tmp_path, n_spins=50)
+    out = tmp_path / "sweep50"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.06:0.10:3", "--margin", "100"]) == 0
+    assert load_manifest(out)["config"]["margin"] == 100.0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows and all(r.split(",")[1].endswith("/invalid-regime") for r in rows)
+
+
 def test_sweep_temperature_at_zero_coupling(tmp_path):
     cfg = write_cfg(tmp_path, coupling_g=0.0, n_spins=1000)
     out = tmp_path / "sweepT"
@@ -223,6 +269,7 @@ def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "x")]) == 1
     assert "sweep" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # a rejected command leaves no run directory
 
 
 def test_sweep_rejects_bad_axis(cfg_path, tmp_path):
@@ -248,3 +295,12 @@ def test_cli_error_reporting(tmp_path, capsys):
     bad.write_text("n_spins = 10\n")
     assert main(["scenario", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+    # non-integer counts are rejected, not truncated; a NaN state is rejected
+    for key, value in (("n_spins", 100000.9), ("samples", 50.7), ("seed", 3.9)):
+        cfg = write_cfg(tmp_path, **{key: value})
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, r_uu="nan")
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from curieweiss.errors import ConfigError, PositivityError, TraceError
+from curieweiss.errors import ConfigError, DomainError, PositivityError, TraceError
 from curieweiss.model import (
     ModelParams,
     SystemState2x2,
@@ -73,6 +73,20 @@ def test_validate_state_positivity_violation():
 def test_validate_state_trace_violation():
     with pytest.raises(TraceError):
         validate_state(SystemState2x2(0.6, 0.5, 0j))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        SystemState2x2(float("nan"), 0.5, 0j),   # NaN fails every comparison
+        SystemState2x2(0.5, float("nan"), 0j),
+        SystemState2x2(0.5, 0.5, complex(float("nan"), 0.0)),
+        SystemState2x2(0.5, 0.5, complex(0.0, float("inf"))),
+    ],
+)
+def test_validate_state_rejects_non_finite(state):
+    with pytest.raises(DomainError):
+        validate_state(state)
 
 
 def test_regime_reference_point_passes():
@@ -151,6 +165,14 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_rejects_missing_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_spins = 10\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("n_spins", ["100000.9", "nan", "inf"])
+def test_config_rejects_non_integer_n_spins(tmp_path, n_spins):
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEXT.replace("= 100000\n", f"= {n_spins}\n"))
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -311,7 +311,6 @@ def test_zeta_free_evolution_matches_trig():
     assert np.max(np.abs(traj.zeta0 - np.cos(angles))) < 1e-10
     assert np.max(np.abs(traj.zetaz - 1j * np.sin(angles))) < 1e-10
     assert traj.zeta0[0] == 1.0 + 0j and traj.zetaz[0] == 0j
-    assert np.all(traj.zetax == 0) and np.all(traj.zetay == 0)
 
 
 def test_zeta_initial_condition_and_state_view():
@@ -321,7 +320,6 @@ def test_zeta_initial_condition_and_state_view():
     st = traj.at(0)
     assert st.zeta0 == 1.0 + 0j
     assert st.zetaz == 0j
-    assert st.zetax == 0j and st.zetay == 0j
 
 
 def test_zeta_warns_outside_window():

@@ -191,10 +191,14 @@ def test_quadrature_vs_asymptotic_near_critical():
 def test_quadrature_subcritical_rejected():
     T = 0.05
     gc = critical_coupling_low_t(mk(T=T, g=0.001))
-    with pytest.raises(CriticalOrSubcritical):
-        registration_time_quadrature(mk(T=T, g=0.999 * gc))
-    with pytest.raises(CriticalOrSubcritical):
-        registration_time_asymptotic(mk(T=T, g=0.999 * gc))
+    # at T = 0.34, g = 0.080 lies above the low-T g_c (0.0763) but below the
+    # statics g_c (0.0815), so the run is trapped; above T = 3J/4 no g_c exists
+    assert critical_coupling_low_t(mk()) < 0.080 < critical_coupling(mk())
+    for p in (mk(T=T, g=0.999 * gc), mk(g=0.080), mk(T=0.8, g=0.05)):
+        with pytest.raises(CriticalOrSubcritical):
+            registration_time_quadrature(p)
+        with pytest.raises(CriticalOrSubcritical):
+            registration_time_asymptotic(p)
 
 
 def test_asymptotic_scaling_in_distance():
