@@ -28,8 +28,9 @@ print(f"bath decay time    tau_2   = {tau_2:.4f}")
 print(f"first recurrence   t_1     = {t1:.4f}")
 
 print("\n|r(t)|/|r(0)| through the collapse (uniform couplings, no bath):")
+uniform = cw.sample_couplings(p, seed=0)  # delta_g = 0: N copies of g
 for t in (0.0, 0.5 * tau_red, tau_red, 2 * tau_red, 4 * tau_red):
-    v = abs(cw.envelope_uniform(t, p, r0)) / abs(r0)
+    v = abs(cw.envelope(t, uniform, r0)) / abs(r0)
     print(f"  t = {t:8.4f}: {v:.6f}   (gaussian law: {math.exp(-(t/tau_red)**2):.6f})")
 
 from curieweiss.offdiag import log_recurrence_height_bath
@@ -45,7 +46,7 @@ pd = cw.ModelParams(n_spins=1000, coupling_g=0.09, delta_g=0.0045,
 cv = cw.sample_couplings(pd, seed=1)
 tau_2p = cw.dispersion_decay_time(pd)
 print(f"\nCoupling dispersion delta_g/g = 0.05, N = 1000: tau_2' = {tau_2p:.4f}")
-peak = abs(cw.envelope_dispersed(t1, cv, r0)) / abs(r0)
+peak = abs(cw.envelope(t1, cv, r0)) / abs(r0)
 print(f"  first peak height: {peak:.3e}"
       f"  (gaussian estimate {math.exp(-pd.n_spins*math.pi**2*0.05**2/2):.3e})")
 

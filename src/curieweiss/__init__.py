@@ -34,8 +34,7 @@ from .offdiag import (
     bath_exponent,
     decay_time_bath,
     dispersion_decay_time,
-    envelope_dispersed,
-    envelope_uniform,
+    envelope,
     integrate_zeta_short_time,
     memory_kernel,
     offdiag_trajectory,
@@ -88,8 +87,7 @@ __all__ = [
     "bath_exponent",
     "decay_time_bath",
     "dispersion_decay_time",
-    "envelope_dispersed",
-    "envelope_uniform",
+    "envelope",
     "integrate_zeta_short_time",
     "memory_kernel",
     "offdiag_trajectory",

@@ -22,14 +22,13 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
-from .model import validate_regime, validate_state
+from .model import validate_regime
 from . import offdiag, output, registration, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
 
 def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
-    validate_state(cfg.state)
     report = validate_regime(cfg.params, margin=cfg.margin)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),

@@ -300,8 +300,12 @@ def params_from_mapping(mapping: dict[str, str]) -> tuple[ModelParams, SystemSta
 
 def read_config_file(path, keys) -> dict[str, str]:
     """Parse a parameter file; keys not in ``keys`` are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = read_config_mapping(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror}") from None
+    mapping = read_config_mapping(text)
     unknown = set(mapping) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -8,8 +8,9 @@ couplings (Gaussian exponent, decay time tau_2').  A pi pulse around y at
 time theta rephases the dispersed product and revives the amplitude at
 2*theta exactly.
 
-All products of cosines are accumulated in the log-magnitude + sign domain,
-so magnitudes far below the float underflow threshold remain exact as logs.
+Couplings are stored as distinct values with multiplicities, and every
+product of cosines is one log-magnitude + sign kernel over them, so
+magnitudes far below the float underflow threshold remain exact as logs.
 """
 
 from __future__ import annotations
@@ -115,52 +116,54 @@ def log_recurrence_height_dispersed(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Per-spin couplings g_n with their first two empirical moments."""
+    """Per-spin couplings g_n as distinct values with their multiplicities,
+    plus the first two empirical moments of the draw."""
 
     values: np.ndarray
+    counts: np.ndarray
     mean: float
     rms_deviation: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.counts.setflags(write=False)
+
+    @classmethod
+    def uniform(cls, g: float, n_spins: int) -> "CouplingVector":
+        """N identical couplings g."""
+        return cls(values=np.array([g]), counts=np.array([n_spins]), mean=g, rms_deviation=0.0)
 
     @property
     def n_spins(self) -> int:
-        return len(self.values)
+        return int(self.counts.sum())
 
 
-def sample_couplings(
-    params: ModelParams, seed: int, distribution: str = "two_point"
-) -> CouplingVector:
+def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     """Draw N couplings with empirical mean exactly g and RMS exactly delta_g.
 
-    The draw is affinely corrected post hoc, so the first two moments are
-    exact by construction regardless of the underlying distribution.  The
-    default symmetric two-point draw has the least possible fourth moment,
-    which keeps products of cosines closest to their Gaussian envelope;
-    ``distribution="gaussian"`` is available for robustness studies.
+    The symmetric two-point draw is affinely corrected post hoc, so the
+    first two moments are exact by construction; it has the least possible
+    fourth moment, which keeps products of cosines closest to their Gaussian
+    envelope.  The corrected draw holds two distinct couplings, stored with
+    their multiplicities.
     """
     n = params.n_spins
     g, dg = params.coupling_g, params.delta_g
     if dg == 0:
-        vals = np.full(n, g, dtype=float)
-        return CouplingVector(values=vals, mean=float(np.mean(vals)), rms_deviation=0.0)
+        return CouplingVector.uniform(g, n)
     if n < 2:
         raise ValueError("a nonzero spread requires at least two spins")
     rng = np.random.default_rng(seed)
-    if distribution == "two_point":
-        dev = rng.choice(np.array([-1.0, 1.0]), size=n)
-        if np.all(dev == dev[0]):  # degenerate draw: make it balanceable
-            dev[:: 2] *= -1.0
-    elif distribution == "gaussian":
-        dev = rng.standard_normal(n)
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
+    dev = rng.choice(np.array([-1.0, 1.0]), size=n)
+    if np.all(dev == dev[0]):  # degenerate draw: make it balanceable
+        dev[:: 2] *= -1.0
     dev = dev - dev.mean()
     scale = math.sqrt(float(np.mean(dev**2)))
     vals = g + dev * (dg / scale)
+    values, counts = np.unique(vals, return_counts=True)
     return CouplingVector(
-        values=vals,
+        values=values,
+        counts=counts,
         mean=float(np.mean(vals)),
         rms_deviation=float(math.sqrt(np.mean((vals - np.mean(vals)) ** 2))),
     )
@@ -168,63 +171,44 @@ def sample_couplings(
 
 # --- log-domain cosine products ---------------------------------------------
 
+#: libm's log, elementwise: correctly rounded for nearly every argument, where
+#: NumPy's SIMD log is one ulp off for about 1% of them
+_libm_log = np.frompyfunc(math.log, 1, 1)
 
-def _log_cos_product(angles: np.ndarray) -> tuple[float, float]:
-    """(sum of log|cos|, overall sign) for a vector of angles.
 
-    Sign is 0 if any factor vanishes exactly; the log is then -inf.
+def log_cos_product(times, couplings: CouplingVector, hbar: float = 1.0):
+    """(log|prod_n cos(2 g_n t/hbar)|, sign) at a time or an array of times.
+
+    Each distinct coupling contributes its multiplicity times log|cos|, so
+    magnitudes far below the float underflow threshold stay exact as logs.
+    The sign is 0 where a factor vanishes exactly (the log is then -inf),
+    else (-1) to the number of negative factors.
     """
-    c = np.cos(angles)
-    if np.any(c == 0.0):
-        return -math.inf, 0.0
-    with np.errstate(divide="ignore"):
-        logmag = float(np.sum(np.log(np.abs(c))))
-    sign = -1.0 if (np.count_nonzero(c < 0) % 2) else 1.0
+    c = np.cos(np.multiply.outer(np.asarray(times, dtype=float), 2.0 * couplings.values) / hbar)
+    zero = c == 0.0
+    log_abs = _libm_log(np.where(zero, 1.0, np.abs(c))).astype(float)
+    vanishes = np.any(zero, axis=-1)
+    logmag = np.where(vanishes, -math.inf, log_abs @ couplings.counts)
+    sign = np.where(vanishes, 0.0, 1.0 - 2.0 * ((c < 0) @ couplings.counts % 2))
     return logmag, sign
 
 
-def envelope_uniform_log(t: float, params: ModelParams) -> tuple[float, float]:
-    """(log|cos^N(2gt/hbar)|, sign) without underflow."""
-    angle = 2.0 * params.coupling_g * t / params.hbar
-    c = math.cos(angle)
-    if c == 0.0:
-        return -math.inf, 0.0
-    sign = 1.0 if (c > 0 or params.n_spins % 2 == 0) else -1.0
-    return params.n_spins * math.log(abs(c)), sign
+def _linear(logmag, sign, cap: float):
+    """sign (or a unit phase) * exp(logmag), 0 below the double underflow
+    threshold; logmag is capped at ``cap`` so that the exponential cannot
+    overflow."""
+    return sign * np.where(logmag > -745.0, np.exp(np.minimum(logmag, cap)), 0.0)
 
 
-def envelope_uniform(t, params: ModelParams, r0: complex):
-    """Off-diagonal amplitude r0 cos^N(2gt/hbar) for uniform couplings."""
-    if np.isscalar(t):
-        logmag, sign = envelope_uniform_log(float(t), params)
-        return r0 * sign * (math.exp(logmag) if logmag > -745.0 else 0.0)
-    return np.array([envelope_uniform(float(ti), params, r0) for ti in np.asarray(t)])
+def _log10_abs(logmag, r0: complex):
+    """log10 |r0 exp(logmag)|, -inf for r0 = 0."""
+    return (logmag + (math.log(abs(r0)) if r0 != 0 else -math.inf)) / _LOG10
 
 
-def envelope_dispersed(t, couplings: CouplingVector, r0: complex, hbar: float = 1.0):
-    """Off-diagonal amplitude r0 prod_n cos(2 g_n t/hbar) for spread couplings."""
-    if np.isscalar(t):
-        logmag, sign = _log_cos_product(2.0 * couplings.values * float(t) / hbar)
-        return r0 * sign * (math.exp(logmag) if logmag > -745.0 else 0.0)
-    return np.array([envelope_dispersed(float(ti), couplings, r0, hbar) for ti in np.asarray(t)])
-
-
-def envelope_dispersed_log(t: float, couplings: CouplingVector, hbar: float = 1.0):
-    """(log|prod_n cos(2 g_n t/hbar)|, sign) without underflow."""
-    return _log_cos_product(2.0 * couplings.values * float(t) / hbar)
-
-
-def dispersion_envelope(t, couplings: CouplingVector, hbar: float = 1.0):
-    """Smooth interference attenuation prod_n cos(2 (g_n - mean) t / hbar).
-
-    Interpolates the heights of the recurrence peaks exactly and follows
-    exp(-t^2/tau_2'^2) for t below a few tau_2'.
-    """
-    dev = couplings.values - couplings.mean
-    if np.isscalar(t):
-        logmag, sign = _log_cos_product(2.0 * dev * float(t) / hbar)
-        return sign * (math.exp(logmag) if logmag > -745.0 else 0.0)
-    return np.array([dispersion_envelope(float(ti), couplings, hbar) for ti in np.asarray(t)])
+def envelope(t, couplings: CouplingVector, r0: complex, hbar: float = 1.0):
+    """Off-diagonal amplitude r0 prod_n cos(2 g_n t/hbar) without the bath;
+    uniform couplings give r0 cos^N(2gt/hbar)."""
+    return r0 * _linear(*log_cos_product(t, couplings, hbar), 0.0)
 
 
 # --- assembled trajectory ---------------------------------------------------
@@ -282,44 +266,25 @@ def offdiag_trajectory(
     if include_bath is None:
         include_bath = params.gamma > 0
     n = params.n_spins
-    hbar = params.hbar
-
-    log_osc = np.empty_like(times)
-    sign_osc = np.empty_like(times)
-    for i, t in enumerate(times):
-        log_osc[i], sign_osc[i] = envelope_uniform_log(float(t), params)
+    uniform = CouplingVector.uniform(params.coupling_g, n)
+    if couplings is None or couplings.rms_deviation == 0:
+        couplings = uniform
+    log_osc, sign_osc = log_cos_product(times, uniform, params.hbar)
+    log_total, sign_total = log_cos_product(times, couplings, params.hbar)
 
     if include_bath:
         log_bath = -n * bath_exponent(times, params)
     else:
         log_bath = np.zeros_like(times)
 
-    if couplings is not None and couplings.rms_deviation > 0:
-        log_total = np.empty_like(times)
-        sign_total = np.empty_like(times)
-        for i, t in enumerate(times):
-            log_total[i], sign_total[i] = _log_cos_product(2.0 * couplings.values * float(t) / hbar)
-        log_disp = log_total - log_osc
-        sign_disp = np.where(sign_osc != 0, sign_total * sign_osc, 0.0)
-    else:
-        log_total = log_osc
-        sign_total = sign_osc
-        log_disp = np.zeros_like(times)
-        sign_disp = np.ones_like(times)
-
     log_amp = log_total + log_bath
-    with np.errstate(over="ignore"):
-        amp = r0 * sign_total * np.where(log_amp > -745.0, np.exp(np.minimum(log_amp, 700.0)), 0.0)
-        osc = sign_osc * np.where(log_osc > -745.0, np.exp(np.minimum(log_osc, 700.0)), 0.0)
-        disp = sign_disp * np.where(log_disp > -745.0, np.exp(np.minimum(log_disp, 700.0)), 0.0)
-    log10_abs = (log_amp + (math.log(abs(r0)) if r0 != 0 else -math.inf)) / _LOG10
     return OffDiagTrajectory(
         times=times,
-        amplitude=amp,
-        log10_abs=log10_abs,
-        osc_factor=osc,
+        amplitude=r0 * _linear(log_amp, sign_total, 700.0),
+        log10_abs=_log10_abs(log_amp, r0),
+        osc_factor=_linear(log_osc, sign_osc, 700.0),
         bath_factor=np.exp(log_bath),
-        dispersion_factor=disp,
+        dispersion_factor=_linear(log_total - log_osc, sign_total * sign_osc, 700.0),
         r0=r0,
     )
 
@@ -340,17 +305,14 @@ def spin_echo(
     if theta < 0:
         raise NegativePulseTime(f"pulse time must be >= 0, got {theta}")
     times = np.asarray(times, dtype=float)
-    eff = np.where(times < theta, times, times - 2.0 * theta)
-    log_amp = np.empty_like(times)
-    sign = np.empty_like(times)
-    for i, te in enumerate(eff):
-        log_amp[i], sign[i] = _log_cos_product(2.0 * couplings.values * float(te) / hbar)
-    factor = sign * np.where(log_amp > -745.0, np.exp(np.minimum(log_amp, 0.0)), 0.0)
-    log10_abs = (log_amp + (math.log(abs(r0)) if r0 != 0 else -math.inf)) / _LOG10
+    log_amp, sign = log_cos_product(
+        np.where(times < theta, times, times - 2.0 * theta), couplings, hbar
+    )
+    factor = _linear(log_amp, sign, 0.0)
     return OffDiagTrajectory(
         times=times,
         amplitude=r0 * factor,
-        log10_abs=log10_abs,
+        log10_abs=_log10_abs(log_amp, r0),
         osc_factor=factor,
         bath_factor=np.ones_like(times),
         dispersion_factor=np.ones_like(times),
@@ -384,7 +346,7 @@ class ZetaTrajectory:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logmag = n * np.log(np.abs(self.zeta0))
             phase = n * np.angle(self.zeta0)
-        return r0 * np.where(logmag > -745.0, np.exp(np.minimum(logmag, 0.0)), 0.0) * np.exp(1j * phase)
+        return r0 * _linear(logmag, np.exp(1j * phase), 0.0)
 
 
 def zeta_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:

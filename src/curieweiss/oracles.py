@@ -88,7 +88,7 @@ def full_hilbert_offdiag(
         phases = np.exp(2j * couplings.mean * (2 * k - n) * t / hbar)
         return r0 * _kahan_complex_sum(weights * phases)
     totals = np.zeros(1)
-    for gn in couplings.values:
+    for gn in np.repeat(couplings.values, couplings.counts):
         totals = np.concatenate([totals + gn, totals - gn])
     terms = np.exp(2j * t * totals / hbar) / 2.0**n
     return r0 * _kahan_complex_sum(terms)

@@ -100,12 +100,9 @@ def _offdiag_residual_log10(params: ModelParams, state: SystemState2x2,
     log_amp = math.log(abs(state.r_ud))
     if params.gamma > 0:
         log_amp -= params.n_spins * offdiag.bath_exponent(t_final, params)
-    if params.delta_g > 0:
-        couplings = offdiag.sample_couplings(params, seed)
-        logmag, _ = offdiag.envelope_dispersed_log(t_final, couplings, params.hbar)
-    else:
-        logmag, _ = offdiag.envelope_uniform_log(t_final, params)
-    return (log_amp + logmag) / LN10
+    couplings = offdiag.sample_couplings(params, seed)
+    logmag, _ = offdiag.log_cos_product(t_final, couplings, params.hbar)
+    return float((log_amp + logmag) / LN10)
 
 
 def assemble_final_state(
@@ -212,6 +209,9 @@ def entropy_budget(
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Model, initial state and run keys; construction rejects a state that
+    is not a density matrix and a negative seed."""
+
     params: ModelParams
     state: SystemState2x2
     t_max: float | None = None
@@ -221,6 +221,11 @@ class RunConfig:
     dispersion: bool | None = None
     seed: int = 0
     margin: float = 10.0
+
+    def __post_init__(self):
+        validate_state(self.state)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def resolved(self) -> "RunConfig":
         """Fill mechanism toggles from the parameters and check consistency."""
@@ -261,7 +266,8 @@ def load_run_config(path) -> RunConfig:
     """Read a parameter file plus optional run keys into a RunConfig.
 
     Unknown keys are rejected, and so are non-integer counts (n_spins,
-    samples, seed) rather than truncated.
+    samples, seed) rather than truncated, a negative seed and a state that
+    is not a density matrix.
     """
     mapping = read_config_file(path, CONFIG_KEYS + tuple(RUN_KEYS))
     params, state = params_from_mapping(mapping)
@@ -408,7 +414,6 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     """
     cfg = config.resolved()
     params, state = cfg.params, cfg.state
-    validate_state(state)
     try:
         g_c = statics.critical_coupling(params)
     except SpinodalUndefined:

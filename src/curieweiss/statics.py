@@ -56,11 +56,12 @@ class Landscape:
 
     @property
     def ferromagnetic(self) -> StationaryPoint:
-        """Ferromagnetic minimum with the largest |m|; the central well never counts."""
+        """Ferromagnetic minimum with the largest |m|; the central well never
+        counts, and the symmetric pair at g = 0 goes to the field's sign."""
         ferro = [p for p in self.minima if p.label is not PointLabel.PARAMAGNETIC]
         if not ferro:
             raise NoFerromagneticSolution("landscape has no ferromagnetic minimum")
-        return max(ferro, key=lambda p: abs(p.m))
+        return max(ferro, key=lambda p: (abs(p.m), self.field_sign * p.m))
 
     @property
     def paramagnetic(self) -> StationaryPoint | None:
@@ -169,10 +170,11 @@ def stationary_magnetizations(
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:
         raise NoFerromagneticSolution("no stationary minimum found")
-    # ties (g = 0 symmetric pair) resolved toward positive m
-    gmin = max(
-        minima, key=lambda i: (-points[i].free_energy, points[i].m)
-    )
+    # ties (g = 0 symmetric pair) resolved toward positive m; the pair's free
+    # energies can differ in the last place, since NumPy's x**4 is not exactly even
+    f_min = min(points[i].free_energy for i in minima)
+    tied = [i for i in minima if points[i].free_energy - f_min <= 4.0 * math.ulp(f_min)]
+    gmin = max(tied, key=lambda i: points[i].m)
     return Landscape(field_sign=s, points=points, global_minimum=gmin)
 
 
@@ -246,13 +248,7 @@ def ferromagnetic_gap(params: ModelParams) -> GapEstimate:
     self-consistency condition at m -> 1 with g = 0; it is only meaningful
     when params.coupling_g is zero or negligible.
     """
-    scape = stationary_magnetizations(+1, params)
-    ferro = [p for p in scape.minima if p.m > math.sqrt(0.5)]
-    if not ferro:
-        raise NoFerromagneticSolution(
-            f"no ferromagnetic minimum at T = {params.temperature}"
-        )
-    mf = max(p.m for p in ferro)
+    mf = stationary_magnetizations(+1, params).ferromagnetic.m
     asym = 2.0 * math.exp(-2.0 * params.coupling_j / params.temperature)
     return GapEstimate(gap=1.0 - mf, asymptote=asym)
 

@@ -15,8 +15,7 @@ from curieweiss import oracles, registration, scenario, statics
 from curieweiss.offdiag import (
     bath_exponent,
     decay_time_bath,
-    envelope_dispersed,
-    envelope_uniform,
+    envelope,
     integrate_zeta_short_time,
     log_recurrence_height_dispersed,
     reduction_time,
@@ -84,7 +83,7 @@ def test_criterion_05_collapse_envelope():
     p = cw.ModelParams(n_spins=10**4, coupling_g=0.09, temperature=0.34,
                        gamma=1e-3, debye_cutoff=50.0)
     tau = reduction_time(p)
-    value = abs(envelope_uniform(tau, p, 1.0 + 0j))
+    value = abs(envelope(tau, sample_couplings(p, seed=0), 1.0 + 0j))
     dev = abs(value / math.exp(-1.0) - 1.0)
     report(5, dev <= 0.01,
            f"|cos^N(2gt)| at tau_red = {value:.6f} vs 1/e (dev {dev:.2e}, limit 1e-2)")
@@ -94,12 +93,12 @@ def test_criterion_06_recurrence():
     p0 = cw.ModelParams(n_spins=10**4, coupling_g=0.09, temperature=0.34,
                         gamma=0.0, debye_cutoff=50.0)
     t1 = math.pi * p0.hbar / (2.0 * p0.coupling_g)
-    exact = abs(abs(envelope_uniform(t1, p0, 1.0 + 0j)) - 1.0)
+    exact = abs(abs(envelope(t1, sample_couplings(p0, seed=0), 1.0 + 0j)) - 1.0)
 
     pd = cw.ModelParams(n_spins=1000, coupling_g=0.09, delta_g=0.0045,
                         temperature=0.34, gamma=0.0, debye_cutoff=50.0)
     cv = sample_couplings(pd, seed=1)
-    peak = abs(envelope_dispersed(t1, cv, 1.0 + 0j))
+    peak = abs(envelope(t1, cv, 1.0 + 0j))
     formula = math.exp(log_recurrence_height_dispersed(pd))
     dev = abs(peak / formula - 1.0)
     report(6, exact <= 1e-12 and dev <= 0.10,
@@ -128,14 +127,14 @@ def test_criterion_08_oracle_equivalence():
                             gamma=0.0, debye_cutoff=50.0)
         for t in times:
             a = oracles.offdiag_sector_sum(float(t), pu, 1.0 + 0j)
-            b = envelope_uniform(float(t), pu, 1.0 + 0j)
+            b = envelope(float(t), sample_couplings(pu, seed=0), 1.0 + 0j)
             worst = max(worst, abs(a - b))
     pd = cw.ModelParams(n_spins=12, coupling_g=0.09, delta_g=0.0045,
                         temperature=0.34, gamma=0.0, debye_cutoff=50.0)
     cv = sample_couplings(pd, seed=2)
     for t in times:
         a = oracles.full_hilbert_offdiag(float(t), cv, 1.0 + 0j)
-        b = envelope_dispersed(float(t), cv, 1.0 + 0j)
+        b = envelope(float(t), cv, 1.0 + 0j)
         worst = max(worst, abs(a - b))
     dt = time.perf_counter() - t0
     report(8, worst <= 1e-12 and dt < 60.0,

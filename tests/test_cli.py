@@ -83,6 +83,10 @@ def test_statics_two_ferro_minima_at_zero_field(tmp_path):
     minima = [r for r in rows if ",minimum," in r]
     ferro = [r for r in minima if "ferro" in r]
     assert len(ferro) == 2
+    # the symmetric pair resolves toward the field, as the global minimum does
+    m = load_manifest(out)
+    assert m["m_ferromagnetic"] == m["global_minimum_up"] > 0
+    assert m["ferromagnetic_gap"]["gap"] == pytest.approx(1.0 - m["m_ferromagnetic"], abs=1e-15)
 
 
 def test_collapse_command_recurrence_visible(tmp_path):
@@ -301,6 +305,17 @@ def test_cli_error_reporting(tmp_path, capsys):
         assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
     cfg = write_cfg(tmp_path, r_uu="nan")
-    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    for command in ("validate", "statics", "collapse", "register", "scenario", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+    # a negative seed, from the config or the command line, and a missing file
+    dispersed = {"delta_g": 0.0045}
+    for overrides, extra in (({"seed": -1, **dispersed}, []),
+                             (dispersed, ["--seed", "-1"])):
+        cfg = write_cfg(tmp_path, **overrides)
+        assert main(["collapse", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 1
+        assert "error: seed" in capsys.readouterr().err
+    missing = str(tmp_path / "nonexistent.cfg")
+    assert main(["validate", "--config", missing, "--out", str(tmp_path / "o")]) == 1
+    assert "error: cannot read config file" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curieweiss.errors import (
     NegativePulseTime,
@@ -12,14 +13,13 @@ from curieweiss.errors import (
 )
 from curieweiss.model import ModelParams
 from curieweiss.offdiag import (
+    CouplingVector,
     bath_exponent,
     decay_time_bath,
     dispersion_decay_time,
-    dispersion_envelope,
-    envelope_dispersed,
-    envelope_uniform,
-    envelope_uniform_log,
+    envelope,
     integrate_zeta_short_time,
+    log_cos_product,
     log_recurrence_height_bath,
     log_recurrence_height_dispersed,
     memory_kernel,
@@ -30,6 +30,7 @@ from curieweiss.offdiag import (
     spectral_density,
     spin_echo,
 )
+from curieweiss.oracles import full_hilbert_offdiag
 
 REF = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
                   debye_cutoff=50.0)
@@ -38,6 +39,10 @@ REF = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
 def mk(n=1000, g=0.09, dg=0.0, gamma=0.0, cutoff=50.0):
     return ModelParams(n_spins=n, coupling_g=g, delta_g=dg, temperature=0.34,
                        gamma=gamma, debye_cutoff=cutoff)
+
+
+def uniform(p):
+    return CouplingVector.uniform(p.coupling_g, p.n_spins)
 
 
 # --- time scales --------------------------------------------------------------
@@ -122,13 +127,12 @@ def test_sample_couplings_zero_dispersion():
     assert cv.rms_deviation == 0.0
 
 
-@pytest.mark.parametrize("distribution", ["two_point", "gaussian"])
-def test_sample_couplings_exact_moments(distribution):
+def test_sample_couplings_exact_moments():
     p = mk(n=1000, dg=0.005)
-    cv = sample_couplings(p, seed=1, distribution=distribution)
+    cv = sample_couplings(p, seed=1)
     assert cv.mean == pytest.approx(0.09, abs=1e-12)
     assert cv.rms_deviation == pytest.approx(0.005, abs=1e-12)
-    assert len(cv.values) == 1000
+    assert cv.n_spins == 1000
 
 
 def test_sample_couplings_seed_dependence():
@@ -146,14 +150,14 @@ def test_sample_couplings_seed_dependence():
 
 def test_envelope_uniform_initial():
     r0 = 0.3 + 0.1j
-    assert envelope_uniform(0.0, mk(), r0) == r0
+    assert envelope(0.0, uniform(mk()), r0) == r0
 
 
 def test_envelope_uniform_first_recurrence():
     for n in (7, 8):
         p = mk(n=n)
         t1 = math.pi * p.hbar / (2.0 * p.coupling_g)
-        val = envelope_uniform(t1, p, 1.0 + 0j)
+        val = envelope(t1, uniform(p), 1.0 + 0j)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
         assert val.real == pytest.approx((-1.0) ** n, abs=1e-12)
 
@@ -161,30 +165,30 @@ def test_envelope_uniform_first_recurrence():
 def test_envelope_uniform_gaussian_law():
     p = mk(n=10**4)
     tr = reduction_time(p)
-    ratio = abs(envelope_uniform(tr, p, 1.0 + 0j)) / math.exp(-1.0)
+    ratio = abs(envelope(tr, uniform(p), 1.0 + 0j)) / math.exp(-1.0)
     assert ratio == pytest.approx(1.0, abs=0.01)
 
 
 def test_envelope_uniform_log_underflow_safe():
     p = mk(n=10**6)
     t = 30.0 * reduction_time(p)  # gaussian exponent ~ 900: below exp(-745)
-    logmag, sign = envelope_uniform_log(t, p)
+    logmag, sign = log_cos_product(t, uniform(p), p.hbar)
     assert logmag < -745.0
     assert math.isfinite(logmag)
-    assert envelope_uniform(t, p, 1.0) == 0.0  # linear value underflows to zero
+    assert envelope(t, uniform(p), 1.0) == 0.0  # linear value underflows to zero
 
 
 def test_envelope_monotone_before_first_zero():
     p = mk(n=500)
     ts = np.linspace(0.0, math.pi * p.hbar / (4.0 * p.coupling_g), 200)
-    mags = np.abs(envelope_uniform(ts, p, 1.0 + 0j))
+    mags = np.abs(envelope(ts, uniform(p), 1.0 + 0j))
     assert np.all(np.diff(mags) <= 1e-15)
 
 
 def test_envelope_phase_structure():
     # real r0: uniform envelope stays real up to sign
     p = mk(n=11)
-    vals = envelope_uniform(np.linspace(0, 30, 50), p, 1.0 + 0j)
+    vals = envelope(np.linspace(0, 30, 50), uniform(p), 1.0 + 0j)
     assert np.allclose(vals.imag, 0.0, atol=1e-15)
 
 
@@ -195,8 +199,8 @@ def test_envelope_dispersed_reduces_to_uniform():
     p = mk(n=200, dg=0.0)
     cv = sample_couplings(p, seed=0)
     for t in (0.0, 1.7, 5.3, 17.0):
-        assert envelope_dispersed(t, cv, 1.0 + 0j) == pytest.approx(
-            envelope_uniform(t, p, 1.0 + 0j), abs=1e-12
+        assert envelope(t, cv, 1.0 + 0j) == pytest.approx(
+            envelope(t, uniform(p), 1.0 + 0j), abs=1e-12
         )
 
 
@@ -204,7 +208,7 @@ def test_envelope_dispersed_first_peak_suppression():
     p = mk(n=1000, dg=0.0045)  # delta_g/g = 0.05
     cv = sample_couplings(p, seed=1)
     t1 = math.pi * p.hbar / (2.0 * p.coupling_g)
-    peak = abs(envelope_dispersed(t1, cv, 1.0 + 0j))
+    peak = abs(envelope(t1, cv, 1.0 + 0j))
     formula = math.exp(log_recurrence_height_dispersed(p))
     assert formula == pytest.approx(math.exp(-12.337005501), rel=1e-6)
     assert peak == pytest.approx(formula, rel=0.10)
@@ -216,7 +220,8 @@ def test_dispersion_envelope_gaussian_fit():
     cv = sample_couplings(p, seed=1)
     tau2p = dispersion_decay_time(p)
     ts = np.linspace(0.0, 2.0 * tau2p, 41)[1:]
-    log_env = np.log(np.abs(dispersion_envelope(ts, cv)))
+    shifted = CouplingVector(cv.values - cv.mean, cv.counts, 0.0, cv.rms_deviation)
+    log_env = np.log(np.abs(envelope(ts, shifted, 1.0)))
     slope = float(np.sum(log_env * (-ts**2)) / np.sum(ts**4))
     tau_fit = 1.0 / math.sqrt(slope)
     assert tau_fit == pytest.approx(tau2p, rel=0.05)
@@ -243,7 +248,7 @@ def test_spin_echo_zero_theta_matches_free_evolution():
     cv = sample_couplings(p, seed=2)
     times = np.linspace(0.0, 8.0, 30)
     echo = spin_echo(0.0, cv, 1.0 + 0j, times)
-    free = envelope_dispersed(times, cv, 1.0 + 0j)
+    free = envelope(times, cv, 1.0 + 0j)
     assert np.allclose(echo.amplitude, free, atol=1e-14)
 
 
@@ -257,13 +262,57 @@ def test_spin_echo_continuous_at_pulse():
     assert before.amplitude[0] == pytest.approx(after.amplitude[0], abs=1e-7)
     # the branch value at the pulse equals the free product there
     at = spin_echo(theta, cv, 1.0 + 0j, np.array([theta]))
-    assert at.amplitude[0] == pytest.approx(envelope_dispersed(theta, cv, 1.0 + 0j), abs=1e-12)
+    assert at.amplitude[0] == pytest.approx(envelope(theta, cv, 1.0 + 0j), abs=1e-12)
 
 
 def test_spin_echo_negative_pulse_time():
     cv = sample_couplings(mk(dg=0.004), seed=0)
     with pytest.raises(NegativePulseTime):
         spin_echo(-1.0, cv, 1.0 + 0j, np.array([0.0]))
+
+
+# --- kernel properties ------------------------------------------------------------
+
+# up to three (value, multiplicity) pairs over at most 12 spins, so the 2^N
+# enumeration oracle stays cheap; values may repeat
+PAIRS = st.lists(
+    st.tuples(st.floats(1e-3, 0.5), st.integers(1, 6)), min_size=1, max_size=3
+).filter(lambda pairs: sum(c for _, c in pairs) <= 12)
+TIMES = st.floats(-200.0, 200.0)
+
+
+def vector(pairs):
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    spins = np.repeat(values, counts)
+    return CouplingVector(values, counts, float(spins.mean()), float(spins.std()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(PAIRS, TIMES)
+def test_log_cos_product_equals_explicit_product(pairs, t):
+    cv = vector(pairs)
+    logmag, sign = log_cos_product(t, cv)
+    explicit = float(np.prod(np.cos(2.0 * np.repeat(cv.values, cv.counts) * t)))
+    assert sign == np.sign(explicit)
+    assert sign * math.exp(logmag) == pytest.approx(explicit, abs=1e-12)
+    assert full_hilbert_offdiag(t, cv, 1.0 + 0j) == pytest.approx(explicit, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(PAIRS, TIMES)
+def test_log_cos_product_even_in_time(pairs, t):
+    cv = vector(pairs)
+    (log_plus, sign_plus), (log_minus, sign_minus) = log_cos_product(t, cv), log_cos_product(-t, cv)
+    assert log_plus == log_minus
+    assert sign_plus == sign_minus
+
+
+@settings(deadline=None, max_examples=60)
+@given(PAIRS, st.floats(0.0, 1e3), st.complex_numbers(max_magnitude=1.0))
+def test_spin_echo_revival_exact_property(pairs, theta, r0):
+    traj = spin_echo(theta, vector(pairs), r0, np.array([2.0 * theta]))
+    assert abs(traj.amplitude[0]) == abs(r0)
 
 
 # --- assembled trajectory ----------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from curieweiss.errors import TooLarge
 from curieweiss.model import ModelParams
 from curieweiss.offdiag import (
-    envelope_dispersed,
-    envelope_uniform,
+    CouplingVector,
+    envelope,
     sample_couplings,
     zeta_rhs,
 )
@@ -55,7 +55,7 @@ def test_sector_sum_equals_uniform_envelope():
         p = mk(n)
         for t in rng.uniform(0.0, 60.0, 5):
             a = offdiag_sector_sum(float(t), p, r0)
-            b = envelope_uniform(float(t), p, r0)
+            b = envelope(float(t), CouplingVector.uniform(p.coupling_g, n), r0)
             assert abs(a - b) < 1e-12
 
 
@@ -85,7 +85,7 @@ def test_enumeration_matches_dispersed_product():
     r0 = 0.3 - 0.25j
     for t in np.linspace(0.0, 40.0, 50):
         a = full_hilbert_offdiag(float(t), cv, r0)
-        b = envelope_dispersed(float(t), cv, r0)
+        b = envelope(float(t), cv, r0)
         assert abs(a - b) < 1e-12
 
 
