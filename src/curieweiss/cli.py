@@ -96,8 +96,9 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times, hbar=params.hbar)
         scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo)
         payload["pulse_time"] = echo_at
-        idx = int(np.argmin(np.abs(traj.times - 2.0 * echo_at)))
-        payload["echo_revival_log10"] = float(echo.log10_abs[idx])
+        revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at],
+                                    hbar=params.hbar)
+        payload["echo_revival_log10"] = float(revival.log10_abs[0])
     output.write_manifest(out_dir, payload)
     print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
           + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
@@ -175,8 +176,7 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
             scape = statics.stationary_magnetizations(+1, params)
             m_final = scape.points[scape.global_minimum].m
         else:
-            horizon = scenario.registration_horizon(params, cfg.t_max)
-            up = registration.integrate_registration(+1, params, horizon)
+            up = registration.integrate_registration(+1, params, cfg.t_max)
             m_final = up.m_final
             if up.terminal is registration.TerminalKind.CONVERGED_FERRO:
                 outcome = "registered"

@@ -98,7 +98,7 @@ def reference_integrate(rhs, initial, t_span, t_eval=None, rtol=1e-13, atol=1e-1
     """High-accuracy third-party integration used only to bound production error.
 
     DOP853 at tolerance 1e-13: a different method family and codebase from
-    the production Dormand-Prince 5(4).
+    the production registration quadrature and Dormand-Prince 5(4).
     """
     y0 = np.atleast_1d(np.asarray(initial))
     complex_state = np.iscomplexobj(y0)

@@ -7,8 +7,9 @@ Each sector carries a magnetization m_i(t) obeying
 a downhill flow on the tilted free energy F_s(m).  From m(0) = 0 the up
 sector rises to the ferromagnetic value m_f when g exceeds the critical
 coupling, and gets stuck at the shifted paramagnetic minimum otherwise.
-The sector weight zeta_0 is conserved and is integrated alongside m so the
-conservation can be checked on the numerical output.
+The flow is one-dimensional and autonomous, so it is inverted rather than
+stepped: t(m) = integral of dm'/v(m') from m(0) toward the attractor the
+statics give.
 """
 
 from __future__ import annotations
@@ -25,11 +26,19 @@ from .errors import (
     DomainError,
     InsufficientTail,
     NeverCrossed,
+    QuadratureNotConverged,
     SpinodalUndefined,
     StepFailure,
 )
 from .model import ModelParams
-from . import ode, statics
+from . import statics
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+#: geometric nodes per decade of distance to the attractor
+_NODES_PER_DECADE = 20
+#: accepted relative disagreement of an interval's rule with its two halves
+_RTOL = 1e-10
+_MAX_HALVINGS = 40
 
 
 class TerminalKind(enum.Enum):
@@ -43,7 +52,7 @@ class MagnetizationTrajectory:
     field_sign: int
     times: np.ndarray
     m: np.ndarray
-    #: conserved sector weight, integrated as a dummy component
+    #: conserved sector weight; the flow does not change it, so it stays 1
     zeta0: np.ndarray
     terminal: TerminalKind
     #: stationary point the flow is heading to (from the statics landscape)
@@ -59,100 +68,122 @@ class MagnetizationTrajectory:
         return float(self.m[-1])
 
 
-def registration_rhs(m: float, field_sign: int, params: ModelParams) -> float:
-    """dm/dt of the registration flow; removable point h = 0 handled by series.
+def flow_rate(m, field_sign: int, params: ModelParams):
+    """dm/dt of the registration flow on an array of m, exactly odd under
+    (s, m) -> (-s, -m).  Near the removable point h = 0 (|x| < 1e-8, x = h/T)
+    m h/tanh(h/T) is its series m T (1 + x^2/3 - ...), whose x^2/3 < 4e-17
+    vanishes in rounding."""
+    m = np.asarray(m, dtype=float)
+    h = field_sign * params.coupling_g + params.coupling_j * (m * m * m)
+    x = h / params.temperature
+    series = h - m * params.temperature
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = h * (1.0 - m / np.tanh(x))
+    return params.gamma / params.hbar * np.where(np.abs(x) < 1e-8, series, exact)
 
-    For |h|/T below 1e-8 the factor m/tanh(h/T) is expanded to three terms,
-    giving dm/dt -> (gamma/hbar)(h - m T - m h^2/(3T)).
-    """
+
+def registration_rhs(m: float, field_sign: int, params: ModelParams) -> float:
+    """Scalar form of :func:`flow_rate`; |m| must be < 1."""
     if abs(m) >= 1.0:
         raise DomainError(f"|m| must be < 1, got {m}")
-    g, j, t = params.coupling_g, params.coupling_j, params.temperature
-    h = field_sign * g + j * m**3
-    x = h / t
-    if abs(x) < 1e-8:
-        # h/tanh(h/T) = T (1 + x^2/3 - x^4/45 + ...)
-        val = h - m * t * (1.0 + x * x / 3.0 - x**4 / 45.0)
-    else:
-        val = h * (1.0 - m / math.tanh(x))
-    return params.gamma / params.hbar * val
+    return float(flow_rate(m, field_sign, params))
 
 
 def _attractor(field_sign: int, params: ModelParams, m0: float) -> float:
-    """First fixed point the flow meets starting from m0."""
-    scape = statics.stationary_magnetizations(field_sign, params)
-    roots = [p.m for p in scape.points]
+    """First fixed point the flow meets starting from m0; a root within 1e-14
+    behind m0 counts as m0 itself, since the rate there is rounding."""
     rate0 = registration_rhs(m0, field_sign, params)
-    if rate0 > 0:
-        ahead = [r for r in roots if r > m0 + 1e-14]
-        if not ahead:
-            raise StepFailure("no fixed point above the starting magnetization")
-        return min(ahead)
-    if rate0 < 0:
-        ahead = [r for r in roots if r < m0 - 1e-14]
-        if not ahead:
-            raise StepFailure("no fixed point below the starting magnetization")
-        return max(ahead)
-    return m0
+    if rate0 == 0:
+        return m0
+    d = math.copysign(1.0, rate0)
+    points = statics.stationary_magnetizations(field_sign, params).points
+    ahead = [p.m for p in points if d * (p.m - m0) > -1e-14]
+    if not ahead:
+        raise StepFailure(f"no fixed point {'above' if d > 0 else 'below'} m0 = {m0}")
+    return min(ahead, key=lambda r: d * r)
+
+
+def _gauss(u, w, field_sign: int, params: ModelParams):
+    """12-point Gauss-Legendre time of flight from u to w, per interval, and a
+    bound on its rounding error: near a fixed point the rate is a difference
+    of terms of size |h| <= g + J, so it is off by a few ulp of (gamma/hbar)(g + J)."""
+    half = 0.5 * (w - u)[:, None]
+    x = 0.5 * (u + w)[:, None] + half * _GL_X
+    v = flow_rate(x, field_sign, params)
+    wrong = x[half * v <= 0.0]
+    if wrong.size:
+        raise StepFailure(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
+    dv = 4.0 * np.finfo(float).eps * params.gamma / params.hbar * (
+        params.coupling_g + params.coupling_j)
+    return (half * _GL_W / v).sum(axis=1), (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
+
+
+def _time_to(u, w, field_sign: int, params: ModelParams):
+    """Ends and times of flight of intervals covering each (u, w): an interval
+    whose rule and the sum over its halves differ beyond _RTOL and rounding
+    is replaced by its halves."""
+    ends, times = [], []
+    for _ in range(_MAX_HALVINGS):
+        mid = 0.5 * (u + w)
+        t, noise = _gauss(np.concatenate([u, u, mid]), np.concatenate([w, mid, w]),
+                          field_sign, params)
+        whole, left, right = np.split(t, 3)
+        total = left + right
+        ok = np.abs(total - whole) <= _RTOL * np.abs(total) + sum(np.split(noise, 3))
+        ends.append(w[ok])
+        times.append(total[ok])
+        u, w = np.concatenate([u[~ok], mid[~ok]]), np.concatenate([mid[~ok], w[~ok]])
+        if not u.size:
+            return np.concatenate(ends), np.concatenate(times)
+    raise QuadratureNotConverged(
+        f"registration time not resolved after {_MAX_HALVINGS} halvings near m = {u[0]!r}"
+    )
 
 
 def integrate_registration(
     field_sign: int,
     params: ModelParams,
-    t_max: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    t_max: float | None = None,
     stop_delta: float = 1e-6,
     m0: float = 0.0,
 ) -> MagnetizationTrajectory:
-    """Integrate a sector's magnetization from m0 (paramagnetic start: 0).
+    """Trajectory (t(m_k), m_k) of a sector's magnetization from m0.
 
-    Stops when m is within ``stop_delta`` of the attracting stationary point
-    (event located by bisection on dense output) or at ``t_max``.  The
-    terminal state is classified against the statics landscape: ferromagnetic
-    attractor -> CONVERGED_FERRO, central-well attractor ->
-    TRAPPED_PARAMAGNETIC.
+    The flow runs to within ``stop_delta`` of the stationary point it first
+    meets, whose basin decides the terminal kind: ferromagnetic ->
+    CONVERGED_FERRO, central well -> TRAPPED_PARAMAGNETIC.  The m_k sit
+    geometrically in the distance to it, at most 1/100 of the way apart, plus
+    the midpoints the quadrature refines.  An explicit ``t_max`` cuts the
+    trajectory at m(t_max), found by inverting t(m), and ends it
+    MAX_TIME_REACHED.
     """
-    if t_max <= 0:
+    if t_max is not None and t_max <= 0:
         raise DomainError("t_max must be positive")
     m_attr = _attractor(field_sign, params, m0)
     direction = 1.0 if m_attr >= m0 else -1.0
-    cap = 1.0 - 1e-12
+    gap = max(abs(m_attr - m0), stop_delta)
+    n = math.ceil(_NODES_PER_DECADE * math.log10(gap / stop_delta))
+    d = np.union1d(np.geomspace(gap, stop_delta, n + 1), np.linspace(stop_delta, gap, 101))
+    nodes = np.append(m0, m_attr - direction * d[-2::-1])
+    ends, dt = _time_to(nodes[:-1], nodes[1:], field_sign, params)
+    order = np.argsort(direction * ends)
+    m, times = np.append(m0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
+    terminal = (TerminalKind.CONVERGED_FERRO if abs(m_attr) > math.sqrt(0.5)
+                else TerminalKind.TRAPPED_PARAMAGNETIC)
+    if t_max is not None and times[-1] > t_max:
+        k = int(np.searchsorted(times, t_max)) - 1  # times[k] < t_max <= times[k + 1]
 
-    def rhs(t, y):
-        # trial stages may overshoot |m| = 1; the clamped rate is negative
-        # past the fixed point, so overshoots are pulled back and rejected
-        m = min(cap, max(-cap, float(y[1])))
-        return np.array([0.0, registration_rhs(m, field_sign, params)])
+        def overshoot(x):
+            return _gauss(m[k:k + 1], np.array([x]), field_sign, params)[0][0] - (t_max - times[k])
 
-    def close_event(t, y):
-        return direction * (float(y[1]) - m_attr) + stop_delta
-
-    rate0 = abs(registration_rhs(m0, field_sign, params))
-    first = min(t_max / 100.0, 1e-4 / rate0) if rate0 > 0 else t_max / 100.0
-    sol = ode.integrate(
-        rhs,
-        0.0,
-        np.array([1.0, m0]),
-        t_max,
-        rtol=rtol,
-        atol=atol,
-        events=[close_event],
-        first_step=first,
-    )
-    if sol.event_time is not None:
-        terminal = (
-            TerminalKind.CONVERGED_FERRO
-            if abs(m_attr) > math.sqrt(0.5)
-            else TerminalKind.TRAPPED_PARAMAGNETIC
-        )
-    else:
+        m = np.append(m[: k + 1], statics.bisect(overshoot, m[k], m[k + 1], times[k] - t_max))
+        times = np.append(times[: k + 1], t_max)
         terminal = TerminalKind.MAX_TIME_REACHED
     return MagnetizationTrajectory(
         field_sign=int(field_sign),
-        times=sol.times,
-        m=sol.states[:, 1].real.astype(float),
-        zeta0=sol.states[:, 0].real.astype(float),
+        times=times,
+        m=m,
+        zeta0=np.ones_like(times),
         terminal=terminal,
         attractor=m_attr,
     )
@@ -188,10 +219,7 @@ def asymptotic_rate(
         raise InsufficientTail(
             f"tail spans less than a decade ({mask.sum()} usable points)"
         )
-    tt = trajectory.times[mask]
-    yy = np.log(delta[mask])
-    a = np.vstack([tt, np.ones_like(tt)]).T
-    slope, _ = np.linalg.lstsq(a, yy, rcond=None)[0]
+    slope = np.polyfit(trajectory.times[mask], np.log(delta[mask]), 1)[0]
     return RateFit(
         fitted=-float(slope),
         predicted=params.gamma * params.coupling_j / params.hbar,
@@ -202,23 +230,14 @@ def asymptotic_rate(
 def crossing_time(trajectory: MagnetizationTrajectory, m_target: float) -> float:
     """Linearly interpolated first time at which m(t) passes m_target.
 
-    The flow is monotone toward its attractor; targets at or behind the
-    starting point return 0.
+    The trajectory's m is strictly monotone toward its attractor; targets at
+    or behind the starting point return 0.
     """
-    m = trajectory.m
-    direction = 1.0 if trajectory.attractor >= m[0] else -1.0
-    u = direction * m
-    ut = direction * m_target
-    if ut <= u[0]:
-        return 0.0
-    idx = np.nonzero(u >= ut)[0]
-    if idx.size == 0:
+    direction = 1.0 if trajectory.attractor >= trajectory.m[0] else -1.0
+    u = direction * trajectory.m
+    if direction * m_target > u[-1]:
         raise NeverCrossed(f"trajectory never reaches m = {m_target}")
-    i = int(idx[0])
-    t0, t1 = trajectory.times[i - 1], trajectory.times[i]
-    u0, u1 = u[i - 1], u[i]
-    frac = (ut - u0) / (u1 - u0)
-    return float(t0 + frac * (t1 - t0))
+    return float(np.interp(direction * m_target, u, trajectory.times))
 
 
 def registration_threshold(params: ModelParams) -> float:

@@ -347,17 +347,10 @@ def collapse_run(cfg: RunConfig, t_hi: float | None):
     return traj, couplings
 
 
-def registration_horizon(params: ModelParams, t_max: float | None) -> float:
-    """Integration horizon of a sector: t_max if set, else 200 hbar/(gamma T)."""
-    if t_max is not None:
-        return t_max
-    return 200.0 * params.hbar / (params.gamma * params.temperature)
-
-
 def sector_runs(params: ModelParams, t_max: float | None):
-    """Registration flows of the up and down sectors from m = 0."""
-    horizon = registration_horizon(params, t_max)
-    return tuple(registration.integrate_registration(s, params, horizon) for s in (+1, -1))
+    """Registration flows of the up and down sectors from m = 0, each to its
+    attractor, or cut at t_max when that is set."""
+    return tuple(registration.integrate_registration(s, params, t_max) for s in (+1, -1))
 
 
 def registration_times(params: ModelParams) -> dict:
@@ -515,12 +508,9 @@ def write_sectors(out_dir, sectors, params: ModelParams) -> None:
     for traj in sectors:
         sign = traj.field_sign
         name = "up" if sign > 0 else "down"
-        energies = statics.free_energy(traj.m, sign, params).tolist()
-        rows = [
-            [float(t), float(m),
-             registration.registration_rhs(float(m), sign, params) if abs(m) < 1 else 0.0, f]
-            for t, m, f in zip(traj.times, traj.m, energies)
-        ]
+        rows = zip(traj.times.tolist(), traj.m.tolist(),
+                   registration.flow_rate(traj.m, sign, params).tolist(),
+                   statics.free_energy(traj.m, sign, params).tolist())
         output.write_csv(
             os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], rows
         )

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NoFerromagneticSolution, SpinodalUndefined
 from .model import ModelParams
 
-_ATANH_CAP = 1.0 - 1e-15
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class PointKind(enum.Enum):
@@ -72,11 +72,6 @@ class Landscape:
         return min(cands, key=lambda p: abs(p.m))
 
 
-def _clamped_atanh(m: float) -> float:
-    m = max(-_ATANH_CAP, min(_ATANH_CAP, m))
-    return 0.5 * math.log((1.0 + m) / (1.0 - m))
-
-
 def mixing_entropy(m):
     """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2."""
     arr = np.asarray(m, dtype=float)
@@ -95,9 +90,10 @@ def free_energy(m, field_sign: int, params: ModelParams):
     """F_s(m) per spin, in energy units of the input parameters."""
     arr = np.asarray(m, dtype=float)
     s = float(field_sign)
+    m2 = arr * arr  # exactly even, unlike NumPy's arr**4
     out = (
         -s * params.coupling_g * arr
-        - 0.25 * params.coupling_j * arr**4
+        - 0.25 * params.coupling_j * (m2 * m2)
         - params.temperature * mixing_entropy(arr)
     )
     return float(out) if np.isscalar(m) or arr.ndim == 0 else out
@@ -108,9 +104,40 @@ def free_energy_curvature(m: float, params: ModelParams) -> float:
     return -3.0 * params.coupling_j * m * m + params.temperature / (1.0 - m * m)
 
 
-def _fixed_point_residual(m, field_sign, params):
-    h = field_sign * params.coupling_g + params.coupling_j * np.asarray(m) ** 3
-    return m - np.tanh(h / params.temperature)
+def _psi(m: float, params: ModelParams) -> float:
+    """psi(m) = T atanh m - J m^3, the field s g that makes m stationary.
+    Exactly odd: math.atanh is, and so is m*m*m (NumPy's m**3 is not)."""
+    return params.temperature * math.atanh(m) - params.coupling_j * (m * m * m)
+
+
+def _curvature_roots(params: ModelParams) -> tuple[float, float]:
+    """m- < m+ where F'' = psi' vanishes: m+-^2 = (1 +- sqrt(1 - 4T/3J))/2."""
+    t, j = params.temperature, params.coupling_j
+    disc = 1.0 - 4.0 * t / (3.0 * j)
+    if disc <= 0:
+        raise SpinodalUndefined(f"T = {t} >= 3J/4 = {0.75 * j}: no spinodal")
+    root = math.sqrt(disc)
+    return math.sqrt((1.0 - root) / 2.0), math.sqrt((1.0 + root) / 2.0)
+
+
+def bisect(f, a: float, b: float, fa: float) -> float:
+    """Root of f in (a, b), f(a) = fa and f(b) of opposite signs, to the last bit.
+
+    Mirror-exact: on (-b, -a) with -f(-m) it returns exactly the negated root,
+    because midpoints, their rounding and the half kept all mirror.
+    """
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            # a root past the last double below 1 rounds to that double, not to the edge
+            return max(-_BELOW_ONE, min(_BELOW_ONE, mid))
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
 
 
 def _label_point(m: float) -> PointLabel:
@@ -123,39 +150,33 @@ def _label_point(m: float) -> PointLabel:
     return PointLabel.PARAMAGNETIC
 
 
-def stationary_magnetizations(
-    field_sign: int, params: ModelParams, grid_points: int = 10001
-) -> Landscape:
+def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape:
     """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
 
-    Roots are bracketed by sign changes of the residual on a dense grid and
-    refined by bisection to 1e-12 in m (Newton can hop between the up-to-five
-    crossings, bisection cannot).
+    They solve psi(m) = s g.  psi is monotone between its branch edges -1,
+    -m+, -m-, m-, m+, 1 (only -1, 1 for T >= 3J/4), so each branch holds at
+    most one root, bracketed by its ends and bisected to the last bit.  An
+    edge on which psi equals s g exactly is a double root and counted once.
     """
     if params.temperature <= 0:
         raise DomainError("temperature must be positive")
     s = int(field_sign)
-    grid = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, grid_points)
-    res = _fixed_point_residual(grid, s, params)
+    target = s * params.coupling_g
+    try:
+        lo, hi = _curvature_roots(params)
+        inner = [-hi, -lo, lo, hi]
+    except SpinodalUndefined:
+        inner = []
 
-    roots: list[float] = []
-    sign = np.sign(res)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in idx:
-        a, b = grid[i], grid[i + 1]
-        fa = res[i]
-        for _ in range(60):  # bisection: |b - a| < 1e-12 after ~41 halvings
-            mid = 0.5 * (a + b)
-            fm = float(_fixed_point_residual(mid, s, params))
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-13:
-                break
-        roots.append(0.5 * (a + b))
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(grid[i]))
+    def f(m):
+        return _psi(m, params) - target
+
+    values = [f(m) for m in inner]
+    roots = [m for m, v in zip(inner, values) if v == 0.0]
+    edges, values = [-1.0, *inner, 1.0], [-math.inf, *values, math.inf]
+    for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            roots.append(bisect(f, a, b, fa))
     roots.sort()
 
     points = tuple(
@@ -170,11 +191,8 @@ def stationary_magnetizations(
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:
         raise NoFerromagneticSolution("no stationary minimum found")
-    # ties (g = 0 symmetric pair) resolved toward positive m; the pair's free
-    # energies can differ in the last place, since NumPy's x**4 is not exactly even
-    f_min = min(points[i].free_energy for i in minima)
-    tied = [i for i in minima if points[i].free_energy - f_min <= 4.0 * math.ulp(f_min)]
-    gmin = max(tied, key=lambda i: points[i].m)
+    # the g = 0 symmetric pair ties exactly (F is exactly even); the positive m wins
+    gmin = min(minima, key=lambda i: (points[i].free_energy, -points[i].m))
     return Landscape(field_sign=s, points=points, global_minimum=gmin)
 
 
@@ -182,15 +200,9 @@ def critical_coupling(params: ModelParams) -> float:
     """Coupling g_c at which the paramagnetic minimum of F disappears.
 
     Eliminates m between the self-consistency condition and the vanishing
-    curvature condition: 2 m*^2 = 1 - sqrt(1 - 4T/3J) (smaller root), then
-    g_c = T atanh(m*) - J m*^3.
+    curvature condition: g_c = psi(m-) = T atanh(m-) - J m-^3.
     """
-    t, j = params.temperature, params.coupling_j
-    disc = 1.0 - 4.0 * t / (3.0 * j)
-    if disc <= 0:
-        raise SpinodalUndefined(f"T = {t} >= 3J/4 = {0.75 * j}: no spinodal")
-    mstar = math.sqrt((1.0 - math.sqrt(disc)) / 2.0)
-    return t * _clamped_atanh(mstar) - j * mstar**3
+    return _psi(_curvature_roots(params)[0], params)
 
 
 def critical_coupling_low_t(params: ModelParams) -> float:

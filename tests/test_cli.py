@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from curieweiss.cli import main
+from curieweiss.model import ModelParams
+from curieweiss.statics import critical_coupling
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
@@ -89,6 +91,18 @@ def test_statics_two_ferro_minima_at_zero_field(tmp_path):
     assert m["ferromagnetic_gap"]["gap"] == pytest.approx(1.0 - m["m_ferromagnetic"], abs=1e-15)
 
 
+def test_statics_ferromagnetic_root_next_to_saturation(tmp_path):
+    # 1 - m_f ~ 2 exp(-2J/T) is below 1e-12 at T = 0.07 and below the last
+    # double under 1 at T = 0.05; both roots are found and T = 0.07 registers
+    for temperature in (0.07, 0.05):
+        cfg = write_cfg(tmp_path, temperature=temperature, coupling_g=0.01)
+        out = tmp_path / f"statics{temperature}"
+        assert main(["statics", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_manifest(out)["m_ferromagnetic"] > 0.999
+    cfg = write_cfg(tmp_path, temperature=0.07, coupling_g=0.01)
+    assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "scn")]) == 0
+
+
 def test_collapse_command_recurrence_visible(tmp_path):
     cfg = write_cfg(tmp_path, gamma=0.0, t_max=40.0, spacing="linear", samples=2001)
     out = tmp_path / "collapse"
@@ -126,6 +140,15 @@ def test_collapse_echo_run(tmp_path):
     assert m["pulse_time"] == 7.5
     assert abs(m["echo_revival_log10"] - math.log10(0.5)) < 1e-6
     assert (out / "echo.csv").exists()
+
+
+def test_collapse_echo_revival_at_two_theta(tmp_path):
+    # on the reference log grid no sample sits at 2 theta = 15; the revival
+    # is evaluated there exactly: |r(2 theta)| = |r0| = 0.5
+    out = tmp_path / "echo_ref"
+    assert main(["collapse", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--echo-at", "7.5"]) == 0
+    assert abs(load_manifest(out)["echo_revival_log10"] - math.log10(0.5)) < 1e-12
 
 
 def test_register_command(cfg_path, tmp_path):
@@ -183,6 +206,22 @@ def test_scenario_command_exit_codes(cfg_path, tmp_path):
     cfg_nom = write_cfg(tmp_path, coupling_g=0.0)
     assert main(["scenario", "--config", str(cfg_nom), "--out",
                  str(tmp_path / "scnn")]) == 3
+
+
+def test_scenario_near_critical_verdict(tmp_path):
+    # g = g_c(1 +- 1e-4): each sector runs to the attractor the statics give
+    gc = critical_coupling(ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34,
+                                       gamma=1e-3, debye_cutoff=50.0))
+    for factor, code, kind, m_abs in ((1.0 + 1e-4, 0, "converged_ferro", 0.99632),
+                                      (1.0 - 1e-4, 2, "trapped_paramagnetic", 0.35801)):
+        cfg = write_cfg(tmp_path, coupling_g=repr(gc * factor))
+        out = tmp_path / f"near{factor}"
+        assert main(["scenario", "--config", str(cfg), "--out", str(out)]) == code
+        m = load_manifest(out)
+        assert m["stages"]["registration_up"] == m["stages"]["registration_down"] == kind
+        summary = m["registration_summary"]
+        assert summary["m_final_up"] == pytest.approx(m_abs, abs=1e-5)
+        assert summary["m_final_down"] == pytest.approx(-m_abs, abs=1e-5)
 
 
 def test_register_keys_match_scenario_summary(tmp_path):

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curieweiss.errors import (
     CriticalOrSubcritical,
     DomainError,
     InsufficientTail,
     NeverCrossed,
+    StepFailure,
 )
+from curieweiss import statics
 from curieweiss.model import ModelParams
+from curieweiss.oracles import reference_integrate
 from curieweiss.registration import (
     TerminalKind,
     asymptotic_rate,
@@ -146,6 +150,77 @@ def test_registration_switch_off_robustness():
     run = integrate_registration(+1, p0, t_max=6e5, m0=0.70)
     assert run.terminal is TerminalKind.CONVERGED_FERRO
     assert run.m_final == pytest.approx(0.9938026, abs=1e-4)
+
+
+def test_registration_max_time_cut_by_inversion():
+    p = mk()
+    full = integrate_registration(+1, p)
+    cut = integrate_registration(+1, p, t_max=20000.0)
+    assert cut.terminal is TerminalKind.MAX_TIME_REACHED
+    assert cut.times[-1] == 20000.0
+    k = len(cut.times) - 1
+    assert np.array_equal(cut.times[:k], full.times[:k])
+    assert full.times[k - 1] < 20000.0 < full.times[k]
+    assert full.m[k - 1] < cut.m_final < full.m[k]
+    assert reference_gap(cut, p) < 1e-8
+
+
+def test_registration_near_critical_runs_to_its_basin():
+    # no horizon: just above g_c the flow crosses the bottleneck and converges,
+    # just below it stops at the central minimum next to the maximum
+    gc = critical_coupling(mk())
+    above = integrate_registration(+1, mk(g=gc * (1.0 + 1e-4)))
+    assert above.terminal is TerminalKind.CONVERGED_FERRO
+    assert above.times[-1] > 1e6
+    for factor, m_para in ((1.0 - 1e-4, 0.3580137), (1.0 - 1e-10, 0.3609893)):
+        trapped = integrate_registration(+1, mk(g=gc * factor))
+        assert trapped.terminal is TerminalKind.TRAPPED_PARAMAGNETIC
+        assert trapped.m_final == pytest.approx(m_para, abs=1e-5)
+
+
+def test_rate_sign_change_raises(monkeypatch):
+    # a landscape that misses the central roots would send the flow across a
+    # zero of the rate; the quadrature refuses instead of integrating through it
+    p = mk(g=0.05)
+    scape = statics.stationary_magnetizations(+1, p)
+    missing = statics.Landscape(+1, scape.points[:2] + scape.points[4:], 2)
+    monkeypatch.setattr(statics, "stationary_magnetizations", lambda sign, params: missing)
+    with pytest.raises(StepFailure):
+        integrate_registration(+1, p)
+
+
+def reference_gap(traj, p):
+    """Largest |m| difference from DOP853 at tolerance 1e-13 on the trajectory's times."""
+    def rhs(t, y):
+        return [registration_rhs(min(max(float(y[0]), -1 + 1e-12), 1 - 1e-12),
+                                 traj.field_sign, p)]
+
+    _, _, sample = reference_integrate(rhs, [float(traj.m[0])], (0.0, float(traj.times[-1])))
+    return float(np.max(np.abs(traj.m - sample(traj.times)[0])))
+
+
+# g/g_c at least 3% from 1, plus the two near-critical points
+RATIOS = st.one_of(st.floats(0.5, 0.97), st.floats(1.03, 2.0))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(0.1, 0.5), RATIOS, st.sampled_from([+1, -1]))
+@example(0.34, 1.0 + 1e-4, +1)
+@example(0.34, 1.0 - 1e-4, +1)
+def test_quadrature_matches_reference_integrator(T, ratio, sign):
+    p = mk(T=T, g=ratio * critical_coupling(mk(T=T)))
+    traj = integrate_registration(sign, p)
+    assert reference_gap(traj, p) < 1e-8
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.05, 0.8), st.floats(0.0, 0.6))
+def test_down_sector_mirrors_up(T, g):
+    p = mk(T=T, g=g)
+    up, down = integrate_registration(+1, p), integrate_registration(-1, p)
+    assert np.array_equal(down.times, up.times)
+    assert np.array_equal(down.m, -up.m)
+    assert down.terminal is up.terminal
 
 
 # --- asymptotic rate ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curieweiss.errors import DomainError, NoFerromagneticSolution, SpinodalUndefined
 from curieweiss.model import ModelParams
@@ -143,6 +144,51 @@ def test_classification_matches_curvature_sign():
     for pt in stationary_magnetizations(+1, p).points:
         curv = free_energy_curvature(pt.m, p)
         assert (curv > 0) == (pt.kind is PointKind.MINIMUM)
+
+
+def test_five_roots_next_to_the_tangency():
+    # g = g_c(1 - 1e-10): the central minimum and maximum lie 6e-6 apart
+    p = params(g=critical_coupling(params()) * (1.0 - 1e-10))
+    scape = stationary_magnetizations(+1, p)
+    assert len(scape.points) == 5
+    para, top = scape.points[2], scape.points[3]
+    assert (para.kind, top.kind) == (PointKind.MINIMUM, PointKind.MAXIMUM)
+    assert 0.0 < top.m - para.m < 1e-5
+    assert para.m == pytest.approx(0.36099, abs=1e-5)
+
+
+def test_ferromagnetic_root_beyond_the_old_grid():
+    # 1 - m_f ~ 2 exp(-2J/T): 7.7e-13 at T = 0.07, below the last double at T = 0.05
+    mf = stationary_magnetizations(+1, params(T=0.07, g=0.01)).ferromagnetic.m
+    assert 0.999 < mf < 1.0
+    assert 1.0 - mf == pytest.approx(2.0 * math.exp(-2.0 * (1.0 + 0.01) / 0.07), rel=1e-3)
+    scape = stationary_magnetizations(+1, params(T=0.05, g=0.01))
+    assert scape.ferromagnetic.m == math.nextafter(1.0, 0.0)
+    assert scape.points[scape.global_minimum].m == scape.ferromagnetic.m
+
+
+TEMPERATURES = st.floats(0.02, 1.0)
+COUPLINGS = st.floats(0.0, 0.6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(TEMPERATURES, COUPLINGS, st.sampled_from([+1, -1]))
+def test_roots_solve_the_fixed_point_equation(T, g, sign):
+    p = params(T=T, g=g)
+    points = stationary_magnetizations(sign, p).points
+    assert len(points) in (1, 3, 5)
+    for pt in points:
+        h = sign * g + p.coupling_j * pt.m**3
+        assert abs(pt.m - math.tanh(h / T)) < 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(TEMPERATURES, COUPLINGS)
+def test_roots_mirror_exactly(T, g):
+    p = params(T=T, g=g)
+    up = [pt.m for pt in stationary_magnetizations(+1, p).points]
+    down = [pt.m for pt in stationary_magnetizations(-1, p).points]
+    assert down == [-m for m in reversed(up)]
 
 
 # --- critical coupling ------------------------------------------------------
