@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     NegativePulseTime,
@@ -438,8 +437,11 @@ def memory_kernel(
     """Bath memory kernel K(t) = (hbar^2/16 pi) * Fourier transform of the spectrum.
 
     Evaluated by oscillation-aware adaptive quadrature, split at omega = 0
-    where the spectrum has a kink from the |omega| cutoff.
+    where the spectrum has a kink from the |omega| cutoff.  No command calls
+    it, so scipy is imported here rather than with the package.
     """
+    from scipy.integrate import quad
+
     if not math.isfinite(t):
         raise QuadratureNotConverged(f"t must be finite, got {t}")
     gam = debye_cutoff

@@ -14,12 +14,12 @@ statics give.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CriticalOrSubcritical,
@@ -52,6 +52,8 @@ class MagnetizationTrajectory:
     field_sign: int
     times: np.ndarray
     m: np.ndarray
+    #: dm/dt at each m, from :func:`flow_rate`
+    rate: np.ndarray
     #: conserved sector weight; the flow does not change it, so it stays 1
     zeta0: np.ndarray
     terminal: TerminalKind
@@ -61,6 +63,7 @@ class MagnetizationTrajectory:
     def __post_init__(self):
         self.times.setflags(write=False)
         self.m.setflags(write=False)
+        self.rate.setflags(write=False)
         self.zeta0.setflags(write=False)
 
     @property
@@ -183,6 +186,7 @@ def integrate_registration(
         field_sign=int(field_sign),
         times=times,
         m=m,
+        rate=flow_rate(m, field_sign, params),
         zeta0=np.ones_like(times),
         terminal=terminal,
         attractor=m_attr,
@@ -228,16 +232,25 @@ def asymptotic_rate(
 
 
 def crossing_time(trajectory: MagnetizationTrajectory, m_target: float) -> float:
-    """Linearly interpolated first time at which m(t) passes m_target.
+    """First time at which m(t) passes m_target, by cubic Hermite interpolation
+    of t(m) between the stored nodes with the slopes dt/dm = 1/rate.
 
     The trajectory's m is strictly monotone toward its attractor; targets at
     or behind the starting point return 0.
     """
     direction = 1.0 if trajectory.attractor >= trajectory.m[0] else -1.0
-    u = direction * trajectory.m
-    if direction * m_target > u[-1]:
+    u, x = direction * trajectory.m, direction * m_target
+    if x > u[-1]:
         raise NeverCrossed(f"trajectory never reaches m = {m_target}")
-    return float(np.interp(direction * m_target, u, trajectory.times))
+    if x <= u[0]:
+        return 0.0
+    k = int(np.searchsorted(u, x)) - 1  # u[k] < x <= u[k + 1]
+    h = u[k + 1] - u[k]
+    s = (x - u[k]) / h
+    t0, t1 = trajectory.times[k], trajectory.times[k + 1]
+    d0, d1 = h / abs(trajectory.rate[k]), h / abs(trajectory.rate[k + 1])
+    return float((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * t0 + s * d0)
+                 + s * s * ((3.0 - 2.0 * s) * t1 - (1.0 - s) * d1))
 
 
 def registration_threshold(params: ModelParams) -> float:
@@ -265,25 +278,42 @@ def _supercritical_low_t_gc(params: ModelParams) -> float:
     return statics.critical_coupling_low_t(params)
 
 
-def registration_time_quadrature(params: ModelParams) -> float:
-    """Registration time by quadrature of the small-m bottleneck integral.
+def bottleneck_integral(eps: float) -> float:
+    """I(eps) = integral_0^inf dx / p(x), p(x) = (x-1)^2 (x+2) + eps = x^3 - 3x + 2 + eps.
 
-    tau_reg = (3 hbar / gamma T) * integral_0^inf dx / ((x-1)^2 (x+2) + eps),
+    Partial fractions over the roots rho_k of p give I = -sum_k log(-rho_k)/p'(rho_k),
+    and since sum_k 1/p'(rho_k) = 0 this is -2 Re[log(rho/r)/p'(rho)] over the
+    complex pair rho, with r < -2 the real root.  Both come from delta = r + 2,
+    the root of delta (delta - 3)^2 = -eps on (-max(1, eps), 0), bisected to the
+    last bit: rho = 1 - delta/2 + (i/2) sqrt(3 delta (delta - 4)) and
+    p'(rho) = 3 (rho - 1)(rho + 1), with no cancellation as eps -> 0.
+    """
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
+
+    def f(d):
+        return d * (d - 3.0) ** 2 + eps
+
+    lo = -max(1.0, eps)
+    delta = statics.bisect(f, lo, 0.0, f(lo))
+    im = 0.5 * math.sqrt(3.0 * delta * (delta - 4.0))
+    rho = complex(1.0 - 0.5 * delta, im)
+    dp = 3.0 * complex(-0.5 * delta, im) * complex(2.0 - 0.5 * delta, im)
+    return -2.0 * (cmath.log(rho / (delta - 2.0)) / dp).real
+
+
+def registration_time_quadrature(params: ModelParams) -> float:
+    """Registration time from the small-m bottleneck integral, in closed form.
+
+    tau_reg = (3 hbar / gamma T) * I(eps), I(eps) = integral_0^inf dx / ((x-1)^2 (x+2) + eps),
     eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J);
-    defined only above the exact g_c of the statics.  The half line is
-    mapped to (0, 1) and the integrand peak at x = 1 is passed to the
-    adaptive rule as a known feature.
+    defined only above the exact g_c of the statics.  I(eps) is the exact
+    partial-fraction sum over the roots of the cubic (see
+    :func:`bottleneck_integral`), good to a few ulp for every eps > 0.
     """
     gc = _supercritical_low_t_gc(params)
-    t = params.temperature
     eps = 2.0 * (params.coupling_g - gc) / gc
-
-    def mapped(u):
-        x = u / (1.0 - u)
-        return (1.0 / ((x - 1.0) ** 2 * (x + 2.0) + eps)) / (1.0 - u) ** 2
-
-    val, err = quad(mapped, 0.0, 1.0, points=[0.5], limit=400, epsabs=1e-13, epsrel=1e-12)
-    return 3.0 * params.hbar / (params.gamma * t) * val
+    return 3.0 * params.hbar / (params.gamma * params.temperature) * bottleneck_integral(eps)
 
 
 def registration_time_asymptotic(params: ModelParams) -> float:

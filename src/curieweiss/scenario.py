@@ -509,7 +509,7 @@ def write_sectors(out_dir, sectors, params: ModelParams) -> None:
         sign = traj.field_sign
         name = "up" if sign > 0 else "down"
         rows = zip(traj.times.tolist(), traj.m.tolist(),
-                   registration.flow_rate(traj.m, sign, params).tolist(),
+                   traj.rate.tolist(),
                    statics.free_energy(traj.m, sign, params).tolist())
         output.write_csv(
             os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], rows

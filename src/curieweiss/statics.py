@@ -121,7 +121,7 @@ def _curvature_roots(params: ModelParams) -> tuple[float, float]:
 
 
 def bisect(f, a: float, b: float, fa: float) -> float:
-    """Root of f in (a, b), f(a) = fa and f(b) of opposite signs, to the last bit.
+    """Root of f in [a, b], f(a) = fa and f(b) of opposite signs, to the last bit.
 
     Mirror-exact: on (-b, -a) with -f(-m) it returns exactly the negated root,
     because midpoints, their rounding and the half kept all mirror.
@@ -129,8 +129,7 @@ def bisect(f, a: float, b: float, fa: float) -> float:
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
-            # a root past the last double below 1 rounds to that double, not to the edge
-            return max(-_BELOW_ONE, min(_BELOW_ONE, mid))
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -176,7 +175,8 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     edges, values = [-1.0, *inner, 1.0], [-math.inf, *values, math.inf]
     for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
         if fa < 0.0 < fb or fb < 0.0 < fa:
-            roots.append(bisect(f, a, b, fa))
+            # a root past the last double below 1 rounds to that double, not to the edge
+            roots.append(max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa))))
     roots.sort()
 
     points = tuple(
@@ -191,8 +191,9 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:
         raise NoFerromagneticSolution("no stationary minimum found")
-    # the g = 0 symmetric pair ties exactly (F is exactly even); the positive m wins
-    gmin = min(minima, key=lambda i: (points[i].free_energy, -points[i].m))
+    # the g = 0 symmetric pair ties exactly (F is exactly even); the field's sign
+    # wins, as in Landscape.ferromagnetic
+    gmin = min(minima, key=lambda i: (points[i].free_energy, -s * points[i].m))
     return Landscape(field_sign=s, points=points, global_minimum=gmin)
 
 

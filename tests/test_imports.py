@@ -1,0 +1,49 @@
+"""No CLI command loads scipy: each runs in a fresh interpreter that reports,
+at exit, every scipy module it imported.  scipy is needed only by
+``offdiag.memory_kernel`` and the test oracles."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_CFG = ROOT / "configs" / "reference.cfg"
+
+_PROBE = """
+import json, sys
+from curieweiss.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+"""
+
+COMMANDS = {
+    "validate": ["validate"],
+    "statics": ["statics"],
+    "register": ["register"],
+    "scenario": ["scenario"],
+    "sweep": ["sweep", "--sweep", "coupling_g=0.05:0.11:4"],
+    "collapse_echo": ["collapse", "--echo-at", "7.5"],
+    "collapse_dispersed": ["collapse"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_imports_no_scipy(name, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    text = REFERENCE_CFG.read_text()
+    if name == "collapse_dispersed":
+        text = re.sub(r"(?m)^delta_g\s*=.*$", "delta_g = 0.0045", text)
+    cfg.write_text(text)
+    argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from curieweiss.errors import (
     CriticalOrSubcritical,
@@ -17,6 +19,7 @@ from curieweiss.oracles import reference_integrate
 from curieweiss.registration import (
     TerminalKind,
     asymptotic_rate,
+    bottleneck_integral,
     crossing_time,
     integrate_registration,
     registration_rhs,
@@ -276,6 +279,39 @@ def test_quadrature_subcritical_rejected():
             registration_time_asymptotic(p)
 
 
+def _mp_bottleneck(eps):
+    """40-digit integral of 1/((x-1)^2 (x+2) + eps) over (0, inf), split at the
+    features of the integrand: x = 1 and its half-width sqrt(eps) about it."""
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        cuts = {mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(2)}
+        cuts |= {c for c in (1 - mpmath.sqrt(e), 1 + mpmath.sqrt(e)) if c > 0}
+        return mpmath.quad(lambda x: 1 / ((x - 1) ** 2 * (x + 2) + e), [*sorted(cuts), mpmath.inf])
+
+
+@pytest.mark.parametrize("eps", [10.0 ** (k / 2) for k in range(-28, 13)])
+def test_bottleneck_closed_form_matches_mpmath(eps):
+    assert bottleneck_integral(eps) == pytest.approx(float(_mp_bottleneck(eps)), rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [10.0 ** (k / 2) for k in range(-12, 9)])
+def test_bottleneck_closed_form_matches_adaptive_quadrature(eps):
+    # scipy's quad of the integrand mapped to (0, 1); below eps ~ 1e-8 the
+    # adaptive rule, not the closed form, is what loses digits
+    def mapped(u):
+        x = u / (1.0 - u)
+        return 1.0 / ((x - 1.0) ** 2 * (x + 2.0) + eps) / (1.0 - u) ** 2
+
+    val = quad(mapped, 0.0, 1.0, points=[0.5], limit=400, epsabs=1e-13, epsrel=1e-12)[0]
+    assert bottleneck_integral(eps) == pytest.approx(val, rel=1e-12)
+
+
+def test_bottleneck_closed_form_domain():
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bottleneck_integral(eps)
+
+
 def test_asymptotic_scaling_in_distance():
     # quadrupling g - g_c halves the asymptotic time
     T = 0.05
@@ -297,6 +333,24 @@ def test_crossing_time_matches_quadrature():
     tau_q = registration_time_quadrature(p)
     assert t_cross == pytest.approx(tau_q, rel=0.15)
     assert t_cross / tau_q == pytest.approx(1.0069, abs=5e-3)  # frozen ratio
+
+
+def test_crossing_time_matches_exact_quadrature():
+    # t(m) = integral_0^m dm'/v(m') to 30 digits at the reference point; the
+    # Hermite interpolant between the stored nodes is far inside 1e-6
+    p = mk()
+    up = integrate_registration(+1, p)
+
+    def inverse_rate(m):
+        h = p.coupling_g + p.coupling_j * m**3
+        return p.hbar / (p.gamma * h * (1 - m / mpmath.tanh(h / p.temperature)))
+
+    threshold = registration_threshold(p)
+    bottleneck = math.sqrt(p.temperature / (3.0 * p.coupling_j))
+    with mpmath.workdps(30):
+        for target in (0.8 * threshold, threshold, 1.25 * threshold):
+            exact = float(mpmath.quad(inverse_rate, [0, bottleneck, target]))
+            assert crossing_time(up, target) == pytest.approx(exact, rel=1e-6)
 
 
 def test_crossing_time_edges():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curieweiss.errors import DomainError, NoFerromagneticSolution, SpinodalUndefined
 from curieweiss.model import ModelParams
@@ -167,8 +167,31 @@ def test_ferromagnetic_root_beyond_the_old_grid():
     assert scape.points[scape.global_minimum].m == scape.ferromagnetic.m
 
 
+def test_zero_field_tie_goes_to_the_field_sign():
+    # at g = 0 the two wells tie exactly; both the global minimum and the
+    # ferromagnetic point take the sign of the field
+    p = params(T=0.3, g=0.0)
+    for sign in (+1, -1):
+        scape = stationary_magnetizations(sign, p)
+        m = scape.points[scape.global_minimum].m
+        assert m == scape.ferromagnetic.m
+        assert sign * m > 0.99
+
+
 TEMPERATURES = st.floats(0.02, 1.0)
 COUPLINGS = st.floats(0.0, 0.6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(TEMPERATURES, COUPLINGS, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from([+1, -1]))
+@example(0.34, 0.0, 0.9938025608350363, +1)
+def test_free_energy_parity_is_exact(T, g, m, sign):
+    # F_s(m) = F_-s(-m) to the last bit, as scalars and as arrays
+    p = params(T=T, g=g)
+    assert free_energy(m, sign, p) == free_energy(-m, -sign, p)
+    arr = np.array([m, 0.5 * m])
+    assert np.array_equal(free_energy(arr, sign, p), free_energy(-arr, -sign, p))
 
 
 @settings(deadline=None, max_examples=200)
