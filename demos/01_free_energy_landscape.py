@@ -49,5 +49,5 @@ print(f"\nLow-T saturation: 1 - m_f = {gap.gap:.3e} vs asymptote "
 
 m, f_up, f_down = statics.landscape_table(p)
 output.write_csv("landscape_demo.csv", ["m", "F_up", "F_down"],
-                 zip(m.tolist(), f_up.tolist(), f_down.tolist()))
+                 [output.column(c) for c in (m, f_up, f_down)])
 print("\nwrote landscape_demo.csv (columns m, F_up, F_down)")

@@ -52,5 +52,5 @@ print(f"  first peak height: {peak:.3e}"
 
 times = np.linspace(0.0, 2.2 * t1, 3001)
 traj = cw.offdiag_trajectory(pd, r0, times, couplings=cv, include_bath=False)
-output.write_dat("collapse_demo.dat", [times.tolist(), traj.log10_abs.tolist()])
+output.write_dat("collapse_demo.dat", [output.column(times), output.column(traj.log10_abs)])
 print("\nwrote collapse_demo.dat (t, log10 |r|): plot to see the damped revivals")

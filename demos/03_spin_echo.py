@@ -33,5 +33,5 @@ for frac, label in ((0.0, "start"), (0.99, "just before pulse"),
 exact = cw.spin_echo(theta, cv, r0, np.array([2.0 * theta])).amplitude[0]
 print(f"\nexact revival: r(2 theta) - r(0) = {exact - r0:.3e}")
 
-output.write_dat("echo_demo.dat", [times.tolist(), echo.log10_abs.tolist()])
+output.write_dat("echo_demo.dat", [output.column(times), output.column(echo.log10_abs)])
 print("wrote echo_demo.dat (t, log10 |r|): the V-shaped refocusing dip")

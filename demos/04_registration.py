@@ -38,6 +38,5 @@ trapped = cw.integrate_registration(+1, p_weak, t_max=6e5)
 print(f"\nwith g = 0.05 < g_c: {trapped.terminal.value} at m = {trapped.m_final:.4f}"
       f" (about g/T = {p_weak.coupling_g / p_weak.temperature:.3f}) -> no record")
 
-output.write_dat("registration_demo.dat",
-                 [up.times.tolist(), up.m.tolist()])
+output.write_dat("registration_demo.dat", [output.column(up.times), output.column(up.m)])
 print("\nwrote registration_demo.dat (t, m): slow exit, fast roll, saturation")

@@ -44,17 +44,16 @@ def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     params = cfg.params
     m, _, f_down = scenario.write_landscape(out_dir, params)
-    output.write_dat(os.path.join(out_dir, "landscape_down.dat"), [m.tolist(), f_down.tolist()])
+    output.write_dat(os.path.join(out_dir, "landscape_down.dat"), [m, f_down])
 
     summary: dict = {"config": scenario.config_payload(cfg)}
     scapes = {name: statics.stationary_magnetizations(sign, params)
               for sign, name in ((+1, "up"), (-1, "down"))}
     for name, scape in scapes.items():
-        output.write_csv(
-            os.path.join(out_dir, f"stationary_{name}.csv"),
-            ["m", "free_energy", "kind", "label"],
-            [[p.m, p.free_energy, p.kind.value, p.label.value] for p in scape.points],
-        )
+        rows = [[p.m, p.free_energy, p.kind.value, p.label.value] for p in scape.points]
+        output.write_csv(os.path.join(out_dir, f"stationary_{name}.csv"),
+                         ["m", "free_energy", "kind", "label"],
+                         [output.column(c) for c in zip(*rows)])
         summary[f"global_minimum_{name}"] = scape.points[scape.global_minimum].m
     try:
         summary["critical_g"] = statics.critical_coupling(params)
@@ -64,15 +63,12 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     summary["curie_temperature"] = statics.curie_temperature(params)
     try:
         summary["m_ferromagnetic"] = scapes["up"].ferromagnetic.m
-    except NoFerromagneticSolution:
-        summary["m_ferromagnetic"] = None
-    try:
-        est = statics.ferromagnetic_gap(params)
+        est = statics._gap_from_landscape(scapes["up"], params)
         summary["ferromagnetic_gap"] = {
             "gap": est.gap, "asymptote_2exp_minus_2j_over_t": est.asymptote,
         }
     except NoFerromagneticSolution:
-        summary["ferromagnetic_gap"] = None
+        summary["m_ferromagnetic"] = summary["ferromagnetic_gap"] = None
     output.write_manifest(out_dir, summary)
     print(f"statics: critical_g = {summary['critical_g']}, "
           f"T_c = {summary['curie_temperature']:.4f}, "
@@ -187,7 +183,8 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
                 outcome += "/invalid-regime"
         rows.append(list(values) + [outcome, g_c, tau_reg, m_final])
 
-    output.write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
+    output.write_csv(os.path.join(out_dir, "sweep.csv"), header,
+                     [output.column(c) for c in zip(*rows)])
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         "axes": [{"key": k, "values": g.tolist()} for k, g in parsed],

@@ -2,15 +2,20 @@
 
 Identical inputs must produce byte-identical files, so nothing here writes
 timestamps, environment data, or unordered collections.  Floats are
-rendered with repr (shortest round-trip form).
+rendered with repr (shortest round-trip form).  Tables are written from
+columns formatted once by :func:`column`, so a .dat twin reuses the columns
+of its CSV instead of formatting them again.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
 import os
+
+import numpy as np
 
 
 def fmt(value) -> str:
@@ -24,35 +29,38 @@ def fmt(value) -> str:
     return str(value)
 
 
+def column(values) -> list[str]:
+    """A table column rendered as fmt renders each value: a float64 array in
+    one pass of repr (which already gives nan and inf), anything else value
+    by value."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return list(map(repr, values.tolist()))
+    return [fmt(v) for v in values]
+
+
 def _create(path):
     """Open a text file for writing, creating its run directory on first use."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """RFC-4180-style CSV: comma separated, '.' decimal, LF line endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path, header: list[str], columns) -> None:
+    """RFC-4180-style CSV of formatted columns (see :func:`column`): comma
+    separated, '.' decimal, LF line endings."""
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_dat(path, columns) -> None:
-    """Two-or-more-column whitespace table (gnuplot-ready), no header."""
-    rows = zip(*columns)
+    """Two-or-more-column whitespace table (gnuplot-ready) of formatted
+    columns, no header."""
     with _create(path) as fh:
-        for row in rows:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in zip(*columns))
 
 
 def _jsonify(obj):
     """Recursively convert to JSON-safe types; non-finite floats become strings."""
-    import enum
-
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

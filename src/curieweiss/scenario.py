@@ -111,13 +111,14 @@ def assemble_final_state(
     seed: int = 0,
     sector_up: registration.MagnetizationTrajectory | None = None,
     sector_down: registration.MagnetizationTrajectory | None = None,
+    t_final: float | None = None,
 ) -> FinalState:
     """Post-measurement state: two exclusive branches and the dead off-diagonal.
 
-    Registration must succeed in both sectors; the final time is
-    max(3 tau_reg, both sector stop times), late enough that every reported
-    residual is astronomically small.  Where tau_reg is undefined (no
-    spinodal above T = 3J/4) the sector stop times alone set it.
+    Registration must succeed in both sectors; the final time, unless given,
+    is max(3 tau_reg, both sector stop times), late enough that every
+    reported residual is astronomically small.  Where tau_reg is undefined
+    (no spinodal above T = 3J/4) the sector stop times alone set it.
     """
     validate_state(state)
     if sector_up is None or sector_down is None:
@@ -130,7 +131,8 @@ def assemble_final_state(
                 f"sector {traj.field_sign:+d} ended {traj.terminal.value} "
                 f"at m = {traj.m_final:.4f}"
             )
-    t_final = _registration_end(params, up, down)
+    if t_final is None:
+        t_final = _registration_end(registration_times(params)["tau_reg_quadrature"], up, down)
 
     p_up, p_down = born_probabilities(state)
     branches = (
@@ -366,10 +368,9 @@ def registration_times(params: ModelParams) -> dict:
                 "tau_reg_error": type(exc).__name__}
 
 
-def _registration_end(params: ModelParams, up, down) -> float:
+def _registration_end(tau_reg: float | None, up, down) -> float:
     """max(3 tau_reg, both sector stop times); tau_reg counts as 0 where undefined."""
-    tau_reg = registration_times(params)["tau_reg_quadrature"] or 0.0
-    return max(3.0 * tau_reg, float(up.times[-1]), float(down.times[-1]))
+    return max(3.0 * (tau_reg or 0.0), float(up.times[-1]), float(down.times[-1]))
 
 
 def registration_summary(up, down, params: ModelParams) -> dict:
@@ -434,13 +435,14 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         )
     timescales.update(registration_times(params))
     up, down = sector_runs(params, cfg.t_max)
-    t_hi = _registration_end(params, up, down)
+    t_hi = _registration_end(timescales["tau_reg_quadrature"], up, down)
     report = replace(
         report, timescales=Timescales(**timescales), offdiag=collapse_run(cfg, t_hi)[0],
         sector_up=up, sector_down=down,
     )
     try:
-        final = assemble_final_state(state, params, seed=cfg.seed, sector_up=up, sector_down=down)
+        final = assemble_final_state(state, params, seed=cfg.seed, sector_up=up,
+                                     sector_down=down, t_final=t_hi)
     except MeasurementFailed as exc:
         return replace(report, status="measurement_failed", reason=str(exc))
     return replace(report, status="completed", reason=None, final_state=final,
@@ -470,37 +472,31 @@ def regime_payload(regime: RegimeReport) -> dict:
     }
 
 
-def write_landscape(out_dir, params: ModelParams):
-    """landscape.csv (m, F_up, F_down) and landscape_up.dat; returns the table."""
-    m, f_up, f_down = statics.landscape_table(params)
-    output.write_csv(
-        os.path.join(out_dir, "landscape.csv"),
-        ["m", "F_up", "F_down"],
-        zip(m.tolist(), f_up.tolist(), f_down.tolist()),
-    )
-    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), [m.tolist(), f_up.tolist()])
-    return m, f_up, f_down
+def write_landscape(out_dir, params: ModelParams) -> list[list[str]]:
+    """landscape.csv (m, F_up, F_down) and landscape_up.dat; returns the
+    formatted columns."""
+    cols = [output.column(c) for c in statics.landscape_table(params)]
+    output.write_csv(os.path.join(out_dir, "landscape.csv"), ["m", "F_up", "F_down"], cols)
+    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), cols[:2])
+    return cols
 
 
-def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> None:
+def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> list[list[str]]:
+    """The trajectory's CSV; returns the formatted columns."""
     header = ["t", "re_r", "im_r", "log10_abs_r", "osc_factor", "bath_factor",
               "dispersion_factor"]
-    rows = [
-        [float(t), float(a.real), float(a.imag), float(l), float(o), float(b), float(d)]
-        for t, a, l, o, b, d in zip(
-            traj.times, traj.amplitude, traj.log10_abs, traj.osc_factor,
-            traj.bath_factor, traj.dispersion_factor,
-        )
-    ]
-    output.write_csv(path, header, rows)
+    cols = [output.column(c) for c in (
+        traj.times, traj.amplitude.real, traj.amplitude.imag, traj.log10_abs,
+        traj.osc_factor, traj.bath_factor, traj.dispersion_factor,
+    )]
+    output.write_csv(path, header, cols)
+    return cols
 
 
 def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> None:
     """offdiag.csv and the (t, log10|r|) curve offdiag_log10.dat."""
-    write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), traj)
-    output.write_dat(
-        os.path.join(out_dir, "offdiag_log10.dat"), [traj.times.tolist(), traj.log10_abs.tolist()]
-    )
+    cols = write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), traj)
+    output.write_dat(os.path.join(out_dir, "offdiag_log10.dat"), [cols[0], cols[3]])
 
 
 def write_sectors(out_dir, sectors, params: ModelParams) -> None:
@@ -508,15 +504,13 @@ def write_sectors(out_dir, sectors, params: ModelParams) -> None:
     for traj in sectors:
         sign = traj.field_sign
         name = "up" if sign > 0 else "down"
-        rows = zip(traj.times.tolist(), traj.m.tolist(),
-                   traj.rate.tolist(),
-                   statics.free_energy(traj.m, sign, params).tolist())
+        cols = [output.column(c) for c in (
+            traj.times, traj.m, traj.rate, statics.free_energy(traj.m, sign, params),
+        )]
         output.write_csv(
-            os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], rows
+            os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], cols
         )
-        output.write_dat(
-            os.path.join(out_dir, f"registration_{name}.dat"), [traj.times.tolist(), traj.m.tolist()]
-        )
+        output.write_dat(os.path.join(out_dir, f"registration_{name}.dat"), cols[:2])
 
 
 def write_run(report: ScenarioReport, out_dir) -> dict:

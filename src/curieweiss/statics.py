@@ -212,38 +212,23 @@ def critical_coupling_low_t(params: ModelParams) -> float:
     return (2.0 * t / 3.0) * math.sqrt(t / (3.0 * j))
 
 
-def curie_temperature(params: ModelParams, tol: float = 1e-6) -> float:
+def curie_temperature(params: ModelParams) -> float:
     """Temperature at which the ferromagnetic minima are degenerate with m = 0.
 
-    Defined by F(m_f) = F(0) at g = 0 (first-order transition convention)
-    and located by bisection; below it the ferromagnetic states are the
-    global minima.
+    At g = 0 stationarity gives T atanh m = J m^3 and degeneracy F(m) = F(0);
+    eliminating T leaves h(m) = 3 m atanh m + 2 log(1 - m^2) = 0 on
+    (1/sqrt 2, 1), so T_c/J is one pure number.  h is bisected to the last
+    bit in the gap x = 1 - m, whose ulp is about 100 times finer than m's
+    near m_f = 0.9906, and T_c = J m^3 / atanh m.  Below T_c the
+    ferromagnetic states are the global minima.
     """
-    from dataclasses import replace
 
-    zero_g = replace(params, coupling_g=0.0, delta_g=0.0)
-    j = params.coupling_j
+    def h(x: float) -> float:
+        log_ratio = math.log((2.0 - x) / x)  # 2 atanh(1 - x)
+        return 1.5 * (1.0 - x) * log_ratio + 2.0 * math.log(x * (2.0 - x))
 
-    def degeneracy_gap(t: float) -> float:
-        p = replace(zero_g, temperature=t)
-        scape = stationary_magnetizations(+1, p)
-        ferro = [q for q in scape.minima if abs(q.m) > 1e-6]
-        if not ferro:
-            return 1.0  # ferro states gone: paramagnet certainly wins
-        fbest = min(q.free_energy for q in ferro)
-        return fbest - float(free_energy(0.0, +1, p))
-
-    lo, hi = 0.25 * j, 0.49 * j
-    glo, ghi = degeneracy_gap(lo), degeneracy_gap(hi)
-    if not (glo < 0 < ghi):
-        raise NoFerromagneticSolution("degeneracy not bracketed in [0.25J, 0.49J]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if degeneracy_gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    x = bisect(h, 0.0, 1.0 - math.sqrt(0.5), -math.inf)
+    return 2.0 * params.coupling_j * (1.0 - x) ** 3 / math.log((2.0 - x) / x)
 
 
 @dataclass(frozen=True)
@@ -261,9 +246,13 @@ def ferromagnetic_gap(params: ModelParams) -> GapEstimate:
     self-consistency condition at m -> 1 with g = 0; it is only meaningful
     when params.coupling_g is zero or negligible.
     """
-    mf = stationary_magnetizations(+1, params).ferromagnetic.m
+    return _gap_from_landscape(stationary_magnetizations(+1, params), params)
+
+
+def _gap_from_landscape(up: Landscape, params: ModelParams) -> GapEstimate:
+    """GapEstimate of an up landscape already scanned at params."""
     asym = 2.0 * math.exp(-2.0 * params.coupling_j / params.temperature)
-    return GapEstimate(gap=1.0 - mf, asymptote=asym)
+    return GapEstimate(gap=1.0 - up.ferromagnetic.m, asymptote=asym)
 
 
 def landscape_table(params: ModelParams, grid_points: int = 401):

@@ -64,6 +64,18 @@ def test_statics_command(cfg_path, tmp_path, capsys):
     assert header == "m,F_up,F_down"
 
 
+def test_statics_scans_each_landscape_once(cfg_path, tmp_path, monkeypatch):
+    # T_c is a closed 1-D condition and the gap reuses the up landscape
+    from curieweiss import statics
+
+    calls = []
+    scan = statics.stationary_magnetizations
+    monkeypatch.setattr(statics, "stationary_magnetizations",
+                        lambda *a, **k: calls.append(a) or scan(*a, **k))
+    assert main(["statics", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 2
+
+
 def test_statics_spinodal_recorded(tmp_path):
     # above T = 3J/4 the only minimum is the (shifted) paramagnet
     for temperature, g in ((0.75, 0.0), (0.8, 0.05)):

@@ -1,0 +1,62 @@
+"""Column formatting renders every table byte for byte as fmt does per value."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from curieweiss import output
+from curieweiss.output import column, fmt
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 0.1, 1e300]
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
+# the cells of the sweep and stationary tables: None, labels, floats and numpy floats
+CELLS = st.one_of(st.none(), st.sampled_from(["registered", "failed/invalid-regime", "minimum"]),
+                  FLOATS, FLOATS.map(np.float64), st.integers(-5, 5))
+
+
+def reference_csv(header, rows) -> str:
+    """The row-wise rendering the writers must reproduce."""
+    return "\n".join([",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def reference_dat(rows) -> str:
+    return "".join(" ".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(np.float64, st.integers(0, 40), elements=FLOATS))
+@example(np.array(SPECIAL))
+def test_float64_column_matches_fmt(arr):
+    assert column(arr) == [fmt(v) for v in arr.tolist()]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(CELLS, max_size=20))
+def test_mixed_column_matches_fmt(values):
+    assert column(values) == [fmt(v) for v in values]
+
+
+def test_other_dtypes_fall_back_to_fmt():
+    for arr in (np.array([1, -2, 3]), np.array([0.1, 2.5], dtype=np.float32),
+                np.array([1 + 2j, math.nan - 1j])):
+        assert column(arr) == [fmt(v) for v in arr]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(arrays(np.float64, n, elements=FLOATS),
+                        arrays(np.float64, n, elements=FLOATS),
+                        st.lists(CELLS, min_size=n, max_size=n))))
+def test_writers_match_rowwise_rendering(tmp_path_factory, table):
+    a, b, mixed = table
+    rows = list(zip(a.tolist(), b.tolist(), mixed))
+    cols = [column(a), column(b), column(mixed)]
+    directory = tmp_path_factory.mktemp("tables")
+    output.write_csv(directory / "t.csv", ["a", "b", "mixed"], cols)
+    output.write_dat(directory / "t.dat", cols[:2])
+    with open(directory / "t.csv", newline="") as fh:
+        assert fh.read() == reference_csv(["a", "b", "mixed"], rows)
+    with open(directory / "t.dat", newline="") as fh:
+        assert fh.read() == reference_dat([r[:2] for r in rows])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from curieweiss.scenario import (
 REF_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34,
                          gamma=1e-3, debye_cutoff=50.0)
 PLUS = SystemState2x2(0.5, 0.5, 0.5 + 0j)
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
 
 def random_state(rng, force_diagonal=False):
@@ -83,6 +85,21 @@ def test_final_state_same_for_same_diagonals():
     b = assemble_final_state(SystemState2x2(0.3, 0.7, 0j), REF_PARAMS)
     assert a.weights == b.weights
     assert a.branches[0].pointer == b.branches[0].pointer
+
+
+def test_run_scenario_evaluates_tau_reg_once(monkeypatch, final_plus):
+    from curieweiss import registration
+    from curieweiss.scenario import load_run_config
+
+    calls = []
+    integral = registration.bottleneck_integral
+    monkeypatch.setattr(registration, "bottleneck_integral",
+                        lambda eps: calls.append(eps) or integral(eps))
+    report = run_scenario(load_run_config(REFERENCE_CFG))
+    assert report.status == "completed"
+    assert len(calls) == 1
+    # the t_final handed on equals the one assemble_final_state finds alone
+    assert report.final_state.t_final == final_plus.t_final
 
 
 def test_final_state_fails_below_critical():

@@ -261,6 +261,36 @@ def test_ferro_states_win_below_curie_and_lose_above():
     assert ferro_a.free_energy > free_energy(0.0, +1, params(T=tc + 0.01, g=0.0))
 
 
+def _mp_curie_temperature():
+    """T_c/J from the original pair at g = 0, solved jointly at 40 digits:
+    stationarity T atanh m = m^3 and degeneracy F(m) = F(0)."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+
+    def f_minus_f0(m, t):  # F(m) - F(0) at g = 0, J = 1
+        return -m**4 / 4 + t * ((1 + m) * mp.log(1 + m) + (1 - m) * mp.log(1 - m)) / 2
+
+    m, t = mp.findroot([lambda m, t: t * mp.atanh(m) - m**3, f_minus_f0],
+                       (mp.mpf("0.99"), mp.mpf("0.36")))
+    assert mp.almosteq(t, mp.mpf("0.3629493340972723952"), 1e-18)
+    return t
+
+
+@pytest.mark.parametrize("j", [1.0, 2.5])
+def test_curie_temperature_matches_mpmath(j):
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=0.09, temperature=0.34,
+                    gamma=1e-3, debye_cutoff=50.0)
+    exact = j * _mp_curie_temperature()
+    assert abs(curie_temperature(p) / float(exact) - 1.0) <= 1e-15
+
+
+def test_curie_temperature_is_degenerate():
+    p = params(T=curie_temperature(params()), g=0.0)
+    mf = stationary_magnetizations(+1, p).ferromagnetic
+    assert mf.m > 0.99
+    assert abs(mf.free_energy - free_energy(0.0, +1, p)) <= 1e-15
+
+
 # --- ferromagnetic gap ------------------------------------------------------
 
 
