@@ -46,7 +46,8 @@ class NegativePulseTime(CurieWeissError):
 
 
 class StepFailure(CurieWeissError):
-    """Adaptive integrator could not take an acceptable step."""
+    """An integration step could not be made acceptable: the Magnus step size
+    underflowed, or the registration flow does not point to an attractor."""
 
 
 class StepTooLarge(StepFailure):

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     NegativePulseTime,
     QuadratureNotConverged,
+    StepFailure,
     StepTooLarge,
     ValidityWindowWarning,
     ZeroBathCoupling,
@@ -348,8 +349,9 @@ class ZetaTrajectory:
         return r0 * _linear(logmag, np.exp(1j * phase), 0.0)
 
 
-def zeta_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Short-time equations for (zeta0, zetaz) of the up-down sector.
+def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
+    """Matrix A(t) of the short-time equations (zeta0, zetaz)' = A(t) (zeta0, zetaz)
+    of the up-down sector.
 
     The bath enters through a frequency-shift term and a friction term whose
     time-averaged amplitude law is exactly exp(-chi(t)) with the quartic
@@ -360,11 +362,12 @@ def zeta_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
     c = params.gamma * params.debye_cutoff**2
     freq = 2j * g / hbar
     friction = (c * t / math.pi) * (2.0 * g * t / hbar) ** 2
-    z0, zz = y
-    return np.array(
-        [freq * zz, freq * (1.0 + c * t * t / (2.0 * math.pi)) * z0 - friction * zz],
-        dtype=complex,
-    )
+    return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
+
+
+def zeta_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Right-hand side A(t) y of the short-time equations, for general integrators."""
+    return zeta_matrix(t, params) @ y
 
 
 def integrate_zeta_short_time(
@@ -376,7 +379,8 @@ def integrate_zeta_short_time(
 ) -> ZetaTrajectory:
     """Integrate the short-time equations from (1, 0) up to t_max.
 
-    ``step`` bounds the internal step size (the integrator is adaptive below
+    The equations are linear, so they are propagated by fourth-order Magnus
+    steps; ``step`` bounds the step size (the propagator is adaptive below
     it).  A warning is issued when t_max exceeds the stated validity window
     1/Gamma.
     """
@@ -387,20 +391,13 @@ def integrate_zeta_short_time(
             stacklevel=2,
         )
     try:
-        sol = ode.integrate(
-            lambda t, y: zeta_rhs(t, y, params),
-            0.0,
-            np.array([1.0 + 0j, 0.0 + 0j]),
-            t_max,
-            rtol=rtol,
-            atol=atol,
-            max_step=step,
+        times, states = ode.propagate(
+            lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max,
+            rtol=rtol, atol=atol, max_step=step,
         )
-    except ode.StepFailure as exc:
+    except StepFailure as exc:
         raise StepTooLarge(str(exc)) from exc
-    return ZetaTrajectory(
-        times=sol.times, zeta0=sol.states[:, 0], zetaz=sol.states[:, 1], params=params
-    )
+    return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1], params=params)
 
 
 # --- bath memory kernel -----------------------------------------------------
@@ -413,21 +410,17 @@ def spectral_density(omega, temperature: float, debye_cutoff: float, hbar: float
     S(omega)/S(-omega) = exp(-hbar omega/T).
     """
     w = np.asarray(omega, dtype=float)
-    out = np.empty_like(w)
-    flat = w.reshape(-1)
-    res = out.reshape(-1)
-    for i, wi in enumerate(flat):
-        e = math.exp(-abs(wi) / debye_cutoff)
-        if temperature == 0.0:
-            res[i] = 0.0 if wi >= 0 else -2.0 * wi * e
-            continue
-        x = hbar * wi / temperature
-        if abs(x) < 1e-8:
-            res[i] = (2.0 * temperature / hbar - wi + hbar * wi * wi / (6.0 * temperature)) * e
-        elif x > 700.0:
-            res[i] = 2.0 * wi * math.exp(-x) * e
-        else:
-            res[i] = wi * 2.0 / math.expm1(x) * e
+    if temperature == 0.0:
+        s = np.where(w >= 0, 0.0, -2.0 * w)
+    else:
+        x = hbar * w / temperature
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = np.where(
+                np.abs(x) < 1e-8,
+                2.0 * temperature / hbar - w + hbar * w * w / (6.0 * temperature),
+                np.where(x > 700.0, 2.0 * w * np.exp(-x), 2.0 * w / np.expm1(x)),
+            )
+    out = s * np.exp(-np.abs(w) / debye_cutoff)
     return float(out) if np.isscalar(omega) or w.ndim == 0 else out
 
 

@@ -98,7 +98,8 @@ def reference_integrate(rhs, initial, t_span, t_eval=None, rtol=1e-13, atol=1e-1
     """High-accuracy third-party integration used only to bound production error.
 
     DOP853 at tolerance 1e-13: a different method family and codebase from
-    the production registration quadrature and Dormand-Prince 5(4).
+    the production registration quadrature and the fourth-order Magnus
+    propagator of the zeta equations.
     """
     y0 = np.atleast_1d(np.asarray(initial))
     complex_state = np.iscomplexobj(y0)

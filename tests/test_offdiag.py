@@ -29,8 +29,9 @@ from curieweiss.offdiag import (
     sample_couplings,
     spectral_density,
     spin_echo,
+    zeta_rhs,
 )
-from curieweiss.oracles import full_hilbert_offdiag
+from curieweiss.oracles import full_hilbert_offdiag, reference_integrate
 
 REF = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
                   debye_cutoff=50.0)
@@ -431,6 +432,26 @@ def test_zeta_amplitude_recombination():
     assert np.allclose(amp.real, direct, atol=1e-8)
 
 
+def test_zeta_magnus_matches_reference_integrator():
+    # criterion 9's damped case against scipy's DOP853, on every returned time
+    p = ModelParams(n_spins=1000, coupling_g=80.0, temperature=0.34, gamma=0.01,
+                    debye_cutoff=1.0)
+    traj = integrate_zeta_short_time(p, t_max=decay_time_bath(p), rtol=1e-12, atol=1e-14)
+    _, ref, _ = reference_integrate(lambda t, y: zeta_rhs(t, y, p), np.array([1.0 + 0j, 0j]),
+                                    (0.0, float(traj.times[-1])), t_eval=traj.times)
+    assert len(traj.times) > 10
+    assert np.max(np.abs(traj.zeta0 - ref[:, 0])) <= 1e-10
+    assert np.max(np.abs(traj.zetaz - ref[:, 1])) <= 1e-10
+
+
+def test_zeta_step_bounds_step_size():
+    p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=0.0,
+                    debye_cutoff=0.1)
+    traj = integrate_zeta_short_time(p, t_max=9.0, step=0.25)
+    assert np.diff(traj.times).max() <= 0.25
+    assert traj.times[-1] == 9.0
+
+
 # --- memory kernel ---------------------------------------------------------------
 
 
@@ -453,6 +474,27 @@ def test_kernel_zero_temperature_closed_form():
     t = 0.7
     expected = 1.0 / (8 * math.pi * (1.0 / gam + 1j * t) ** 2)
     assert memory_kernel(t, 0.0, gam) == pytest.approx(expected, rel=1e-9)
+
+
+def test_spectral_density_regime_edges_match_closed_form():
+    # omega [coth(hbar omega/2T) - 1] exp(-|omega|/Gamma) on both sides of the
+    # series (|x| < 1e-8) and overflow (x > 700) switches; coth - 1 ~ e^-700
+    # cancels ~305 digits, so mpmath works at 400
+    import mpmath
+
+    temp, gam, hbar = 0.7, 1e4, 1.3
+    xs = np.array([-1e-9, 1e-9, -1e-7, 1e-7, 699.0, 701.0, -699.0, -701.0])
+    omegas = xs * temp / hbar
+    got = spectral_density(omegas, temp, gam, hbar)
+    with mpmath.workdps(400):
+        for w, val in zip(omegas, got):
+            w = mpmath.mpf(float(w))
+            ref = w * (mpmath.coth(hbar * w / (2 * temp)) - 1) * mpmath.exp(-abs(w) / gam)
+            assert val == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+    assert isinstance(spectral_density(float(omegas[0]), temp, gam, hbar), float)
+    assert spectral_density(0.0, temp, gam, hbar) == 2.0 * temp / hbar
+    zero_t = spectral_density(np.array([-2.0, 0.0, 3.0]), 0.0, gam)
+    assert zero_t.tolist() == [4.0 * math.exp(-2.0 / gam), 0.0, 0.0]
 
 
 def test_kernel_matsubara_series():
