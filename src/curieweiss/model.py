@@ -121,10 +121,6 @@ class SystemState2x2:
     def from_upper(cls, r_uu: float, r_ud: complex = 0j) -> "SystemState2x2":
         return cls(r_uu=r_uu, r_dd=1.0 - r_uu, r_ud=complex(r_ud))
 
-    @property
-    def purity(self) -> float:
-        return self.r_uu**2 + self.r_dd**2 + 2 * abs(self.r_ud) ** 2
-
 
 def validate_state(state: SystemState2x2, tol: float = 1e-12) -> SystemState2x2:
     """Return ``state`` unchanged iff it is a valid density matrix.
@@ -213,19 +209,10 @@ def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
     bath_rhs = (g / hg) ** 2 / params.gamma if params.gamma > 0 else math.inf
     disp_rhs = (g / dg) ** 2 if dg > 0 else math.inf
 
-    if math.isinf(bath_rhs):
-        bath = RegimeCheck("n_vs_bath", n, bath_rhs, margin, False, 0.0)
-    else:
-        bath = _mk_check("n_vs_bath", n, bath_rhs, margin)
-    if math.isinf(disp_rhs):
-        disp = RegimeCheck("n_vs_dispersion", n, disp_rhs, margin, False, 0.0)
-    else:
-        disp = _mk_check("n_vs_dispersion", n, disp_rhs, margin)
-
     checks = (
         _mk_check("n_large", n, 1.0, margin),
-        bath,
-        disp,
+        _mk_check("n_vs_bath", n, bath_rhs, margin),
+        _mk_check("n_vs_dispersion", n, disp_rhs, margin),
         _mk_check("cutoff_vs_temperature", hg, t, margin),
         _mk_check("temperature_vs_gamma_j", t, params.gamma * j, margin),
         _mk_check("cutoff_vs_j", hg, j, margin),

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DomainError,
     NegativePulseTime,
     QuadratureNotConverged,
     StepFailure,
@@ -141,31 +142,32 @@ class CouplingVector:
 def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     """Draw N couplings with empirical mean exactly g and RMS exactly delta_g.
 
-    The symmetric two-point draw is affinely corrected post hoc, so the
-    first two moments are exact by construction; it has the least possible
-    fourth moment, which keeps products of cosines closest to their Gaussian
-    envelope.  The corrected draw holds two distinct couplings, stored with
-    their multiplicities.
+    Each coupling starts as g +/- delta_g with equal odds and the draw is
+    affinely corrected post hoc, so the first two moments are exact by
+    construction; it has the least possible fourth moment, which keeps
+    products of cosines closest to their Gaussian envelope.  The corrected
+    draw depends only on the number k of + signs, which is drawn as one
+    Binomial(N, 1/2) count: k spins sit at g + delta_g sqrt((N-k)/k) and
+    N - k at g - delta_g sqrt(k/(N-k)).  Nothing of size N is held, so N
+    may be macroscopic.
     """
     n = params.n_spins
     g, dg = params.coupling_g, params.delta_g
     if dg == 0:
         return CouplingVector.uniform(g, n)
     if n < 2:
-        raise ValueError("a nonzero spread requires at least two spins")
-    rng = np.random.default_rng(seed)
-    dev = rng.choice(np.array([-1.0, 1.0]), size=n)
-    if np.all(dev == dev[0]):  # degenerate draw: make it balanceable
-        dev[:: 2] *= -1.0
-    dev = dev - dev.mean()
-    scale = math.sqrt(float(np.mean(dev**2)))
-    vals = g + dev * (dg / scale)
-    values, counts = np.unique(vals, return_counts=True)
+        raise DomainError("a nonzero spread requires at least two spins")
+    k = int(np.random.default_rng(seed).binomial(n, 0.5))
+    if k in (0, n):  # degenerate draw: flip every other sign to balance it
+        k = (n + 1) // 2 if k == 0 else n // 2
+    values = np.array([g - dg * math.sqrt(k / (n - k)), g + dg * math.sqrt((n - k) / k)])
+    counts = np.array([n - k, k])
+    mean = float(values @ counts / n)
     return CouplingVector(
         values=values,
         counts=counts,
-        mean=float(np.mean(vals)),
-        rms_deviation=float(math.sqrt(np.mean((vals - np.mean(vals)) ** 2))),
+        mean=mean,
+        rms_deviation=math.sqrt(float((values - mean) ** 2 @ counts / n)),
     )
 
 

@@ -171,8 +171,9 @@ def integrate_registration(
     ends, dt = _time_to(nodes[:-1], nodes[1:], field_sign, params)
     order = np.argsort(direction * ends)
     m, times = np.append(m0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
-    terminal = (TerminalKind.CONVERGED_FERRO if abs(m_attr) > math.sqrt(0.5)
-                else TerminalKind.TRAPPED_PARAMAGNETIC)
+    terminal = (TerminalKind.TRAPPED_PARAMAGNETIC
+                if statics._label_point(m_attr) is statics.PointLabel.PARAMAGNETIC
+                else TerminalKind.CONVERGED_FERRO)
     if t_max is not None and times[-1] > t_max:
         k = int(np.searchsorted(times, t_max)) - 1  # times[k] < t_max <= times[k + 1]
 

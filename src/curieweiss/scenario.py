@@ -93,18 +93,6 @@ class FinalState:
         return self.branches[0].weight, self.branches[1].weight
 
 
-def _offdiag_residual_log10(params: ModelParams, state: SystemState2x2,
-                            t_final: float, seed: int) -> float:
-    if state.r_ud == 0:
-        return -math.inf
-    log_amp = math.log(abs(state.r_ud))
-    if params.gamma > 0:
-        log_amp -= params.n_spins * offdiag.bath_exponent(t_final, params)
-    couplings = offdiag.sample_couplings(params, seed)
-    logmag, _ = offdiag.log_cos_product(t_final, couplings, params.hbar)
-    return float((log_amp + logmag) / LN10)
-
-
 def assemble_final_state(
     state: SystemState2x2,
     params: ModelParams,
@@ -141,7 +129,10 @@ def assemble_final_state(
     )
     return FinalState(
         branches=branches,
-        log10_offdiag_residual=_offdiag_residual_log10(params, state, t_final, seed),
+        log10_offdiag_residual=float(offdiag.offdiag_trajectory(
+            params, state.r_ud, np.array([t_final]),
+            couplings=offdiag.sample_couplings(params, seed),
+        ).log10_abs[0]),
         t_final=t_final,
     )
 
@@ -212,7 +203,9 @@ def entropy_budget(
 @dataclass(frozen=True)
 class RunConfig:
     """Model, initial state and run keys; construction rejects a state that
-    is not a density matrix and a negative seed."""
+    is not a density matrix, a negative seed, an unknown spacing, fewer than
+    two samples, a margin that is not positive and finite, and a mechanism
+    switched on whose coupling is zero."""
 
     params: ModelParams
     state: SystemState2x2
@@ -228,19 +221,21 @@ class RunConfig:
         validate_state(self.state)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def resolved(self) -> "RunConfig":
-        """Fill mechanism toggles from the parameters and check consistency."""
-        bath = self.params.gamma > 0 if self.bath is None else self.bath
-        disp = self.params.delta_g > 0 if self.dispersion is None else self.dispersion
-        if bath and self.params.gamma == 0:
+        if self.bath and self.params.gamma == 0:
             raise ConfigError("bath mechanism requested but gamma = 0")
-        if disp and self.params.delta_g == 0:
+        if self.dispersion and self.params.delta_g == 0:
             raise ConfigError("dispersion mechanism requested but delta_g = 0")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
+
+    def resolved(self) -> "RunConfig":
+        """Fill the mechanism toggles left unset from the parameters."""
+        bath = self.params.gamma > 0 if self.bath is None else self.bath
+        disp = self.params.delta_g > 0 if self.dispersion is None else self.dispersion
         return replace(self, bath=bath, dispersion=disp)
 
 

@@ -370,3 +370,42 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert main(["validate", "--config", missing, "--out", str(tmp_path / "o")]) == 1
     assert "error: cannot read config file" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+BAD_RUN_KEYS = {
+    "spacing": {"spacing": "cubic"},
+    "samples": {"samples": 1},
+    "bath": {"bath": "on", "gamma": 0.0},
+    "dispersion": {"dispersion": "on"},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "statics", "collapse", "register",
+                                     "scenario", "sweep"])
+@pytest.mark.parametrize("key", sorted(BAD_RUN_KEYS))
+def test_every_command_rejects_bad_run_keys(command, key, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **BAD_RUN_KEYS[key])
+    out = tmp_path / "o"
+    extra = ["--sweep", "coupling_g=0.05:0.11:2"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "scenario", "sweep"])
+@pytest.mark.parametrize("margin", ["0", "-10", "nan"])
+def test_margin_must_be_positive(command, margin, cfg_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    extra = ["--sweep", "coupling_g=0.05:0.11:2"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg_path), "--out", str(out),
+                 "--margin", margin, *extra]) == 1
+    assert "error: margin" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_collapse_spread_needs_two_spins(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n_spins=1, delta_g=0.0045)
+    out = tmp_path / "o"
+    assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: a nonzero spread" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """No CLI command loads scipy: each runs in a fresh interpreter that reports,
 at exit, every scipy module it imported.  scipy is needed only by
-``offdiag.memory_kernel`` and the test oracles."""
+``offdiag.memory_kernel`` and the test oracles.  The macroscopic runs, at
+N = 1e12 with a coupling spread, also show that no command holds an array of
+size N."""
 
 import json
 import os
@@ -29,6 +31,8 @@ COMMANDS = {
     "sweep": ["sweep", "--sweep", "coupling_g=0.05:0.11:4"],
     "collapse_echo": ["collapse", "--echo-at", "7.5"],
     "collapse_dispersed": ["collapse"],
+    "collapse_macroscopic_echo": ["collapse", "--echo-at", "7.5"],
+    "scenario_macroscopic": ["scenario"],
 }
 
 
@@ -36,8 +40,10 @@ COMMANDS = {
 def test_command_imports_no_scipy(name, tmp_path):
     cfg = tmp_path / "run.cfg"
     text = REFERENCE_CFG.read_text()
-    if name == "collapse_dispersed":
+    if name == "collapse_dispersed" or "macroscopic" in name:
         text = re.sub(r"(?m)^delta_g\s*=.*$", "delta_g = 0.0045", text)
+    if "macroscopic" in name:
+        text = re.sub(r"(?m)^n_spins\s*=.*$", "n_spins = 1e12", text)
     cfg.write_text(text)
     argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

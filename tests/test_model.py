@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curieweiss.errors import ConfigError, DomainError, PositivityError, TraceError
 from curieweiss.model import (
@@ -89,6 +90,35 @@ def test_validate_state_rejects_non_finite(state):
         validate_state(state)
 
 
+NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(0.0, math.nan),
+              complex(0.0, math.inf))
+
+
+@settings(max_examples=300)
+@given(r_uu=st.floats(0.0, 1.0) | st.floats(-2.0, 2.0),
+       trace_offset=st.sampled_from([0.0, 4e-13, -4e-13, 1e-9, 0.3]),
+       rho=st.floats(0.0, 2.0), phase=st.floats(0.0, 2.0 * math.pi),
+       poison=st.sampled_from([0j] * 8 + list(NON_FINITE)))
+def test_validate_state_accepts_exactly_density_matrices(r_uu, trace_offset, rho, phase, poison):
+    # accepted iff finite, trace 1 and positive semidefinite, within tol = 1e-12;
+    # states within 1e-9 of the positivity edge are left out as ambiguous.
+    # rho scales |r_ud| against the largest value sqrt(r_uu r_dd) positivity
+    # allows; poison puts a non-finite value into r_uu (real) or r_ud (imag)
+    radius = rho * math.sqrt(abs(r_uu * (1.0 - r_uu)))
+    state = SystemState2x2(r_uu + poison.real, 1.0 - r_uu + trace_offset,
+                           radius * complex(math.cos(phase), math.sin(phase)) + 1j * poison.imag)
+    finite = poison == 0
+    if finite:
+        lam_min = 0.5 * (state.r_uu + state.r_dd) - math.hypot(
+            0.5 * (state.r_uu - state.r_dd), abs(state.r_ud))
+        assume(abs(lam_min) > 1e-9)
+    if finite and abs(trace_offset) < 1e-12 and lam_min > 0:
+        assert validate_state(state) is state
+    else:
+        with pytest.raises((DomainError, TraceError, PositivityError)):
+            validate_state(state)
+
+
 def test_regime_reference_point_passes():
     rep = validate_regime(ModelParams(**REF))
     assert rep.overall_valid
@@ -97,7 +127,8 @@ def test_regime_reference_point_passes():
     assert bath.rhs == pytest.approx(1000 * (0.09 / 50.0) ** 2, rel=1e-12)
     assert bath.rhs == pytest.approx(3.24e-3, rel=1e-10)
     assert bath.passed
-    assert not rep.check("n_vs_dispersion").passed  # delta_g = 0 branch is off
+    disp = rep.check("n_vs_dispersion")  # delta_g = 0: the branch is off
+    assert math.isinf(disp.rhs) and not disp.passed and disp.margin_ratio == 0.0
 
 
 def test_regime_small_n_fails_at_margin_10():

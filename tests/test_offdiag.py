@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curieweiss.errors import (
+    DomainError,
     NegativePulseTime,
     ValidityWindowWarning,
     ZeroBathCoupling,
@@ -144,6 +145,45 @@ def test_sample_couplings_seed_dependence():
     assert a.mean == pytest.approx(b.mean, abs=1e-12)
     c = sample_couplings(p, seed=1)
     assert np.array_equal(a.values, c.values)  # deterministic per seed
+
+
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(2, 10**15), g=st.floats(0.01, 1.0), frac=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**32))
+def test_sample_couplings_two_values_exact_moments(n, g, frac, seed):
+    dg = frac * g
+    cv = sample_couplings(mk(n=n, g=g, dg=dg), seed=seed)
+    assert len(cv.values) == 2 and cv.values[0] < g < cv.values[1]
+    assert np.all(cv.counts > 0) and int(cv.counts.sum()) == n
+    assert cv.mean == pytest.approx(g, rel=1e-12)
+    assert cv.rms_deviation == pytest.approx(dg, rel=1e-12)
+
+
+def test_sample_couplings_split_law():
+    # the count above g is Binomial(N, 1/2), with the degenerate draws k = 0
+    # and k = N moved to ceil(N/2) and floor(N/2): chi-square over fixed seeds
+    from scipy.stats import binom, chisquare
+
+    n, draws = 6, 4000
+    k = np.array([sample_couplings(mk(n=n, dg=0.005), seed=s).counts[1] for s in range(draws)])
+    law = binom.pmf(np.arange(n + 1), n, 0.5)
+    law[(n + 1) // 2] += law[0]
+    law[n // 2] += law[n]
+    observed = np.bincount(k, minlength=n + 1)[1:n]
+    assert observed.sum() == draws
+    assert chisquare(observed, draws * law[1:n]).pvalue > 1e-3
+
+
+def test_sample_couplings_macroscopic_n():
+    # no array of size N: a draw at N = 1e15 holds two (value, count) pairs
+    cv = sample_couplings(mk(n=10**15, dg=0.005), seed=3)
+    assert cv.n_spins == 10**15
+    assert cv.rms_deviation == pytest.approx(0.005, rel=1e-12)
+
+
+def test_sample_couplings_needs_two_spins():
+    with pytest.raises(DomainError):
+        sample_couplings(mk(n=1, dg=0.005), seed=0)
 
 
 # --- uniform envelope -----------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
@@ -12,8 +13,10 @@ from curieweiss.scenario import (
     RunConfig,
     assemble_final_state,
     born_probabilities,
+    config_payload,
     dephased_entropy,
     entropy_budget,
+    load_run_config,
     pointer_correlation,
     run_scenario,
     state_entropy,
@@ -253,6 +256,16 @@ def test_run_scenario_both_mechanisms():
     assert np.any(traj.dispersion_factor != 1.0)
 
 
+def test_final_residual_is_the_last_collapse_sample():
+    p = ModelParams(n_spins=2000, coupling_g=0.09, delta_g=0.0045,
+                    temperature=0.34, gamma=1e-3, debye_cutoff=50.0)
+    report = run_scenario(RunConfig(params=p, state=PLUS, samples=50, seed=4))
+    assert report.status == "completed"
+    assert report.offdiag.times[-1] == report.final_state.t_final
+    assert report.final_state.log10_offdiag_residual == pytest.approx(
+        report.offdiag.log10_abs[-1], rel=1e-12)
+
+
 def test_run_scenario_failed_registration():
     p = ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                     gamma=1e-3, debye_cutoff=50.0)
@@ -280,3 +293,46 @@ def test_write_run_deterministic(tmp_path):
     for name in sorted((tmp_path / "a").iterdir()):
         other = tmp_path / "b" / name.name
         assert name.read_bytes() == other.read_bytes(), name.name
+
+
+@st.composite
+def run_configs(draw):
+    g = draw(st.sampled_from([0.0, 0.09]) | st.floats(1e-3, 0.9))
+    dg = draw(st.sampled_from([0.0]) | st.floats(0.0, 0.99 * g if g > 0 else 0.5))
+    gamma = draw(st.sampled_from([0.0]) | st.floats(1e-6, 1e-2))
+    params = ModelParams(
+        n_spins=draw(st.integers(1, 10**15)), coupling_j=draw(st.floats(0.1, 10.0)),
+        coupling_g=g, delta_g=dg, temperature=draw(st.floats(1e-3, 2.0)), gamma=gamma,
+        debye_cutoff=draw(st.floats(1.0, 500.0)),
+    )
+    r_uu = draw(st.floats(0.0, 1.0))
+    radius = math.sqrt(r_uu * (1.0 - r_uu)) * draw(st.floats(0.0, 1.0))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    state = SystemState2x2.from_upper(r_uu, radius * complex(math.cos(phase), math.sin(phase)))
+    return RunConfig(
+        params=params, state=state,
+        t_max=draw(st.none() | st.floats(1e-3, 1e4)),
+        samples=draw(st.integers(2, 10**6)),
+        spacing=draw(st.sampled_from(["linear", "log"])),
+        bath=draw(st.sampled_from([None, False, *([True] if gamma > 0 else [])])),
+        dispersion=draw(st.sampled_from([None, False, *([True] if dg > 0 else [])])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _config_line(key, value):
+    if isinstance(value, bool):
+        value = "on" if value else "off"
+    return f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(run_configs())
+def test_config_round_trip(tmp_path_factory, cfg):
+    # config_payload -> key = value text -> load_run_config is the identity
+    payload = config_payload(cfg)
+    assert payload.pop("margin") == cfg.margin
+    del payload["r_dd"]  # implied by the trace
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("".join(_config_line(k, v) for k, v in payload.items() if v is not None))
+    assert load_run_config(path) == cfg
