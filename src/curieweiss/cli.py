@@ -14,6 +14,7 @@ Exit status: 0 completed, 1 error, 2 measurement failed (trapped sector),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -33,7 +34,7 @@ def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         "regime": scenario.regime_payload(report),
-    })
+    }, [])
     print(f"regime overall_valid = {report.overall_valid} (margin {cfg.margin})")
     for c in report.checks:
         mark = "pass" if c.passed else "FAIL"
@@ -43,17 +44,16 @@ def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 
 def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     params = cfg.params
-    m, _, f_down = scenario.write_landscape(out_dir, params)
-    output.write_dat(os.path.join(out_dir, "landscape_down.dat"), [m, f_down])
+    files = scenario.write_landscape(out_dir, params, down_dat=True)
 
     summary: dict = {"config": scenario.config_payload(cfg)}
     scapes = {name: statics.stationary_magnetizations(sign, params)
               for sign, name in ((+1, "up"), (-1, "down"))}
     for name, scape in scapes.items():
         rows = [[p.m, p.free_energy, p.kind.value, p.label.value] for p in scape.points]
-        output.write_csv(os.path.join(out_dir, f"stationary_{name}.csv"),
-                         ["m", "free_energy", "kind", "label"],
-                         [output.column(c) for c in zip(*rows)])
+        files.append(output.write_csv(os.path.join(out_dir, f"stationary_{name}.csv"),
+                                      ["m", "free_energy", "kind", "label"],
+                                      [output.column(c) for c in zip(*rows)]))
         summary[f"global_minimum_{name}"] = scape.points[scape.global_minimum].m
     try:
         summary["critical_g"] = statics.critical_coupling(params)
@@ -69,7 +69,7 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         }
     except NoFerromagneticSolution:
         summary["m_ferromagnetic"] = summary["ferromagnetic_gap"] = None
-    output.write_manifest(out_dir, summary)
+    output.write_manifest(out_dir, summary, files)
     print(f"statics: critical_g = {summary['critical_g']}, "
           f"T_c = {summary['curie_temperature']:.4f}, "
           f"m_f = {summary['m_ferromagnetic']}")
@@ -82,7 +82,7 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
     traj, couplings = scenario.collapse_run(cfg, cfg.t_max)
-    scenario.write_offdiag(out_dir, traj)
+    files = scenario.write_offdiag(out_dir, traj)
     timescales = scenario.collapse_timescales(cfg)
     payload = {"config": scenario.config_payload(cfg), "timescales": timescales}
 
@@ -90,12 +90,12 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         if couplings is None:
             couplings = offdiag.sample_couplings(params, cfg.seed)
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times, hbar=params.hbar)
-        scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo)
+        files.append(scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo))
         payload["pulse_time"] = echo_at
         revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at],
                                     hbar=params.hbar)
         payload["echo_revival_log10"] = float(revival.log10_abs[0])
-    output.write_manifest(out_dir, payload)
+    output.write_manifest(out_dir, payload, files)
     print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
           + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
           + (f", tau_2' = {timescales['tau_2_prime']:.6g}" if cfg.dispersion else ""))
@@ -108,12 +108,12 @@ def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     if params.gamma == 0:
         raise ConfigError("registration requires the bath (gamma > 0)")
     up, down = scenario.sector_runs(params, cfg.t_max)
-    scenario.write_sectors(out_dir, (up, down), params)
+    files = scenario.write_sectors(out_dir, (up, down), params)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         **scenario.registration_summary(up, down, params),
         **scenario.registration_times(params),
-    })
+    }, files)
     print(f"register: up -> {up.m_final:.6f} ({up.terminal.value}), "
           f"down -> {down.m_final:.6f} ({down.terminal.value})")
     return 0
@@ -183,19 +183,20 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
                 outcome += "/invalid-regime"
         rows.append(list(values) + [outcome, g_c, tau_reg, m_final])
 
-    output.write_csv(os.path.join(out_dir, "sweep.csv"), header,
-                     [output.column(c) for c in zip(*rows)])
+    table = output.write_csv(os.path.join(out_dir, "sweep.csv"), header,
+                             [output.column(c) for c in zip(*rows)])
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         "axes": [{"key": k, "values": g.tolist()} for k, g in parsed],
         "rows": len(rows),
-    })
+    }, [table])
     print(f"sweep: {len(rows)} points -> {os.path.join(out_dir, 'sweep.csv')}")
     return 0
 
 
 #: subcommand -> (handler, help); the handler gets the loaded config, the
-#: output directory (created by its first write) and the parsed arguments
+#: output directory (created by its first write) and the parsed arguments,
+#: and passes the records of the files it wrote to output.write_manifest
 COMMANDS = {
     "statics": (cmd_statics, "free-energy landscape, critical coupling, Curie temperature"),
     "collapse": (cmd_collapse, "off-diagonal collapse, recurrences, optional spin echo"),
@@ -206,7 +207,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and then reused:
+    parsing leaves it unchanged, and building it costs more than a short
+    command's own work."""
     parser = argparse.ArgumentParser(
         prog="curieweiss",
         description="Curie-Weiss measurement model: batch simulation commands",

@@ -192,6 +192,13 @@ def _mk_check(name, lhs, rhs, factor, counted=True) -> RegimeCheck:
     )
 
 
+def check_margin(margin: float) -> None:
+    """The factor operationalizing '>>' must be positive and finite: zero
+    would divide by zero and a negative factor would invert every check."""
+    if not 0 < margin < math.inf:
+        raise ConfigError(f"margin must be positive and finite, got {margin}")
+
+
 def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
     """Evaluate the inequalities under which the model acts as a measurement.
 
@@ -200,7 +207,9 @@ def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
     has two alternative branches (bath or coupling dispersion); at least one
     must hold.  The smallness of gamma is reported but not counted: the
     chain hbar*Gamma >> T >> gamma*J already bounds it whenever T < J.
+    Raises ConfigError for a margin that is not positive and finite.
     """
+    check_margin(margin)
     n = float(params.n_spins)
     g, dg = params.coupling_g, params.delta_g
     j, t = params.coupling_j, params.temperature

@@ -4,7 +4,10 @@ Identical inputs must produce byte-identical files, so nothing here writes
 timestamps, environment data, or unordered collections.  Floats are
 rendered with repr (shortest round-trip form).  Tables are written from
 columns formatted once by :func:`column`, so a .dat twin reuses the columns
-of its CSV instead of formatting them again.
+of its CSV instead of formatting them again.  Each file is rendered whole,
+written once over any earlier file in place, and hashed from the bytes in
+memory; the writers return that record, and a command's manifest lists the
+records of the files it wrote.
 """
 
 from __future__ import annotations
@@ -38,25 +41,43 @@ def column(values) -> list[str]:
     return [fmt(v) for v in values]
 
 
-def _create(path):
-    """Open a text file for writing, creating its run directory on first use."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write(path, text: str) -> dict:
+    """Write text over the file at path in place, creating its run directory
+    on first use; returns the file's manifest record, hashed from the bytes
+    in memory.
+
+    The file is opened without truncation and cut to the new length after
+    the write, which is much cheaper than reopening an existing file with
+    truncation when a command rewrites its run directory.
+    """
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    return {"name": os.path.basename(path), "bytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def write_csv(path, header: list[str], columns) -> None:
+def write_csv(path, header: list[str], columns) -> dict:
     """RFC-4180-style CSV of formatted columns (see :func:`column`): comma
-    separated, '.' decimal, LF line endings."""
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    separated, '.' decimal, LF line endings.  Returns the file's record."""
+    return _write(path, "\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
-def write_dat(path, columns) -> None:
+def write_dat(path, columns) -> dict:
     """Two-or-more-column whitespace table (gnuplot-ready) of formatted
-    columns, no header."""
-    with _create(path) as fh:
-        fh.writelines(" ".join(row) + "\n" for row in zip(*columns))
+    columns, no header.  Returns the file's record."""
+    return _write(path, "\n".join([*map(" ".join, zip(*columns)), ""]))
 
 
 def _jsonify(obj):
@@ -82,37 +103,15 @@ def _jsonify(obj):
     return obj
 
 
-def write_json(path, payload: dict) -> None:
-    with _create(path) as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(path, payload: dict) -> dict:
+    """Sorted, indented JSON of the payload; returns the file's record."""
+    return _write(path, json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
 
 
-def sha256_of(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def file_inventory(directory, exclude=("manifest.json",)) -> list[dict]:
-    """Sorted checksum listing of every file in a run directory."""
-    entries = []
-    for name in sorted(os.listdir(directory)):
-        full = os.path.join(directory, name)
-        if not os.path.isfile(full) or name in exclude:
-            continue
-        entries.append(
-            {"name": name, "bytes": os.path.getsize(full), "sha256": sha256_of(full)}
-        )
-    return entries
-
-
-def write_manifest(directory, payload: dict) -> dict:
-    """Write ``manifest.json`` with the checksums of every other file in the
-    run directory; returns the payload with its ``files`` listing."""
-    os.makedirs(directory, exist_ok=True)
-    payload["files"] = file_inventory(directory)
+def write_manifest(directory, payload: dict, files) -> dict:
+    """Write ``manifest.json`` with the records of the files this command
+    wrote (as the writers return them), sorted by name; returns the payload
+    with its ``files`` listing."""
+    payload["files"] = sorted(files, key=lambda record: record["name"])
     write_json(os.path.join(directory, "manifest.json"), payload)
     return payload

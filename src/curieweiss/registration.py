@@ -92,14 +92,18 @@ def registration_rhs(m: float, field_sign: int, params: ModelParams) -> float:
     return float(flow_rate(m, field_sign, params))
 
 
-def _attractor(field_sign: int, params: ModelParams, m0: float) -> float:
-    """First fixed point the flow meets starting from m0; a root within 1e-14
+def _attractor(field_sign: int, params: ModelParams, m0: float,
+               landscape: statics.Landscape | None = None) -> float:
+    """First fixed point the flow meets starting from m0, among the points of
+    the sector's landscape (scanned unless given); a root within 1e-14
     behind m0 counts as m0 itself, since the rate there is rounding."""
     rate0 = registration_rhs(m0, field_sign, params)
     if rate0 == 0:
         return m0
     d = math.copysign(1.0, rate0)
-    points = statics.stationary_magnetizations(field_sign, params).points
+    if landscape is None:
+        landscape = statics.stationary_magnetizations(field_sign, params)
+    points = landscape.points
     ahead = [p.m for p in points if d * (p.m - m0) > -1e-14]
     if not ahead:
         raise StepFailure(f"no fixed point {'above' if d > 0 else 'below'} m0 = {m0}")
@@ -149,6 +153,7 @@ def integrate_registration(
     t_max: float | None = None,
     stop_delta: float = 1e-6,
     m0: float = 0.0,
+    landscape: statics.Landscape | None = None,
 ) -> MagnetizationTrajectory:
     """Trajectory (t(m_k), m_k) of a sector's magnetization from m0.
 
@@ -158,11 +163,12 @@ def integrate_registration(
     geometrically in the distance to it, at most 1/100 of the way apart, plus
     the midpoints the quadrature refines.  An explicit ``t_max`` cuts the
     trajectory at m(t_max), found by inverting t(m), and ends it
-    MAX_TIME_REACHED.
+    MAX_TIME_REACHED.  ``landscape``, the sector's stationary points at
+    these parameters, saves scanning them again.
     """
     if t_max is not None and t_max <= 0:
         raise DomainError("t_max must be positive")
-    m_attr = _attractor(field_sign, params, m0)
+    m_attr = _attractor(field_sign, params, m0, landscape)
     direction = 1.0 if m_attr >= m0 else -1.0
     gap = max(abs(m_attr - m0), stop_delta)
     n = math.ceil(_NODES_PER_DECADE * math.log10(gap / stop_delta))

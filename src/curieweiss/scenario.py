@@ -28,6 +28,7 @@ from .model import (
     ModelParams,
     RegimeReport,
     SystemState2x2,
+    check_margin,
     get_float,
     get_int,
     params_from_mapping,
@@ -229,8 +230,7 @@ class RunConfig:
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
-        if not 0 < self.margin < math.inf:
-            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
+        check_margin(self.margin)
 
     def resolved(self) -> "RunConfig":
         """Fill the mechanism toggles left unset from the parameters."""
@@ -344,10 +344,13 @@ def collapse_run(cfg: RunConfig, t_hi: float | None):
     return traj, couplings
 
 
-def sector_runs(params: ModelParams, t_max: float | None):
+def sector_runs(params: ModelParams, t_max: float | None,
+                landscape_up: statics.Landscape | None = None):
     """Registration flows of the up and down sectors from m = 0, each to its
-    attractor, or cut at t_max when that is set."""
-    return tuple(registration.integrate_registration(s, params, t_max) for s in (+1, -1))
+    attractor, or cut at t_max when that is set; the up sector's landscape
+    is scanned unless given."""
+    return (registration.integrate_registration(+1, params, t_max, landscape=landscape_up),
+            registration.integrate_registration(-1, params, t_max))
 
 
 def registration_times(params: ModelParams) -> dict:
@@ -429,7 +432,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
             timescales=Timescales(**timescales), offdiag=collapse_run(cfg, cfg.t_max)[0],
         )
     timescales.update(registration_times(params))
-    up, down = sector_runs(params, cfg.t_max)
+    up, down = sector_runs(params, cfg.t_max, report.landscape_up)
     t_hi = _registration_end(timescales["tau_reg_quadrature"], up, down)
     report = replace(
         report, timescales=Timescales(**timescales), offdiag=collapse_run(cfg, t_hi)[0],
@@ -467,55 +470,72 @@ def regime_payload(regime: RegimeReport) -> dict:
     }
 
 
-def write_landscape(out_dir, params: ModelParams) -> list[list[str]]:
-    """landscape.csv (m, F_up, F_down) and landscape_up.dat; returns the
-    formatted columns."""
+def write_landscape(out_dir, params: ModelParams, down_dat: bool = False) -> list[dict]:
+    """landscape.csv (m, F_up, F_down) and landscape_up.dat, plus
+    landscape_down.dat when asked; returns their records."""
     cols = [output.column(c) for c in statics.landscape_table(params)]
-    output.write_csv(os.path.join(out_dir, "landscape.csv"), ["m", "F_up", "F_down"], cols)
-    output.write_dat(os.path.join(out_dir, "landscape_up.dat"), cols[:2])
-    return cols
+    files = [
+        output.write_csv(os.path.join(out_dir, "landscape.csv"), ["m", "F_up", "F_down"], cols),
+        output.write_dat(os.path.join(out_dir, "landscape_up.dat"), cols[:2]),
+    ]
+    if down_dat:
+        files.append(output.write_dat(os.path.join(out_dir, "landscape_down.dat"),
+                                      [cols[0], cols[2]]))
+    return files
 
 
-def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> list[list[str]]:
-    """The trajectory's CSV; returns the formatted columns."""
-    header = ["t", "re_r", "im_r", "log10_abs_r", "osc_factor", "bath_factor",
-              "dispersion_factor"]
-    cols = [output.column(c) for c in (
+_OFFDIAG_HEADER = ["t", "re_r", "im_r", "log10_abs_r", "osc_factor", "bath_factor",
+                   "dispersion_factor"]
+
+
+def _offdiag_columns(traj: offdiag.OffDiagTrajectory) -> list[list[str]]:
+    return [output.column(c) for c in (
         traj.times, traj.amplitude.real, traj.amplitude.imag, traj.log10_abs,
         traj.osc_factor, traj.bath_factor, traj.dispersion_factor,
     )]
-    output.write_csv(path, header, cols)
-    return cols
 
 
-def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> None:
-    """offdiag.csv and the (t, log10|r|) curve offdiag_log10.dat."""
-    cols = write_offdiag_csv(os.path.join(out_dir, "offdiag.csv"), traj)
-    output.write_dat(os.path.join(out_dir, "offdiag_log10.dat"), [cols[0], cols[3]])
+def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> dict:
+    """The trajectory's CSV; returns its record."""
+    return output.write_csv(path, _OFFDIAG_HEADER, _offdiag_columns(traj))
 
 
-def write_sectors(out_dir, sectors, params: ModelParams) -> None:
-    """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m)."""
+def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> list[dict]:
+    """offdiag.csv and the (t, log10|r|) curve offdiag_log10.dat; returns
+    their records."""
+    cols = _offdiag_columns(traj)
+    return [
+        output.write_csv(os.path.join(out_dir, "offdiag.csv"), _OFFDIAG_HEADER, cols),
+        output.write_dat(os.path.join(out_dir, "offdiag_log10.dat"), [cols[0], cols[3]]),
+    ]
+
+
+def write_sectors(out_dir, sectors, params: ModelParams) -> list[dict]:
+    """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m);
+    returns their records."""
+    files = []
     for traj in sectors:
         sign = traj.field_sign
         name = "up" if sign > 0 else "down"
         cols = [output.column(c) for c in (
             traj.times, traj.m, traj.rate, statics.free_energy(traj.m, sign, params),
         )]
-        output.write_csv(
-            os.path.join(out_dir, f"registration_{name}.csv"), ["t", "m", "dm_dt", "free_energy"], cols
-        )
-        output.write_dat(os.path.join(out_dir, f"registration_{name}.dat"), cols[:2])
+        files += [
+            output.write_csv(os.path.join(out_dir, f"registration_{name}.csv"),
+                             ["t", "m", "dm_dt", "free_energy"], cols),
+            output.write_dat(os.path.join(out_dir, f"registration_{name}.dat"), cols[:2]),
+        ]
+    return files
 
 
 def write_run(report: ScenarioReport, out_dir) -> dict:
     """Persist all artifacts of a scenario run; returns the manifest payload."""
     cfg = report.config
     params = cfg.params
-    write_landscape(out_dir, params)
+    files = write_landscape(out_dir, params)
     stages = {"regime": "done", "statics": "done", "collapse": "skipped"}
     if report.offdiag is not None:
-        write_offdiag(out_dir, report.offdiag)
+        files += write_offdiag(out_dir, report.offdiag)
         stages["collapse"] = "done"
     sectors = (report.sector_up, report.sector_down)
     for name, traj in zip(("up", "down"), sectors):
@@ -552,6 +572,6 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         entropy = payload["entropy"] = asdict(report.entropy)
         entropy["bath_entropy_change_estimate"] = entropy.pop("bath_entropy_change")
     if report.sector_up is not None:
-        write_sectors(out_dir, sectors, params)
+        files += write_sectors(out_dir, sectors, params)
         payload["registration_summary"] = registration_summary(*sectors, params)
-    return output.write_manifest(out_dir, payload)
+    return output.write_manifest(out_dir, payload, files)

@@ -248,17 +248,60 @@ def test_register_keys_match_scenario_summary(tmp_path):
         assert registered[key] == timescales[key]
 
 
-def test_scenario_manifest_checksums(cfg_path, tmp_path):
+MANIFEST_RUNS = {
+    "validate": ["validate"],
+    "statics": ["statics"],
+    "collapse": ["collapse", "--echo-at", "7.5"],
+    "register": ["register"],
+    "scenario": ["scenario"],
+    "sweep": ["sweep", "--sweep", "coupling_g=0.05:0.11:3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_matches_the_files_on_disk(command, tmp_path):
     import hashlib
 
-    out = tmp_path / "scn2"
-    main(["scenario", "--config", str(cfg_path), "--out", str(out)])
+    out = tmp_path / command
+    assert main([*MANIFEST_RUNS[command], "--config", str(REFERENCE_CFG),
+                 "--out", str(out)]) == 0
     m = load_manifest(out)
-    assert m["files"], "manifest must list the run artifacts"
+    names = [entry["name"] for entry in m["files"]]
+    assert names == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert names or command == "validate", "manifest must list the run artifacts"
     for entry in m["files"]:
         blob = (out / entry["name"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         assert len(blob) == entry["bytes"]
+
+
+def test_manifest_lists_only_this_commands_files(tmp_path):
+    out = tmp_path / "shared"
+    for command in ("scenario", "statics"):
+        assert main([command, "--config", str(REFERENCE_CFG), "--out", str(out)]) == 0
+    m = load_manifest(out)
+    assert [entry["name"] for entry in m["files"]] == [
+        "landscape.csv", "landscape_down.dat", "landscape_up.dat",
+        "stationary_down.csv", "stationary_up.csv"]
+    assert (out / "offdiag.csv").exists()  # the scenario's, no longer certified
+
+
+def test_cached_parser_keeps_no_state_between_commands(tmp_path):
+    cfg = write_cfg(tmp_path, n_spins=10000)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.11:2", "--sweep", "temperature=0.3:0.34:2"]) == 0
+    assert len(load_manifest(out)["axes"]) == 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.11:2"]) == 0
+    assert [a["key"] for a in load_manifest(out)["axes"]] == ["coupling_g"]
+
+    out = tmp_path / "collapse"
+    assert main(["collapse", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--echo-at", "7.5"]) == 0
+    assert load_manifest(out)["pulse_time"] == 7.5
+    assert main(["collapse", "--config", str(REFERENCE_CFG), "--out", str(out)]) == 0
+    assert "pulse_time" not in load_manifest(out)
 
 
 def test_validate_command(cfg_path, tmp_path, capsys):

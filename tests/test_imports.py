@@ -2,7 +2,8 @@
 at exit, every scipy module it imported.  scipy is needed only by
 ``offdiag.memory_kernel`` and the test oracles.  The macroscopic runs, at
 N = 1e12 with a coupling spread, also show that no command holds an array of
-size N."""
+size N.  Importing the CLI builds no argument parser: that is left to the
+first command."""
 
 import json
 import os
@@ -53,3 +54,12 @@ def test_command_imports_no_scipy(name, tmp_path):
     code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert scipy_modules == []
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import curieweiss.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -137,6 +137,12 @@ def test_regime_small_n_fails_at_margin_10():
     assert not rep.overall_valid
 
 
+@pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+def test_regime_rejects_margin_not_positive_finite(margin):
+    with pytest.raises(ConfigError, match="margin must be positive and finite"):
+        validate_regime(ModelParams(**REF), margin=margin)
+
+
 def test_regime_dispersion_branch():
     p = ModelParams(**{**REF, "gamma": 0.0, "delta_g": 0.01})
     rep = validate_regime(p)

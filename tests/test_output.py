@@ -1,5 +1,6 @@
 """Column formatting renders every table byte for byte as fmt does per value."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -60,3 +61,30 @@ def test_writers_match_rowwise_rendering(tmp_path_factory, table):
         assert fh.read() == reference_csv(["a", "b", "mixed"], rows)
     with open(directory / "t.dat", newline="") as fh:
         assert fh.read() == reference_dat([r[:2] for r in rows])
+
+
+def test_rewrite_in_place_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "run" / "t.csv"  # the run directory does not exist yet
+    long_cols = [column(np.linspace(0.0, 1.0, 500)), column(np.geomspace(1e-9, 1.0, 500))]
+    short_cols = [column(np.array([0.5, math.nan])), column(np.array([-0.0, math.inf]))]
+    first = output.write_csv(path, ["a", "b"], long_cols)
+    assert first["bytes"] == path.stat().st_size > 10_000
+    record = output.write_csv(path, ["a", "b"], short_cols)
+    blob = path.read_bytes()
+    assert blob == b"a,b\n0.5,-0.0\nnan,inf\n"
+    assert record == {"name": "t.csv", "bytes": len(blob),
+                      "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def test_manifest_lists_the_records_it_is_given(tmp_path):
+    directory = tmp_path / "new" / "run"
+    files = [output.write_dat(directory / "b.dat", [["1"], ["2"]]),
+             output.write_json(directory / "a.json", {"x": math.inf})]
+    (directory / "stale.csv").write_text("left by an earlier command\n")
+    payload = output.write_manifest(directory, {"k": 1}, files)
+    assert [f["name"] for f in payload["files"]] == ["a.json", "b.dat"]
+    for entry in payload["files"]:
+        blob = (directory / entry["name"]).read_bytes()
+        assert entry["bytes"] == len(blob)
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert (directory / "a.json").read_text() == '{\n  "x": "inf"\n}\n'

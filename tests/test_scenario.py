@@ -105,6 +105,23 @@ def test_run_scenario_evaluates_tau_reg_once(monkeypatch, final_plus):
     assert report.final_state.t_final == final_plus.t_final
 
 
+def test_run_scenario_scans_each_landscape_once(monkeypatch):
+    from curieweiss import registration, statics
+    from curieweiss.scenario import load_run_config
+
+    signs = []
+    scan = statics.stationary_magnetizations
+    monkeypatch.setattr(statics, "stationary_magnetizations",
+                        lambda sign, params: signs.append(sign) or scan(sign, params))
+    cfg = load_run_config(REFERENCE_CFG)
+    report = run_scenario(cfg)
+    assert sorted(signs) == [-1, +1]
+    # the up sector run on the handed-over landscape is the one it scans itself
+    alone = registration.integrate_registration(+1, cfg.params, cfg.t_max)
+    assert np.array_equal(report.sector_up.m, alone.m)
+    assert np.array_equal(report.sector_up.times, alone.times)
+
+
 def test_final_state_fails_below_critical():
     p = ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                     gamma=1e-3, debye_cutoff=50.0)
