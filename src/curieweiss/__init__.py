@@ -14,7 +14,6 @@ from .model import (
     ModelParams,
     RegimeReport,
     SystemState2x2,
-    load_config,
     validate_regime,
     validate_state,
 )
@@ -36,7 +35,6 @@ from .offdiag import (
     dispersion_decay_time,
     envelope,
     integrate_zeta_short_time,
-    memory_kernel,
     offdiag_trajectory,
     reduction_time,
     sample_couplings,
@@ -71,7 +69,6 @@ __all__ = [
     "ModelParams",
     "RegimeReport",
     "SystemState2x2",
-    "load_config",
     "validate_regime",
     "validate_state",
     "Landscape",
@@ -89,7 +86,6 @@ __all__ = [
     "dispersion_decay_time",
     "envelope",
     "integrate_zeta_short_time",
-    "memory_kernel",
     "offdiag_trajectory",
     "reduction_time",
     "sample_couplings",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -82,19 +83,21 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
     traj, couplings = scenario.collapse_run(cfg, cfg.t_max)
-    files = scenario.write_offdiag(out_dir, traj)
     timescales = scenario.collapse_timescales(cfg)
     payload = {"config": scenario.config_payload(cfg), "timescales": timescales}
 
+    files = []
     if echo_at is not None:
+        # spin_echo rejects a bad pulse time before the first file is written
         if couplings is None:
             couplings = offdiag.sample_couplings(params, cfg.seed)
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times, hbar=params.hbar)
-        files.append(scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo))
         payload["pulse_time"] = echo_at
         revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at],
                                     hbar=params.hbar)
         payload["echo_revival_log10"] = float(revival.log10_abs[0])
+        files.append(scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo))
+    files += scenario.write_offdiag(out_dir, traj)
     output.write_manifest(out_dir, payload, files)
     print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
           + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
@@ -137,6 +140,8 @@ def _parse_sweep_axis(spec: str):
         raise ConfigError(f"bad sweep axis {spec!r}, expected KEY=START:STOP:STEPS") from None
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"bad sweep axis {spec!r}: START and STOP must be finite")
     numeric = ("n_spins", "coupling_g", "delta_g", "temperature", "gamma", "debye_cutoff")
     if key not in numeric:
         raise ConfigError(f"cannot sweep {key!r}; choose one of {numeric}")
@@ -154,11 +159,8 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     header = [*keys, "outcome", "critical_g", "tau_reg", "m_final"]
     rows = []
     for values in itertools.product(*grids):
-        overrides = dict(zip(keys, values))
-        if "n_spins" in overrides:
-            overrides["n_spins"] = int(round(overrides["n_spins"]))
         try:
-            params = replace(cfg.params, **overrides)
+            params = replace(cfg.params, **dict(zip(keys, values)))
         except ConfigError:
             rows.append(list(values) + ["invalid-params", None, None, None])
             continue

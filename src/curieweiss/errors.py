@@ -42,7 +42,7 @@ class ZeroDispersion(CurieWeissError):
 
 
 class NegativePulseTime(CurieWeissError):
-    """Echo pulse time must be non-negative."""
+    """Echo pulse time must be finite and non-negative."""
 
 
 class StepFailure(CurieWeissError):
@@ -56,10 +56,6 @@ class StepTooLarge(StepFailure):
 
 class QuadratureNotConverged(CurieWeissError):
     """Adaptive quadrature did not reach the requested accuracy."""
-
-
-class NotConverged(CurieWeissError):
-    """Two independent quadrature rules disagree beyond tolerance."""
 
 
 class CriticalOrSubcritical(CurieWeissError):

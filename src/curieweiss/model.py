@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, PositivityError, TraceError
 
@@ -78,31 +78,6 @@ class ModelParams:
             raise ConfigError(
                 f"delta_g = {self.delta_g} must be smaller than coupling_g = {self.coupling_g}"
             )
-
-    def canonicalized(self) -> "ModelParams":
-        """Same physics expressed in hbar = 1, J = 1 units."""
-        j, hb = self.coupling_j, self.hbar
-        return replace(
-            self,
-            coupling_j=1.0,
-            coupling_g=self.coupling_g / j,
-            delta_g=self.delta_g / j,
-            temperature=self.temperature / j,
-            debye_cutoff=self.debye_cutoff * hb / j,
-            hbar=1.0,
-        )
-
-    def with_units(self, coupling_j: float, hbar: float = 1.0) -> "ModelParams":
-        """Inverse of :meth:`canonicalized` for the given energy unit."""
-        return replace(
-            self,
-            coupling_j=self.coupling_j * coupling_j,
-            coupling_g=self.coupling_g * coupling_j,
-            delta_g=self.delta_g * coupling_j,
-            temperature=self.temperature * coupling_j,
-            debye_cutoff=self.debye_cutoff * coupling_j / hbar * self.hbar,
-            hbar=hbar,
-        )
 
 
 @dataclass(frozen=True)
@@ -306,8 +281,3 @@ def read_config_file(path, keys) -> dict[str, str]:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return mapping
-
-
-def load_config(path) -> tuple[ModelParams, SystemState2x2]:
-    """Read a parameter file; unknown keys are rejected."""
-    return params_from_mapping(read_config_file(path, CONFIG_KEYS))

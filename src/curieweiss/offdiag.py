@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DomainError,
     NegativePulseTime,
-    QuadratureNotConverged,
     StepFailure,
     StepTooLarge,
     ValidityWindowWarning,
@@ -87,14 +86,6 @@ def log_recurrence_height_bath(params: ModelParams) -> float:
         * params.debye_cutoff**2
         / (32.0 * params.coupling_g**2)
     )
-
-
-def recurrence_height_bath(params: ModelParams) -> float:
-    """First-peak suppression factor; underflows to 0 for macroscopic N."""
-    if params.gamma == 0:
-        return 1.0
-    logh = log_recurrence_height_bath(params)
-    return math.exp(logh) if logh > -745.0 else 0.0
 
 
 def dispersion_decay_time(params: ModelParams) -> float:
@@ -217,14 +208,6 @@ def envelope(t, couplings: CouplingVector, r0: complex, hbar: float = 1.0):
 
 
 @dataclass(frozen=True)
-class OffDiagState:
-    """Per-spin factor parameters at one instant (zeta_x, zeta_y vanish identically)."""
-
-    zeta0: complex
-    zetaz: complex
-
-
-@dataclass(frozen=True)
 class OffDiagTrajectory:
     """Time series of the off-diagonal amplitude with its damping factors.
 
@@ -304,8 +287,8 @@ def spin_echo(
     is r0 prod_n cos(2 g_n (t - 2 theta)/hbar): continuous at the pulse and
     exactly r0 at t = 2 theta.
     """
-    if theta < 0:
-        raise NegativePulseTime(f"pulse time must be >= 0, got {theta}")
+    if not (theta >= 0 and math.isfinite(2.0 * theta)):
+        raise NegativePulseTime(f"pulse time must be finite and non-negative, got {theta}")
     times = np.asarray(times, dtype=float)
     log_amp, sign = log_cos_product(
         np.where(times < theta, times, times - 2.0 * theta), couplings, hbar
@@ -334,13 +317,6 @@ class ZetaTrajectory:
     zeta0: np.ndarray
     zetaz: np.ndarray
     params: ModelParams = field(repr=False, compare=False, default=None)
-
-    def at(self, i: int) -> OffDiagState:
-        return OffDiagState(zeta0=complex(self.zeta0[i]), zetaz=complex(self.zetaz[i]))
-
-    def envelope(self) -> np.ndarray:
-        """Oscillation-free modulus sqrt(|zeta0|^2 + |zetaz|^2)."""
-        return np.sqrt(np.abs(self.zeta0) ** 2 + np.abs(self.zetaz) ** 2)
 
     def amplitude(self, r0: complex) -> np.ndarray:
         """Recombined off-diagonal amplitude r0 * zeta0^N (linear; may underflow)."""
@@ -402,7 +378,7 @@ def integrate_zeta_short_time(
     return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1], params=params)
 
 
-# --- bath memory kernel -----------------------------------------------------
+# --- bath spectrum ----------------------------------------------------------
 
 
 def spectral_density(omega, temperature: float, debye_cutoff: float, hbar: float = 1.0):
@@ -424,52 +400,3 @@ def spectral_density(omega, temperature: float, debye_cutoff: float, hbar: float
             )
     out = s * np.exp(-np.abs(w) / debye_cutoff)
     return float(out) if np.isscalar(omega) or w.ndim == 0 else out
-
-
-def memory_kernel(
-    t: float, temperature: float, debye_cutoff: float, hbar: float = 1.0
-) -> complex:
-    """Bath memory kernel K(t) = (hbar^2/16 pi) * Fourier transform of the spectrum.
-
-    Evaluated by oscillation-aware adaptive quadrature, split at omega = 0
-    where the spectrum has a kink from the |omega| cutoff.  No command calls
-    it, so scipy is imported here rather than with the package.
-    """
-    from scipy.integrate import quad
-
-    if not math.isfinite(t):
-        raise QuadratureNotConverged(f"t must be finite, got {t}")
-    gam = debye_cutoff
-    wmax = 200.0 * gam + (50.0 * temperature / hbar if temperature > 0 else 0.0)
-
-    def pos(w):
-        return spectral_density(w, temperature, gam, hbar)
-
-    def neg(w):
-        return spectral_density(-w, temperature, gam, hbar)
-
-    pieces = []
-    for f in (pos, neg):
-        for weight in ("cos", "sin"):
-            if t == 0.0:
-                if weight == "sin":
-                    pieces.append(0.0)
-                    continue
-                val, err = quad(f, 0.0, wmax, limit=800, epsabs=1e-12, epsrel=1e-10)
-            else:
-                val, err = quad(
-                    f, 0.0, wmax, weight=weight, wvar=abs(t),
-                    limit=800, epsabs=1e-12, epsrel=1e-10,
-                )
-            if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                raise QuadratureNotConverged(
-                    f"kernel quadrature error {err:.2e} for value {val:.2e}"
-                )
-            pieces.append(val)
-    re_p, im_p, re_m, im_m = pieces
-    # e^{i w t}: positive branch advances with +t, negative branch with -t
-    if t >= 0:
-        total = (re_p + 1j * im_p) + (re_m - 1j * im_m)
-    else:
-        total = (re_p - 1j * im_p) + (re_m + 1j * im_m)
-    return complex(hbar**2 / (16.0 * math.pi) * total)

@@ -2,8 +2,9 @@
 
 Nothing here is a production path: these routines recompute the same
 quantities by structurally different means (binomial sector sums, full
-2^N enumeration, a third-party high-order integrator, a second quadrature
-rule) so the tests can pin the closed forms against them.
+2^N enumeration, a third-party high-order integrator) so the tests can pin
+the closed forms against them.  This is the one module of the package that
+imports scipy, so scipy is needed only to run the tests.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.special import gammaln
 
-from .errors import NotConverged, StepFailure, TooLarge
+from .errors import StepFailure, TooLarge
 from .model import ModelParams
 from .offdiag import CouplingVector
 
@@ -138,57 +139,3 @@ def reference_integrate(rhs, initial, t_span, t_eval=None, rtol=1e-13, atol=1e-1
 
         return sol.t, states.T, sample
     return sol.t, sol.y.T, sol.sol
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth=40):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth:
-            raise NotConverged(f"adaptive Simpson: max depth at [{a}, {b}]")
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def dual_quadrature(integrand, domain, tol=1e-10, points=None):
-    """Evaluate an integral with two structurally different adaptive rules.
-
-    Returns (value, discrepancy) where value comes from the Gauss-Kronrod
-    rule and discrepancy is its difference from an independent adaptive
-    Simpson evaluation.  Infinite upper limits are mapped to (0, 1) by
-    x = a + u/(1-u) for the Simpson rule; the Gauss-Kronrod rule integrates
-    the same mapped integrand so both see identical endpoints.
-    """
-    a, b = domain
-    if math.isinf(b):
-        def mapped(u):
-            # endpoint u = 1 maps to infinity; integrable tails vanish there
-            if u >= 1.0 - 1e-16:
-                return 0.0
-            x = a + u / (1.0 - u)
-            return integrand(x) / (1.0 - u) ** 2
-
-        f, lo, hi = mapped, 0.0, 1.0
-    else:
-        f, lo, hi = integrand, a, b
-
-    val, err = quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12,
-                    points=points if points else None)
-    if not math.isfinite(val):
-        raise NotConverged("Gauss-Kronrod rule returned a non-finite value")
-    simpson = _adaptive_simpson(f, lo, hi, tol=max(1e-14, tol * max(1.0, abs(val))))
-    disc = abs(val - simpson)
-    if disc > 1e-6 * max(1.0, abs(val)):
-        raise NotConverged(f"rules disagree: {val!r} vs {simpson!r}")
-    return val, disc

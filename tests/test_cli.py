@@ -163,6 +163,16 @@ def test_collapse_echo_revival_at_two_theta(tmp_path):
     assert abs(load_manifest(out)["echo_revival_log10"] - math.log10(0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("theta", ["-1", "nan", "inf", "1e308"])
+def test_collapse_rejects_bad_pulse_time(theta, cfg_path, tmp_path, capsys):
+    # at 1e308 the revival time 2 theta overflows
+    out = tmp_path / "o"
+    assert main(["collapse", "--config", str(cfg_path), "--out", str(out),
+                 "--echo-at", theta]) == 1
+    assert "error: pulse time must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()  # a rejected command leaves no run directory
+
+
 def test_register_command(cfg_path, tmp_path):
     out = tmp_path / "register"
     assert main(["register", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -371,10 +381,21 @@ def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_axis(cfg_path, tmp_path):
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
-                 "--sweep", "coupling_g=banana"]) == 1
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
-                 "--sweep", "hbar=1:2:3"]) == 1
+    for axis in ("coupling_g=banana", "hbar=1:2:3", "coupling_g=nan:0.1:3",
+                 "coupling_g=0.05:inf:3", "temperature=-inf:0.3:2"):
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
+                     "--sweep", axis]) == 1, axis
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
+    # a non-integer N is rejected by ModelParams, not rounded and mislabelled
+    out = tmp_path / "sweepN"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--sweep", "n_spins=1000.5:1001.5:3"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["1000.5", "invalid-params"], ["1001.0", "registered"],
+                                     ["1001.5", "invalid-params"]]
 
 
 def test_cli_determinism_byte_identical(cfg_path, tmp_path):

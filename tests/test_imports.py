@@ -1,10 +1,12 @@
-"""No CLI command loads scipy: each runs in a fresh interpreter that reports,
-at exit, every scipy module it imported.  scipy is needed only by
-``offdiag.memory_kernel`` and the test oracles.  The macroscopic runs, at
-N = 1e12 with a coupling spread, also show that no command holds an array of
-size N.  Importing the CLI builds no argument parser: that is left to the
-first command."""
+"""scipy is a test-only dependency: no module of the package but the test
+oracles imports it, at the top or inside a function, and no CLI command
+loads it.  Each command runs in a fresh interpreter that reports, at exit,
+every scipy module it imported.  The macroscopic runs, at N = 1e12 with a
+coupling spread, also show that no command holds an array of size N.
+Importing the CLI builds no argument parser: that is left to the first
+command."""
 
+import ast
 import json
 import os
 import re
@@ -16,6 +18,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CFG = ROOT / "configs" / "reference.cfg"
+
+
+def _imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_oracles_import_scipy():
+    modules = sorted((ROOT / "src" / "curieweiss").glob("*.py"))
+    assert len(modules) > 5
+    offenders = [path.name for path in modules if path.name != "oracles.py"
+                 and "scipy" in _imported_roots(ast.parse(path.read_text()))]
+    assert offenders == []
 
 _PROBE = """
 import json, sys

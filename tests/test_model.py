@@ -7,11 +7,11 @@ from curieweiss.errors import ConfigError, DomainError, PositivityError, TraceEr
 from curieweiss.model import (
     ModelParams,
     SystemState2x2,
-    load_config,
     read_config_mapping,
     validate_regime,
     validate_state,
 )
+from curieweiss.scenario import load_run_config
 
 REF = dict(
     n_spins=100000, coupling_j=1.0, coupling_g=0.09, delta_g=0.0,
@@ -47,15 +47,6 @@ def test_params_reject_invalid(bad):
 
 def test_delta_g_unconstrained_when_g_zero():
     ModelParams(**{**REF, "coupling_g": 0.0, "delta_g": 0.5})
-
-
-def test_unit_round_trip_is_identity():
-    p = ModelParams(n_spins=50, coupling_j=2.7, coupling_g=0.11, delta_g=0.01,
-                    temperature=0.9, gamma=2e-3, debye_cutoff=80.0)
-    q = p.canonicalized().with_units(coupling_j=2.7)
-    for name in ("coupling_j", "coupling_g", "delta_g", "temperature", "debye_cutoff", "gamma", "hbar"):
-        a, b = getattr(p, name), getattr(q, name)
-        assert a == pytest.approx(b, rel=1e-14), name
 
 
 def test_validate_state_pure_eigenstate():
@@ -184,7 +175,8 @@ im_r_ud      = 0.0
 def test_config_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT)
-    params, state = load_config(path)
+    cfg = load_run_config(path)
+    params, state = cfg.params, cfg.state
     assert params.coupling_g == 0.09
     assert params.n_spins == 100000
     assert state.r_uu == 0.5
@@ -196,14 +188,14 @@ def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT + "bogus = 1\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_run_config(path)
 
 
 def test_config_rejects_missing_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_spins = 10\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_run_config(path)
 
 
 @pytest.mark.parametrize("n_spins", ["100000.9", "nan", "inf"])
@@ -211,7 +203,7 @@ def test_config_rejects_non_integer_n_spins(tmp_path, n_spins):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT.replace("= 100000\n", f"= {n_spins}\n"))
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_run_config(path)
 
 
 def test_config_mapping_comments_and_duplicates():

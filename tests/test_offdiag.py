@@ -23,9 +23,7 @@ from curieweiss.offdiag import (
     log_cos_product,
     log_recurrence_height_bath,
     log_recurrence_height_dispersed,
-    memory_kernel,
     offdiag_trajectory,
-    recurrence_height_bath,
     reduction_time,
     sample_couplings,
     spectral_density,
@@ -98,11 +96,6 @@ def test_recurrence_height_bath_consistency():
         -REF.n_spins * bath_exponent(t1, REF), rel=1e-12
     )
     assert log_recurrence_height_bath(REF) == pytest.approx(-2.99057e7, rel=1e-4)
-    assert recurrence_height_bath(REF) == 0.0  # far below linear underflow
-
-
-def test_recurrence_height_no_bath():
-    assert recurrence_height_bath(mk(gamma=0.0)) == 1.0
 
 
 def test_dispersion_decay_time():
@@ -307,9 +300,12 @@ def test_spin_echo_continuous_at_pulse():
 
 
 def test_spin_echo_negative_pulse_time():
+    # a pulse time must be finite and non-negative; at 1e308 the revival
+    # time 2 theta overflows, so it is rejected too
     cv = sample_couplings(mk(dg=0.004), seed=0)
-    with pytest.raises(NegativePulseTime):
-        spin_echo(-1.0, cv, 1.0 + 0j, np.array([0.0]))
+    for theta in (-1.0, math.nan, math.inf, 1e308):
+        with pytest.raises(NegativePulseTime):
+            spin_echo(theta, cv, 1.0 + 0j, np.array([0.0]))
 
 
 # --- kernel properties ------------------------------------------------------------
@@ -403,15 +399,6 @@ def test_zeta_free_evolution_matches_trig():
     assert traj.zeta0[0] == 1.0 + 0j and traj.zetaz[0] == 0j
 
 
-def test_zeta_initial_condition_and_state_view():
-    p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=1e-3,
-                    debye_cutoff=1.0)
-    traj = integrate_zeta_short_time(p, t_max=0.5)
-    st = traj.at(0)
-    assert st.zeta0 == 1.0 + 0j
-    assert st.zetaz == 0j
-
-
 def test_zeta_warns_outside_window():
     p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=1e-3,
                     debye_cutoff=50.0)
@@ -492,13 +479,7 @@ def test_zeta_step_bounds_step_size():
     assert traj.times[-1] == 9.0
 
 
-# --- memory kernel ---------------------------------------------------------------
-
-
-def test_kernel_hermiticity():
-    k_plus = memory_kernel(0.02, 0.34, 50.0)
-    k_minus = memory_kernel(-0.02, 0.34, 50.0)
-    assert k_minus == pytest.approx(k_plus.conjugate(), rel=1e-10)
+# --- bath spectrum ---------------------------------------------------------------
 
 
 def test_kernel_detailed_balance():
@@ -506,14 +487,6 @@ def test_kernel_detailed_balance():
     for w in (0.1 * t, t, 5.0 * t):
         ratio = spectral_density(w, t, gam) / spectral_density(-w, t, gam)
         assert ratio == pytest.approx(math.exp(-w / t), rel=1e-12)
-
-
-def test_kernel_zero_temperature_closed_form():
-    gam = 3.0
-    assert memory_kernel(0.0, 0.0, gam) == pytest.approx(gam**2 / (8 * math.pi), rel=1e-9)
-    t = 0.7
-    expected = 1.0 / (8 * math.pi * (1.0 / gam + 1j * t) ** 2)
-    assert memory_kernel(t, 0.0, gam) == pytest.approx(expected, rel=1e-9)
 
 
 def test_spectral_density_regime_edges_match_closed_form():
@@ -535,25 +508,3 @@ def test_spectral_density_regime_edges_match_closed_form():
     assert spectral_density(0.0, temp, gam, hbar) == 2.0 * temp / hbar
     zero_t = spectral_density(np.array([-2.0, 0.0, 3.0]), 0.0, gam)
     assert zero_t.tolist() == [4.0 * math.exp(-2.0 / gam), 0.0, 0.0]
-
-
-def test_kernel_matsubara_series():
-    # independent evaluation: expand coth in exponentials and integrate each
-    # term analytically, leaving an image sum accelerated by its exact tail
-    import mpmath
-
-    t, temp, gam = 0.02, 0.34, 50.0
-    d = 1.0 / temp
-
-    def series(tval):
-        s = mpmath.mpc(0)
-        c0 = 1.0 / gam
-        s += 2 * (1.0 / (c0 + 1j * tval) ** 2)
-        for sign in (+1, -1):
-            z = (c0 + sign * 1j * tval) / d + 1
-            s += 2 * mpmath.zeta(2, z) / d**2
-        return complex(s) / (16 * math.pi)
-
-    expected = series(t)
-    got = memory_kernel(t, temp, gam)
-    assert got == pytest.approx(expected, rel=1e-9)

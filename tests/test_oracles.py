@@ -14,7 +14,6 @@ from curieweiss.offdiag import (
 )
 from curieweiss.oracles import (
     SectorSpectrum,
-    dual_quadrature,
     full_hilbert_offdiag,
     offdiag_sector_sum,
     reference_integrate,
@@ -147,41 +146,3 @@ def test_reference_zeta_free_case():
     for t, row in zip(np.linspace(0.0, 8.0, 9), states):
         assert abs(row[0] - math.cos(0.4 * t)) < 1e-12
         assert abs(row[1] - 1j * math.sin(0.4 * t)) < 1e-12
-
-
-# --- dual quadrature -----------------------------------------------------------------
-
-
-def test_dual_quadrature_exponential_calibration():
-    val, disc = dual_quadrature(lambda x: math.exp(-x), (0.0, math.inf))
-    assert val == pytest.approx(1.0, abs=1e-12)
-    assert disc < 1e-9
-
-
-def test_dual_quadrature_bottleneck_integrand():
-    # registration-time integrand at (g - g_c)/g_c = 1, i.e. eps = 2
-    eps = 2.0
-    val, disc = dual_quadrature(
-        lambda x: 1.0 / ((x - 1.0) ** 2 * (x + 2.0) + eps), (0.0, math.inf)
-    )
-    assert disc < 1e-9 * abs(val)
-    # cross-check against the production quadrature route
-    T, gamma = 0.05, 1e-3
-    gc = (2 * T / 3) * math.sqrt(T / 3)
-    p = ModelParams(n_spins=1000, coupling_g=2 * gc, temperature=T, gamma=gamma,
-                    debye_cutoff=50.0)
-    tau = registration.registration_time_quadrature(p)
-    assert tau == pytest.approx(3.0 / (gamma * T) * val, rel=1e-8)
-
-
-def test_dual_quadrature_zero_temperature_kernel():
-    # spectrum at T = 0 integrates to Gamma^2 * (hbar^2/8 pi) at t = 0
-    from curieweiss.offdiag import memory_kernel, spectral_density
-
-    gam = 3.0
-    val, disc = dual_quadrature(
-        lambda w: spectral_density(-w, 0.0, gam) / (16 * math.pi), (0.0, math.inf)
-    )
-    assert val == pytest.approx(gam**2 / (8 * math.pi), rel=1e-10)
-    assert disc < 1e-10
-    assert memory_kernel(0.0, 0.0, gam) == pytest.approx(val, rel=1e-9)

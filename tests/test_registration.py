@@ -312,6 +312,17 @@ def test_bottleneck_closed_form_domain():
             bottleneck_integral(eps)
 
 
+def test_quadrature_time_is_prefactor_times_bottleneck():
+    # tau_reg = 3/(gamma T) * I(eps): at g = 2 g_c of the low-T form, eps = 2,
+    # which pins both the prefactor and the map from g to eps
+    T, gamma = 0.05, 1e-3
+    gc = (2 * T / 3) * math.sqrt(T / 3)
+    p = ModelParams(n_spins=1000, coupling_g=2 * gc, temperature=T, gamma=gamma,
+                    debye_cutoff=50.0)
+    expected = 3.0 / (gamma * T) * float(_mp_bottleneck(2.0))
+    assert registration_time_quadrature(p) == pytest.approx(expected, rel=1e-13)
+
+
 def test_asymptotic_scaling_in_distance():
     # quadrupling g - g_c halves the asymptotic time
     T = 0.05
