@@ -155,13 +155,26 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         raise ConfigError("at most two sweep axes are supported")
     parsed = [_parse_sweep_axis(a) for a in args.sweep]
     keys, grids = zip(*parsed)
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"sweep axis {keys[0]!r} given twice")
+
+    points = []
+    for values in itertools.product(*grids):
+        try:
+            points.append((values, replace(cfg.params, **dict(zip(keys, values)))))
+        except ConfigError:
+            points.append((values, None))
+    # without t_max the up flow from m = 0 ends at the first stationary point
+    # above it: one array bisection over the grid, no trajectory per point
+    measured = [(p.coupling_g, p.temperature, p.coupling_j) for _, p in points
+                if p is not None and p.coupling_g != 0 and p.gamma != 0]
+    ends = iter(statics.first_stationary_up(*np.reshape(measured, (-1, 3)).T)
+                if cfg.t_max is None else ())
 
     header = [*keys, "outcome", "critical_g", "tau_reg", "m_final"]
     rows = []
-    for values in itertools.product(*grids):
-        try:
-            params = replace(cfg.params, **dict(zip(keys, values)))
-        except ConfigError:
+    for values, params in points:
+        if params is None:
             rows.append(list(values) + ["invalid-params", None, None, None])
             continue
         try:
@@ -174,13 +187,21 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
             scape = statics.stationary_magnetizations(+1, params)
             m_final = scape.points[scape.global_minimum].m
         else:
-            up = registration.integrate_registration(+1, params, cfg.t_max)
-            m_final = up.m_final
-            if up.terminal is registration.TerminalKind.CONVERGED_FERRO:
-                outcome = "registered"
-                tau_reg = scenario.registration_times(params)["tau_reg_quadrature"]
+            if cfg.t_max is None:
+                m_attr = float(next(ends))
+                registered = statics._label_point(m_attr) is not statics.PointLabel.PARAMAGNETIC
+                # integrate_registration's last node; m = 0 within the stop distance
+                m_final = max(m_attr - registration.STOP_DELTA, 0.0)
             else:
-                outcome = "failed"
+                up = registration.integrate_registration(+1, params, cfg.t_max)
+                registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
+                m_final = up.m_final
+            outcome = "registered" if registered else "failed"
+            if registered:
+                try:
+                    tau_reg = registration.registration_time_quadrature(params)
+                except CurieWeissError:  # no spinodal, or g not above the low-T g_c
+                    pass
             if not validate_regime(params, margin=cfg.margin).overall_valid:
                 outcome += "/invalid-regime"
         rows.append(list(values) + [outcome, g_c, tau_reg, m_final])

@@ -62,7 +62,8 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_spins) != self.n_spins or self.n_spins < 1:
+        # range first, so that int() never sees a NaN or an infinity
+        if not 1 <= self.n_spins < math.inf or int(self.n_spins) != self.n_spins:
             raise ConfigError(f"n_spins must be a positive integer, got {self.n_spins}")
         object.__setattr__(self, "n_spins", int(self.n_spins))
         for name in ("coupling_j", "temperature", "debye_cutoff", "hbar"):

@@ -39,6 +39,8 @@ _NODES_PER_DECADE = 20
 #: accepted relative disagreement of an interval's rule with its two halves
 _RTOL = 1e-10
 _MAX_HALVINGS = 40
+#: distance from the attractor at which a registration flow is stopped
+STOP_DELTA = 1e-6
 
 
 class TerminalKind(enum.Enum):
@@ -151,7 +153,7 @@ def integrate_registration(
     field_sign: int,
     params: ModelParams,
     t_max: float | None = None,
-    stop_delta: float = 1e-6,
+    stop_delta: float = STOP_DELTA,
     m0: float = 0.0,
     landscape: statics.Landscape | None = None,
 ) -> MagnetizationTrajectory:
@@ -159,7 +161,10 @@ def integrate_registration(
 
     The flow runs to within ``stop_delta`` of the stationary point it first
     meets, whose basin decides the terminal kind: ferromagnetic ->
-    CONVERGED_FERRO, central well -> TRAPPED_PARAMAGNETIC.  The m_k sit
+    CONVERGED_FERRO, central well -> TRAPPED_PARAMAGNETIC.  Its last node is
+    the attractor minus ``stop_delta`` along the flow, so without ``t_max``
+    m_final is exactly m_attr - direction * stop_delta, or m0 when the
+    attractor lies within ``stop_delta`` of m0.  The m_k sit
     geometrically in the distance to it, at most 1/100 of the way apart, plus
     the midpoints the quadrature refines.  An explicit ``t_max`` cuts the
     trajectory at m(t_max), found by inverting t(m), and ends it

@@ -2,12 +2,16 @@ import json
 import math
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from curieweiss import registration, scenario, statics
 from curieweiss.cli import main
 from curieweiss.model import ModelParams
-from curieweiss.statics import critical_coupling
+from curieweiss.statics import critical_coupling, first_stationary_up
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
@@ -373,6 +377,105 @@ def test_sweep_temperature_at_zero_coupling(tmp_path):
             assert abs(m_final) < 0.2   # paramagnet wins above the transition
 
 
+# --- the sweep from the statics ------------------------------------------------
+
+REFERENCE_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
+                               debye_cutoff=50.0)
+
+
+def sweep_point(out, g, temperature):
+    """The row of a one-point sweep at (g, T) on configs/reference.cfg."""
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", f"coupling_g={g!r}:{g!r}:1",
+                 "--sweep", f"temperature={temperature!r}:{temperature!r}:1"]) == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def assert_row_matches_trajectory(out, g, temperature):
+    """The statics-only row equals the per-point trajectory's, bit for bit."""
+    p = replace(REFERENCE_PARAMS, coupling_g=g, temperature=temperature)
+    root = first_stationary_up(np.array([g]), np.array([temperature]), 1.0)
+    assert root[0] == registration._attractor(+1, p, 0.0)
+    row = sweep_point(out, g, temperature)
+    up = registration.integrate_registration(+1, p)
+    registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
+    assert row["outcome"].split("/")[0] == ("registered" if registered else "failed")
+    assert float(row["m_final"]) == up.m_final
+    tau = scenario.registration_times(p)["tau_reg_quadrature"] if registered else None
+    assert row["tau_reg"] == (repr(tau) if tau is not None else "None")
+    return row
+
+
+def _critical(temperature):
+    return critical_coupling(replace(REFERENCE_PARAMS, temperature=temperature))
+
+
+SWEEP_EDGES = [
+    *((math.nextafter(_critical(t), 0.0), t) for t in (0.05, 0.34, 0.7)),
+    *((_critical(t), t) for t in (0.05, 0.34, 0.7)),
+    *((math.nextafter(_critical(t), 1.0), t) for t in (0.05, 0.34, 0.7)),
+    (0.05, 0.75), (0.5, 0.8), (0.6, 1.2),       # no spinodal, T >= 3J/4
+    (3.4e-7, 0.34),                             # attractor just past the stop distance
+]
+#: attractor m ~ g/T within the stop distance 1e-6 of m = 0; at T = 0.34 the
+#: second g is psi(1e-6), whose attractor is 1e-6 to the last bit
+SWEEP_STOPPED = [(1e-7, 0.34), (3.3999999999911334e-07, 0.34), (1e-6, 1.2)]
+
+
+@pytest.mark.parametrize("g, temperature", SWEEP_EDGES + SWEEP_STOPPED)
+def test_sweep_row_matches_trajectory_at_edges(g, temperature, tmp_path):
+    row = assert_row_matches_trajectory(tmp_path / "one", g, temperature)
+    assert (row["m_final"] == "0.0") == ((g, temperature) in SWEEP_STOPPED)
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=st.floats(1e-9, 0.6), temperature=st.floats(0.02, 1.2))
+def test_sweep_row_matches_trajectory(g, temperature, tmp_path):
+    assert_row_matches_trajectory(tmp_path / "one", g, temperature)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Counts calls of integrate_registration and stationary_magnetizations."""
+    calls = {"integrate_registration": 0, "stationary_magnetizations": 0}
+    for module, name in ((registration, "integrate_registration"),
+                         (statics, "stationary_magnetizations")):
+        def counted(*a, _f=getattr(module, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_without_t_max_runs_no_trajectory(count_calls, tmp_path):
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"]) == 0
+    assert count_calls == {"integrate_registration": 0, "stationary_magnetizations": 0}
+    outcomes = {r.split(",")[2].split("/")[0]
+                for r in (out / "sweep.csv").read_text().splitlines()[1:]}
+    assert outcomes == {"registered", "failed"}
+
+
+def test_sweep_with_t_max_integrates_each_point(count_calls, tmp_path):
+    cfg = tmp_path / "t_max.cfg"
+    cfg.write_text(REFERENCE_CFG.read_text() + "t_max = 50.0\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.2:4", "--sweep", "temperature=0.2:0.4:3"]) == 0
+    assert count_calls["integrate_registration"] == 12
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    for g, temperature, outcome, _, tau_reg, m_final in rows:
+        assert outcome.split("/")[0] == "failed" and tau_reg == "None"
+        p = replace(REFERENCE_PARAMS, coupling_g=float(g), temperature=float(temperature))
+        up = registration.integrate_registration(+1, p, 50.0)
+        assert up.terminal is registration.TerminalKind.MAX_TIME_REACHED
+        assert float(m_final) == up.m_final
+
+
 def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "x")]) == 1
@@ -388,6 +491,16 @@ def test_sweep_rejects_bad_axis(cfg_path, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_rejects_repeated_key(cfg_path, tmp_path, capsys):
+    # the second axis would override the first in every row's params while
+    # the rows kept the first axis's labels
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--sweep", "coupling_g=0.01:0.2:2", "--sweep", "coupling_g=0.05:0.06:2"]) == 1
+    assert "coupling_g" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
     # a non-integer N is rejected by ModelParams, not rounded and mislabelled
     out = tmp_path / "sweepN"
@@ -398,10 +511,14 @@ def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
                                      ["1001.5", "invalid-params"]]
 
 
-def test_cli_determinism_byte_identical(cfg_path, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--seed", "5"],
+    # a grid across g_c(T) and past T = 3J/4, where the spinodal ends
+    ["sweep", "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"],
+], ids=["scenario", "sweep"])
+def test_cli_determinism_byte_identical(argv, cfg_path, tmp_path):
     for sub in ("r1", "r2"):
-        assert main(["scenario", "--config", str(cfg_path), "--out",
-                     str(tmp_path / sub), "--seed", "5"]) == 0
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / sub)]) == 0
     a, b = tmp_path / "r1", tmp_path / "r2"
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())

@@ -45,6 +45,13 @@ def test_params_reject_invalid(bad):
         ModelParams(**{**REF, **bad})
 
 
+@pytest.mark.parametrize("n_spins", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_n_spins(n_spins):
+    # checked before int(), which raises ValueError on NaN and OverflowError on inf
+    with pytest.raises(ConfigError, match="n_spins"):
+        ModelParams(**{**REF, "n_spins": n_spins})
+
+
 def test_delta_g_unconstrained_when_g_zero():
     ModelParams(**{**REF, "coupling_g": 0.0, "delta_g": 0.5})
 
