@@ -22,7 +22,7 @@ r0 = 0.5 + 0j
 
 tau_red = cw.reduction_time(p)
 tau_2 = cw.decay_time_bath(p)
-t1 = math.pi * p.hbar / (2 * p.coupling_g)
+t1 = math.pi / (2 * p.coupling_g)
 print(f"reduction time     tau_red = {tau_red:.4f}  (hbar/J units)")
 print(f"bath decay time    tau_2   = {tau_2:.4f}")
 print(f"first recurrence   t_1     = {t1:.4f}")

@@ -91,10 +91,9 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         # spin_echo rejects a bad pulse time before the first file is written
         if couplings is None:
             couplings = offdiag.sample_couplings(params, cfg.seed)
-        echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times, hbar=params.hbar)
+        echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times)
         payload["pulse_time"] = echo_at
-        revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at],
-                                    hbar=params.hbar)
+        revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at])
         payload["echo_revival_log10"] = float(revival.log10_abs[0])
         files.append(scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo))
     files += scenario.write_offdiag(out_dir, traj)
@@ -110,6 +109,8 @@ def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     params = cfg.params
     if params.gamma == 0:
         raise ConfigError("registration requires the bath (gamma > 0)")
+    if params.coupling_g == 0:
+        raise ConfigError("registration requires a nonzero coupling g")
     up, down = scenario.sector_runs(params, cfg.t_max)
     files = scenario.write_sectors(out_dir, (up, down), params)
     output.write_manifest(out_dir, {
@@ -183,9 +184,8 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
             g_c = None
         tau_reg = None
         if params.coupling_g == 0 or params.gamma == 0:
-            outcome = "not-a-measurement"
-            scape = statics.stationary_magnetizations(+1, params)
-            m_final = scape.points[scape.global_minimum].m
+            # no flow from m = 0: the rate there is exactly 0
+            outcome, m_final = "not-a-measurement", 0.0
         else:
             if cfg.t_max is None:
                 m_attr = float(next(ends))

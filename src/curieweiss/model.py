@@ -1,31 +1,21 @@
 """Model parameters, the 2x2 system state, and validity-regime checks.
 
 Canonical unit system: hbar = 1 and J = 1, so energies are quoted in units
-of the magnet coupling J and times in units of hbar/J.  All formulas keep
-hbar and J symbolic, so any consistent rescaling works the same way.
+of the magnet coupling J and times in units of hbar/J.  hbar = 1 is fixed in
+the code: docstrings keep it in the physics formulas, the arithmetic omits
+it.  J stays a parameter (``coupling_j``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError, PositivityError, TraceError
 
-#: keys accepted in a flat ``key = value`` parameter file, in canonical order
-CONFIG_KEYS = (
-    "n_spins",
-    "coupling_j",
-    "coupling_g",
-    "delta_g",
-    "temperature",
-    "gamma",
-    "debye_cutoff",
-    "r_uu",
-    "re_r_ud",
-    "im_r_ud",
-)
+#: trace and positivity tolerance of :func:`validate_state`
+STATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,8 +38,6 @@ class ModelParams:
         Dimensionless magnet-bath coupling strength.
     debye_cutoff : float
         Bath frequency cutoff (units of energy/hbar).
-    hbar : float
-        Kept symbolic in every formula; 1 in canonical units.
     """
 
     n_spins: int
@@ -59,14 +47,13 @@ class ModelParams:
     temperature: float = 0.34
     gamma: float = 0.0
     debye_cutoff: float = 50.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         # range first, so that int() never sees a NaN or an infinity
         if not 1 <= self.n_spins < math.inf or int(self.n_spins) != self.n_spins:
             raise ConfigError(f"n_spins must be a positive integer, got {self.n_spins}")
         object.__setattr__(self, "n_spins", int(self.n_spins))
-        for name in ("coupling_j", "temperature", "debye_cutoff", "hbar"):
+        for name in ("coupling_j", "temperature", "debye_cutoff"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
@@ -79,6 +66,11 @@ class ModelParams:
             raise ConfigError(
                 f"delta_g = {self.delta_g} must be smaller than coupling_g = {self.coupling_g}"
             )
+
+
+#: keys accepted in a flat ``key = value`` parameter file, in canonical order:
+#: the fields of ModelParams, then the initial state of the measured spin
+CONFIG_KEYS = tuple(f.name for f in fields(ModelParams)) + ("r_uu", "re_r_ud", "im_r_ud")
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class SystemState2x2:
         return cls(r_uu=r_uu, r_dd=1.0 - r_uu, r_ud=complex(r_ud))
 
 
-def validate_state(state: SystemState2x2, tol: float = 1e-12) -> SystemState2x2:
+def validate_state(state: SystemState2x2) -> SystemState2x2:
     """Return ``state`` unchanged iff it is a valid density matrix.
 
     Raises
@@ -106,20 +98,20 @@ def validate_state(state: SystemState2x2, tol: float = 1e-12) -> SystemState2x2:
     DomainError
         If an entry is NaN or infinite (NaN fails every comparison below).
     TraceError
-        If r_uu + r_dd differs from 1 by more than ``tol``.
+        If r_uu + r_dd differs from 1 by more than ``STATE_TOL``.
     PositivityError
-        If the determinant r_uu*r_dd - |r_ud|^2 is below ``-tol`` or a
+        If the determinant r_uu*r_dd - |r_ud|^2 is below ``-STATE_TOL`` or a
         diagonal entry is negative.
     """
     if not all(cmath.isfinite(v) for v in (state.r_uu, state.r_dd, state.r_ud)):
         raise DomainError(f"non-finite density-matrix entry in {state}")
     tr = state.r_uu + state.r_dd
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise TraceError(f"trace is {tr!r}, expected 1")
-    if state.r_uu < -tol or state.r_dd < -tol:
+    if state.r_uu < -STATE_TOL or state.r_dd < -STATE_TOL:
         raise PositivityError(f"negative diagonal entry: {state.r_uu}, {state.r_dd}")
     det = state.r_uu * state.r_dd - abs(state.r_ud) ** 2
-    if det < -tol:
+    if det < -STATE_TOL:
         raise PositivityError(f"negative eigenvalue: det = {det:.3e}")
     return state
 
@@ -182,14 +174,15 @@ def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
     inequality J > g uses factor 1.  The off-diagonal suppression condition
     has two alternative branches (bath or coupling dispersion); at least one
     must hold.  The smallness of gamma is reported but not counted: the
-    chain hbar*Gamma >> T >> gamma*J already bounds it whenever T < J.
+    chain hbar*Gamma >> T >> gamma*J already bounds it whenever T < J
+    (hbar = 1).
     Raises ConfigError for a margin that is not positive and finite.
     """
     check_margin(margin)
     n = float(params.n_spins)
     g, dg = params.coupling_g, params.delta_g
     j, t = params.coupling_j, params.temperature
-    hg = params.hbar * params.debye_cutoff
+    hg = params.debye_cutoff
 
     bath_rhs = (g / hg) ** 2 / params.gamma if params.gamma > 0 else math.inf
     disp_rhs = (g / dg) ** 2 if dg > 0 else math.inf
@@ -255,15 +248,10 @@ def get_int(mapping: dict[str, str], key: str) -> int:
 
 def params_from_mapping(mapping: dict[str, str]) -> tuple[ModelParams, SystemState2x2]:
     """Build (ModelParams, SystemState2x2) from a parsed config mapping."""
-    params = ModelParams(
-        n_spins=get_int(mapping, "n_spins"),
-        coupling_j=get_float(mapping, "coupling_j"),
-        coupling_g=get_float(mapping, "coupling_g"),
-        delta_g=get_float(mapping, "delta_g"),
-        temperature=get_float(mapping, "temperature"),
-        gamma=get_float(mapping, "gamma"),
-        debye_cutoff=get_float(mapping, "debye_cutoff"),
-    )
+    params = ModelParams(**{
+        f.name: (get_int if f.name == "n_spins" else get_float)(mapping, f.name)
+        for f in fields(ModelParams)
+    })
     r_uu = get_float(mapping, "r_uu")
     r_ud = complex(get_float(mapping, "re_r_ud"), get_float(mapping, "im_r_ud"))
     state = SystemState2x2.from_upper(r_uu, r_ud)

@@ -44,19 +44,13 @@ def reduction_time(params: ModelParams) -> float:
     """Collapse time hbar/(g sqrt(2N)) of the off-diagonal blocks."""
     if params.coupling_g == 0:
         raise ZeroCoupling("no measurement coupling: reduction time undefined")
-    return params.hbar / (params.coupling_g * math.sqrt(2.0 * params.n_spins))
+    return 1.0 / (params.coupling_g * math.sqrt(2.0 * params.n_spins))
 
 
 def bath_exponent(t, params: ModelParams):
     """Per-spin bath damping exponent chi(t) = gamma Gamma^2 g^2 t^4 / (2 pi hbar^2)."""
     tt = np.asarray(t, dtype=float)
-    chi = (
-        params.gamma
-        * params.debye_cutoff**2
-        * params.coupling_g**2
-        * tt**4
-        / (2.0 * math.pi * params.hbar**2)
-    )
+    chi = params.gamma * params.debye_cutoff**2 * params.coupling_g**2 * tt**4 / (2.0 * math.pi)
     return float(chi) if np.isscalar(t) else chi
 
 
@@ -67,7 +61,7 @@ def decay_time_bath(params: ModelParams) -> float:
     if params.coupling_g == 0:
         raise ZeroCoupling("g = 0: no off-diagonal oscillation to damp")
     return (2.0 * math.pi / (params.gamma * params.n_spins)) ** 0.25 * math.sqrt(
-        params.hbar / (params.debye_cutoff * params.coupling_g)
+        1.0 / (params.debye_cutoff * params.coupling_g)
     )
 
 
@@ -78,21 +72,15 @@ def log_recurrence_height_bath(params: ModelParams) -> float:
     """
     if params.coupling_g == 0:
         raise ZeroCoupling("g = 0: no recurrences")
-    return (
-        -params.n_spins
-        * math.pi**3
-        * params.gamma
-        * params.hbar**2
-        * params.debye_cutoff**2
-        / (32.0 * params.coupling_g**2)
-    )
+    return (-params.n_spins * math.pi**3 * params.gamma * params.debye_cutoff**2
+            / (32.0 * params.coupling_g**2))
 
 
 def dispersion_decay_time(params: ModelParams) -> float:
     """Dispersion suppression time tau_2' = hbar/(delta_g sqrt(2N))."""
     if params.delta_g == 0:
         raise ZeroDispersion("delta_g = 0: no coupling dispersion")
-    return params.hbar / (params.delta_g * math.sqrt(2.0 * params.n_spins))
+    return 1.0 / (params.delta_g * math.sqrt(2.0 * params.n_spins))
 
 
 def log_recurrence_height_dispersed(params: ModelParams) -> float:
@@ -169,7 +157,7 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
 _libm_log = np.frompyfunc(math.log, 1, 1)
 
 
-def log_cos_product(times, couplings: CouplingVector, hbar: float = 1.0):
+def log_cos_product(times, couplings: CouplingVector):
     """(log|prod_n cos(2 g_n t/hbar)|, sign) at a time or an array of times.
 
     Each distinct coupling contributes its multiplicity times log|cos|, so
@@ -177,7 +165,7 @@ def log_cos_product(times, couplings: CouplingVector, hbar: float = 1.0):
     The sign is 0 where a factor vanishes exactly (the log is then -inf),
     else (-1) to the number of negative factors.
     """
-    c = np.cos(np.multiply.outer(np.asarray(times, dtype=float), 2.0 * couplings.values) / hbar)
+    c = np.cos(np.multiply.outer(np.asarray(times, dtype=float), 2.0 * couplings.values))
     zero = c == 0.0
     log_abs = _libm_log(np.where(zero, 1.0, np.abs(c))).astype(float)
     vanishes = np.any(zero, axis=-1)
@@ -198,10 +186,10 @@ def _log10_abs(logmag, r0: complex):
     return (logmag + (math.log(abs(r0)) if r0 != 0 else -math.inf)) / _LOG10
 
 
-def envelope(t, couplings: CouplingVector, r0: complex, hbar: float = 1.0):
+def envelope(t, couplings: CouplingVector, r0: complex):
     """Off-diagonal amplitude r0 prod_n cos(2 g_n t/hbar) without the bath;
     uniform couplings give r0 cos^N(2gt/hbar)."""
-    return r0 * _linear(*log_cos_product(t, couplings, hbar), 0.0)
+    return r0 * _linear(*log_cos_product(t, couplings), 0.0)
 
 
 # --- assembled trajectory ---------------------------------------------------
@@ -214,7 +202,7 @@ class OffDiagTrajectory:
     ``amplitude`` may underflow to zero in linear representation; the exact
     magnitude is always available as ``log10_abs`` (base-10 log, -inf only
     when the amplitude vanishes identically).  The product
-    osc_factor * bath_factor * dispersion_factor * r0 equals the amplitude;
+    osc_factor * bath_factor * dispersion_factor * r(0) equals the amplitude;
     the factor split is exact in the log domain, so the linear dispersion
     column can overflow near the isolated zeros of the uniform factor.
     """
@@ -225,7 +213,6 @@ class OffDiagTrajectory:
     osc_factor: np.ndarray
     bath_factor: np.ndarray
     dispersion_factor: np.ndarray
-    r0: complex
     pulse_time: float | None = None
 
     def __post_init__(self):
@@ -254,8 +241,8 @@ def offdiag_trajectory(
     uniform = CouplingVector.uniform(params.coupling_g, n)
     if couplings is None or couplings.rms_deviation == 0:
         couplings = uniform
-    log_osc, sign_osc = log_cos_product(times, uniform, params.hbar)
-    log_total, sign_total = log_cos_product(times, couplings, params.hbar)
+    log_osc, sign_osc = log_cos_product(times, uniform)
+    log_total, sign_total = log_cos_product(times, couplings)
 
     if include_bath:
         log_bath = -n * bath_exponent(times, params)
@@ -270,7 +257,6 @@ def offdiag_trajectory(
         osc_factor=_linear(log_osc, sign_osc, 700.0),
         bath_factor=np.exp(log_bath),
         dispersion_factor=_linear(log_total - log_osc, sign_total * sign_osc, 700.0),
-        r0=r0,
     )
 
 
@@ -279,7 +265,6 @@ def spin_echo(
     couplings: CouplingVector,
     r0: complex,
     times: np.ndarray,
-    hbar: float = 1.0,
 ) -> OffDiagTrajectory:
     """Dispersed evolution with a pi pulse around y at time theta.
 
@@ -291,7 +276,7 @@ def spin_echo(
         raise NegativePulseTime(f"pulse time must be finite and non-negative, got {theta}")
     times = np.asarray(times, dtype=float)
     log_amp, sign = log_cos_product(
-        np.where(times < theta, times, times - 2.0 * theta), couplings, hbar
+        np.where(times < theta, times, times - 2.0 * theta), couplings
     )
     factor = _linear(log_amp, sign, 0.0)
     return OffDiagTrajectory(
@@ -301,7 +286,6 @@ def spin_echo(
         osc_factor=factor,
         bath_factor=np.ones_like(times),
         dispersion_factor=np.ones_like(times),
-        r0=r0,
         pulse_time=theta,
     )
 
@@ -336,10 +320,10 @@ def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
     chi of :func:`bath_exponent`; the friction coefficient carries the
     (2gt/hbar)^2 weight required for that law to hold.
     """
-    g, hbar = params.coupling_g, params.hbar
+    g = params.coupling_g
     c = params.gamma * params.debye_cutoff**2
-    freq = 2j * g / hbar
-    friction = (c * t / math.pi) * (2.0 * g * t / hbar) ** 2
+    freq = 2j * g
+    friction = (c * t / math.pi) * (2.0 * g * t) ** 2
     return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
 
 
@@ -381,7 +365,7 @@ def integrate_zeta_short_time(
 # --- bath spectrum ----------------------------------------------------------
 
 
-def spectral_density(omega, temperature: float, debye_cutoff: float, hbar: float = 1.0):
+def spectral_density(omega, temperature: float, debye_cutoff: float):
     """Two-sided spectrum omega [coth(hbar omega/2T) - 1] exp(-|omega|/Gamma).
 
     Stable for all arguments; satisfies detailed balance
@@ -391,11 +375,11 @@ def spectral_density(omega, temperature: float, debye_cutoff: float, hbar: float
     if temperature == 0.0:
         s = np.where(w >= 0, 0.0, -2.0 * w)
     else:
-        x = hbar * w / temperature
+        x = w / temperature
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s = np.where(
                 np.abs(x) < 1e-8,
-                2.0 * temperature / hbar - w + hbar * w * w / (6.0 * temperature),
+                2.0 * temperature - w + w * w / (6.0 * temperature),
                 np.where(x > 700.0, 2.0 * w * np.exp(-x), 2.0 * w / np.expm1(x)),
             )
     out = s * np.exp(-np.abs(w) / debye_cutoff)

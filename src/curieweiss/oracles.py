@@ -64,13 +64,11 @@ def offdiag_sector_sum(t: float, params: ModelParams, r0: complex) -> complex:
     spec = SectorSpectrum.build(params.n_spins)
     n = params.n_spins
     weights = np.exp(spec.log_multiplicity - n * math.log(2.0))
-    phases = np.exp(2j * params.coupling_g * (spec.levels * n) * t / params.hbar)
+    phases = np.exp(2j * params.coupling_g * (spec.levels * n) * t)
     return r0 * _kahan_complex_sum(weights * phases)
 
 
-def full_hilbert_offdiag(
-    t: float, couplings: CouplingVector, r0: complex, hbar: float = 1.0
-) -> complex:
+def full_hilbert_offdiag(t: float, couplings: CouplingVector, r0: complex) -> complex:
     """Exact 2^N enumeration of the dispersed off-diagonal trace.
 
     Every operator involved is diagonal in the sigma_z product basis and the
@@ -86,12 +84,12 @@ def full_hilbert_offdiag(
         k = np.arange(n + 1)
         logmult = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
         weights = np.exp(logmult - n * math.log(2.0))
-        phases = np.exp(2j * couplings.mean * (2 * k - n) * t / hbar)
+        phases = np.exp(2j * couplings.mean * (2 * k - n) * t)
         return r0 * _kahan_complex_sum(weights * phases)
     totals = np.zeros(1)
     for gn in np.repeat(couplings.values, couplings.counts):
         totals = np.concatenate([totals + gn, totals - gn])
-    terms = np.exp(2j * t * totals / hbar) / 2.0**n
+    terms = np.exp(2j * t * totals) / 2.0**n
     return r0 * _kahan_complex_sum(terms)
 
 

@@ -41,6 +41,8 @@ _RTOL = 1e-10
 _MAX_HALVINGS = 40
 #: distance from the attractor at which a registration flow is stopped
 STOP_DELTA = 1e-6
+#: residual band |m_f - m| / |m_f| of the tail that :func:`asymptotic_rate` fits
+TAIL_WINDOW = (1e-5, 1e-2)
 
 
 class TerminalKind(enum.Enum):
@@ -84,7 +86,7 @@ def flow_rate(m, field_sign: int, params: ModelParams):
     series = h - m * params.temperature
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = h * (1.0 - m / np.tanh(x))
-    return params.gamma / params.hbar * np.where(np.abs(x) < 1e-8, series, exact)
+    return params.gamma * np.where(np.abs(x) < 1e-8, series, exact)
 
 
 def registration_rhs(m: float, field_sign: int, params: ModelParams) -> float:
@@ -115,15 +117,14 @@ def _attractor(field_sign: int, params: ModelParams, m0: float,
 def _gauss(u, w, field_sign: int, params: ModelParams):
     """12-point Gauss-Legendre time of flight from u to w, per interval, and a
     bound on its rounding error: near a fixed point the rate is a difference
-    of terms of size |h| <= g + J, so it is off by a few ulp of (gamma/hbar)(g + J)."""
+    of terms of size |h| <= g + J, so it is off by a few ulp of gamma (g + J)."""
     half = 0.5 * (w - u)[:, None]
     x = 0.5 * (u + w)[:, None] + half * _GL_X
     v = flow_rate(x, field_sign, params)
     wrong = x[half * v <= 0.0]
     if wrong.size:
         raise StepFailure(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
-    dv = 4.0 * np.finfo(float).eps * params.gamma / params.hbar * (
-        params.coupling_g + params.coupling_j)
+    dv = 4.0 * np.finfo(float).eps * params.gamma * (params.coupling_g + params.coupling_j)
     return (half * _GL_W / v).sum(axis=1), (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
 
 
@@ -153,18 +154,17 @@ def integrate_registration(
     field_sign: int,
     params: ModelParams,
     t_max: float | None = None,
-    stop_delta: float = STOP_DELTA,
     m0: float = 0.0,
     landscape: statics.Landscape | None = None,
 ) -> MagnetizationTrajectory:
     """Trajectory (t(m_k), m_k) of a sector's magnetization from m0.
 
-    The flow runs to within ``stop_delta`` of the stationary point it first
+    The flow runs to within ``STOP_DELTA`` of the stationary point it first
     meets, whose basin decides the terminal kind: ferromagnetic ->
     CONVERGED_FERRO, central well -> TRAPPED_PARAMAGNETIC.  Its last node is
-    the attractor minus ``stop_delta`` along the flow, so without ``t_max``
-    m_final is exactly m_attr - direction * stop_delta, or m0 when the
-    attractor lies within ``stop_delta`` of m0.  The m_k sit
+    the attractor minus ``STOP_DELTA`` along the flow, so without ``t_max``
+    m_final is exactly m_attr - direction * STOP_DELTA, or m0 when the
+    attractor lies within ``STOP_DELTA`` of m0.  The m_k sit
     geometrically in the distance to it, at most 1/100 of the way apart, plus
     the midpoints the quadrature refines.  An explicit ``t_max`` cuts the
     trajectory at m(t_max), found by inverting t(m), and ends it
@@ -175,9 +175,9 @@ def integrate_registration(
         raise DomainError("t_max must be positive")
     m_attr = _attractor(field_sign, params, m0, landscape)
     direction = 1.0 if m_attr >= m0 else -1.0
-    gap = max(abs(m_attr - m0), stop_delta)
-    n = math.ceil(_NODES_PER_DECADE * math.log10(gap / stop_delta))
-    d = np.union1d(np.geomspace(gap, stop_delta, n + 1), np.linspace(stop_delta, gap, 101))
+    gap = max(abs(m_attr - m0), STOP_DELTA)
+    n = math.ceil(_NODES_PER_DECADE * math.log10(gap / STOP_DELTA))
+    d = np.union1d(np.geomspace(gap, STOP_DELTA, n + 1), np.linspace(STOP_DELTA, gap, 101))
     nodes = np.append(m0, m_attr - direction * d[-2::-1])
     ends, dt = _time_to(nodes[:-1], nodes[1:], field_sign, params)
     order = np.argsort(direction * ends)
@@ -207,29 +207,25 @@ def integrate_registration(
 
 @dataclass(frozen=True)
 class RateFit:
-    """Fitted exponential tail rate next to the prediction gamma*J/hbar."""
+    """Fitted exponential tail rate next to the prediction gamma*J/hbar (hbar = 1)."""
 
     fitted: float
     predicted: float
     n_points: int
 
 
-def asymptotic_rate(
-    trajectory: MagnetizationTrajectory,
-    params: ModelParams,
-    window: tuple[float, float] = (1e-5, 1e-2),
-) -> RateFit:
+def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) -> RateFit:
     """Least-squares slope of ln(m_f - m(t)) over the trajectory tail.
 
-    ``window`` bounds the residual |m_f - m| (relative to |m_f|) used in the
-    fit; it must span at least one decade of data.
+    ``TAIL_WINDOW`` bounds the residual |m_f - m| (relative to |m_f|) used in
+    the fit; it must span at least one decade of data.
     """
     if trajectory.terminal is not TerminalKind.CONVERGED_FERRO:
         raise InsufficientTail("trajectory did not converge to a ferromagnetic state")
     mf = trajectory.attractor
     # distance to the attractor, positive along the approach
     delta = np.abs(mf - trajectory.m)
-    lo, hi = window[0] * abs(mf), window[1] * abs(mf)
+    lo, hi = TAIL_WINDOW[0] * abs(mf), TAIL_WINDOW[1] * abs(mf)
     mask = (delta > lo) & (delta < hi)
     if mask.sum() < 5 or delta[mask].max() < 10.0 * delta[mask].min():
         raise InsufficientTail(
@@ -238,7 +234,7 @@ def asymptotic_rate(
     slope = np.polyfit(trajectory.times[mask], np.log(delta[mask]), 1)[0]
     return RateFit(
         fitted=-float(slope),
-        predicted=params.gamma * params.coupling_j / params.hbar,
+        predicted=params.gamma * params.coupling_j,
         n_points=int(mask.sum()),
     )
 
@@ -325,7 +321,7 @@ def registration_time_quadrature(params: ModelParams) -> float:
     """
     gc = _supercritical_low_t_gc(params)
     eps = 2.0 * (params.coupling_g - gc) / gc
-    return 3.0 * params.hbar / (params.gamma * params.temperature) * bottleneck_integral(eps)
+    return 3.0 / (params.gamma * params.temperature) * bottleneck_integral(eps)
 
 
 def registration_time_asymptotic(params: ModelParams) -> float:
@@ -334,9 +330,5 @@ def registration_time_asymptotic(params: ModelParams) -> float:
     g_c is the low-temperature asymptote; defined only above the exact g_c.
     """
     gc = _supercritical_low_t_gc(params)
-    return (
-        math.pi
-        * params.hbar
-        / (params.gamma * params.temperature)
-        * math.sqrt(3.0 * gc / (2.0 * (params.coupling_g - gc)))
-    )
+    return (math.pi / (params.gamma * params.temperature)
+            * math.sqrt(3.0 * gc / (2.0 * (params.coupling_g - gc))))

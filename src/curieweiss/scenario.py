@@ -335,7 +335,7 @@ def collapse_run(cfg: RunConfig, t_hi: float | None):
     None without dispersion."""
     params = cfg.params
     if t_hi is None:
-        t_hi = 1.2 * math.pi * params.hbar / params.coupling_g
+        t_hi = 1.2 * math.pi / params.coupling_g
     couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
     traj = offdiag.offdiag_trajectory(
         params, cfg.state.r_ud, _time_grid(cfg, t_hi), couplings=couplings,
@@ -453,7 +453,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
 def config_payload(cfg: RunConfig) -> dict:
     p, s = cfg.params, cfg.state
     return {  # the config and run keys of a parameter file, and the margin
-        **{f.name: getattr(p, f.name) for f in fields(p) if f.name in CONFIG_KEYS},
+        **{f.name: getattr(p, f.name) for f in fields(p)},
         "r_uu": s.r_uu,
         "r_dd": s.r_dd,
         "re_r_ud": s.r_ud.real,

@@ -92,7 +92,7 @@ def test_criterion_05_collapse_envelope():
 def test_criterion_06_recurrence():
     p0 = cw.ModelParams(n_spins=10**4, coupling_g=0.09, temperature=0.34,
                         gamma=0.0, debye_cutoff=50.0)
-    t1 = math.pi * p0.hbar / (2.0 * p0.coupling_g)
+    t1 = math.pi / (2.0 * p0.coupling_g)
     exact = abs(abs(envelope(t1, sample_couplings(p0, seed=0), 1.0 + 0j)) - 1.0)
 
     pd = cw.ModelParams(n_spins=1000, coupling_g=0.09, delta_g=0.0045,
@@ -155,7 +155,7 @@ def test_criterion_09_short_time_ode():
     pb = cw.ModelParams(n_spins=1000, coupling_g=80.0, temperature=0.34,
                         gamma=0.01, debye_cutoff=1.0)
     tau2 = decay_time_bath(pb)
-    om = 2.0 * pb.coupling_g / pb.hbar
+    om = 2.0 * pb.coupling_g
     worst = 0.0
     peaks = 0
     for k in range(1, 40):

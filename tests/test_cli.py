@@ -27,6 +27,8 @@ r_uu         = 0.5
 re_r_ud      = 0.5
 im_r_ud      = 0.0
 """
+REFERENCE_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
+                               debye_cutoff=50.0)
 
 
 @pytest.fixture()
@@ -190,6 +192,14 @@ def test_register_command(cfg_path, tmp_path):
     m_up = [float(r.split(",")[1]) for r in rows_up]
     m_down = [float(r.split(",")[1]) for r in rows_down]
     assert np.allclose(m_up, [-v for v in m_down], atol=1e-9)  # antisymmetric
+
+
+def test_register_rejects_zero_coupling(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, coupling_g=0.0)
+    out = tmp_path / "register_g0"
+    assert main(["register", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: registration requires a nonzero coupling g" in capsys.readouterr().err
+    assert not out.exists()  # a rejected command leaves no run directory
 
 
 def test_register_failure_outcome(tmp_path):
@@ -362,25 +372,37 @@ def test_sweep_margin_flag(tmp_path):
     assert rows and all(r.split(",")[1].endswith("/invalid-regime") for r in rows)
 
 
+def assert_not_a_measurement(out, base, key):
+    """Each row is not a measurement, with the m_final of the up flow from m = 0."""
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows
+    for value, outcome, _, tau_reg, m_final in rows:
+        assert (outcome, tau_reg) == ("not-a-measurement", "None")
+        p = replace(base, **{key: float(value)})
+        assert float(m_final) == registration.integrate_registration(+1, p).m_final == 0.0
+
+
 def test_sweep_temperature_at_zero_coupling(tmp_path):
+    # the statics put the global minimum of F at |m| > 0.9 below T ~ 0.36, but
+    # at g = 0 the rate at m = 0 is exactly 0: the pointer does not move
     cfg = write_cfg(tmp_path, coupling_g=0.0, n_spins=1000)
     out = tmp_path / "sweepT"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--sweep", "temperature=0.30:0.42:7"]) == 0
-    rows = (out / "sweep.csv").read_text().splitlines()[1:]
-    for r in rows:
-        cells = r.split(",")
-        temp, m_final = float(cells[0]), float(cells[-1])
-        if temp < 0.36:
-            assert abs(m_final) > 0.9   # ferromagnetic global minimum
-        if temp > 0.37:
-            assert abs(m_final) < 0.2   # paramagnet wins above the transition
+    base = replace(REFERENCE_PARAMS, coupling_g=0.0, n_spins=1000)
+    assert_not_a_measurement(out, base, "temperature")
+
+
+def test_sweep_coupling_without_bath(tmp_path):
+    # gamma = 0: nothing relaxes, so no row registers, above g_c or not
+    cfg = write_cfg(tmp_path, gamma=0.0)
+    out = tmp_path / "sweep_g"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.2:4"]) == 0
+    assert_not_a_measurement(out, replace(REFERENCE_PARAMS, gamma=0.0), "coupling_g")
 
 
 # --- the sweep from the statics ------------------------------------------------
-
-REFERENCE_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
-                               debye_cutoff=50.0)
 
 
 def sweep_point(out, g, temperature):

@@ -4,7 +4,8 @@ loads it.  Each command runs in a fresh interpreter that reports, at exit,
 every scipy module it imported.  The macroscopic runs, at N = 1e12 with a
 coupling spread, also show that no command holds an array of size N.
 Importing the CLI builds no argument parser: that is left to the first
-command."""
+command.  hbar = 1 is fixed in the code, so no module names it outside
+docstrings and comments."""
 
 import ast
 import json
@@ -34,6 +35,25 @@ def test_only_oracles_import_scipy():
     offenders = [path.name for path in modules if path.name != "oracles.py"
                  and "scipy" in _imported_roots(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _hbar_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "hbar":
+            yield f"argument at line {node.lineno}"
+        elif isinstance(node, ast.Attribute) and node.attr == "hbar":
+            yield f".hbar at line {node.lineno}"
+        elif isinstance(node, ast.Name) and node.id == "hbar":
+            yield f"name at line {node.lineno}"
+
+
+def test_no_module_takes_or_reads_hbar():
+    modules = sorted((ROOT / "src" / "curieweiss").glob("*.py"))
+    assert len(modules) > 5
+    offenders = [f"{path.name}: {use}" for path in modules
+                 for use in _hbar_uses(ast.parse(path.read_text()))]
+    assert offenders == []
+
 
 _PROBE = """
 import json, sys

@@ -1,10 +1,13 @@
 import math
+import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from curieweiss.errors import ConfigError, DomainError, PositivityError, TraceError
 from curieweiss.model import (
+    CONFIG_KEYS,
     ModelParams,
     SystemState2x2,
     read_config_mapping,
@@ -22,7 +25,9 @@ REF = dict(
 def test_params_accept_reference_point():
     p = ModelParams(**REF)
     assert p.n_spins == 100000
-    assert p.hbar == 1.0
+    # hbar = 1 is fixed in the code: the fields are exactly the model's config keys
+    assert [f.name for f in fields(p)] == list(REF)
+    assert CONFIG_KEYS == (*REF, "r_uu", "re_r_ud", "im_r_ud")
 
 
 @pytest.mark.parametrize(
@@ -121,7 +126,7 @@ def test_regime_reference_point_passes():
     rep = validate_regime(ModelParams(**REF))
     assert rep.overall_valid
     bath = rep.check("n_vs_bath")
-    # (1/gamma)(g/hbar Gamma)^2 = 1000 * (0.09/50)^2
+    # (1/gamma)(g/hbar Gamma)^2 = 1000 * (0.09/50)^2 at hbar = 1
     assert bath.rhs == pytest.approx(1000 * (0.09 / 50.0) ** 2, rel=1e-12)
     assert bath.rhs == pytest.approx(3.24e-3, rel=1e-10)
     assert bath.passed
@@ -198,10 +203,18 @@ def test_config_rejects_unknown_key(tmp_path):
         load_run_config(path)
 
 
-def test_config_rejects_missing_key(tmp_path):
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_config_rejects_missing_key(tmp_path, key):
     path = tmp_path / "run.cfg"
-    path.write_text("n_spins = 10\n")
-    with pytest.raises(ConfigError):
+    path.write_text(re.sub(rf"(?m)^{key}\s*=.*\n", "", CONFIG_TEXT))
+    with pytest.raises(ConfigError, match=rf"missing config key '{key}'"):
+        load_run_config(path)
+
+
+def test_config_names_the_first_missing_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_spins = 10\nre_r_ud = 0.5\n")
+    with pytest.raises(ConfigError, match="missing config key 'coupling_j'"):
         load_run_config(path)
 
 

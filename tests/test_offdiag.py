@@ -90,8 +90,8 @@ def test_bath_exponent_consistent_with_tau2():
 
 def test_recurrence_height_bath_consistency():
     # aggregate of the per-spin exponent at the first peak reproduces the
-    # closed form -N pi^3 gamma hbar^2 Gamma^2 / 32 g^2
-    t1 = math.pi * REF.hbar / (2.0 * REF.coupling_g)
+    # closed form -N pi^3 gamma hbar^2 Gamma^2 / 32 g^2 at hbar = 1
+    t1 = math.pi / (2.0 * REF.coupling_g)
     assert log_recurrence_height_bath(REF) == pytest.approx(
         -REF.n_spins * bath_exponent(t1, REF), rel=1e-12
     )
@@ -190,7 +190,7 @@ def test_envelope_uniform_initial():
 def test_envelope_uniform_first_recurrence():
     for n in (7, 8):
         p = mk(n=n)
-        t1 = math.pi * p.hbar / (2.0 * p.coupling_g)
+        t1 = math.pi / (2.0 * p.coupling_g)
         val = envelope(t1, uniform(p), 1.0 + 0j)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
         assert val.real == pytest.approx((-1.0) ** n, abs=1e-12)
@@ -206,7 +206,7 @@ def test_envelope_uniform_gaussian_law():
 def test_envelope_uniform_log_underflow_safe():
     p = mk(n=10**6)
     t = 30.0 * reduction_time(p)  # gaussian exponent ~ 900: below exp(-745)
-    logmag, sign = log_cos_product(t, uniform(p), p.hbar)
+    logmag, sign = log_cos_product(t, uniform(p))
     assert logmag < -745.0
     assert math.isfinite(logmag)
     assert envelope(t, uniform(p), 1.0) == 0.0  # linear value underflows to zero
@@ -214,7 +214,7 @@ def test_envelope_uniform_log_underflow_safe():
 
 def test_envelope_monotone_before_first_zero():
     p = mk(n=500)
-    ts = np.linspace(0.0, math.pi * p.hbar / (4.0 * p.coupling_g), 200)
+    ts = np.linspace(0.0, math.pi / (4.0 * p.coupling_g), 200)
     mags = np.abs(envelope(ts, uniform(p), 1.0 + 0j))
     assert np.all(np.diff(mags) <= 1e-15)
 
@@ -241,7 +241,7 @@ def test_envelope_dispersed_reduces_to_uniform():
 def test_envelope_dispersed_first_peak_suppression():
     p = mk(n=1000, dg=0.0045)  # delta_g/g = 0.05
     cv = sample_couplings(p, seed=1)
-    t1 = math.pi * p.hbar / (2.0 * p.coupling_g)
+    t1 = math.pi / (2.0 * p.coupling_g)
     peak = abs(envelope(t1, cv, 1.0 + 0j))
     formula = math.exp(log_recurrence_height_dispersed(p))
     assert formula == pytest.approx(math.exp(-12.337005501), rel=1e-6)
@@ -393,7 +393,7 @@ def test_zeta_free_evolution_matches_trig():
     p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=0.0,
                     debye_cutoff=0.1)
     traj = integrate_zeta_short_time(p, t_max=9.0, rtol=1e-11, atol=1e-13)
-    angles = 2.0 * p.coupling_g * traj.times / p.hbar
+    angles = 2.0 * p.coupling_g * traj.times
     assert np.max(np.abs(traj.zeta0 - np.cos(angles))) < 1e-10
     assert np.max(np.abs(traj.zetaz - 1j * np.sin(angles))) < 1e-10
     assert traj.zeta0[0] == 1.0 + 0j and traj.zetaz[0] == 0j
@@ -414,7 +414,7 @@ def test_zeta_peak_damping_matches_quartic_law():
     tau2 = decay_time_bath(p)
     assert tau2 < 1.0 / p.debye_cutoff
     traj = integrate_zeta_short_time(p, t_max=tau2, rtol=1e-12, atol=1e-14)
-    om = 2.0 * p.coupling_g / p.hbar
+    om = 2.0 * p.coupling_g
     checked = 0
     for k in range(1, 20):
         tk = k * math.pi / om
@@ -490,21 +490,21 @@ def test_kernel_detailed_balance():
 
 
 def test_spectral_density_regime_edges_match_closed_form():
-    # omega [coth(hbar omega/2T) - 1] exp(-|omega|/Gamma) on both sides of the
-    # series (|x| < 1e-8) and overflow (x > 700) switches; coth - 1 ~ e^-700
-    # cancels ~305 digits, so mpmath works at 400
+    # omega [coth(omega/2T) - 1] exp(-|omega|/Gamma) (hbar = 1) on both sides
+    # of the series (|x| < 1e-8) and overflow (x > 700) switches, x = omega/T;
+    # coth - 1 ~ e^-700 cancels ~305 digits, so mpmath works at 400
     import mpmath
 
-    temp, gam, hbar = 0.7, 1e4, 1.3
+    temp, gam = 0.7, 1e4
     xs = np.array([-1e-9, 1e-9, -1e-7, 1e-7, 699.0, 701.0, -699.0, -701.0])
-    omegas = xs * temp / hbar
-    got = spectral_density(omegas, temp, gam, hbar)
+    omegas = xs * temp
+    got = spectral_density(omegas, temp, gam)
     with mpmath.workdps(400):
         for w, val in zip(omegas, got):
             w = mpmath.mpf(float(w))
-            ref = w * (mpmath.coth(hbar * w / (2 * temp)) - 1) * mpmath.exp(-abs(w) / gam)
+            ref = w * (mpmath.coth(w / (2 * temp)) - 1) * mpmath.exp(-abs(w) / gam)
             assert val == pytest.approx(float(ref), rel=1e-13, abs=0.0)
-    assert isinstance(spectral_density(float(omegas[0]), temp, gam, hbar), float)
-    assert spectral_density(0.0, temp, gam, hbar) == 2.0 * temp / hbar
+    assert isinstance(spectral_density(float(omegas[0]), temp, gam), float)
+    assert spectral_density(0.0, temp, gam) == 2.0 * temp
     zero_t = spectral_density(np.array([-2.0, 0.0, 3.0]), 0.0, gam)
     assert zero_t.tolist() == [4.0 * math.exp(-2.0 / gam), 0.0, 0.0]

@@ -66,7 +66,7 @@ def test_rhs_series_matches_exact_near_removable_point():
         got = registration_rhs(m, +1, p)
         if exact is not None and abs(h / p.temperature) > 1e-12:
             assert got == pytest.approx(exact, rel=1e-6, abs=1e-18)
-    # exactly at the removable point: limit value -(gamma/hbar) m T
+    # exactly at the removable point: limit value -(gamma/hbar) m T, hbar = 1
     got = registration_rhs(m_zero, +1, p)
     assert got == pytest.approx(-p.gamma * m_zero * p.temperature, rel=1e-8)
 
@@ -76,7 +76,7 @@ def test_rhs_bottleneck_minimum():
     p = mk(T=0.05, g=1.2 * critical_coupling(mk(T=0.05, g=0.01)))
     gc = critical_coupling(p)
     ms = np.linspace(1e-4, 0.5, 20001)
-    rates = np.array([registration_rhs(m, +1, p) for m in ms]) * p.hbar / p.gamma
+    rates = np.array([registration_rhs(m, +1, p) for m in ms]) / p.gamma
     i = int(np.argmin(rates))
     assert rates[i] == pytest.approx(p.coupling_g - gc, rel=0.05)
     assert ms[i] ** 2 == pytest.approx(p.temperature / 3.0, rel=0.05)
@@ -86,7 +86,7 @@ def test_rhs_barrier_top_value():
     # local maximum of the scaled rate near m = 3/4 approaches 27J/256
     p = mk(T=0.02, g=1.0001 * critical_coupling(mk(T=0.02, g=0.001)))
     ms = np.linspace(0.5, 0.95, 20001)
-    rates = np.array([registration_rhs(m, +1, p) for m in ms]) * p.hbar / p.gamma
+    rates = np.array([registration_rhs(m, +1, p) for m in ms]) / p.gamma
     i = int(np.argmax(rates))
     assert rates[i] == pytest.approx(27.0 / 256.0, rel=0.05)
     assert ms[i] == pytest.approx(0.75, abs=0.01)
@@ -354,7 +354,7 @@ def test_crossing_time_matches_exact_quadrature():
 
     def inverse_rate(m):
         h = p.coupling_g + p.coupling_j * m**3
-        return p.hbar / (p.gamma * h * (1 - m / mpmath.tanh(h / p.temperature)))
+        return 1 / (p.gamma * h * (1 - m / mpmath.tanh(h / p.temperature)))
 
     threshold = registration_threshold(p)
     bottleneck = math.sqrt(p.temperature / (3.0 * p.coupling_j))
