@@ -41,9 +41,9 @@ p = cw.ModelParams(n_spins=100000, coupling_g=0.09, temperature=T,
 mf = cw.stationary_magnetizations(+1, p).ferromagnetic.m
 print(f"  m_f(T=0.34, g=0.09) = {mf:.4f}")
 
-gap = cw.ferromagnetic_gap(cw.ModelParams(n_spins=1000, coupling_g=0.0,
-                                          temperature=0.2, gamma=1e-3,
-                                          debye_cutoff=50.0))
+p_cold = cw.ModelParams(n_spins=1000, coupling_g=0.0, temperature=0.2, gamma=1e-3,
+                        debye_cutoff=50.0)
+gap = cw.ferromagnetic_gap(cw.stationary_magnetizations(+1, p_cold), p_cold)
 print(f"\nLow-T saturation: 1 - m_f = {gap.gap:.3e} vs asymptote "
       f"2 exp(-2J/T) = {gap.asymptote:.3e} at T = 0.2")
 

@@ -56,7 +56,6 @@ from .scenario import (
     RunConfig,
     ScenarioReport,
     assemble_final_state,
-    born_probabilities,
     entropy_budget,
     pointer_correlation,
     run_scenario,
@@ -103,7 +102,6 @@ __all__ = [
     "RunConfig",
     "ScenarioReport",
     "assemble_final_state",
-    "born_probabilities",
     "entropy_budget",
     "pointer_correlation",
     "run_scenario",

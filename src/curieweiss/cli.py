@@ -8,14 +8,13 @@ checksummed manifest.  Outputs are byte-deterministic for a given config
 and seed.
 
 Exit status: 0 completed, 1 error, 2 measurement failed (trapped sector),
-3 not a measurement (g = 0 or no bath).
+3 not a measurement (g = 0, or no bath: gamma = 0 or bath = off).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -23,9 +22,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
+from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
 from .model import validate_regime
-from . import offdiag, output, registration, scenario, statics
+from . import offdiag, output, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
@@ -56,15 +55,13 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
                                       ["m", "free_energy", "kind", "label"],
                                       [output.column(c) for c in zip(*rows)]))
         summary[f"global_minimum_{name}"] = scape.points[scape.global_minimum].m
-    try:
-        summary["critical_g"] = statics.critical_coupling(params)
-    except SpinodalUndefined as exc:
-        summary["critical_g"] = None
-        summary["critical_g_error"] = f"SpinodalUndefined: {exc}"
+    summary["critical_g"], error = scenario.critical_g(params)
+    if error is not None:
+        summary["critical_g_error"] = error
     summary["curie_temperature"] = statics.curie_temperature(params)
     try:
         summary["m_ferromagnetic"] = scapes["up"].ferromagnetic.m
-        est = statics._gap_from_landscape(scapes["up"], params)
+        est = statics.ferromagnetic_gap(scapes["up"], params)
         summary["ferromagnetic_gap"] = {
             "gap": est.gap, "asymptote_2exp_minus_2j_over_t": est.asymptote,
         }
@@ -80,17 +77,14 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     cfg = cfg.resolved()
     params, echo_at = cfg.params, args.echo_at
-    if params.coupling_g == 0:
-        raise ConfigError("collapse requires a nonzero coupling g")
-    traj, couplings = scenario.collapse_run(cfg, cfg.t_max)
+    traj = scenario.collapse_run(cfg, cfg.t_max)
     timescales = scenario.collapse_timescales(cfg)
     payload = {"config": scenario.config_payload(cfg), "timescales": timescales}
 
     files = []
     if echo_at is not None:
         # spin_echo rejects a bad pulse time before the first file is written
-        if couplings is None:
-            couplings = offdiag.sample_couplings(params, cfg.seed)
+        couplings = offdiag.sample_couplings(params, cfg.seed)
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times)
         payload["pulse_time"] = echo_at
         revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at])
@@ -107,10 +101,9 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     cfg = cfg.resolved()
     params = cfg.params
-    if params.gamma == 0:
-        raise ConfigError("registration requires the bath (gamma > 0)")
-    if params.coupling_g == 0:
-        raise ConfigError("registration requires a nonzero coupling g")
+    reason = scenario.why_not_a_measurement(params, cfg.bath)
+    if reason is not None:
+        raise ConfigError(f"nothing to register: {reason}")
     up, down = scenario.sector_runs(params, cfg.t_max)
     files = scenario.write_sectors(out_dir, (up, down), params)
     output.write_manifest(out_dir, {
@@ -159,53 +152,8 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     if len(set(keys)) < len(keys):
         raise ConfigError(f"sweep axis {keys[0]!r} given twice")
 
-    points = []
-    for values in itertools.product(*grids):
-        try:
-            points.append((values, replace(cfg.params, **dict(zip(keys, values)))))
-        except ConfigError:
-            points.append((values, None))
-    # without t_max the up flow from m = 0 ends at the first stationary point
-    # above it: one array bisection over the grid, no trajectory per point
-    measured = [(p.coupling_g, p.temperature, p.coupling_j) for _, p in points
-                if p is not None and p.coupling_g != 0 and p.gamma != 0]
-    ends = iter(statics.first_stationary_up(*np.reshape(measured, (-1, 3)).T)
-                if cfg.t_max is None else ())
-
     header = [*keys, "outcome", "critical_g", "tau_reg", "m_final"]
-    rows = []
-    for values, params in points:
-        if params is None:
-            rows.append(list(values) + ["invalid-params", None, None, None])
-            continue
-        try:
-            g_c = statics.critical_coupling(params)
-        except SpinodalUndefined:
-            g_c = None
-        tau_reg = None
-        if params.coupling_g == 0 or params.gamma == 0:
-            # no flow from m = 0: the rate there is exactly 0
-            outcome, m_final = "not-a-measurement", 0.0
-        else:
-            if cfg.t_max is None:
-                m_attr = float(next(ends))
-                registered = statics._label_point(m_attr) is not statics.PointLabel.PARAMAGNETIC
-                # integrate_registration's last node; m = 0 within the stop distance
-                m_final = max(m_attr - registration.STOP_DELTA, 0.0)
-            else:
-                up = registration.integrate_registration(+1, params, cfg.t_max)
-                registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
-                m_final = up.m_final
-            outcome = "registered" if registered else "failed"
-            if registered:
-                try:
-                    tau_reg = registration.registration_time_quadrature(params)
-                except CurieWeissError:  # no spinodal, or g not above the low-T g_c
-                    pass
-            if not validate_regime(params, margin=cfg.margin).overall_valid:
-                outcome += "/invalid-regime"
-        rows.append(list(values) + [outcome, g_c, tau_reg, m_final])
-
+    rows = scenario.sweep_rows(cfg, keys, grids)
     table = output.write_csv(os.path.join(out_dir, "sweep.csv"), header,
                              [output.column(c) for c in zip(*rows)])
     output.write_manifest(out_dir, {

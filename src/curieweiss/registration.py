@@ -183,7 +183,7 @@ def integrate_registration(
     order = np.argsort(direction * ends)
     m, times = np.append(m0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
     terminal = (TerminalKind.TRAPPED_PARAMAGNETIC
-                if statics._label_point(m_attr) is statics.PointLabel.PARAMAGNETIC
+                if statics.label_point(m_attr) is statics.PointLabel.PARAMAGNETIC
                 else TerminalKind.CONVERGED_FERRO)
     if t_max is not None and times[-1] > t_max:
         k = int(np.searchsorted(times, t_max)) - 1  # times[k] < t_max <= times[k + 1]

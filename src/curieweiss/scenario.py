@@ -9,6 +9,7 @@ and the entropy budget of the whole process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
@@ -42,32 +43,27 @@ LN2 = math.log(2.0)
 LN10 = math.log(10.0)
 
 
-# --- Born rule and simple state functionals ---------------------------------
+# --- state entropies -----------------------------------------------------------
 
 
-def born_probabilities(state: SystemState2x2) -> tuple[float, float]:
-    """Outcome probabilities: traces against the up/down eigenprojections."""
-    return state.r_uu, state.r_dd
+def _binary_entropy(p: float, q: float) -> float:
+    """-p ln p - q ln q in nats, a vanishing weight contributing 0."""
+    s = 0.0
+    for x in (p, q):
+        if x > 1e-300:
+            s -= x * math.log(x)
+    return s
 
 
 def state_entropy(state: SystemState2x2) -> float:
     """Von Neumann entropy of the 2x2 state, in nats."""
     half_gap = math.sqrt(0.25 * (state.r_uu - state.r_dd) ** 2 + abs(state.r_ud) ** 2)
-    lam = (0.5 + half_gap, 0.5 - half_gap)
-    s = 0.0
-    for p in lam:
-        if p > 1e-300:
-            s -= p * math.log(p)
-    return s
+    return _binary_entropy(0.5 + half_gap, 0.5 - half_gap)
 
 
 def dephased_entropy(state: SystemState2x2) -> float:
     """Entropy of the state with off-diagonals removed (binary entropy)."""
-    s = 0.0
-    for p in (state.r_uu, state.r_dd):
-        if p > 1e-300:
-            s -= p * math.log(p)
-    return s
+    return _binary_entropy(state.r_uu, state.r_dd)
 
 
 # --- final state -------------------------------------------------------------
@@ -75,10 +71,10 @@ def dephased_entropy(state: SystemState2x2) -> float:
 
 @dataclass(frozen=True)
 class Branch:
-    """One exclusive outcome: weight, projected system block, pointer value."""
+    """One exclusive outcome: its weight and pointer value; the system is left
+    in the outcome's eigenprojection."""
 
     weight: float
-    system_block: SystemState2x2
     pointer: float
 
 
@@ -96,45 +92,29 @@ class FinalState:
 
 def assemble_final_state(
     state: SystemState2x2,
-    params: ModelParams,
-    seed: int = 0,
-    sector_up: registration.MagnetizationTrajectory | None = None,
-    sector_down: registration.MagnetizationTrajectory | None = None,
-    t_final: float | None = None,
+    sector_up: registration.MagnetizationTrajectory,
+    sector_down: registration.MagnetizationTrajectory,
+    collapse: offdiag.OffDiagTrajectory,
 ) -> FinalState:
-    """Post-measurement state: two exclusive branches and the dead off-diagonal.
+    """Post-measurement state from a run's own stage results: two exclusive
+    branches and the dead off-diagonal.
 
-    Registration must succeed in both sectors; the final time, unless given,
-    is max(3 tau_reg, both sector stop times), late enough that every
-    reported residual is astronomically small.  Where tau_reg is undefined
-    (no spinodal above T = 3J/4) the sector stop times alone set it.
+    Registration must have succeeded in both sectors.  The branch weights are
+    the initial diagonals (the Born rule), the pointers the sectors' final
+    magnetizations; t_final and the residual are the collapse's last sample.
     """
     validate_state(state)
-    if sector_up is None or sector_down is None:
-        up, down = sector_runs(params, None)
-    else:
-        up, down = sector_up, sector_down
-    for traj in (up, down):
+    for traj in (sector_up, sector_down):
         if traj.terminal is not registration.TerminalKind.CONVERGED_FERRO:
             raise MeasurementFailed(
                 f"sector {traj.field_sign:+d} ended {traj.terminal.value} "
                 f"at m = {traj.m_final:.4f}"
             )
-    if t_final is None:
-        t_final = _registration_end(registration_times(params)["tau_reg_quadrature"], up, down)
-
-    p_up, p_down = born_probabilities(state)
-    branches = (
-        Branch(weight=p_up, system_block=SystemState2x2(1.0, 0.0, 0j), pointer=up.m_final),
-        Branch(weight=p_down, system_block=SystemState2x2(0.0, 1.0, 0j), pointer=down.m_final),
-    )
     return FinalState(
-        branches=branches,
-        log10_offdiag_residual=float(offdiag.offdiag_trajectory(
-            params, state.r_ud, np.array([t_final]),
-            couplings=offdiag.sample_couplings(params, seed),
-        ).log10_abs[0]),
-        t_final=t_final,
+        branches=(Branch(weight=state.r_uu, pointer=sector_up.m_final),
+                  Branch(weight=state.r_dd, pointer=sector_down.m_final)),
+        log10_offdiag_residual=float(collapse.log10_abs[-1]),
+        t_final=float(collapse.times[-1]),
     )
 
 
@@ -305,6 +285,31 @@ class ScenarioReport:
 # Every CLI command selects some of these stages; run_scenario chains them all.
 
 
+def why_not_a_measurement(params: ModelParams, bath: bool | None) -> str | None:
+    """Why a run at params with the run key ``bath`` (None: unset) measures
+    nothing, or None when it is a measurement: the spin must couple to the
+    pointer (g > 0), and the bath must let the magnet relax (gamma > 0 and
+    the bath not switched off)."""
+    if params.coupling_g == 0:
+        return "no system-apparatus coupling (g = 0): nothing is measured"
+    if params.gamma == 0:
+        # dispersion alone kills the off-diagonal blocks but cannot relax the
+        # magnet: the diagonal sectors never register without the bath
+        return ("no bath (gamma = 0): off-diagonal blocks die but the magnet "
+                "cannot relax, so nothing is registered")
+    if bath is False:
+        return "bath switched off (bath = off): the magnet cannot relax, so nothing is registered"
+    return None
+
+
+def critical_g(params: ModelParams) -> tuple[float | None, str | None]:
+    """(g_c, None), or (None, the error) where T >= 3J/4 leaves no spinodal."""
+    try:
+        return statics.critical_coupling(params), None
+    except SpinodalUndefined as exc:
+        return None, f"SpinodalUndefined: {exc}"
+
+
 def collapse_timescales(cfg: RunConfig) -> dict:
     """Reduction time, plus decay time and log10 first-recurrence height of
     each damping mechanism the resolved config switches on."""
@@ -322,26 +327,27 @@ def collapse_timescales(cfg: RunConfig) -> dict:
 
 
 def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
+    """cfg.samples times from 0 to exactly t_hi; a log grid puts all but the
+    first geometrically from 1e-4 t_hi (two samples: 0 and t_hi)."""
     if cfg.spacing == "linear":
         return np.linspace(0.0, t_hi, cfg.samples)
-    t_lo = t_hi * 1e-4
-    grid = np.geomspace(t_lo, t_hi, cfg.samples - 1)
-    return np.concatenate([[0.0], grid])
+    grid = np.geomspace(t_hi * 1e-4, t_hi, cfg.samples - 1)
+    return np.concatenate([[0.0], grid[:-1], [t_hi]])
 
 
-def collapse_run(cfg: RunConfig, t_hi: float | None):
+def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajectory:
     """Off-diagonal trajectory of the resolved config on its grid up to t_hi
-    (None: 1.2 pi hbar/g); returns it with the sampled couplings, which are
-    None without dispersion."""
+    (None: 1.2 pi hbar/g); g = 0 has no collapse to run."""
     params = cfg.params
+    if params.coupling_g == 0:
+        raise ConfigError("collapse requires a nonzero coupling g")
     if t_hi is None:
         t_hi = 1.2 * math.pi / params.coupling_g
-    couplings = offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None
-    traj = offdiag.offdiag_trajectory(
-        params, cfg.state.r_ud, _time_grid(cfg, t_hi), couplings=couplings,
+    return offdiag.offdiag_trajectory(
+        params, cfg.state.r_ud, _time_grid(cfg, t_hi),
+        couplings=offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None,
         include_bath=cfg.bath,
     )
-    return traj, couplings
 
 
 def sector_runs(params: ModelParams, t_max: float | None,
@@ -401,50 +407,82 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     """Execute the full measurement pipeline for one configuration.
 
     A trapped sector reports status "measurement_failed" rather than raising;
-    g = 0 (no coupling) and gamma = 0 (no bath, hence no registration) are
-    reported as "not_a_measurement".  :func:`write_run` persists the report.
+    a run that :func:`why_not_a_measurement` rejects reports
+    "not_a_measurement", with the collapse alone where g > 0.
+    :func:`write_run` persists the report.
     """
     cfg = config.resolved()
     params, state = cfg.params, cfg.state
-    try:
-        g_c = statics.critical_coupling(params)
-    except SpinodalUndefined:
-        g_c = None
     report = ScenarioReport(
-        status="not_a_measurement",
-        reason="no system-apparatus coupling (g = 0): nothing is measured",
+        status="not_a_measurement", reason=why_not_a_measurement(params, cfg.bath),
         regime=validate_regime(params, margin=cfg.margin),
         landscape_up=statics.stationary_magnetizations(+1, params),
-        critical_g=g_c, timescales=None, offdiag=None, sector_up=None,
+        critical_g=critical_g(params)[0], timescales=None, offdiag=None, sector_up=None,
         sector_down=None, final_state=None, entropy=None, config=cfg,
     )
     if params.coupling_g == 0:
         return report
     timescales = dict.fromkeys(f.name for f in fields(Timescales))
     timescales.update(collapse_timescales(cfg))
-    if not cfg.bath:
-        # dispersion alone kills the off-diagonal blocks but cannot relax the
-        # magnet: the diagonal sectors never register without the bath
-        return replace(
-            report,
-            reason="no bath (gamma = 0): off-diagonal blocks die but the "
-                   "magnet cannot relax, so nothing is registered",
-            timescales=Timescales(**timescales), offdiag=collapse_run(cfg, cfg.t_max)[0],
-        )
+    if report.reason is not None:
+        return replace(report, timescales=Timescales(**timescales),
+                       offdiag=collapse_run(cfg, cfg.t_max))
     timescales.update(registration_times(params))
     up, down = sector_runs(params, cfg.t_max, report.landscape_up)
-    t_hi = _registration_end(timescales["tau_reg_quadrature"], up, down)
-    report = replace(
-        report, timescales=Timescales(**timescales), offdiag=collapse_run(cfg, t_hi)[0],
-        sector_up=up, sector_down=down,
-    )
+    collapse = collapse_run(cfg, _registration_end(timescales["tau_reg_quadrature"], up, down))
+    report = replace(report, timescales=Timescales(**timescales), offdiag=collapse,
+                     sector_up=up, sector_down=down)
     try:
-        final = assemble_final_state(state, params, seed=cfg.seed, sector_up=up,
-                                     sector_down=down, t_final=t_hi)
+        final = assemble_final_state(state, up, down, collapse)
     except MeasurementFailed as exc:
         return replace(report, status="measurement_failed", reason=str(exc))
     return replace(report, status="completed", reason=None, final_state=final,
                    entropy=entropy_budget(state, params, final))
+
+
+def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
+    """One row [*values, outcome, g_c, tau_reg, m_final] per point of the
+    product of the axis grids, each axis setting the parameter of its key.
+
+    A point whose parameters ModelParams rejects is "invalid-params".  One
+    that is not a measurement has m_final = 0: the rate at m = 0 is exactly
+    0 there, so no flow leaves it.  Without t_max the up flow from m = 0 ends
+    at the first stationary point above it: one array bisection over the
+    measured points, no trajectory per point.
+    """
+    points = []
+    for values in itertools.product(*grids):
+        try:
+            p = replace(cfg.params, **dict(zip(keys, values)))
+        except ConfigError:
+            p = None
+        points.append((values, p, p is not None and why_not_a_measurement(p, cfg.bath) is None))
+    measured = [(p.coupling_g, p.temperature, p.coupling_j) for _, p, ok in points if ok]
+    ends = iter(statics.first_stationary_up(*np.reshape(measured, (-1, 3)).T)
+                if cfg.t_max is None else ())
+    rows = []
+    for values, p, measurement in points:
+        if p is None:
+            rows.append([*values, "invalid-params", None, None, None])
+            continue
+        if not measurement:
+            rows.append([*values, "not-a-measurement", critical_g(p)[0], None, 0.0])
+            continue
+        if cfg.t_max is None:
+            m_attr = float(next(ends))
+            registered = statics.label_point(m_attr) is not statics.PointLabel.PARAMAGNETIC
+            # integrate_registration's last node; m = 0 within the stop distance
+            m_final = max(m_attr - registration.STOP_DELTA, 0.0)
+        else:
+            up = registration.integrate_registration(+1, p, cfg.t_max)
+            registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
+            m_final = up.m_final
+        outcome = "registered" if registered else "failed"
+        if not validate_regime(p, margin=cfg.margin).overall_valid:
+            outcome += "/invalid-regime"
+        tau_reg = registration_times(p)["tau_reg_quadrature"] if registered else None
+        rows.append([*values, outcome, critical_g(p)[0], tau_reg, m_final])
+    return rows
 
 
 # --- persistence ---------------------------------------------------------------
@@ -561,10 +599,9 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         payload["final_state"] = {
             "t_final": fs.t_final,
             "log10_offdiag_residual": fs.log10_offdiag_residual,
-            "branches": [
-                {"weight": b.weight, "pointer": b.pointer,
-                 "r_uu": b.system_block.r_uu, "r_dd": b.system_block.r_dd}
-                for b in fs.branches
+            "branches": [  # each leaves the system in its eigenprojection
+                {"weight": b.weight, "pointer": b.pointer, "r_uu": r_uu, "r_dd": 1.0 - r_uu}
+                for b, r_uu in zip(fs.branches, (1.0, 0.0))
             ],
             "pointer_variance": list(pointer_correlation(fs, params)),
         }

@@ -193,9 +193,10 @@ def first_stationary_up(g, t, j) -> np.ndarray:
     return np.clip(_bisect_each(f, a, b, fa), -_BELOW_ONE, _BELOW_ONE)
 
 
-def _label_point(m: float) -> PointLabel:
-    # location rule: the two curvature roots satisfy m-^2 + m+^2 = 1, so
-    # |m| = 1/sqrt(2) always separates the central well from the ferro wells
+def label_point(m: float) -> PointLabel:
+    """Basin of a stationary point, by location: the two curvature roots
+    satisfy m-^2 + m+^2 = 1, so |m| = 1/sqrt(2) always separates the central
+    well from the ferromagnetic wells."""
     if m > math.sqrt(0.5):
         return PointLabel.FERRO_UP
     if m < -math.sqrt(0.5):
@@ -238,7 +239,7 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
             m=r,
             free_energy=float(free_energy(r, s, params)),
             kind=PointKind.MINIMUM if free_energy_curvature(r, params) > 0 else PointKind.MAXIMUM,
-            label=_label_point(r),
+            label=label_point(r),
         )
         for r in roots
     )
@@ -293,18 +294,14 @@ class GapEstimate:
     asymptote: float
 
 
-def ferromagnetic_gap(params: ModelParams) -> GapEstimate:
-    """Distance of the ferromagnetic fixed point from saturation.
+def ferromagnetic_gap(up: Landscape, params: ModelParams) -> GapEstimate:
+    """Distance of the ferromagnetic fixed point of the up landscape ``up``,
+    scanned at params, from saturation.
 
     The asymptote follows from 1 - tanh(x) -> 2 e^{-2x} applied to the
     self-consistency condition at m -> 1 with g = 0; it is only meaningful
     when params.coupling_g is zero or negligible.
     """
-    return _gap_from_landscape(stationary_magnetizations(+1, params), params)
-
-
-def _gap_from_landscape(up: Landscape, params: ModelParams) -> GapEstimate:
-    """GapEstimate of an up landscape already scanned at params."""
     asym = 2.0 * math.exp(-2.0 * params.coupling_j / params.temperature)
     return GapEstimate(gap=1.0 - up.ferromagnetic.m, asymptote=asym)
 

@@ -198,8 +198,50 @@ def test_register_rejects_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, coupling_g=0.0)
     out = tmp_path / "register_g0"
     assert main(["register", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "error: registration requires a nonzero coupling g" in capsys.readouterr().err
+    assert "error: nothing to register: no system-apparatus coupling (g = 0)" in (
+        capsys.readouterr().err)
     assert not out.exists()  # a rejected command leaves no run directory
+
+
+# --- one measurement verdict: g > 0 and a bath that is on --------------------
+
+
+@pytest.fixture()
+def bath_off_cfg(tmp_path):
+    path = tmp_path / "bath_off.cfg"
+    path.write_text(REFERENCE_CFG.read_text() + "bath = off\n")
+    return path
+
+
+def test_register_rejects_bath_off(bath_off_cfg, tmp_path, capsys):
+    out = tmp_path / "register_off"
+    assert main(["register", "--config", str(bath_off_cfg), "--out", str(out)]) == 1
+    assert "error: nothing to register: bath switched off (bath = off)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_sweep_bath_off_measures_nothing(bath_off_cfg, tmp_path):
+    out = tmp_path / "sweep_off"
+    assert main(["sweep", "--config", str(bath_off_cfg), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.2:4", "--sweep", "temperature=0.2:0.4:3"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    for _, _, outcome, _, tau_reg, m_final in rows:
+        assert (outcome, tau_reg, m_final) == ("not-a-measurement", "None", "0.0")
+
+
+def test_scenario_reason_names_the_bath_toggle(bath_off_cfg, tmp_path):
+    out = tmp_path / "scn_off"
+    assert main(["scenario", "--config", str(bath_off_cfg), "--out", str(out)]) == 3
+    reason = load_manifest(out)["reason"]
+    assert "bath = off" in reason and "gamma = 0" not in reason
+    out = tmp_path / "scn_gamma0"
+    assert main(["scenario", "--config", str(write_cfg(tmp_path, gamma=0.0)),
+                 "--out", str(out)]) == 3
+    assert load_manifest(out)["reason"] == (
+        "no bath (gamma = 0): off-diagonal blocks die but the magnet cannot relax, "
+        "so nothing is registered")
 
 
 def test_register_failure_outcome(tmp_path):

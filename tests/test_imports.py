@@ -5,7 +5,8 @@ every scipy module it imported.  The macroscopic runs, at N = 1e12 with a
 coupling spread, also show that no command holds an array of size N.
 Importing the CLI builds no argument parser: that is left to the first
 command.  hbar = 1 is fixed in the code, so no module names it outside
-docstrings and comments."""
+docstrings and comments.  The CLI is a front end to the package's public
+names: it reaches no private name of another module."""
 
 import ast
 import json
@@ -53,6 +54,28 @@ def test_no_module_takes_or_reads_hbar():
     offenders = [f"{path.name}: {use}" for path in modules
                  for use in _hbar_uses(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _private_uses(tree):
+    """Private names taken from a sibling module: ``from .m import _x`` or
+    ``m._x`` for a module m bound by ``from . import m``."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    yield f"from .{node.module} import {alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr} at line {node.lineno}"
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    tree = ast.parse((ROOT / "src" / "curieweiss" / "cli.py").read_text())
+    assert list(_private_uses(tree)) == []
 
 
 _PROBE = """

@@ -5,27 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curieweiss import offdiag, registration
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
     Branch,
     FinalState,
     RunConfig,
+    _registration_end,
+    _time_grid,
     assemble_final_state,
-    born_probabilities,
+    collapse_run,
     config_payload,
     dephased_entropy,
     entropy_budget,
     load_run_config,
     pointer_correlation,
     run_scenario,
+    sector_runs,
     state_entropy,
+    why_not_a_measurement,
     write_run,
 )
 
 REF_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34,
                          gamma=1e-3, debye_cutoff=50.0)
 PLUS = SystemState2x2(0.5, 0.5, 0.5 + 0j)
+UP = SystemState2x2(1.0, 0.0, 0j)
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
 
@@ -39,27 +45,38 @@ def random_state(rng, force_diagonal=False):
     return SystemState2x2(r_uu, 1.0 - r_uu, complex(r_ud))
 
 
-# --- Born rule ----------------------------------------------------------------
-
-
-def test_born_eigenstate():
-    assert born_probabilities(SystemState2x2(1.0, 0.0, 0j)) == (1.0, 0.0)
-
-
-def test_born_ignores_offdiagonals():
-    assert born_probabilities(PLUS) == (0.5, 0.5)
-
-
-def test_born_trace_rule():
-    assert born_probabilities(SystemState2x2(0.3, 0.7, 0j)) == (0.3, 0.7)
-
-
-# --- final state -----------------------------------------------------------------
+def final_state(state, params=REF_PARAMS):
+    """The final state of a full run from state at params."""
+    return run_scenario(RunConfig(params=params, state=state)).final_state
 
 
 @pytest.fixture(scope="module")
 def final_plus():
-    return assemble_final_state(PLUS, REF_PARAMS)
+    return final_state(PLUS)
+
+
+def assemble(state, up, down, t_hi):
+    """assemble_final_state from the given sectors and the collapse of state up to t_hi."""
+    collapse = collapse_run(RunConfig(params=REF_PARAMS, state=state).resolved(), t_hi)
+    return assemble_final_state(state, up, down, collapse)
+
+
+# --- Born rule ----------------------------------------------------------------
+
+
+def test_born_eigenstate():
+    assert final_state(UP).weights == (1.0, 0.0)
+
+
+def test_born_ignores_offdiagonals(final_plus):
+    assert final_plus.weights == (0.5, 0.5)
+
+
+def test_born_trace_rule():
+    assert final_state(SystemState2x2(0.3, 0.7, 0j)).weights == (0.3, 0.7)
+
+
+# --- final state -----------------------------------------------------------------
 
 
 def test_final_state_reference(final_plus):
@@ -67,8 +84,6 @@ def test_final_state_reference(final_plus):
     up, down = final_plus.branches
     assert up.pointer == pytest.approx(0.9965, abs=1e-3)
     assert down.pointer == pytest.approx(-up.pointer, abs=1e-9)
-    assert up.system_block.r_uu == 1.0 and up.system_block.r_ud == 0j
-    assert down.system_block.r_dd == 1.0
 
 
 def test_final_state_offdiag_residual_dead(final_plus):
@@ -76,7 +91,7 @@ def test_final_state_offdiag_residual_dead(final_plus):
 
 
 def test_final_state_pure_input():
-    fs = assemble_final_state(SystemState2x2(1.0, 0.0, 0j), REF_PARAMS)
+    fs = final_state(UP)
     assert fs.weights == (1.0, 0.0)
     assert fs.branches[0].pointer > 0.99
     assert fs.log10_offdiag_residual == -math.inf
@@ -84,14 +99,13 @@ def test_final_state_pure_input():
 
 def test_final_state_same_for_same_diagonals():
     # off-diagonal content does not reach the outcome statistics
-    a = assemble_final_state(SystemState2x2(0.3, 0.7, 0.2j), REF_PARAMS)
-    b = assemble_final_state(SystemState2x2(0.3, 0.7, 0j), REF_PARAMS)
+    a = final_state(SystemState2x2(0.3, 0.7, 0.2j))
+    b = final_state(SystemState2x2(0.3, 0.7, 0j))
     assert a.weights == b.weights
     assert a.branches[0].pointer == b.branches[0].pointer
 
 
-def test_run_scenario_evaluates_tau_reg_once(monkeypatch, final_plus):
-    from curieweiss import registration
+def test_run_scenario_evaluates_tau_reg_once(monkeypatch):
     from curieweiss.scenario import load_run_config
 
     calls = []
@@ -101,12 +115,13 @@ def test_run_scenario_evaluates_tau_reg_once(monkeypatch, final_plus):
     report = run_scenario(load_run_config(REFERENCE_CFG))
     assert report.status == "completed"
     assert len(calls) == 1
-    # the t_final handed on equals the one assemble_final_state finds alone
-    assert report.final_state.t_final == final_plus.t_final
+    # t_final is max(3 tau_reg, both sector stop times)
+    assert report.final_state.t_final == _registration_end(
+        report.timescales.tau_reg_quadrature, report.sector_up, report.sector_down)
 
 
 def test_run_scenario_scans_each_landscape_once(monkeypatch):
-    from curieweiss import registration, statics
+    from curieweiss import statics
     from curieweiss.scenario import load_run_config
 
     signs = []
@@ -122,34 +137,50 @@ def test_run_scenario_scans_each_landscape_once(monkeypatch):
     assert np.array_equal(report.sector_up.times, alone.times)
 
 
+def test_run_scenario_runs_the_collapse_once(monkeypatch):
+    # the final residual is read from the run's own collapse, not computed again
+    calls = {"offdiag_trajectory": 0, "sample_couplings": 0}
+    for name in calls:
+        def counted(*a, _f=getattr(offdiag, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(offdiag, name, counted)
+    p = ModelParams(n_spins=2000, coupling_g=0.09, delta_g=0.0045,
+                    temperature=0.34, gamma=1e-3, debye_cutoff=50.0)
+    report = run_scenario(RunConfig(params=p, state=PLUS, samples=50))
+    assert report.status == "completed"
+    assert calls == {"offdiag_trajectory": 1, "sample_couplings": 1}
+
+
 def test_final_state_fails_below_critical():
     p = ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                     gamma=1e-3, debye_cutoff=50.0)
+    up, down = sector_runs(p, None)
+    collapse = collapse_run(RunConfig(params=p, state=PLUS).resolved(), None)
     with pytest.raises(MeasurementFailed):
-        assemble_final_state(PLUS, p)
+        assemble_final_state(PLUS, up, down, collapse)
 
 
 def test_measurement_idempotence(final_plus):
-    # feeding a branch block back reproduces that branch with probability 1
-    block = final_plus.branches[0].system_block
-    again = assemble_final_state(block, REF_PARAMS)
+    # feeding the up branch's eigenprojection back reproduces that branch
+    # with probability 1
+    again = final_state(UP)
     assert again.weights == (1.0, 0.0)
     assert again.branches[0].pointer == pytest.approx(
         final_plus.branches[0].pointer, abs=1e-12
     )
 
 
-def test_born_preserved_for_random_states(final_plus):
-    from curieweiss import registration
-
+def test_born_preserved_for_random_states():
     up = registration.integrate_registration(+1, REF_PARAMS, 6e5)
     down = registration.integrate_registration(-1, REF_PARAMS, 6e5)
     rng = np.random.default_rng(42)
     for _ in range(100):
         state = random_state(rng)
-        fs = assemble_final_state(state, REF_PARAMS, sector_up=up, sector_down=down)
+        fs = assemble(state, up, down, 6e5)
         assert abs(fs.weights[0] - state.r_uu) < 1e-12
         assert abs(fs.weights[1] - state.r_dd) < 1e-12
+        assert fs.t_final == 6e5
 
 
 # --- pointer correlation -----------------------------------------------------------
@@ -158,8 +189,8 @@ def test_born_preserved_for_random_states(final_plus):
 def test_pointer_correlation_plugin_value():
     fs = FinalState(
         branches=(
-            Branch(0.5, SystemState2x2(1.0, 0.0, 0j), 0.996),
-            Branch(0.5, SystemState2x2(0.0, 1.0, 0j), -0.996),
+            Branch(0.5, 0.996),
+            Branch(0.5, -0.996),
         ),
         log10_offdiag_residual=-100.0,
         t_final=1.0,
@@ -173,8 +204,8 @@ def test_pointer_correlation_plugin_value():
 def test_pointer_correlation_saturated_and_large_n():
     fs = FinalState(
         branches=(
-            Branch(1.0, SystemState2x2(1.0, 0.0, 0j), 1.0),
-            Branch(0.0, SystemState2x2(0.0, 1.0, 0j), -1.0),
+            Branch(1.0, 1.0),
+            Branch(0.0, -1.0),
         ),
         log10_offdiag_residual=-100.0,
         t_final=1.0,
@@ -193,7 +224,7 @@ def test_entropy_pure_superposition(final_plus):
 
 def test_entropy_diagonal_input_unchanged():
     state = SystemState2x2(0.3, 0.7, 0j)
-    fs = assemble_final_state(state, REF_PARAMS)
+    fs = final_state(state)
     budget = entropy_budget(state, REF_PARAMS, fs)
     assert budget.s_system_final == pytest.approx(budget.s_system_initial, abs=1e-13)
 
@@ -237,6 +268,9 @@ def test_run_scenario_reference_point(tmp_path):
     assert (tmp_path / "run" / "offdiag.csv").exists()
     names = {f["name"] for f in payload["files"]}
     assert "registration_up.csv" in names and "landscape.csv" in names
+    # each branch leaves the system in its eigenprojection
+    blocks = [(b["r_uu"], b["r_dd"]) for b in payload["final_state"]["branches"]]
+    assert blocks == [(1.0, 0.0), (0.0, 1.0)]
 
 
 def test_run_scenario_no_coupling():
@@ -274,13 +308,46 @@ def test_run_scenario_both_mechanisms():
 
 
 def test_final_residual_is_the_last_collapse_sample():
-    p = ModelParams(n_spins=2000, coupling_g=0.09, delta_g=0.0045,
+    # a spread this wide shows in the residual, whose bath part is ~1e18
+    p = ModelParams(n_spins=2000, coupling_g=0.2, delta_g=0.05,
                     temperature=0.34, gamma=1e-3, debye_cutoff=50.0)
-    report = run_scenario(RunConfig(params=p, state=PLUS, samples=50, seed=4))
-    assert report.status == "completed"
-    assert report.offdiag.times[-1] == report.final_state.t_final
-    assert report.final_state.log10_offdiag_residual == pytest.approx(
-        report.offdiag.log10_abs[-1], rel=1e-12)
+    for keys in ({}, {"dispersion": False}, {"samples": 2}):
+        report = run_scenario(RunConfig(params=p, state=PLUS, **{"samples": 50, "seed": 4, **keys}))
+        assert report.status == "completed"
+        assert report.offdiag.times[-1] == report.final_state.t_final
+        assert report.final_state.log10_offdiag_residual == report.offdiag.log10_abs[-1]
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+@pytest.mark.parametrize("samples", [2, 3, 400])
+def test_time_grid_ends_at_t_hi(spacing, samples):
+    cfg = RunConfig(params=REF_PARAMS, state=PLUS, samples=samples, spacing=spacing)
+    grid = _time_grid(cfg, 5.0)
+    assert len(grid) == samples
+    assert grid[0] == 0.0 and grid[-1] == 5.0
+    assert np.all(np.diff(grid) > 0)
+
+
+def test_verdict_reasons():
+    no_bath = ("no bath (gamma = 0): off-diagonal blocks die but the magnet "
+               "cannot relax, so nothing is registered")
+    assert why_not_a_measurement(REF_PARAMS, None) is None
+    assert why_not_a_measurement(REF_PARAMS, True) is None
+    assert "(g = 0)" in why_not_a_measurement(ModelParams(n_spins=10, coupling_g=0.0), None)
+    for bath in (None, False, True):
+        assert why_not_a_measurement(ModelParams(n_spins=10, coupling_g=0.09), bath) == no_bath
+    off = why_not_a_measurement(REF_PARAMS, False)
+    assert "bath = off" in off and "gamma = 0" not in off
+
+
+def test_run_scenario_bath_off():
+    # gamma > 0 but the bath switched off: nothing relaxes the magnet
+    report = run_scenario(RunConfig(params=REF_PARAMS, state=PLUS, samples=40, bath=False))
+    assert report.status == "not_a_measurement"
+    assert report.reason == why_not_a_measurement(REF_PARAMS, False)
+    assert report.sector_up is None and report.final_state is None
+    assert report.timescales.tau_2 is None
+    assert np.all(report.offdiag.bath_factor == 1.0)
 
 
 def test_run_scenario_failed_registration():

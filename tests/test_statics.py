@@ -319,27 +319,31 @@ def test_curie_temperature_is_degenerate():
 # --- ferromagnetic gap ------------------------------------------------------
 
 
+def gap(p):
+    return ferromagnetic_gap(stationary_magnetizations(+1, p), p)
+
+
 def test_gap_matches_low_t_asymptote():
-    est = ferromagnetic_gap(params(T=0.2, g=0.0))
+    est = gap(params(T=0.2, g=0.0))
     assert est.asymptote == pytest.approx(2 * math.exp(-10.0), rel=1e-14)
     assert est.gap == pytest.approx(est.asymptote, rel=0.20)
     assert est.gap == pytest.approx(9.1044e-05, rel=1e-3)
 
 
 def test_gap_at_reference_coupling():
-    est = ferromagnetic_gap(params())
+    est = gap(params())
     assert est.gap == pytest.approx(0.004, abs=0.001)
 
 
 def test_gap_vanishes_at_low_t():
-    g1 = ferromagnetic_gap(params(T=0.15, g=0.0)).gap
-    g2 = ferromagnetic_gap(params(T=0.10, g=0.0)).gap
+    g1 = gap(params(T=0.15, g=0.0)).gap
+    g2 = gap(params(T=0.10, g=0.0)).gap
     assert g2 < g1 < 1e-4
 
 
 def test_gap_error_above_spinodal():
     with pytest.raises(NoFerromagneticSolution):
-        ferromagnetic_gap(params(T=0.55, g=0.0))
+        gap(params(T=0.55, g=0.0))
 
 
 def test_landscape_table_shape():
