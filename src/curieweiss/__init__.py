@@ -46,7 +46,6 @@ from .registration import (
     asymptotic_rate,
     crossing_time,
     integrate_registration,
-    registration_rhs,
     registration_time_asymptotic,
     registration_time_quadrature,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "asymptotic_rate",
     "crossing_time",
     "integrate_registration",
-    "registration_rhs",
     "registration_time_asymptotic",
     "registration_time_quadrature",
     "EntropyBudget",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
 from .model import validate_regime
-from . import offdiag, output, scenario, statics
+from . import offdiag, output, registration, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
@@ -104,7 +104,7 @@ def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     reason = scenario.why_not_a_measurement(params, cfg.bath)
     if reason is not None:
         raise ConfigError(f"nothing to register: {reason}")
-    up, down = scenario.sector_runs(params, cfg.t_max)
+    up, down = (registration.integrate_registration(s, params, cfg.t_max) for s in (+1, -1))
     files = scenario.write_sectors(out_dir, (up, down), params)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),

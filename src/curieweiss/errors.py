@@ -50,10 +50,6 @@ class StepFailure(CurieWeissError):
     underflowed, or the registration flow does not point to an attractor."""
 
 
-class StepTooLarge(StepFailure):
-    """Requested step cannot meet the local error tolerance."""
-
-
 class QuadratureNotConverged(CurieWeissError):
     """Adaptive quadrature did not reach the requested accuracy."""
 

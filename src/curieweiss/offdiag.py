@@ -24,8 +24,6 @@ import numpy as np
 from .errors import (
     DomainError,
     NegativePulseTime,
-    StepFailure,
-    StepTooLarge,
     ValidityWindowWarning,
     ZeroBathCoupling,
     ZeroCoupling,
@@ -352,13 +350,10 @@ def integrate_zeta_short_time(
             ValidityWindowWarning,
             stacklevel=2,
         )
-    try:
-        times, states = ode.propagate(
-            lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max,
-            rtol=rtol, atol=atol, max_step=step,
-        )
-    except StepFailure as exc:
-        raise StepTooLarge(str(exc)) from exc
+    times, states = ode.propagate(
+        lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max,
+        rtol=rtol, atol=atol, max_step=step,
+    )
     return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1], params=params)
 
 

@@ -61,7 +61,8 @@ class MagnetizationTrajectory:
     #: conserved sector weight; the flow does not change it, so it stays 1
     zeta0: np.ndarray
     terminal: TerminalKind
-    #: stationary point the flow is heading to (from the statics landscape)
+    #: stationary point the flow is heading to (:func:`statics.first_stationary`,
+    #: or 0 where the rate at m = 0 vanishes)
     attractor: float
 
     def __post_init__(self):
@@ -87,31 +88,6 @@ def flow_rate(m, field_sign: int, params: ModelParams):
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = h * (1.0 - m / np.tanh(x))
     return params.gamma * np.where(np.abs(x) < 1e-8, series, exact)
-
-
-def registration_rhs(m: float, field_sign: int, params: ModelParams) -> float:
-    """Scalar form of :func:`flow_rate`; |m| must be < 1."""
-    if abs(m) >= 1.0:
-        raise DomainError(f"|m| must be < 1, got {m}")
-    return float(flow_rate(m, field_sign, params))
-
-
-def _attractor(field_sign: int, params: ModelParams, m0: float,
-               landscape: statics.Landscape | None = None) -> float:
-    """First fixed point the flow meets starting from m0, among the points of
-    the sector's landscape (scanned unless given); a root within 1e-14
-    behind m0 counts as m0 itself, since the rate there is rounding."""
-    rate0 = registration_rhs(m0, field_sign, params)
-    if rate0 == 0:
-        return m0
-    d = math.copysign(1.0, rate0)
-    if landscape is None:
-        landscape = statics.stationary_magnetizations(field_sign, params)
-    points = landscape.points
-    ahead = [p.m for p in points if d * (p.m - m0) > -1e-14]
-    if not ahead:
-        raise StepFailure(f"no fixed point {'above' if d > 0 else 'below'} m0 = {m0}")
-    return min(ahead, key=lambda r: d * r)
 
 
 def _gauss(u, w, field_sign: int, params: ModelParams):
@@ -154,34 +130,33 @@ def integrate_registration(
     field_sign: int,
     params: ModelParams,
     t_max: float | None = None,
-    m0: float = 0.0,
-    landscape: statics.Landscape | None = None,
 ) -> MagnetizationTrajectory:
-    """Trajectory (t(m_k), m_k) of a sector's magnetization from m0.
+    """Trajectory (t(m_k), m_k) of a sector's magnetization from m = 0.
 
     The flow runs to within ``STOP_DELTA`` of the stationary point it first
-    meets, whose basin decides the terminal kind: ferromagnetic ->
-    CONVERGED_FERRO, central well -> TRAPPED_PARAMAGNETIC.  Its last node is
-    the attractor minus ``STOP_DELTA`` along the flow, so without ``t_max``
-    m_final is exactly m_attr - direction * STOP_DELTA, or m0 when the
-    attractor lies within ``STOP_DELTA`` of m0.  The m_k sit
-    geometrically in the distance to it, at most 1/100 of the way apart, plus
-    the midpoints the quadrature refines.  An explicit ``t_max`` cuts the
-    trajectory at m(t_max), found by inverting t(m), and ends it
-    MAX_TIME_REACHED.  ``landscape``, the sector's stationary points at
-    these parameters, saves scanning them again.
+    meets, :func:`statics.first_stationary`, whose basin decides the terminal
+    kind: ferromagnetic -> CONVERGED_FERRO, central well ->
+    TRAPPED_PARAMAGNETIC.  Its last node is the attractor minus
+    ``STOP_DELTA`` along the flow, so without ``t_max`` m_final is exactly
+    m_attr - direction * STOP_DELTA, or 0 when the attractor lies within
+    ``STOP_DELTA`` of 0.  The m_k sit geometrically in the distance to it,
+    at most 1/100 of the way apart, plus the midpoints the quadrature
+    refines.  An explicit ``t_max`` cuts the trajectory at m(t_max), found by
+    inverting t(m), and ends it MAX_TIME_REACHED.
     """
     if t_max is not None and t_max <= 0:
         raise DomainError("t_max must be positive")
-    m_attr = _attractor(field_sign, params, m0, landscape)
-    direction = 1.0 if m_attr >= m0 else -1.0
-    gap = max(abs(m_attr - m0), STOP_DELTA)
+    # without bath or coupling (gamma g = 0) the rate at m = 0 is 0: no flow
+    moves = flow_rate(0.0, field_sign, params) != 0.0
+    m_attr = statics.first_stationary(field_sign, params) if moves else 0.0
+    direction = 1.0 if m_attr >= 0.0 else -1.0
+    gap = max(abs(m_attr), STOP_DELTA)
     n = math.ceil(_NODES_PER_DECADE * math.log10(gap / STOP_DELTA))
     d = np.union1d(np.geomspace(gap, STOP_DELTA, n + 1), np.linspace(STOP_DELTA, gap, 101))
-    nodes = np.append(m0, m_attr - direction * d[-2::-1])
+    nodes = np.append(0.0, m_attr - direction * d[-2::-1])
     ends, dt = _time_to(nodes[:-1], nodes[1:], field_sign, params)
     order = np.argsort(direction * ends)
-    m, times = np.append(m0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
+    m, times = np.append(0.0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
     terminal = (TerminalKind.TRAPPED_PARAMAGNETIC
                 if statics.label_point(m_attr) is statics.PointLabel.PARAMAGNETIC
                 else TerminalKind.CONVERGED_FERRO)

@@ -293,10 +293,9 @@ def why_not_a_measurement(params: ModelParams, bath: bool | None) -> str | None:
     if params.coupling_g == 0:
         return "no system-apparatus coupling (g = 0): nothing is measured"
     if params.gamma == 0:
-        # dispersion alone kills the off-diagonal blocks but cannot relax the
-        # magnet: the diagonal sectors never register without the bath
-        return ("no bath (gamma = 0): off-diagonal blocks die but the magnet "
-                "cannot relax, so nothing is registered")
+        # without the bath the off-diagonal blocks recur, unless dispersion
+        # damps them, and nothing relaxes the magnet: no sector registers
+        return "no bath (gamma = 0): the magnet cannot relax, so nothing is registered"
     if bath is False:
         return "bath switched off (bath = off): the magnet cannot relax, so nothing is registered"
     return None
@@ -348,15 +347,6 @@ def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajector
         couplings=offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None,
         include_bath=cfg.bath,
     )
-
-
-def sector_runs(params: ModelParams, t_max: float | None,
-                landscape_up: statics.Landscape | None = None):
-    """Registration flows of the up and down sectors from m = 0, each to its
-    attractor, or cut at t_max when that is set; the up sector's landscape
-    is scanned unless given."""
-    return (registration.integrate_registration(+1, params, t_max, landscape=landscape_up),
-            registration.integrate_registration(-1, params, t_max))
 
 
 def registration_times(params: ModelParams) -> dict:
@@ -428,7 +418,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         return replace(report, timescales=Timescales(**timescales),
                        offdiag=collapse_run(cfg, cfg.t_max))
     timescales.update(registration_times(params))
-    up, down = sector_runs(params, cfg.t_max, report.landscape_up)
+    up, down = (registration.integrate_registration(s, params, cfg.t_max) for s in (+1, -1))
     collapse = collapse_run(cfg, _registration_end(timescales["tau_reg_quadrature"], up, down))
     report = replace(report, timescales=Timescales(**timescales), offdiag=collapse,
                      sector_up=up, sector_down=down)
@@ -480,7 +470,12 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
         outcome = "registered" if registered else "failed"
         if not validate_regime(p, margin=cfg.margin).overall_valid:
             outcome += "/invalid-regime"
-        tau_reg = registration_times(p)["tau_reg_quadrature"] if registered else None
+        tau_reg = None
+        if registered:
+            try:
+                tau_reg = registration.registration_time_quadrature(p)
+            except CurieWeissError:  # undefined here, e.g. no spinodal (T >= 3J/4)
+                pass
         rows.append([*values, outcome, critical_g(p)[0], tau_reg, m_final])
     return rows
 

@@ -164,10 +164,10 @@ def first_stationary_up(g, t, j) -> np.ndarray:
     """First stationary point of F_+ above m = 0 for arrays of g > 0, T and J:
     where the up sector's registration flow from m = 0 comes to rest.
 
-    Bit for bit the point of :func:`stationary_magnetizations` nearest
-    above 0.  Its candidates, in increasing m, are the roots bracketed by
-    (-m-, m-), m-, (m-, m+), m+ and (m+, 1), or (-1, 1) without a spinodal;
-    the first that holds is bisected, all points in one array bisection.
+    Bit for bit :func:`first_stationary` of the up sector, point by point.
+    Its candidates, in increasing m, are the roots bracketed by (-m-, m-),
+    m-, (m-, m+), m+ and (m+, 1), or (-1, 1) without a spinodal; the first
+    that holds is bisected, all points in one array bisection.
     """
     g, t, j = (v.astype(float).ravel() for v in np.broadcast_arrays(g, t, j))
 
@@ -204,35 +204,64 @@ def label_point(m: float) -> PointLabel:
     return PointLabel.PARAMAGNETIC
 
 
-def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape:
-    """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
+def _brackets(target: float, params: ModelParams):
+    """f = psi - target and the brackets (a, b, f(a)) of its roots, in increasing m.
 
-    They solve psi(m) = s g.  psi is monotone between its branch edges -1,
-    -m+, -m-, m-, m+, 1 (only -1, 1 for T >= 3J/4), so each branch holds at
-    most one root, bracketed by its ends and bisected to the last bit.  An
-    edge on which psi equals s g exactly is a double root and counted once.
+    psi is monotone between its branch edges -1, -m+, -m-, m-, m+, 1 (only
+    -1, 1 for T >= 3J/4), so each branch holds at most one root, bracketed by
+    its ends where f changes sign.  An inner edge on which f is exactly 0 is
+    a double root, the bracket (edge, edge), which :func:`bisect` returns at once.
     """
-    if params.temperature <= 0:
-        raise DomainError("temperature must be positive")
-    s = int(field_sign)
-    target = s * params.coupling_g
+
+    def f(m):
+        return _psi(m, params) - target
+
     try:
         lo, hi = _curvature_roots(params)
         inner = [-hi, -lo, lo, hi]
     except SpinodalUndefined:
         inner = []
-
-    def f(m):
-        return _psi(m, params) - target
-
-    values = [f(m) for m in inner]
-    roots = [m for m, v in zip(inner, values) if v == 0.0]
-    edges, values = [-1.0, *inner, 1.0], [-math.inf, *values, math.inf]
+    edges, values = [-1.0, *inner, 1.0], [-math.inf, *(f(m) for m in inner), math.inf]
+    brackets = []
     for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
+        if fa == 0.0:
+            brackets.append((a, a, fa))
         if fa < 0.0 < fb or fb < 0.0 < fa:
-            # a root past the last double below 1 rounds to that double, not to the edge
-            roots.append(max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa))))
-    roots.sort()
+            brackets.append((a, b, fa))
+    return f, brackets
+
+
+def _root(f, a: float, b: float, fa: float) -> float:
+    # a root past the last double below 1 rounds to that double, not to the edge
+    return max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa)))
+
+
+def first_stationary(field_sign: int, params: ModelParams) -> float:
+    """Where the registration flow of the sector s = field_sign from m = 0
+    comes to rest: the first root of psi(m) = s g on the field's side of 0.
+
+    One bisection on the branch that holds it, with the brackets and
+    rounding of :func:`stationary_magnetizations`, so bit for bit its point
+    nearest 0 on the field's side (0 itself at g = 0).
+    """
+    s = 1 if field_sign > 0 else -1
+    f, brackets = _brackets(s * params.coupling_g, params)
+    # along the field, the first bracket that reaches past m = 0
+    a, b, fa = next(br for br in brackets[::s] if max(s * br[0], s * br[1]) > 0.0)
+    return _root(f, a, b, fa)
+
+
+def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape:
+    """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
+
+    They solve psi(m) = s g, one per bracket of :func:`_brackets`, each
+    bisected to the last bit.
+    """
+    if params.temperature <= 0:
+        raise DomainError("temperature must be positive")
+    s = int(field_sign)
+    f, brackets = _brackets(s * params.coupling_g, params)
+    roots = [_root(f, *br) for br in brackets]
 
     points = tuple(
         StationaryPoint(

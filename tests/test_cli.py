@@ -82,6 +82,16 @@ def test_statics_scans_each_landscape_once(cfg_path, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_register_scans_no_landscape(tmp_path, monkeypatch):
+    # each sector finds its rest point by one bisection
+    calls = []
+    scan = statics.stationary_magnetizations
+    monkeypatch.setattr(statics, "stationary_magnetizations",
+                        lambda sign, params: calls.append(sign) or scan(sign, params))
+    assert main(["register", "--config", str(REFERENCE_CFG), "--out", str(tmp_path / "r")]) == 0
+    assert calls == []
+
+
 def test_statics_spinodal_recorded(tmp_path):
     # above T = 3J/4 the only minimum is the (shifted) paramagnet
     for temperature, g in ((0.75, 0.0), (0.8, 0.05)):
@@ -240,8 +250,7 @@ def test_scenario_reason_names_the_bath_toggle(bath_off_cfg, tmp_path):
     assert main(["scenario", "--config", str(write_cfg(tmp_path, gamma=0.0)),
                  "--out", str(out)]) == 3
     assert load_manifest(out)["reason"] == (
-        "no bath (gamma = 0): off-diagonal blocks die but the magnet cannot relax, "
-        "so nothing is registered")
+        "no bath (gamma = 0): the magnet cannot relax, so nothing is registered")
 
 
 def test_register_failure_outcome(tmp_path):
@@ -460,7 +469,7 @@ def assert_row_matches_trajectory(out, g, temperature):
     """The statics-only row equals the per-point trajectory's, bit for bit."""
     p = replace(REFERENCE_PARAMS, coupling_g=g, temperature=temperature)
     root = first_stationary_up(np.array([g]), np.array([temperature]), 1.0)
-    assert root[0] == registration._attractor(+1, p, 0.0)
+    assert root[0] == statics.first_stationary(+1, p)
     row = sweep_point(out, g, temperature)
     up = registration.integrate_registration(+1, p)
     registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
@@ -538,6 +547,25 @@ def test_sweep_with_t_max_integrates_each_point(count_calls, tmp_path):
         up = registration.integrate_registration(+1, p, 50.0)
         assert up.terminal is registration.TerminalKind.MAX_TIME_REACHED
         assert float(m_final) == up.m_final
+
+
+def test_sweep_row_computes_only_what_it_keeps(tmp_path, monkeypatch):
+    # a registered row takes g_c once for its column and once for the
+    # quadrature tau_reg; the asymptotic tau_reg is not in the table
+    calls = {"critical_coupling": 0, "registration_time_asymptotic": 0}
+    for module, name in ((statics, "critical_coupling"),
+                         (registration, "registration_time_asymptotic")):
+        def counted(*a, _f=getattr(module, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", "coupling_g=0.09:0.12:3"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[1].split("/")[0] for r in rows] == ["registered"] * 3
+    assert all(r[3] != "None" for r in rows)
+    assert calls == {"critical_coupling": 6, "registration_time_asymptotic": 0}
 
 
 def test_sweep_requires_axis(cfg_path, tmp_path, capsys):

@@ -18,7 +18,7 @@ from curieweiss.oracles import (
     offdiag_sector_sum,
     reference_integrate,
 )
-from curieweiss.registration import registration_rhs
+from curieweiss.registration import flow_rate
 from curieweiss import registration
 
 
@@ -128,7 +128,7 @@ def test_reference_bounds_production_registration_error():
     up = registration.integrate_registration(+1, p, t_max=6e5)
 
     def rhs(t, y):
-        return [registration_rhs(min(float(y[0]), 1 - 1e-12), +1, p)]
+        return [float(flow_rate(min(float(y[0]), 1 - 1e-12), +1, p))]
 
     _, _, sample = reference_integrate(rhs, [0.0], (0.0, float(up.times[-1])))
     sel = np.linspace(0, len(up.times) - 1, 40).astype(int)

@@ -21,8 +21,8 @@ from curieweiss.registration import (
     asymptotic_rate,
     bottleneck_integral,
     crossing_time,
+    flow_rate,
     integrate_registration,
-    registration_rhs,
     registration_threshold,
     registration_time_asymptotic,
     registration_time_quadrature,
@@ -40,19 +40,14 @@ def mk(T=0.34, g=0.09, gamma=1e-3, n=100000):
 
 def test_rhs_at_origin_equals_gamma_g():
     p = mk()
-    assert registration_rhs(0.0, +1, p) == pytest.approx(p.gamma * p.coupling_g, rel=1e-12)
-    assert registration_rhs(0.0, -1, p) == pytest.approx(-p.gamma * p.coupling_g, rel=1e-12)
+    assert float(flow_rate(0.0, +1, p)) == pytest.approx(p.gamma * p.coupling_g, rel=1e-12)
+    assert float(flow_rate(0.0, -1, p)) == pytest.approx(-p.gamma * p.coupling_g, rel=1e-12)
 
 
 def test_rhs_vanishes_at_fixed_point():
     p = mk()
     m = 0.9965142159314115  # self-consistent point at the reference parameters
-    assert abs(registration_rhs(m, +1, p)) < 1e-12
-
-
-def test_rhs_domain():
-    with pytest.raises(DomainError):
-        registration_rhs(1.0, +1, mk())
+    assert abs(float(flow_rate(m, +1, p))) < 1e-12
 
 
 def test_rhs_series_matches_exact_near_removable_point():
@@ -63,11 +58,11 @@ def test_rhs_series_matches_exact_near_removable_point():
         m = m_zero + dm
         h = p.coupling_g + m**3
         exact = p.gamma * h * (1.0 - m / math.tanh(h / p.temperature)) if h != 0 else None
-        got = registration_rhs(m, +1, p)
+        got = float(flow_rate(m, +1, p))
         if exact is not None and abs(h / p.temperature) > 1e-12:
             assert got == pytest.approx(exact, rel=1e-6, abs=1e-18)
     # exactly at the removable point: limit value -(gamma/hbar) m T, hbar = 1
-    got = registration_rhs(m_zero, +1, p)
+    got = float(flow_rate(m_zero, +1, p))
     assert got == pytest.approx(-p.gamma * m_zero * p.temperature, rel=1e-8)
 
 
@@ -76,7 +71,7 @@ def test_rhs_bottleneck_minimum():
     p = mk(T=0.05, g=1.2 * critical_coupling(mk(T=0.05, g=0.01)))
     gc = critical_coupling(p)
     ms = np.linspace(1e-4, 0.5, 20001)
-    rates = np.array([registration_rhs(m, +1, p) for m in ms]) / p.gamma
+    rates = flow_rate(ms, +1, p) / p.gamma
     i = int(np.argmin(rates))
     assert rates[i] == pytest.approx(p.coupling_g - gc, rel=0.05)
     assert ms[i] ** 2 == pytest.approx(p.temperature / 3.0, rel=0.05)
@@ -86,7 +81,7 @@ def test_rhs_barrier_top_value():
     # local maximum of the scaled rate near m = 3/4 approaches 27J/256
     p = mk(T=0.02, g=1.0001 * critical_coupling(mk(T=0.02, g=0.001)))
     ms = np.linspace(0.5, 0.95, 20001)
-    rates = np.array([registration_rhs(m, +1, p) for m in ms]) / p.gamma
+    rates = flow_rate(ms, +1, p) / p.gamma
     i = int(np.argmax(rates))
     assert rates[i] == pytest.approx(27.0 / 256.0, rel=0.05)
     assert ms[i] == pytest.approx(0.75, abs=0.01)
@@ -148,11 +143,15 @@ def test_registration_max_time_reached():
 
 
 def test_registration_switch_off_robustness():
-    # past the barrier, removing the coupling still lands at the g = 0 ferro value
+    # past the barrier, removing the coupling still lands at the g = 0 ferro
+    # value: from m = 0.70 the g = 0 flow rises to the landscape's next point,
+    # a ferromagnetic minimum, and no zero of the rate lies in between
     p0 = mk(g=0.0)
-    run = integrate_registration(+1, p0, t_max=6e5, m0=0.70)
-    assert run.terminal is TerminalKind.CONVERGED_FERRO
-    assert run.m_final == pytest.approx(0.9938026, abs=1e-4)
+    ahead = [pt for pt in statics.stationary_magnetizations(+1, p0).points if pt.m > 0.70]
+    assert ahead[0].kind is statics.PointKind.MINIMUM
+    assert ahead[0].label is statics.PointLabel.FERRO_UP
+    assert ahead[0].m == pytest.approx(0.9938026, abs=1e-4)
+    assert np.all(flow_rate(np.linspace(0.70, ahead[0].m, 1001)[:-1], +1, p0) > 0.0)
 
 
 def test_registration_max_time_cut_by_inversion():
@@ -182,12 +181,13 @@ def test_registration_near_critical_runs_to_its_basin():
 
 
 def test_rate_sign_change_raises(monkeypatch):
-    # a landscape that misses the central roots would send the flow across a
-    # zero of the rate; the quadrature refuses instead of integrating through it
+    # a rest point past an uncrossed root (the ferromagnetic minimum behind the
+    # central one) would send the flow across a zero of the rate; the
+    # quadrature refuses instead of integrating through it
     p = mk(g=0.05)
-    scape = statics.stationary_magnetizations(+1, p)
-    missing = statics.Landscape(+1, scape.points[:2] + scape.points[4:], 2)
-    monkeypatch.setattr(statics, "stationary_magnetizations", lambda sign, params: missing)
+    ferro = statics.stationary_magnetizations(+1, p).points[-1].m
+    assert ferro > statics.first_stationary(+1, p)
+    monkeypatch.setattr(statics, "first_stationary", lambda sign, params: ferro)
     with pytest.raises(StepFailure):
         integrate_registration(+1, p)
 
@@ -195,8 +195,8 @@ def test_rate_sign_change_raises(monkeypatch):
 def reference_gap(traj, p):
     """Largest |m| difference from DOP853 at tolerance 1e-13 on the trajectory's times."""
     def rhs(t, y):
-        return [registration_rhs(min(max(float(y[0]), -1 + 1e-12), 1 - 1e-12),
-                                 traj.field_sign, p)]
+        return [float(flow_rate(min(max(float(y[0]), -1 + 1e-12), 1 - 1e-12),
+                                traj.field_sign, p))]
 
     _, _, sample = reference_integrate(rhs, [float(traj.m[0])], (0.0, float(traj.times[-1])))
     return float(np.max(np.abs(traj.m - sample(traj.times)[0])))

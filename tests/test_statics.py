@@ -13,9 +13,11 @@ from curieweiss.statics import (
     critical_coupling_low_t,
     curie_temperature,
     ferromagnetic_gap,
+    first_stationary,
     first_stationary_up,
     free_energy,
     free_energy_curvature,
+    label_point,
     landscape_table,
     mixing_entropy,
     stationary_magnetizations,
@@ -237,6 +239,41 @@ def test_first_stationary_up_at_the_edges_of_its_brackets():
     for gk, Tk, m in zip(g, T, got):
         scanned = stationary_magnetizations(+1, params(T=Tk, g=gk)).points
         assert m == min(pt.m for pt in scanned if pt.m > 0.0)
+
+
+def assert_first_stationary_is_the_scanned_point(sign, p):
+    """first_stationary(sign, p) is, to the bit (a zero's sign included), the
+    stationary point of the scan nearest m = 0 on the field's side; returns it."""
+    got = first_stationary(sign, p)
+    ahead = [pt.m for pt in stationary_magnetizations(sign, p).points if sign * pt.m >= 0.0]
+    assert got.hex() == min(ahead, key=lambda m: sign * m).hex()
+    return got
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.02, 1.2), COUPLINGS, st.sampled_from([+1, -1]))
+@example(0.34, 0.0, +1)
+@example(0.34, 0.0, -1)
+@example(1.2, 0.0, -1)
+@example(0.75, 0.05, -1)
+@example(0.8, 0.6, +1)
+def test_first_stationary_is_the_scanned_point_nearest_zero(T, g, sign):
+    got = assert_first_stationary_is_the_scanned_point(sign, params(T=T, g=g))
+    if g == 0.0:
+        assert got == 0.0
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("T", [0.05, 0.34, 0.7])
+def test_first_stationary_at_the_critical_coupling(T, sign):
+    # at and below g_c the flow rests in the central well, above it in the
+    # ferromagnetic well of the field's sign
+    gc = critical_coupling(params(T=T))
+    ferro = PointLabel.FERRO_UP if sign > 0 else PointLabel.FERRO_DOWN
+    for g, label in ((math.nextafter(gc, 0.0), PointLabel.PARAMAGNETIC),
+                     (gc, PointLabel.PARAMAGNETIC), (math.nextafter(gc, 1.0), ferro)):
+        got = assert_first_stationary_is_the_scanned_point(sign, params(T=T, g=g))
+        assert label_point(got) is label
 
 
 # --- critical coupling ------------------------------------------------------
