@@ -139,7 +139,7 @@ def _parse_sweep_axis(spec: str):
     numeric = ("n_spins", "coupling_g", "delta_g", "temperature", "gamma", "debye_cutoff")
     if key not in numeric:
         raise ConfigError(f"cannot sweep {key!r}; choose one of {numeric}")
-    return key, np.linspace(start, stop, steps)
+    return key, np.linspace(start, stop, steps).tolist()
 
 
 def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
@@ -158,7 +158,7 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
                              [output.column(c) for c in zip(*rows)])
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
-        "axes": [{"key": k, "values": g.tolist()} for k, g in parsed],
+        "axes": [{"key": k, "values": g} for k, g in parsed],
         "rows": len(rows),
     }, [table])
     print(f"sweep: {len(rows)} points -> {os.path.join(out_dir, 'sweep.csv')}")

@@ -437,29 +437,21 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
     A point whose parameters ModelParams rejects is "invalid-params".  One
     that is not a measurement has m_final = 0: the rate at m = 0 is exactly
     0 there, so no flow leaves it.  Without t_max the up flow from m = 0 ends
-    at the first stationary point above it: one array bisection over the
-    measured points, no trajectory per point.
+    at :func:`statics.first_stationary`, one bisection per point and no
+    trajectory.
     """
-    points = []
+    rows = []
     for values in itertools.product(*grids):
         try:
             p = replace(cfg.params, **dict(zip(keys, values)))
         except ConfigError:
-            p = None
-        points.append((values, p, p is not None and why_not_a_measurement(p, cfg.bath) is None))
-    measured = [(p.coupling_g, p.temperature, p.coupling_j) for _, p, ok in points if ok]
-    ends = iter(statics.first_stationary_up(*np.reshape(measured, (-1, 3)).T)
-                if cfg.t_max is None else ())
-    rows = []
-    for values, p, measurement in points:
-        if p is None:
             rows.append([*values, "invalid-params", None, None, None])
             continue
-        if not measurement:
+        if why_not_a_measurement(p, cfg.bath) is not None:
             rows.append([*values, "not-a-measurement", critical_g(p)[0], None, 0.0])
             continue
         if cfg.t_max is None:
-            m_attr = float(next(ends))
+            m_attr = statics.first_stationary(+1, p)
             registered = statics.label_point(m_attr) is not statics.PointLabel.PARAMAGNETIC
             # integrate_registration's last node; m = 0 within the stop distance
             m_final = max(m_attr - registration.STOP_DELTA, 0.0)

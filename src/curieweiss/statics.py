@@ -139,60 +139,6 @@ def bisect(f, a: float, b: float, fa: float) -> float:
             b = mid
 
 
-_atanh = np.frompyfunc(math.atanh, 1, 1)  # libm's, as in _psi; np.arctanh rounds differently
-
-
-def _bisect_each(f, a, b, fa):
-    """:func:`bisect` on arrays of brackets at once, with its midpoints,
-    stopping rule and kept half; f(m, i) is f at the points i."""
-    root = np.empty_like(a)
-    i = np.arange(a.size)
-    while i.size:
-        mid = 0.5 * (a + b)
-        fm = np.zeros_like(mid)  # a bracket that cannot shrink stops at mid, as on a root
-        run = (mid != a) & (mid != b)
-        fm[run] = f(mid[run], i[run])
-        done = fm == 0.0
-        root[i[done]] = mid[done]
-        left = (fm < 0.0) == (fa < 0.0)
-        a, fa, b = np.where(left, mid, a), np.where(left, fm, fa), np.where(left, b, mid)
-        i, a, b, fa = i[~done], a[~done], b[~done], fa[~done]
-    return root
-
-
-def first_stationary_up(g, t, j) -> np.ndarray:
-    """First stationary point of F_+ above m = 0 for arrays of g > 0, T and J:
-    where the up sector's registration flow from m = 0 comes to rest.
-
-    Bit for bit :func:`first_stationary` of the up sector, point by point.
-    Its candidates, in increasing m, are the roots bracketed by (-m-, m-),
-    m-, (m-, m+), m+ and (m+, 1), or (-1, 1) without a spinodal; the first
-    that holds is bisected, all points in one array bisection.
-    """
-    g, t, j = (v.astype(float).ravel() for v in np.broadcast_arrays(g, t, j))
-
-    def f(m, i=slice(None)):  # psi(m) - g at the points i, rounded as _psi rounds it
-        return t[i] * _atanh(m).astype(float) - j[i] * (m * m * m) - g[i]
-
-    def changes(fa, fb):
-        return (fa < 0.0) & (0.0 < fb) | (fb < 0.0) & (0.0 < fa)
-
-    disc = 1.0 - 4.0 * t / (3.0 * j)
-    spinodal = disc > 0.0
-    root = np.sqrt(np.where(spinodal, disc, 0.0))
-    lo, hi = np.sqrt((1.0 - root) / 2.0), np.sqrt((1.0 + root) / 2.0)
-    f_mlo, f_lo, f_hi = f(-lo), f(lo), f(hi)
-    # (holds, a, b, f(a)); an edge on which psi equals g is the bracket (edge, edge)
-    candidates = [(changes(f_mlo, f_lo), -lo, lo, f_mlo), (f_lo == 0.0, lo, lo, f_lo),
-                  (changes(f_lo, f_hi), lo, hi, f_lo), (f_hi == 0.0, hi, hi, f_hi),
-                  (f_hi < 0.0, hi, 1.0, f_hi)]
-    holds = [spinodal & c[0] for c in candidates]
-    a, b, fa = (np.select(holds, [c[k] for c in candidates], default)
-                for k, default in ((1, -1.0), (2, 1.0), (3, -math.inf)))
-    # a root past the last double below 1 rounds to that double, not to the edge
-    return np.clip(_bisect_each(f, a, b, fa), -_BELOW_ONE, _BELOW_ONE)
-
-
 def label_point(m: float) -> PointLabel:
     """Basin of a stationary point, by location: the two curvature roots
     satisfy m-^2 + m+^2 = 1, so |m| = 1/sqrt(2) always separates the central
@@ -257,8 +203,6 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     They solve psi(m) = s g, one per bracket of :func:`_brackets`, each
     bisected to the last bit.
     """
-    if params.temperature <= 0:
-        raise DomainError("temperature must be positive")
     s = int(field_sign)
     f, brackets = _brackets(s * params.coupling_g, params)
     roots = [_root(f, *br) for br in brackets]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from curieweiss import registration, scenario, statics
 from curieweiss.cli import main
 from curieweiss.model import ModelParams
-from curieweiss.statics import critical_coupling, first_stationary_up
+from curieweiss.statics import critical_coupling
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
@@ -311,6 +311,23 @@ def test_scenario_near_critical_verdict(tmp_path):
         assert summary["m_final_down"] == pytest.approx(-m_abs, abs=1e-5)
 
 
+@pytest.mark.parametrize("temperature", [0.05, 0.34, 0.7])
+def test_no_registration_time_at_the_critical_coupling(temperature, tmp_path):
+    # at g = g_c exactly the up sector is trapped, so tau_reg is undefined
+    gc = _critical(temperature)
+    cfg = write_cfg(tmp_path, coupling_g=repr(gc), temperature=temperature)
+    report = scenario.run_scenario(scenario.load_run_config(cfg))
+    assert report.sector_up.terminal is registration.TerminalKind.TRAPPED_PARAMAGNETIC
+    assert report.timescales.tau_reg_quadrature is None
+    assert report.timescales.tau_reg_error == "CriticalOrSubcritical"
+    out = tmp_path / "reg"
+    assert main(["register", "--config", str(cfg), "--out", str(out)]) == 0
+    m = load_manifest(out)
+    assert m["terminal_up"] == "trapped_paramagnetic"
+    assert m["tau_reg_quadrature"] is None
+    assert m["tau_reg_error"] == "CriticalOrSubcritical"
+
+
 def test_register_keys_match_scenario_summary(tmp_path):
     reg, scn = tmp_path / "reg", tmp_path / "scn"
     assert main(["register", "--config", str(REFERENCE_CFG), "--out", str(reg)]) == 0
@@ -468,8 +485,6 @@ def sweep_point(out, g, temperature):
 def assert_row_matches_trajectory(out, g, temperature):
     """The statics-only row equals the per-point trajectory's, bit for bit."""
     p = replace(REFERENCE_PARAMS, coupling_g=g, temperature=temperature)
-    root = first_stationary_up(np.array([g]), np.array([temperature]), 1.0)
-    assert root[0] == statics.first_stationary(+1, p)
     row = sweep_point(out, g, temperature)
     up = registration.integrate_registration(+1, p)
     registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
@@ -511,22 +526,30 @@ def test_sweep_row_matches_trajectory(g, temperature, tmp_path):
 
 @pytest.fixture()
 def count_calls(monkeypatch):
-    """Counts calls of integrate_registration and stationary_magnetizations."""
-    calls = {"integrate_registration": 0, "stationary_magnetizations": 0}
+    """The positional arguments of every call of integrate_registration,
+    stationary_magnetizations and first_stationary, by name."""
+    calls = {"integrate_registration": [], "stationary_magnetizations": [],
+             "first_stationary": []}
     for module, name in ((registration, "integrate_registration"),
-                         (statics, "stationary_magnetizations")):
+                         (statics, "stationary_magnetizations"),
+                         (statics, "first_stationary")):
         def counted(*a, _f=getattr(module, name), _name=name, **k):
-            calls[_name] += 1
+            calls[_name].append(a)
             return _f(*a, **k)
         monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_sweep_without_t_max_runs_no_trajectory(count_calls, tmp_path):
+    # one rest point per measured point, on the Python floats of the grid
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
                  "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"]) == 0
-    assert count_calls == {"integrate_registration": 0, "stationary_magnetizations": 0}
+    assert {name: len(c) for name, c in count_calls.items()} == {
+        "integrate_registration": 0, "stationary_magnetizations": 0, "first_stationary": 20}
+    for sign, p in count_calls["first_stationary"]:
+        assert sign == +1
+        assert type(p.coupling_g) is float and type(p.temperature) is float
     outcomes = {r.split(",")[2].split("/")[0]
                 for r in (out / "sweep.csv").read_text().splitlines()[1:]}
     assert outcomes == {"registered", "failed"}
@@ -538,7 +561,7 @@ def test_sweep_with_t_max_integrates_each_point(count_calls, tmp_path):
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--sweep", "coupling_g=0.05:0.2:4", "--sweep", "temperature=0.2:0.4:3"]) == 0
-    assert count_calls["integrate_registration"] == 12
+    assert len(count_calls["integrate_registration"]) == 12
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert len(rows) == 12
     for g, temperature, outcome, _, tau_reg, m_final in rows:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from curieweiss.errors import (
     CriticalOrSubcritical,
+    CurieWeissError,
     DomainError,
     InsufficientTail,
     NeverCrossed,
@@ -27,7 +29,13 @@ from curieweiss.registration import (
     registration_time_asymptotic,
     registration_time_quadrature,
 )
-from curieweiss.statics import critical_coupling, critical_coupling_low_t, free_energy
+from curieweiss.statics import (
+    critical_coupling,
+    critical_coupling_low_t,
+    first_stationary,
+    free_energy,
+    stationary_magnetizations,
+)
 
 
 def mk(T=0.34, g=0.09, gamma=1e-3, n=100000):
@@ -192,6 +200,16 @@ def test_rate_sign_change_raises(monkeypatch):
         integrate_registration(+1, p)
 
 
+def test_quadrature_rounding_allowance_decides_a_halving():
+    # an interval here passes the halving test only through the rounding bound
+    # of _gauss; without it the trajectory gets 221 nodes and another end time
+    p = ModelParams(n_spins=100000, coupling_j=0.5, coupling_g=0.04823326021811262,
+                    temperature=0.1813815808202462, gamma=0.004738213258593964)
+    traj = integrate_registration(+1, p)
+    assert traj.times.size == 220
+    assert traj.times[-1].hex() == "0x1.67deb2062e63bp+14"
+
+
 def reference_gap(traj, p):
     """Largest |m| difference from DOP853 at tolerance 1e-13 on the trajectory's times."""
     def rhs(t, y):
@@ -224,6 +242,40 @@ def test_down_sector_mirrors_up(T, g):
     assert np.array_equal(down.times, up.times)
     assert np.array_equal(down.m, -up.m)
     assert down.terminal is up.terminal
+
+
+# --- exact scaling of the energies -------------------------------------------------
+
+
+def _value_or_error(f, p):
+    try:
+        return f(p)
+    except CurieWeissError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.5, 4.0), st.floats(0.02, 1.2), st.just(0.0) | st.floats(1e-9, 0.6),
+       st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+@example(1.0, 0.34, 0.09, 2.0)
+@example(2.5, 0.2, 0.05, 0.5)
+def test_scaling_g_t_and_j_by_a_power_of_two_is_exact(j, t, x, k):
+    # psi and F are homogeneous of degree 1 in (g, T, J), and a power of two
+    # scales without rounding (g is kept clear of the subnormals, where it
+    # would round): every root keeps its bits, F and g_c scale by k, and
+    # tau_reg at fixed gamma by 1/k
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    q = replace(p, coupling_j=k * p.coupling_j, coupling_g=k * p.coupling_g,
+                temperature=k * p.temperature)
+    for sign in (+1, -1):
+        assert first_stationary(sign, q).hex() == first_stationary(sign, p).hex()
+        before, after = (stationary_magnetizations(sign, r).points for r in (p, q))
+        assert [pt.m.hex() for pt in after] == [pt.m.hex() for pt in before]
+        assert [pt.free_energy for pt in after] == [k * pt.free_energy for pt in before]
+    for f, factor in ((critical_coupling, k), (registration_time_quadrature, 1.0 / k)):
+        want = _value_or_error(f, p)
+        assert _value_or_error(f, q) == (factor * want if isinstance(want, float) else want)
 
 
 # --- asymptotic rate ---------------------------------------------------------------
