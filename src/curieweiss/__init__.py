@@ -5,8 +5,9 @@ infinite-range quartic coupling, weakly coupled to a phonon bath.  The
 package computes the static phase structure of the magnet, the collapse and
 recurrence dynamics of the off-diagonal density-matrix blocks, the
 registration dynamics of the pointer magnetization, and the resulting Born
-probabilities, final state, and entropy balance, with independent oracles
-for every closed form.
+probabilities, final state, and entropy balance.  The independent oracles
+that pin every closed form are test code (``tests/oracles.py``), so the
+package needs only numpy.
 """
 
 from .errors import CurieWeissError

@@ -70,9 +70,5 @@ class MeasurementFailed(CurieWeissError):
     """A diagonal sector got trapped in the paramagnetic state."""
 
 
-class TooLarge(CurieWeissError):
-    """Problem size exceeds the oracle's enumeration cap."""
-
-
 class ValidityWindowWarning(UserWarning):
     """Operation evaluated outside its stated validity window."""

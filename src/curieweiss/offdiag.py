@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class CouplingVector:
         """N identical couplings g."""
         return cls(values=np.array([g]), counts=np.array([n_spins]), mean=g, rms_deviation=0.0)
 
-    @property
-    def n_spins(self) -> int:
-        return int(self.counts.sum())
-
 
 def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     """Draw N couplings with empirical mean exactly g and RMS exactly delta_g.
@@ -173,9 +169,8 @@ def log_cos_product(times, couplings: CouplingVector):
 
 
 def _linear(logmag, sign, cap: float):
-    """sign (or a unit phase) * exp(logmag), 0 below the double underflow
-    threshold; logmag is capped at ``cap`` so that the exponential cannot
-    overflow."""
+    """sign * exp(logmag), 0 below the double underflow threshold; logmag
+    is capped at ``cap`` so that the exponential cannot overflow."""
     return sign * np.where(logmag > -745.0, np.exp(np.minimum(logmag, cap)), 0.0)
 
 
@@ -211,7 +206,6 @@ class OffDiagTrajectory:
     osc_factor: np.ndarray
     bath_factor: np.ndarray
     dispersion_factor: np.ndarray
-    pulse_time: float | None = None
 
     def __post_init__(self):
         for name in ("times", "amplitude", "log10_abs", "osc_factor",
@@ -284,7 +278,6 @@ def spin_echo(
         osc_factor=factor,
         bath_factor=np.ones_like(times),
         dispersion_factor=np.ones_like(times),
-        pulse_time=theta,
     )
 
 
@@ -298,15 +291,6 @@ class ZetaTrajectory:
     times: np.ndarray
     zeta0: np.ndarray
     zetaz: np.ndarray
-    params: ModelParams = field(repr=False, compare=False, default=None)
-
-    def amplitude(self, r0: complex) -> np.ndarray:
-        """Recombined off-diagonal amplitude r0 * zeta0^N (linear; may underflow)."""
-        n = self.params.n_spins
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logmag = n * np.log(np.abs(self.zeta0))
-            phase = n * np.angle(self.zeta0)
-        return r0 * _linear(logmag, np.exp(1j * phase), 0.0)
 
 
 def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
@@ -323,11 +307,6 @@ def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
     freq = 2j * g
     friction = (c * t / math.pi) * (2.0 * g * t) ** 2
     return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
-
-
-def zeta_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Right-hand side A(t) y of the short-time equations, for general integrators."""
-    return zeta_matrix(t, params) @ y
 
 
 def integrate_zeta_short_time(
@@ -354,7 +333,7 @@ def integrate_zeta_short_time(
         lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max,
         rtol=rtol, atol=atol, max_step=step,
     )
-    return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1], params=params)
+    return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1])
 
 
 # --- bath spectrum ----------------------------------------------------------

@@ -24,8 +24,6 @@ import numpy as np
 def fmt(value) -> str:
     # note: numpy scalars subclass float/complex but repr differently
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return repr(float(value))
     if isinstance(value, complex):
         return repr(complex(value))

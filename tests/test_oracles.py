@@ -4,22 +4,22 @@ import time
 import numpy as np
 import pytest
 
-from curieweiss.errors import TooLarge
 from curieweiss.model import ModelParams
 from curieweiss.offdiag import (
     CouplingVector,
     envelope,
     sample_couplings,
-    zeta_rhs,
+    zeta_matrix,
 )
-from curieweiss.oracles import (
+from curieweiss.registration import flow_rate
+from curieweiss import registration
+from oracles import (
     SectorSpectrum,
+    TooLarge,
     full_hilbert_offdiag,
     offdiag_sector_sum,
     reference_integrate,
 )
-from curieweiss.registration import flow_rate
-from curieweiss import registration
 
 
 def mk(n, g=0.09, dg=0.0):
@@ -53,7 +53,7 @@ def test_sector_sum_equals_uniform_envelope():
     for n in range(1, 21):
         p = mk(n)
         for t in rng.uniform(0.0, 60.0, 5):
-            a = offdiag_sector_sum(float(t), p, r0)
+            a = offdiag_sector_sum(float(t), p.coupling_g, n, r0)
             b = envelope(float(t), CouplingVector.uniform(p.coupling_g, n), r0)
             assert abs(a - b) < 1e-12
 
@@ -61,7 +61,7 @@ def test_sector_sum_equals_uniform_envelope():
 def test_sector_sum_single_spin():
     p = mk(1)
     t = 3.7
-    assert offdiag_sector_sum(t, p, 1.0 + 0j) == pytest.approx(
+    assert offdiag_sector_sum(t, p.coupling_g, 1, 1.0 + 0j) == pytest.approx(
         math.cos(2 * 0.09 * t), abs=1e-14
     )
 
@@ -70,7 +70,7 @@ def test_sector_sum_first_recurrence_alignment():
     for n in (5, 6):
         p = mk(n)
         t1 = math.pi / (2 * p.coupling_g)
-        assert offdiag_sector_sum(t1, p, 1.0 + 0j) == pytest.approx(
+        assert offdiag_sector_sum(t1, p.coupling_g, n, 1.0 + 0j) == pytest.approx(
             (-1.0) ** n, abs=1e-12
         )
 
@@ -93,7 +93,7 @@ def test_enumeration_uniform_reduces_to_sector_sum():
     cv = sample_couplings(p, seed=0)
     for t in (0.0, 2.2, 9.1):
         a = full_hilbert_offdiag(t, cv, 1.0 + 0j)
-        b = offdiag_sector_sum(t, p, 1.0 + 0j)
+        b = offdiag_sector_sum(t, p.coupling_g, 14, 1.0 + 0j)
         assert abs(a - b) < 1e-12
 
 
@@ -140,7 +140,7 @@ def test_reference_zeta_free_case():
     p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=0.0,
                     debye_cutoff=0.1)
     _, states, _ = reference_integrate(
-        lambda t, y: zeta_rhs(t, y, p), np.array([1.0 + 0j, 0j]), (0.0, 8.0),
+        lambda t, y: zeta_matrix(t, p) @ y, np.array([1.0 + 0j, 0j]), (0.0, 8.0),
         t_eval=np.linspace(0.0, 8.0, 9),
     )
     for t, row in zip(np.linspace(0.0, 8.0, 9), states):

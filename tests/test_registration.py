@@ -17,7 +17,6 @@ from curieweiss.errors import (
 )
 from curieweiss import statics
 from curieweiss.model import ModelParams
-from curieweiss.oracles import reference_integrate
 from curieweiss.registration import (
     TerminalKind,
     asymptotic_rate,
@@ -36,6 +35,7 @@ from curieweiss.statics import (
     free_energy,
     stationary_magnetizations,
 )
+from oracles import reference_integrate
 
 
 def mk(T=0.34, g=0.09, gamma=1e-3, n=100000):
@@ -150,6 +150,12 @@ def test_registration_max_time_reached():
     assert up.m_final < 0.01
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan])
+def test_registration_rejects_a_bad_t_max(t_max):
+    with pytest.raises(DomainError, match="t_max must be positive"):
+        integrate_registration(+1, mk(), t_max)
+
+
 def test_registration_switch_off_robustness():
     # past the barrier, removing the coupling still lands at the g = 0 ferro
     # value: from m = 0.70 the g = 0 flow rises to the landscape's next point,
@@ -262,8 +268,8 @@ def _value_or_error(f, p):
 def test_scaling_g_t_and_j_by_a_power_of_two_is_exact(j, t, x, k):
     # psi and F are homogeneous of degree 1 in (g, T, J), and a power of two
     # scales without rounding (g is kept clear of the subnormals, where it
-    # would round): every root keeps its bits, F and g_c scale by k, and
-    # tau_reg at fixed gamma by 1/k
+    # would round): every root and the threshold (T/3J)^(1/4) keep their
+    # bits, F and g_c scale by k, and tau_reg at fixed gamma by 1/k
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
                     gamma=1e-3)
     q = replace(p, coupling_j=k * p.coupling_j, coupling_g=k * p.coupling_g,
@@ -273,6 +279,7 @@ def test_scaling_g_t_and_j_by_a_power_of_two_is_exact(j, t, x, k):
         before, after = (stationary_magnetizations(sign, r).points for r in (p, q))
         assert [pt.m.hex() for pt in after] == [pt.m.hex() for pt in before]
         assert [pt.free_energy for pt in after] == [k * pt.free_energy for pt in before]
+    assert registration_threshold(q).hex() == registration_threshold(p).hex()
     for f, factor in ((critical_coupling, k), (registration_time_quadrature, 1.0 / k)):
         want = _value_or_error(f, p)
         assert _value_or_error(f, q) == (factor * want if isinstance(want, float) else want)
@@ -288,6 +295,18 @@ def test_tail_rate_near_gamma_j():
     assert fit.predicted == pytest.approx(1e-3, rel=1e-12)
     assert fit.fitted == pytest.approx(fit.predicted, rel=0.25)
     assert fit.fitted == pytest.approx(1.0136e-3, rel=1e-2)  # frozen fit value
+
+
+def test_tail_rate_prediction_is_gamma_j():
+    # at J = 2.5 the prediction gamma*J differs from gamma/J; g and T are the
+    # reference point's scaled by J, so the flow converges the same way
+    p = ModelParams(n_spins=100000, coupling_j=2.5, coupling_g=0.225, temperature=0.85,
+                    gamma=1e-3, debye_cutoff=50.0)
+    up = integrate_registration(+1, p)
+    assert up.terminal is TerminalKind.CONVERGED_FERRO
+    fit = asymptotic_rate(up, p)
+    assert fit.predicted == p.gamma * p.coupling_j
+    assert fit.fitted == pytest.approx(fit.predicted, rel=0.02)
 
 
 def test_tail_rate_scales_with_gamma():
