@@ -94,7 +94,7 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     output.write_manifest(out_dir, payload, files)
     print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
           + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
-          + (f", tau_2' = {timescales['tau_2_prime']:.6g}" if cfg.dispersion else ""))
+          + (f", tau_2' = {timescales['tau_2_prime']:.6g}" if params.delta_g > 0 else ""))
     return 0
 
 
@@ -215,6 +215,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command][0](cfg, out_dir, args)
     except CurieWeissError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reading the config raises ConfigError, so this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -137,12 +137,6 @@ class RegimeReport:
     overall_valid: bool
     margin: float
 
-    def check(self, name: str) -> RegimeCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _mk_check(name, lhs, rhs, factor, counted=True) -> RegimeCheck:
     if rhs == 0.0:
@@ -263,8 +257,9 @@ def read_config_file(path, keys) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 at byte {exc.start}"
+        raise ConfigError(f"cannot read config file {str(path)!r}: {why}") from None
     mapping = read_config_mapping(text)
     unknown = set(mapping) - set(keys)
     if unknown:

@@ -19,6 +19,10 @@ from .errors import StepFailure
 _NODE = math.sqrt(3.0) / 6.0  # Gauss nodes sit at 1/2 -+ sqrt(3)/6 of a step
 _I2 = np.eye(2)
 
+#: relative and absolute tolerance of every step of :func:`propagate`
+RTOL = 1e-12
+ATOL = 1e-14
+
 
 def expm2(omega: np.ndarray) -> np.ndarray:
     """exp(omega) of a 2x2 matrix, e^mu (cosh s I + sinh(s)/s B).
@@ -41,23 +45,22 @@ def magnus_step(matrix: Callable[[float], np.ndarray], t: float, h: float) -> np
     return expm2(0.5 * h * (a1 + a2) + (_NODE / 2.0) * h * h * (a2 @ a1 - a1 @ a2))
 
 
-def propagate(matrix: Callable[[float], np.ndarray], y0, t_end: float, rtol: float = 1e-10,
-              atol: float = 1e-12, max_step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def propagate(matrix: Callable[[float], np.ndarray], y0,
+              t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve y' = matrix(t) y from t = 0 to t_end; return (times, states).
 
-    A step is accepted when the RMS of |err| / (atol + rtol |y|) is at most
+    A step is accepted when the RMS of |err| / (ATOL + RTOL |y|) is at most
     1, err being the step-doubling difference scaled by 1/15; the next step
-    is 0.9 err^(-1/5) times this one, clamped to [0.2, 5], and never above
-    ``max_step``.  Raises StepFailure if the step size underflows.
+    is 0.9 err^(-1/5) times this one, clamped to [0.2, 5].  The first step
+    is t_end/100, and a step past t_end ends at t_end.  Raises StepFailure
+    if the step size underflows.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     y = np.asarray(y0, dtype=complex)
-    max_step = t_end if max_step is None else max_step
-    t, h = 0.0, min(max_step, t_end / 100.0)
+    t, h = 0.0, t_end / 100.0
     times, states = [t], [y]
     while t < t_end:
-        h = min(h, max_step)
         if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepFailure(f"step size underflow at t = {t}")
         final = t + h >= t_end
@@ -65,7 +68,7 @@ def propagate(matrix: Callable[[float], np.ndarray], y0, t_end: float, rtol: flo
         coarse = magnus_step(matrix, t, h_step) @ y
         half = magnus_step(matrix, t, 0.5 * h_step) @ y
         fine = magnus_step(matrix, t + 0.5 * h_step, 0.5 * h_step) @ half
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(fine))
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(fine))
         err = math.sqrt(float(np.mean((np.abs(fine - coarse) / (15.0 * scale)) ** 2)))
         if err <= 1.0:
             t, y = (t_end if final else t + h_step), fine

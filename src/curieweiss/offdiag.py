@@ -94,13 +94,10 @@ def log_recurrence_height_dispersed(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Per-spin couplings g_n as distinct values with their multiplicities,
-    plus the first two empirical moments of the draw."""
+    """Per-spin couplings g_n as distinct values with their multiplicities."""
 
     values: np.ndarray
     counts: np.ndarray
-    mean: float
-    rms_deviation: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -109,7 +106,7 @@ class CouplingVector:
     @classmethod
     def uniform(cls, g: float, n_spins: int) -> "CouplingVector":
         """N identical couplings g."""
-        return cls(values=np.array([g]), counts=np.array([n_spins]), mean=g, rms_deviation=0.0)
+        return cls(values=np.array([g]), counts=np.array([n_spins]))
 
 
 def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
@@ -133,14 +130,9 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     k = int(np.random.default_rng(seed).binomial(n, 0.5))
     if k in (0, n):  # degenerate draw: flip every other sign to balance it
         k = (n + 1) // 2 if k == 0 else n // 2
-    values = np.array([g - dg * math.sqrt(k / (n - k)), g + dg * math.sqrt((n - k) / k)])
-    counts = np.array([n - k, k])
-    mean = float(values @ counts / n)
     return CouplingVector(
-        values=values,
-        counts=counts,
-        mean=mean,
-        rms_deviation=math.sqrt(float((values - mean) ** 2 @ counts / n)),
+        values=np.array([g - dg * math.sqrt(k / (n - k)), g + dg * math.sqrt((n - k) / k)]),
+        counts=np.array([n - k, k]),
     )
 
 
@@ -213,26 +205,18 @@ class OffDiagTrajectory:
             getattr(self, name).setflags(write=False)
 
 
-def offdiag_trajectory(
-    params: ModelParams,
-    r0: complex,
-    times: np.ndarray,
-    couplings: CouplingVector | None = None,
-    include_bath: bool | None = None,
-) -> OffDiagTrajectory:
+def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
+                       couplings: CouplingVector, include_bath: bool) -> OffDiagTrajectory:
     """Closed-form off-diagonal amplitude on a time grid.
 
     The amplitude is the uniform oscillation times the bath factor
-    exp(-(t/tau_2)^4) (if gamma > 0) times the exact interference ratio of
-    the dispersed product to the uniform one (if couplings are given).
+    exp(-(t/tau_2)^4) (if include_bath) times the exact interference ratio
+    of the product over ``couplings`` to the uniform one (1 for uniform
+    couplings).
     """
     times = np.asarray(times, dtype=float)
-    if include_bath is None:
-        include_bath = params.gamma > 0
     n = params.n_spins
     uniform = CouplingVector.uniform(params.coupling_g, n)
-    if couplings is None or couplings.rms_deviation == 0:
-        couplings = uniform
     log_osc, sign_osc = log_cos_product(times, uniform)
     log_total, sign_total = log_cos_product(times, couplings)
 
@@ -309,19 +293,13 @@ def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
     return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
 
 
-def integrate_zeta_short_time(
-    params: ModelParams,
-    t_max: float,
-    step: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ZetaTrajectory:
+def integrate_zeta_short_time(params: ModelParams, t_max: float) -> ZetaTrajectory:
     """Integrate the short-time equations from (1, 0) up to t_max.
 
-    The equations are linear, so they are propagated by fourth-order Magnus
-    steps; ``step`` bounds the step size (the propagator is adaptive below
-    it).  A warning is issued when t_max exceeds the stated validity window
-    1/Gamma.
+    The equations are linear, so they are propagated by adaptive
+    fourth-order Magnus steps at the fixed tolerances of
+    :func:`ode.propagate`.  A warning is issued when t_max exceeds the
+    stated validity window 1/Gamma.
     """
     if t_max > 1.0 / params.debye_cutoff:
         warnings.warn(
@@ -329,10 +307,7 @@ def integrate_zeta_short_time(
             ValidityWindowWarning,
             stacklevel=2,
         )
-    times, states = ode.propagate(
-        lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max,
-        rtol=rtol, atol=atol, max_step=step,
-    )
+    times, states = ode.propagate(lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max)
     return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1])
 
 

@@ -185,8 +185,9 @@ def entropy_budget(
 class RunConfig:
     """Model, initial state and run keys; construction rejects a state that
     is not a density matrix, a negative seed, an unknown spacing, fewer than
-    two samples, a t_max or margin that is not positive and finite, and a
-    mechanism switched on whose coupling is zero."""
+    two samples, a t_max or margin that is not positive and finite, and the
+    bath switched on at gamma = 0.  The coupling spread has no switch: the
+    collapse is dispersed exactly when delta_g > 0."""
 
     params: ModelParams
     state: SystemState2x2
@@ -194,7 +195,6 @@ class RunConfig:
     samples: int = 400
     spacing: str = "log"  # collapse phenomena span several decades in t
     bath: bool | None = None
-    dispersion: bool | None = None
     seed: int = 0
     margin: float = 10.0
 
@@ -204,8 +204,6 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bath and self.params.gamma == 0:
             raise ConfigError("bath mechanism requested but gamma = 0")
-        if self.dispersion and self.params.delta_g == 0:
-            raise ConfigError("dispersion mechanism requested but delta_g = 0")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.samples < 2:
@@ -215,10 +213,8 @@ class RunConfig:
         check_margin(self.margin)
 
     def resolved(self) -> "RunConfig":
-        """Fill the mechanism toggles left unset from the parameters."""
-        bath = self.params.gamma > 0 if self.bath is None else self.bath
-        disp = self.params.delta_g > 0 if self.dispersion is None else self.dispersion
-        return replace(self, bath=bath, dispersion=disp)
+        """Fill the bath toggle, if unset, from the parameters."""
+        return replace(self, bath=self.params.gamma > 0 if self.bath is None else self.bath)
 
 
 def _get_toggle(mapping: dict[str, str], key: str) -> bool:
@@ -236,7 +232,6 @@ RUN_KEYS = {
     "samples": get_int,
     "spacing": lambda mapping, key: mapping[key],
     "bath": _get_toggle,
-    "dispersion": _get_toggle,
     "seed": get_int,
 }
 
@@ -313,13 +308,14 @@ def critical_g(params: ModelParams) -> tuple[float | None, str | None]:
 
 def collapse_timescales(cfg: RunConfig) -> dict:
     """Reduction time, plus decay time and log10 first-recurrence height of
-    each damping mechanism the resolved config switches on."""
+    each damping mechanism at work: the bath where the resolved config
+    switches it on, the coupling spread where delta_g > 0."""
     params = cfg.params
     out = {"tau_red": offdiag.reduction_time(params)}
     if cfg.bath:
         out["tau_2"] = offdiag.decay_time_bath(params)
         out["log10_recurrence_bath"] = offdiag.log_recurrence_height_bath(params) / LN10
-    if cfg.dispersion:
+    if params.delta_g > 0:
         out["tau_2_prime"] = offdiag.dispersion_decay_time(params)
         out["log10_recurrence_dispersion"] = (
             offdiag.log_recurrence_height_dispersed(params) / LN10
@@ -338,7 +334,8 @@ def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
 
 def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajectory:
     """Off-diagonal trajectory of the resolved config on its grid up to t_hi
-    (None: 1.2 pi hbar/g); g = 0 has no collapse to run."""
+    (None: 1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
+    delta_g = 0); g = 0 has no collapse to run."""
     params = cfg.params
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
@@ -346,8 +343,7 @@ def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajector
         t_hi = 1.2 * math.pi / params.coupling_g
     return offdiag.offdiag_trajectory(
         params, cfg.state.r_ud, _time_grid(cfg, t_hi),
-        couplings=offdiag.sample_couplings(params, cfg.seed) if cfg.dispersion else None,
-        include_bath=cfg.bath,
+        couplings=offdiag.sample_couplings(params, cfg.seed), include_bath=cfg.bath,
     )
 
 

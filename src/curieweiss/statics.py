@@ -63,14 +63,6 @@ class Landscape:
             raise NoFerromagneticSolution("landscape has no ferromagnetic minimum")
         return max(ferro, key=lambda p: (abs(p.m), self.field_sign * p.m))
 
-    @property
-    def paramagnetic(self) -> StationaryPoint | None:
-        """Minimum labelled paramagnetic (nearest m = 0), if present."""
-        cands = [p for p in self.minima if p.label is PointLabel.PARAMAGNETIC]
-        if not cands:
-            return None
-        return min(cands, key=lambda p: abs(p.m))
-
 
 def mixing_entropy(m):
     """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2."""
@@ -279,7 +271,8 @@ def ferromagnetic_gap(up: Landscape, params: ModelParams) -> GapEstimate:
     return GapEstimate(gap=1.0 - up.ferromagnetic.m, asymptote=asym)
 
 
-def landscape_table(params: ModelParams, grid_points: int = 401):
-    """Uniform grid of (m, F_up, F_down) for export and plotting."""
-    m = np.linspace(-1.0, 1.0, grid_points)
+def landscape_table(params: ModelParams):
+    """(m, F_up, F_down) on 401 evenly spaced m in [-1, 1], for export and
+    plotting."""
+    m = np.linspace(-1.0, 1.0, 401)
     return m, free_energy(m, +1, params), free_energy(m, -1, params)

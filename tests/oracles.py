@@ -81,8 +81,8 @@ def full_hilbert_offdiag(t: float, couplings: CouplingVector, r0: complex) -> co
     n = int(couplings.counts.sum())
     if n > _ENUMERATION_CAP:
         raise TooLarge(f"N = {n} exceeds the enumeration cap {_ENUMERATION_CAP}")
-    if couplings.rms_deviation == 0.0:
-        return offdiag_sector_sum(t, couplings.mean, n, r0)
+    if len(couplings.values) == 1:
+        return offdiag_sector_sum(t, float(couplings.values[0]), n, r0)
     totals = np.zeros(1)
     for gn in np.repeat(couplings.values, couplings.counts):
         totals = np.concatenate([totals + gn, totals - gn])

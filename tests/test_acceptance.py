@@ -146,7 +146,7 @@ def test_criterion_09_short_time_ode():
     # free case reproduces (cos, i sin)
     pf = cw.ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=0.0,
                         debye_cutoff=0.1)
-    traj = integrate_zeta_short_time(pf, t_max=9.0, rtol=1e-12, atol=1e-14)
+    traj = integrate_zeta_short_time(pf, t_max=9.0)
     ang = 2.0 * pf.coupling_g * traj.times
     free_defect = max(np.max(np.abs(traj.zeta0 - np.cos(ang))),
                       np.max(np.abs(traj.zetaz - 1j * np.sin(ang))))
@@ -163,7 +163,7 @@ def test_criterion_09_short_time_ode():
         tk = k * math.pi / om
         if tk > tau2:
             break
-        sub = integrate_zeta_short_time(pb, t_max=tk, rtol=1e-12, atol=1e-14)
+        sub = integrate_zeta_short_time(pb, t_max=tk)
         agg = abs(complex(sub.zeta0[-1])) ** pb.n_spins
         wanted = math.exp(-pb.n_spins * bath_exponent(tk, pb))
         worst = max(worst, abs(agg / wanted - 1.0))

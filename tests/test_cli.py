@@ -626,14 +626,23 @@ def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
                                      ["1001.5", "invalid-params"]]
 
 
-@pytest.mark.parametrize("argv", [
-    ["scenario", "--seed", "5"],
+#: the reference point with every energy scaled by J = 2.5, and a coupling spread
+DISPERSED_J = {"coupling_j": 2.5, "coupling_g": 0.225, "temperature": 0.85, "delta_g": 0.0045}
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({}, ["scenario", "--seed", "5"]),
     # a grid across g_c(T) and past T = 3J/4, where the spinodal ends
-    ["sweep", "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"],
-], ids=["scenario", "sweep"])
-def test_cli_determinism_byte_identical(argv, cfg_path, tmp_path):
+    ({}, ["sweep", "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"]),
+    (DISPERSED_J, ["scenario", "--seed", "5"]),
+    (DISPERSED_J, ["collapse", "--echo-at", "7.5", "--seed", "5"]),
+    (DISPERSED_J, ["sweep", "--sweep", "coupling_g=0.05:0.75:5",
+                   "--sweep", "temperature=0.5:2.0:4"]),
+], ids=["scenario", "sweep", "j2.5-scenario", "j2.5-collapse-echo", "j2.5-sweep"])
+def test_cli_determinism_byte_identical(overrides, argv, tmp_path):
+    cfg = write_cfg(tmp_path, **overrides)
     for sub in ("r1", "r2"):
-        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / sub)]) == 0
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
     a, b = tmp_path / "r1", tmp_path / "r2"
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
@@ -668,29 +677,60 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+T_MAX_ERROR = "error: t_max must be positive and finite"
+
+#: case -> (config overrides, start of the error line)
 BAD_RUN_KEYS = {
-    "spacing": {"spacing": "cubic"},
-    "samples": {"samples": 1},
-    "bath": {"bath": "on", "gamma": 0.0},
-    "dispersion": {"dispersion": "on"},
+    "spacing": ({"spacing": "cubic"}, "error: spacing must be 'linear' or 'log'"),
+    "samples": ({"samples": 1}, "error: samples must be at least 2"),
+    "bath": ({"bath": "on", "gamma": 0.0}, "error: bath mechanism requested but gamma = 0"),
+    # the coupling spread has no switch: delta_g > 0 alone disperses the collapse
+    "dispersion": ({"dispersion": "off", "delta_g": 0.0045},
+                   "error: unknown config keys: ['dispersion']"),
     # time grids and registration cuts end at t_max: it must be positive and finite
-    "t_max_negative": {"t_max": -1},
-    "t_max_zero": {"t_max": 0},
-    "t_max_nan": {"t_max": "nan"},
-    "t_max_inf": {"t_max": "inf"},
+    "t_max_negative": ({"t_max": -1}, T_MAX_ERROR),
+    "t_max_zero": ({"t_max": 0}, T_MAX_ERROR),
+    "t_max_nan": ({"t_max": "nan"}, T_MAX_ERROR),
+    "t_max_inf": ({"t_max": "inf"}, T_MAX_ERROR),
 }
 
+ALL_COMMANDS = ["validate", "statics", "collapse", "register", "scenario", "sweep"]
 
-@pytest.mark.parametrize("command", ["validate", "statics", "collapse", "register",
-                                     "scenario", "sweep"])
-@pytest.mark.parametrize("key", sorted(BAD_RUN_KEYS))
-def test_every_command_rejects_bad_run_keys(command, key, tmp_path, capsys):
-    cfg = write_cfg(tmp_path, **BAD_RUN_KEYS[key])
+
+def run_writes_nothing(command, cfg, tmp_path, capsys) -> str:
+    """Run command on cfg; assert exit 1 and no run directory; return stderr."""
     out = tmp_path / "o"
     extra = ["--sweep", "coupling_g=0.05:0.11:2"] if command == "sweep" else []
     assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
-    assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("key", sorted(BAD_RUN_KEYS))
+def test_every_command_rejects_bad_run_keys(command, key, tmp_path, capsys):
+    overrides, error = BAD_RUN_KEYS[key]
+    err = run_writes_nothing(command, write_cfg(tmp_path, **overrides), tmp_path, capsys)
+    assert err.startswith(error)
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_every_command_rejects_a_config_that_is_not_utf8(command, tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"0.09", b"0.09\xff"))
+    err = run_writes_nothing(command, cfg, tmp_path, capsys)
+    assert err.startswith(f"error: cannot read config file {str(cfg)!r}: not UTF-8")
+
+
+def test_an_output_directory_that_cannot_be_made_is_an_error(cfg_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    for argv, path in ((["statics", "--out", str(blocker)], blocker / "landscape.csv"),
+                       (["validate", "--out", str(blocker / "sub")],
+                        blocker / "sub" / "manifest.json")):
+        assert main([*argv, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: Not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "scenario", "sweep"])

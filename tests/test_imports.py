@@ -9,7 +9,8 @@ command.  hbar = 1 is fixed in the code, so no module names it outside
 docstrings and comments.  Modules meet through public names: none reaches
 a private name of another.  The package ships only what its commands, demos
 and acceptance criteria run: every public function and class is used
-outside its own definition."""
+outside its own definition, and every default parameter of a public function
+is passed by one of them."""
 
 import ast
 import json
@@ -75,6 +76,55 @@ def test_every_public_name_is_used_by_the_program_demos_or_criteria():
               and not any(node.name in _loaded_names(other, skip=node)
                           for other in trees)]
     assert sorted(unused) == sorted(UNUSED_ALLOWED)
+
+
+#: parameters with a default that no caller passes, with the reason
+DEFAULT_ALLOWED = {
+    ("main", "argv"): "the console-script entry point calls main() without argv",
+}
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default in
+    the public functions and methods of tree.  The position counts the
+    arguments of a call, so it skips a method's self or cls; it is None for
+    a keyword-only parameter."""
+    funcs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    funcs += [(f, 1) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for f in cls.body if isinstance(f, ast.FunctionDef)]
+    for func, skip in funcs:
+        if func.name.startswith("_"):
+            continue
+        positional = func.args.posonlyargs + func.args.args
+        first = len(positional) - len(func.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first - skip):
+            yield func.name, arg.arg, i
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield func.name, arg.arg, None
+
+
+def _passed_parameters(tree):
+    """(function, parameter) pairs that some call in tree passes: by keyword,
+    or by position from the count of its positional arguments."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        yield from ((name, kw.arg) for kw in node.keywords)
+        yield from ((name, i) for i in range(len(node.args)))
+
+
+def test_every_default_is_passed_by_the_program_demos_or_criteria():
+    # a default that only tests override is a knob nobody turns: make it a constant
+    callers = [*sorted((ROOT / "src" / "curieweiss").glob("*.py")),
+               *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    passed = {pair for path in callers for pair in _passed_parameters(ast.parse(path.read_text()))}
+    unpassed = [(func, name) for path in sorted((ROOT / "src" / "curieweiss").glob("*.py"))
+                for func, name, position in _defaulted_parameters(ast.parse(path.read_text()))
+                if (func, name) not in passed and (func, position) not in passed]
+    assert sorted(unpassed) == sorted(DEFAULT_ALLOWED)
 
 
 def _hbar_uses(tree):

@@ -122,21 +122,27 @@ def test_validate_state_accepts_exactly_density_matrices(r_uu, trace_offset, rho
             validate_state(state)
 
 
+def check(report, name):
+    """The check of report named name."""
+    (found,) = [c for c in report.checks if c.name == name]
+    return found
+
+
 def test_regime_reference_point_passes():
     rep = validate_regime(ModelParams(**REF))
     assert rep.overall_valid
-    bath = rep.check("n_vs_bath")
+    bath = check(rep, "n_vs_bath")
     # (1/gamma)(g/hbar Gamma)^2 = 1000 * (0.09/50)^2 at hbar = 1
     assert bath.rhs == pytest.approx(1000 * (0.09 / 50.0) ** 2, rel=1e-12)
     assert bath.rhs == pytest.approx(3.24e-3, rel=1e-10)
     assert bath.passed
-    disp = rep.check("n_vs_dispersion")  # delta_g = 0: the branch is off
+    disp = check(rep, "n_vs_dispersion")  # delta_g = 0: the branch is off
     assert math.isinf(disp.rhs) and not disp.passed and disp.margin_ratio == 0.0
 
 
 def test_regime_small_n_fails_at_margin_10():
     rep = validate_regime(ModelParams(**{**REF, "n_spins": 10}))
-    assert not rep.check("n_large").passed  # 10 > 10*1 is false: strict margin
+    assert not check(rep, "n_large").passed  # 10 > 10*1 is false: strict margin
     assert not rep.overall_valid
 
 
@@ -149,16 +155,16 @@ def test_regime_rejects_margin_not_positive_finite(margin):
 def test_regime_dispersion_branch():
     p = ModelParams(**{**REF, "gamma": 0.0, "delta_g": 0.01})
     rep = validate_regime(p)
-    disp = rep.check("n_vs_dispersion")
+    disp = check(rep, "n_vs_dispersion")
     assert disp.rhs == pytest.approx((0.09 / 0.01) ** 2)  # = 81
     assert disp.passed
-    assert not rep.check("n_vs_bath").passed
+    assert not check(rep, "n_vs_bath").passed
     assert rep.overall_valid
 
 
 def test_regime_gamma_small_reported_not_counted():
     rep = validate_regime(ModelParams(**REF))
-    gam = rep.check("gamma_small")
+    gam = check(rep, "gamma_small")
     assert not gam.counted
     assert gam.passed
 
@@ -237,4 +243,4 @@ def test_config_mapping_comments_and_duplicates():
 def test_regime_margin_ratio_infinite_when_rhs_zero():
     p = ModelParams(**{**REF, "gamma": 0.0, "delta_g": 0.01})
     rep = validate_regime(p)
-    assert math.isinf(rep.check("temperature_vs_gamma_j").margin_ratio)
+    assert math.isinf(check(rep, "temperature_vs_gamma_j").margin_ratio)

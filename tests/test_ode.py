@@ -19,19 +19,19 @@ def _airy(t):
 
 
 def test_exponential_to_1e12():
-    times, states = ode.propagate(lambda t: -_I2, [1.0, 2.0], 10.0, rtol=1e-12, atol=1e-14)
+    times, states = ode.propagate(lambda t: -_I2, [1.0, 2.0], 10.0)
     assert np.max(np.abs(states[-1] - [math.exp(-10.0), 2.0 * math.exp(-10.0)])) < 1e-12
     assert times[0] == 0.0 and times[-1] == 10.0
 
 
 def test_linear_system_with_known_solution():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    _, states = ode.propagate(lambda t: a, [1.0, 0.0], 2 * math.pi, rtol=1e-12, atol=1e-14)
+    _, states = ode.propagate(lambda t: a, [1.0, 0.0], 2 * math.pi)
     assert np.allclose(states[-1], [1.0, 0.0], atol=1e-10)
 
 
 def test_complex_state():
-    _, states = ode.propagate(lambda t: 1j * _I2, [1.0, 1j], math.pi, rtol=1e-12, atol=1e-14)
+    _, states = ode.propagate(lambda t: 1j * _I2, [1.0, 1j], math.pi)
     assert np.max(np.abs(states[-1] - [-1.0, -1j])) < 1e-10
 
 
@@ -54,11 +54,11 @@ def test_order_of_convergence():
 def test_step_failure_on_badly_scaled_problem():
     # growth rate 1e60: every step overflows until the step size underflows
     with pytest.raises(StepFailure):
-        ode.propagate(lambda t: np.diag([1e60, 0.0]), [1.0, 1.0], 1.0, rtol=1e-12, atol=1e-14)
+        ode.propagate(lambda t: np.diag([1e60, 0.0]), [1.0, 1.0], 1.0)
 
 
 def test_against_reference_integrator():
-    times, states = ode.propagate(_airy, [1.0, 0.0], 10.0, rtol=1e-10, atol=1e-12)
+    times, states = ode.propagate(_airy, [1.0, 0.0], 10.0)
     _, ref, _ = reference_integrate(lambda t, y: _airy(t) @ y, [1.0, 0.0], (0.0, 10.0),
                                     t_eval=times)
     assert np.max(np.abs(states - ref)) < 1e-8

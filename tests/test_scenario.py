@@ -311,7 +311,7 @@ def test_final_residual_is_the_last_collapse_sample():
     # a spread this wide shows in the residual, whose bath part is ~1e18
     p = ModelParams(n_spins=2000, coupling_g=0.2, delta_g=0.05,
                     temperature=0.34, gamma=1e-3, debye_cutoff=50.0)
-    for keys in ({}, {"dispersion": False}, {"samples": 2}):
+    for keys in ({}, {"samples": 2}):
         report = run_scenario(RunConfig(params=p, state=PLUS, **{"samples": 50, "seed": 4, **keys}))
         assert report.status == "completed"
         assert report.offdiag.times[-1] == report.final_state.t_final
@@ -364,8 +364,6 @@ def test_run_config_toggle_consistency():
     with pytest.raises(ConfigError):
         RunConfig(params=p, state=PLUS, bath=True).resolved()
     with pytest.raises(ConfigError):
-        RunConfig(params=p, state=PLUS, dispersion=True).resolved()
-    with pytest.raises(ConfigError):
         RunConfig(params=p, state=PLUS, spacing="cubic").resolved()
 
 
@@ -398,7 +396,6 @@ def run_configs(draw):
         samples=draw(st.integers(2, 10**6)),
         spacing=draw(st.sampled_from(["linear", "log"])),
         bath=draw(st.sampled_from([None, False, *([True] if gamma > 0 else [])])),
-        dispersion=draw(st.sampled_from([None, False, *([True] if dg > 0 else [])])),
         seed=draw(st.integers(0, 2**32)),
     )
 

@@ -114,15 +114,14 @@ def test_paramagnetic_minimum_persists_below_critical():
     kinds = [pt.kind for pt in scape.points]
     assert kinds == [PointKind.MINIMUM, PointKind.MAXIMUM, PointKind.MINIMUM,
                      PointKind.MAXIMUM, PointKind.MINIMUM]
-    para = scape.paramagnetic
-    assert para is not None
+    (para,) = [pt for pt in scape.minima if pt.label is PointLabel.PARAMAGNETIC]
     assert para.m == pytest.approx(0.1571628, abs=1e-5)   # root-solve; ~ g/T = 0.147
     assert para.m == pytest.approx(0.05 / 0.34, abs=0.02)
 
 
 def test_paramagnetic_minimum_absent_above_critical():
     scape = stationary_magnetizations(+1, params(g=0.09))
-    assert scape.paramagnetic is None
+    assert all(pt.label is not PointLabel.PARAMAGNETIC for pt in scape.minima)
     assert len(scape.minima) == 2  # ferro pair only
 
 
@@ -361,6 +360,7 @@ def test_gap_error_above_spinodal():
 
 
 def test_landscape_table_shape():
-    m, f_up, f_down = landscape_table(params(), grid_points=101)
-    assert len(m) == len(f_up) == len(f_down) == 101
+    m, f_up, f_down = landscape_table(params())
+    assert len(m) == len(f_up) == len(f_down) == 401
+    assert m[0] == -1.0 and m[200] == 0.0 and m[-1] == 1.0
     assert np.allclose(f_up, f_down[::-1], atol=1e-14)  # parity
