@@ -18,12 +18,12 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
-from .model import validate_regime
+from .model import ModelParams, validate_regime
 from . import offdiag, output, registration, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
@@ -33,7 +33,7 @@ def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     report = validate_regime(cfg.params, margin=cfg.margin)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
-        "regime": scenario.regime_payload(report),
+        "regime": asdict(report),
     }, [])
     print(f"regime overall_valid = {report.overall_valid} (margin {cfg.margin})")
     for c in report.checks:
@@ -75,7 +75,6 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
-    cfg = cfg.resolved()
     params, echo_at = cfg.params, args.echo_at
     traj = scenario.collapse_run(cfg, cfg.t_max)
     timescales = scenario.collapse_timescales(cfg)
@@ -92,14 +91,13 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         files.append(scenario.write_offdiag_csv(os.path.join(out_dir, "echo.csv"), echo))
     files += scenario.write_offdiag(out_dir, traj)
     output.write_manifest(out_dir, payload, files)
-    print(f"collapse: tau_red = {timescales['tau_red']:.6g}"
-          + (f", tau_2 = {timescales['tau_2']:.6g}" if cfg.bath else "")
-          + (f", tau_2' = {timescales['tau_2_prime']:.6g}" if params.delta_g > 0 else ""))
+    names = {"tau_red": "tau_red", "tau_2": "tau_2", "tau_2_prime": "tau_2'"}
+    print("collapse: " + ", ".join(f"{name} = {timescales[key]:.6g}"
+                                   for key, name in names.items() if key in timescales))
     return 0
 
 
 def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
-    cfg = cfg.resolved()
     params = cfg.params
     reason = scenario.why_not_a_measurement(params, cfg.bath)
     if reason is not None:
@@ -136,9 +134,9 @@ def _parse_sweep_axis(spec: str):
         raise ConfigError("sweep needs at least one step")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"bad sweep axis {spec!r}: START and STOP must be finite")
-    numeric = ("n_spins", "coupling_g", "delta_g", "temperature", "gamma", "debye_cutoff")
-    if key not in numeric:
-        raise ConfigError(f"cannot sweep {key!r}; choose one of {numeric}")
+    keys = tuple(f.name for f in fields(ModelParams))
+    if key not in keys:
+        raise ConfigError(f"cannot sweep {key!r}; choose one of {keys}")
     return key, np.linspace(start, stop, steps).tolist()
 
 

@@ -1,4 +1,9 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Every rejection the package makes is a CurieWeissError.  A subclass exists
+only where some caller tells it apart: it is caught by name, or its name is
+recorded (a manifest's ``tau_reg_error``).
+"""
 
 
 class CurieWeissError(Exception):
@@ -9,49 +14,12 @@ class ConfigError(CurieWeissError):
     """Malformed or inconsistent run configuration."""
 
 
-class TraceError(CurieWeissError):
-    """Density matrix trace differs from 1 beyond tolerance."""
-
-
-class PositivityError(CurieWeissError):
-    """Density matrix has a negative eigenvalue beyond tolerance."""
-
-
-class DomainError(CurieWeissError):
-    """Argument outside the mathematical domain of the operation."""
-
-
 class SpinodalUndefined(CurieWeissError):
     """No spinodal magnetization exists (T >= 3J/4)."""
 
 
 class NoFerromagneticSolution(CurieWeissError):
     """No ferromagnetic minimum at the given temperature."""
-
-
-class ZeroCoupling(CurieWeissError):
-    """System-apparatus coupling g is zero."""
-
-
-class ZeroBathCoupling(CurieWeissError):
-    """Magnet-bath coupling gamma is zero."""
-
-
-class ZeroDispersion(CurieWeissError):
-    """Coupling dispersion delta_g is zero."""
-
-
-class NegativePulseTime(CurieWeissError):
-    """Echo pulse time must be finite and non-negative."""
-
-
-class StepFailure(CurieWeissError):
-    """An integration step could not be made acceptable: the Magnus step size
-    underflowed, or the registration flow does not point to an attractor."""
-
-
-class QuadratureNotConverged(CurieWeissError):
-    """Adaptive quadrature did not reach the requested accuracy."""
 
 
 class CriticalOrSubcritical(CurieWeissError):
@@ -68,7 +36,3 @@ class NeverCrossed(CurieWeissError):
 
 class MeasurementFailed(CurieWeissError):
     """A diagonal sector got trapped in the paramagnetic state."""
-
-
-class ValidityWindowWarning(UserWarning):
-    """Operation evaluated outside its stated validity window."""

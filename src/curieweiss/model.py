@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, DomainError, PositivityError, TraceError
+from .errors import ConfigError, CurieWeissError
 
 #: trace and positivity tolerance of :func:`validate_state`
 STATE_TOL = 1e-12
@@ -93,26 +93,21 @@ class SystemState2x2:
 def validate_state(state: SystemState2x2) -> SystemState2x2:
     """Return ``state`` unchanged iff it is a valid density matrix.
 
-    Raises
-    ------
-    DomainError
-        If an entry is NaN or infinite (NaN fails every comparison below).
-    TraceError
-        If r_uu + r_dd differs from 1 by more than ``STATE_TOL``.
-    PositivityError
-        If the determinant r_uu*r_dd - |r_ud|^2 is below ``-STATE_TOL`` or a
-        diagonal entry is negative.
+    Raises CurieWeissError if an entry is NaN or infinite (NaN fails every
+    comparison below), if r_uu + r_dd differs from 1 by more than
+    ``STATE_TOL``, or if a diagonal entry or the determinant
+    r_uu*r_dd - |r_ud|^2 is below ``-STATE_TOL``.
     """
     if not all(cmath.isfinite(v) for v in (state.r_uu, state.r_dd, state.r_ud)):
-        raise DomainError(f"non-finite density-matrix entry in {state}")
+        raise CurieWeissError(f"non-finite density-matrix entry in {state}")
     tr = state.r_uu + state.r_dd
     if abs(tr - 1.0) > STATE_TOL:
-        raise TraceError(f"trace is {tr!r}, expected 1")
+        raise CurieWeissError(f"trace is {tr!r}, expected 1")
     if state.r_uu < -STATE_TOL or state.r_dd < -STATE_TOL:
-        raise PositivityError(f"negative diagonal entry: {state.r_uu}, {state.r_dd}")
+        raise CurieWeissError(f"negative diagonal entry: {state.r_uu}, {state.r_dd}")
     det = state.r_uu * state.r_dd - abs(state.r_ud) ** 2
     if det < -STATE_TOL:
-        raise PositivityError(f"negative eigenvalue: det = {det:.3e}")
+        raise CurieWeissError(f"negative eigenvalue: det = {det:.3e}")
     return state
 
 

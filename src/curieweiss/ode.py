@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StepFailure
+from .errors import CurieWeissError
 
 _NODE = math.sqrt(3.0) / 6.0  # Gauss nodes sit at 1/2 -+ sqrt(3)/6 of a step
 _I2 = np.eye(2)
@@ -52,17 +52,17 @@ def propagate(matrix: Callable[[float], np.ndarray], y0,
     A step is accepted when the RMS of |err| / (ATOL + RTOL |y|) is at most
     1, err being the step-doubling difference scaled by 1/15; the next step
     is 0.9 err^(-1/5) times this one, clamped to [0.2, 5].  The first step
-    is t_end/100, and a step past t_end ends at t_end.  Raises StepFailure
-    if the step size underflows.
+    is t_end/100, and a step past t_end ends at t_end.  Raises
+    CurieWeissError if t_end is not positive or the step size underflows.
     """
     if t_end <= 0:
-        raise ValueError("t_end must be positive")
+        raise CurieWeissError("t_end must be positive")
     y = np.asarray(y0, dtype=complex)
     t, h = 0.0, t_end / 100.0
     times, states = [t], [y]
     while t < t_end:
         if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepFailure(f"step size underflow at t = {t}")
+            raise CurieWeissError(f"step size underflow at t = {t}")
         final = t + h >= t_end
         h_step = t_end - t if final else h
         coarse = magnus_step(matrix, t, h_step) @ y

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NegativePulseTime,
-    ValidityWindowWarning,
-    ZeroBathCoupling,
-    ZeroCoupling,
-    ZeroDispersion,
-)
+from .errors import CurieWeissError
 from .model import ModelParams
 from . import ode
 
@@ -41,7 +34,7 @@ _LOG10 = math.log(10.0)
 def reduction_time(params: ModelParams) -> float:
     """Collapse time hbar/(g sqrt(2N)) of the off-diagonal blocks."""
     if params.coupling_g == 0:
-        raise ZeroCoupling("no measurement coupling: reduction time undefined")
+        raise CurieWeissError("no measurement coupling: reduction time undefined")
     return 1.0 / (params.coupling_g * math.sqrt(2.0 * params.n_spins))
 
 
@@ -55,9 +48,9 @@ def bath_exponent(t, params: ModelParams):
 def decay_time_bath(params: ModelParams) -> float:
     """Bath suppression time tau_2 = (2 pi / gamma N)^(1/4) sqrt(hbar / Gamma g)."""
     if params.gamma == 0:
-        raise ZeroBathCoupling("gamma = 0: no bath damping")
+        raise CurieWeissError("gamma = 0: no bath damping")
     if params.coupling_g == 0:
-        raise ZeroCoupling("g = 0: no off-diagonal oscillation to damp")
+        raise CurieWeissError("g = 0: no off-diagonal oscillation to damp")
     return (2.0 * math.pi / (params.gamma * params.n_spins)) ** 0.25 * math.sqrt(
         1.0 / (params.debye_cutoff * params.coupling_g)
     )
@@ -69,7 +62,7 @@ def log_recurrence_height_bath(params: ModelParams) -> float:
     Equals -N * chi(pi hbar / 2g), i.e. -N pi^3 gamma hbar^2 Gamma^2 / (32 g^2).
     """
     if params.coupling_g == 0:
-        raise ZeroCoupling("g = 0: no recurrences")
+        raise CurieWeissError("g = 0: no recurrences")
     return (-params.n_spins * math.pi**3 * params.gamma * params.debye_cutoff**2
             / (32.0 * params.coupling_g**2))
 
@@ -77,7 +70,7 @@ def log_recurrence_height_bath(params: ModelParams) -> float:
 def dispersion_decay_time(params: ModelParams) -> float:
     """Dispersion suppression time tau_2' = hbar/(delta_g sqrt(2N))."""
     if params.delta_g == 0:
-        raise ZeroDispersion("delta_g = 0: no coupling dispersion")
+        raise CurieWeissError("delta_g = 0: no coupling dispersion")
     return 1.0 / (params.delta_g * math.sqrt(2.0 * params.n_spins))
 
 
@@ -85,7 +78,7 @@ def log_recurrence_height_dispersed(params: ModelParams) -> float:
     """Natural log of the dispersion suppression of the first peak:
     -N pi^2 delta_g^2 / (2 g^2)."""
     if params.coupling_g == 0:
-        raise ZeroCoupling("g = 0: no recurrences")
+        raise CurieWeissError("g = 0: no recurrences")
     return -params.n_spins * math.pi**2 * params.delta_g**2 / (2.0 * params.coupling_g**2)
 
 
@@ -126,7 +119,7 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     if dg == 0:
         return CouplingVector.uniform(g, n)
     if n < 2:
-        raise DomainError("a nonzero spread requires at least two spins")
+        raise CurieWeissError("a nonzero spread requires at least two spins")
     k = int(np.random.default_rng(seed).binomial(n, 0.5))
     if k in (0, n):  # degenerate draw: flip every other sign to balance it
         k = (n + 1) // 2 if k == 0 else n // 2
@@ -249,7 +242,7 @@ def spin_echo(
     exactly r0 at t = 2 theta.
     """
     if not (theta >= 0 and math.isfinite(2.0 * theta)):
-        raise NegativePulseTime(f"pulse time must be finite and non-negative, got {theta}")
+        raise CurieWeissError(f"pulse time must be finite and non-negative, got {theta}")
     times = np.asarray(times, dtype=float)
     log_amp, sign = log_cos_product(
         np.where(times < theta, times, times - 2.0 * theta), couplings
@@ -304,7 +297,6 @@ def integrate_zeta_short_time(params: ModelParams, t_max: float) -> ZetaTrajecto
     if t_max > 1.0 / params.debye_cutoff:
         warnings.warn(
             f"t_max = {t_max} exceeds the short-time window 1/Gamma = {1.0 / params.debye_cutoff}",
-            ValidityWindowWarning,
             stacklevel=2,
         )
     times, states = ode.propagate(lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max)

@@ -86,18 +86,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # "inf", "-inf", "nan": JSON has no literals for these
-    if isinstance(obj, complex):
-        return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     return obj
 
 

@@ -23,12 +23,10 @@ import numpy as np
 
 from .errors import (
     CriticalOrSubcritical,
-    DomainError,
+    CurieWeissError,
     InsufficientTail,
     NeverCrossed,
-    QuadratureNotConverged,
     SpinodalUndefined,
-    StepFailure,
 )
 from .model import ModelParams
 from . import statics
@@ -99,7 +97,7 @@ def _gauss(u, w, field_sign: int, params: ModelParams):
     v = flow_rate(x, field_sign, params)
     wrong = x[half * v <= 0.0]
     if wrong.size:
-        raise StepFailure(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
+        raise CurieWeissError(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
     dv = 4.0 * np.finfo(float).eps * params.gamma * (params.coupling_g + params.coupling_j)
     return (half * _GL_W / v).sum(axis=1), (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
 
@@ -121,7 +119,7 @@ def _time_to(u, w, field_sign: int, params: ModelParams):
         u, w = np.concatenate([u[~ok], mid[~ok]]), np.concatenate([mid[~ok], w[~ok]])
         if not u.size:
             return np.concatenate(ends), np.concatenate(times)
-    raise QuadratureNotConverged(
+    raise CurieWeissError(
         f"registration time not resolved after {_MAX_HALVINGS} halvings near m = {u[0]!r}"
     )
 
@@ -145,7 +143,7 @@ def integrate_registration(
     inverting t(m), and ends it MAX_TIME_REACHED.
     """
     if t_max is not None and not t_max > 0:
-        raise DomainError("t_max must be positive")
+        raise CurieWeissError("t_max must be positive")
     # without bath or coupling (gamma g = 0) the rate at m = 0 is 0: no flow
     moves = flow_rate(0.0, field_sign, params) != 0.0
     m_attr = statics.first_stationary(field_sign, params) if moves else 0.0
@@ -267,7 +265,7 @@ def bottleneck_integral(eps: float) -> float:
     p'(rho) = 3 (rho - 1)(rho + 1), with no cancellation as eps -> 0.
     """
     if not 0.0 < eps < math.inf:
-        raise DomainError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
+        raise CurieWeissError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
 
     def f(d):
         return d * (d - 3.0) ** 2 + eps

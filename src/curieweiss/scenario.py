@@ -212,9 +212,11 @@ class RunConfig:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         check_margin(self.margin)
 
-    def resolved(self) -> "RunConfig":
-        """Fill the bath toggle, if unset, from the parameters."""
-        return replace(self, bath=self.params.gamma > 0 if self.bath is None else self.bath)
+    @property
+    def bath_acts(self) -> bool:
+        """Whether the bath damps the collapse: gamma > 0, and ``bath`` is not
+        off (unset counts as on)."""
+        return self.params.gamma > 0 and self.bath is not False
 
 
 def _get_toggle(mapping: dict[str, str], key: str) -> bool:
@@ -308,11 +310,11 @@ def critical_g(params: ModelParams) -> tuple[float | None, str | None]:
 
 def collapse_timescales(cfg: RunConfig) -> dict:
     """Reduction time, plus decay time and log10 first-recurrence height of
-    each damping mechanism at work: the bath where the resolved config
-    switches it on, the coupling spread where delta_g > 0."""
+    each damping mechanism at work: the bath where it acts
+    (:attr:`RunConfig.bath_acts`), the coupling spread where delta_g > 0."""
     params = cfg.params
     out = {"tau_red": offdiag.reduction_time(params)}
-    if cfg.bath:
+    if cfg.bath_acts:
         out["tau_2"] = offdiag.decay_time_bath(params)
         out["log10_recurrence_bath"] = offdiag.log_recurrence_height_bath(params) / LN10
     if params.delta_g > 0:
@@ -333,9 +335,10 @@ def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
 
 
 def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajectory:
-    """Off-diagonal trajectory of the resolved config on its grid up to t_hi
-    (None: 1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
-    delta_g = 0); g = 0 has no collapse to run."""
+    """Off-diagonal trajectory of the config on its grid up to t_hi (None:
+    1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
+    delta_g = 0), damped by the bath where it acts; g = 0 has no collapse to
+    run."""
     params = cfg.params
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
@@ -343,7 +346,7 @@ def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajector
         t_hi = 1.2 * math.pi / params.coupling_g
     return offdiag.offdiag_trajectory(
         params, cfg.state.r_ud, _time_grid(cfg, t_hi),
-        couplings=offdiag.sample_couplings(params, cfg.seed), include_bath=cfg.bath,
+        couplings=offdiag.sample_couplings(params, cfg.seed), include_bath=cfg.bath_acts,
     )
 
 
@@ -399,25 +402,24 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     "not_a_measurement", with the collapse alone where g > 0.
     :func:`write_run` persists the report.
     """
-    cfg = config.resolved()
-    params, state = cfg.params, cfg.state
+    params, state = config.params, config.state
     report = ScenarioReport(
-        status="not_a_measurement", reason=why_not_a_measurement(params, cfg.bath),
-        regime=validate_regime(params, margin=cfg.margin),
+        status="not_a_measurement", reason=why_not_a_measurement(params, config.bath),
+        regime=validate_regime(params, margin=config.margin),
         landscape_up=statics.stationary_magnetizations(+1, params),
         critical_g=critical_g(params)[0], timescales=None, offdiag=None, sector_up=None,
-        sector_down=None, final_state=None, entropy=None, config=cfg,
+        sector_down=None, final_state=None, entropy=None, config=config,
     )
     if params.coupling_g == 0:
         return report
     timescales = dict.fromkeys(f.name for f in fields(Timescales))
-    timescales.update(collapse_timescales(cfg))
+    timescales.update(collapse_timescales(config))
     if report.reason is not None:
         return replace(report, timescales=Timescales(**timescales),
-                       offdiag=collapse_run(cfg, cfg.t_max))
+                       offdiag=collapse_run(config, config.t_max))
     timescales.update(registration_times(params))
-    up, down = (registration.integrate_registration(s, params, cfg.t_max) for s in (+1, -1))
-    collapse = collapse_run(cfg, _registration_end(timescales["tau_reg_quadrature"], up, down))
+    up, down = (registration.integrate_registration(s, params, config.t_max) for s in (+1, -1))
+    collapse = collapse_run(config, _registration_end(timescales["tau_reg_quadrature"], up, down))
     report = replace(report, timescales=Timescales(**timescales), offdiag=collapse,
                      sector_up=up, sector_down=down)
     try:
@@ -482,14 +484,6 @@ def config_payload(cfg: RunConfig) -> dict:
         "re_r_ud": s.r_ud.real,
         "im_r_ud": s.r_ud.imag,
         **{key: getattr(cfg, key) for key in (*RUN_KEYS, "margin")},
-    }
-
-
-def regime_payload(regime: RegimeReport) -> dict:
-    return {
-        "margin": regime.margin,
-        "overall_valid": regime.overall_valid,
-        "checks": [asdict(c) for c in regime.checks],
     }
 
 
@@ -569,7 +563,7 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         "reason": report.reason,
         "config": config_payload(cfg),
         "stages": stages,
-        "regime": regime_payload(report.regime),
+        "regime": asdict(report.regime),
         "statics": {
             "critical_g": report.critical_g,
             "stationary_points": [asdict(p) for p in report.landscape_up.points],

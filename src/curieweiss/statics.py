@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoFerromagneticSolution, SpinodalUndefined
+from .errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
 from .model import ModelParams
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -68,7 +68,7 @@ def mixing_entropy(m):
     """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2."""
     arr = np.asarray(m, dtype=float)
     if np.any(np.abs(arr) > 1.0):
-        raise DomainError(f"|m| must be <= 1, got {m}")
+        raise CurieWeissError(f"|m| must be <= 1, got {m}")
     p = (1.0 + arr) / 2.0
     q = (1.0 - arr) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):

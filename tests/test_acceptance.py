@@ -239,7 +239,7 @@ def test_criterion_13_entropy(reference_up, reference_down):
         else:
             ok = ok and (s1 > s0)
     fs = scenario.assemble_final_state(PLUS, reference_up, reference_down, scenario.collapse_run(
-        cw.RunConfig(params=REF, state=PLUS).resolved(), 6e5))
+        cw.RunConfig(params=REF, state=PLUS), 6e5))
     budget = scenario.entropy_budget(PLUS, REF, fs)
     report(13, ok and budget.delta_total > 0,
            f"dephasing entropy law on 1000 random states: {ok}; "
@@ -255,7 +255,7 @@ def test_criterion_14_born_preservation(reference_up, reference_down):
         r_ud = rng.uniform(0, cap) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         st = cw.SystemState2x2(r_uu, 1.0 - r_uu, complex(r_ud))
         fs = scenario.assemble_final_state(st, reference_up, reference_down, scenario.collapse_run(
-            cw.RunConfig(params=REF, state=st).resolved(), 6e5))
+            cw.RunConfig(params=REF, state=st), 6e5))
         worst = max(worst, abs(fs.weights[0] - st.r_uu), abs(fs.weights[1] - st.r_dd))
     report(14, worst <= 1e-12,
            f"branch weights vs initial diagonals: worst |diff| = {worst:.2e} (limit 1e-12)")

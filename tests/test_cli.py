@@ -189,6 +189,24 @@ def test_collapse_rejects_bad_pulse_time(theta, cfg_path, tmp_path, capsys):
     assert not out.exists()  # a rejected command leaves no run directory
 
 
+def test_collapse_without_t_max_ends_at_1_2_pi_over_g(tmp_path):
+    for g in (0.09, 0.2):
+        out = tmp_path / f"g{g}"
+        assert main(["collapse", "--config", str(write_cfg(tmp_path, coupling_g=g)),
+                     "--out", str(out)]) == 0
+        last = (out / "offdiag.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 1.2 * math.pi / g
+
+
+@pytest.mark.parametrize("extra", [[], ["--echo-at", "7.5"]])
+def test_collapse_rejects_zero_coupling(extra, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, coupling_g=0.0)
+    out = tmp_path / "o"
+    assert main(["collapse", "--config", str(cfg), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == "error: collapse requires a nonzero coupling g\n"
+    assert not out.exists()
+
+
 def test_register_command(cfg_path, tmp_path):
     out = tmp_path / "register"
     assert main(["register", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -600,10 +618,36 @@ def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
 
 def test_sweep_rejects_bad_axis(cfg_path, tmp_path):
     for axis in ("coupling_g=banana", "hbar=1:2:3", "coupling_g=nan:0.1:3",
-                 "coupling_g=0.05:inf:3", "temperature=-inf:0.3:2"):
+                 "coupling_g=0.05:inf:3", "temperature=-inf:0.3:2", "coupling_g=0.05:0.1:0"):
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
                      "--sweep", axis]) == 1, axis
     assert not (tmp_path / "x").exists()
+
+
+def test_sweep_rejects_three_axes(cfg_path, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.1:2", "--sweep", "temperature=0.2:0.3:2",
+                 "--sweep", "gamma=1e-3:2e-3:2"]) == 1
+    assert capsys.readouterr().err == "error: at most two sweep axes are supported\n"
+    assert not out.exists()
+
+
+def test_sweep_coupling_j_row_matches_register(cfg_path, tmp_path):
+    # every field of ModelParams is a sweep axis, coupling_j too; each row
+    # has the outcome and m_final of register at that J
+    out = tmp_path / "sweepJ"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--sweep", "coupling_j=0.5:2.5:3"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[1].split("/")[0] for r in rows] == ["failed", "registered", "registered"]
+    for j, outcome, _, _, m_final in rows:
+        reg = tmp_path / f"register_{j}"
+        assert main(["register", "--config", str(write_cfg(tmp_path, coupling_j=j)),
+                     "--out", str(reg)]) == 0
+        m = load_manifest(reg)
+        assert (m["terminal_up"] == "converged_ferro") == outcome.startswith("registered")
+        assert m["m_final_up"] == float(m_final)
 
 
 def test_sweep_rejects_repeated_key(cfg_path, tmp_path, capsys):
@@ -684,6 +728,10 @@ BAD_RUN_KEYS = {
     "spacing": ({"spacing": "cubic"}, "error: spacing must be 'linear' or 'log'"),
     "samples": ({"samples": 1}, "error: samples must be at least 2"),
     "bath": ({"bath": "on", "gamma": 0.0}, "error: bath mechanism requested but gamma = 0"),
+    "bath_unreadable": ({"bath": "maybe"},
+                        "error: config key 'bath': expected on/off, got 'maybe'\n"),
+    "coupling_g_unreadable": ({"coupling_g": "abc"},
+                              "error: config key 'coupling_g': not a number: 'abc'\n"),
     # the coupling spread has no switch: delta_g > 0 alone disperses the collapse
     "dispersion": ({"dispersion": "off", "delta_g": 0.0045},
                    "error: unknown config keys: ['dispersion']"),

@@ -9,8 +9,9 @@ command.  hbar = 1 is fixed in the code, so no module names it outside
 docstrings and comments.  Modules meet through public names: none reaches
 a private name of another.  The package ships only what its commands, demos
 and acceptance criteria run: every public function and class is used
-outside its own definition, and every default parameter of a public function
-is passed by one of them."""
+outside its own definition, every default parameter of a public function
+is passed by one of them, and every error class is caught by name by one of
+them."""
 
 import ast
 import json
@@ -125,6 +126,33 @@ def test_every_default_is_passed_by_the_program_demos_or_criteria():
                 for func, name, position in _defaulted_parameters(ast.parse(path.read_text()))
                 if (func, name) not in passed and (func, position) not in passed]
     assert sorted(unpassed) == sorted(DEFAULT_ALLOWED)
+
+
+#: error classes that no caller catches by name, with the reason they stay
+UNCAUGHT_ALLOWED = {
+    "CriticalOrSubcritical": "manifests record its name as the tau_reg_error of a run "
+                             "whose registration time is undefined",
+}
+
+
+def _caught_names(tree):
+    """Names in the exception types of every except clause of tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            yield from _loaded_names(node.type)
+
+
+def test_every_error_class_is_one_a_caller_catches():
+    # a subclass that no caller tells apart from CurieWeissError is surface
+    # without a use: raise CurieWeissError with the message instead
+    tree = ast.parse((ROOT / "src" / "curieweiss" / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes[0] == "CurieWeissError"
+    users = [*sorted((ROOT / "src" / "curieweiss").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    caught = {name for path in users for name in _caught_names(ast.parse(path.read_text()))}
+    uncaught = [name for name in classes[1:] if name not in caught]
+    assert sorted(uncaught) == sorted(UNCAUGHT_ALLOWED)
 
 
 def _hbar_uses(tree):

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curieweiss.errors import ConfigError, DomainError, PositivityError, TraceError
+from curieweiss.errors import ConfigError, CurieWeissError
 from curieweiss.model import (
     CONFIG_KEYS,
     ModelParams,
@@ -70,12 +70,12 @@ def test_validate_state_pure_superposition_boundary():
 
 
 def test_validate_state_positivity_violation():
-    with pytest.raises(PositivityError):
+    with pytest.raises(CurieWeissError, match="negative eigenvalue: det = "):
         validate_state(SystemState2x2(0.5, 0.5, 0.6 + 0j))
 
 
 def test_validate_state_trace_violation():
-    with pytest.raises(TraceError):
+    with pytest.raises(CurieWeissError, match=r"trace is 1\.1, expected 1"):
         validate_state(SystemState2x2(0.6, 0.5, 0j))
 
 
@@ -89,10 +89,13 @@ def test_validate_state_trace_violation():
     ],
 )
 def test_validate_state_rejects_non_finite(state):
-    with pytest.raises(DomainError):
+    with pytest.raises(CurieWeissError, match="non-finite density-matrix entry in "):
         validate_state(state)
 
 
+#: the start of each of validate_state's rejections
+STATE_ERRORS = ("^(non-finite density-matrix entry|trace is|negative diagonal entry"
+                "|negative eigenvalue)")
 NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(0.0, math.nan),
               complex(0.0, math.inf))
 
@@ -118,7 +121,7 @@ def test_validate_state_accepts_exactly_density_matrices(r_uu, trace_offset, rho
     if finite and abs(trace_offset) < 1e-12 and lam_min > 0:
         assert validate_state(state) is state
     else:
-        with pytest.raises((DomainError, TraceError, PositivityError)):
+        with pytest.raises(CurieWeissError, match=STATE_ERRORS):
             validate_state(state)
 
 
@@ -167,6 +170,12 @@ def test_regime_gamma_small_reported_not_counted():
     gam = check(rep, "gamma_small")
     assert not gam.counted
     assert gam.passed
+
+
+def test_regime_temperature_check_is_against_gamma_j():
+    # T >> gamma J, with its right side pinned at J != 1
+    rep = validate_regime(ModelParams(**{**REF, "coupling_j": 2.5}))
+    assert check(rep, "temperature_vs_gamma_j").rhs == REF["gamma"] * 2.5
 
 
 def test_regime_deterministic():

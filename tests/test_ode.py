@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from curieweiss import ode
-from curieweiss.errors import StepFailure
+from curieweiss.errors import CurieWeissError
 from oracles import reference_integrate
 
 _I2 = np.eye(2)
@@ -50,10 +50,16 @@ def test_order_of_convergence():
     assert 12.0 < ratio < 20.0
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_propagate_rejects_a_non_positive_end(t_end):
+    with pytest.raises(CurieWeissError, match="t_end must be positive"):
+        ode.propagate(lambda t: np.zeros((2, 2)), [1.0, 0.0], t_end)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_failure_on_badly_scaled_problem():
     # growth rate 1e60: every step overflows until the step size underflows
-    with pytest.raises(StepFailure):
+    with pytest.raises(CurieWeissError, match="step size underflow at t = "):
         ode.propagate(lambda t: np.diag([1e60, 0.0]), [1.0, 1.0], 1.0)
 
 

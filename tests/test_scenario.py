@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curieweiss import offdiag, registration
+from curieweiss import offdiag, registration, statics
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
@@ -16,11 +17,13 @@ from curieweiss.scenario import (
     _time_grid,
     assemble_final_state,
     collapse_run,
+    collapse_timescales,
     config_payload,
     dephased_entropy,
     entropy_budget,
     load_run_config,
     pointer_correlation,
+    registration_summary,
     run_scenario,
     state_entropy,
     why_not_a_measurement,
@@ -56,7 +59,7 @@ def final_plus():
 
 def assemble(state, up, down, t_hi):
     """assemble_final_state from the given sectors and the collapse of state up to t_hi."""
-    collapse = collapse_run(RunConfig(params=REF_PARAMS, state=state).resolved(), t_hi)
+    collapse = collapse_run(RunConfig(params=REF_PARAMS, state=state), t_hi)
     return assemble_final_state(state, up, down, collapse)
 
 
@@ -156,7 +159,7 @@ def test_final_state_fails_below_critical():
     p = ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                     gamma=1e-3, debye_cutoff=50.0)
     up, down = (registration.integrate_registration(s, p) for s in (+1, -1))
-    collapse = collapse_run(RunConfig(params=p, state=PLUS).resolved(), None)
+    collapse = collapse_run(RunConfig(params=p, state=PLUS), None)
     with pytest.raises(MeasurementFailed):
         assemble_final_state(PLUS, up, down, collapse)
 
@@ -235,6 +238,36 @@ def test_entropy_budget_signs(final_plus):
     assert budget.s_magnet_final < budget.s_magnet_initial
     assert budget.bath_entropy_change > 0
     assert budget.delta_total > 0
+
+
+def test_entropy_budget_closed_forms_at_j_2_5():
+    # every field from the branch weights and pointers, at a registered J != 1
+    # point (the reference scaled by J = 2.5) and a mixed initial state
+    p = ModelParams(n_spins=100000, coupling_j=2.5, coupling_g=0.225, temperature=0.85,
+                    gamma=1e-3, debye_cutoff=50.0)
+    state = SystemState2x2(0.7, 0.3, 0.3 + 0.1j)
+    report = run_scenario(RunConfig(params=p, state=state, samples=40))
+    assert report.status == "completed"
+    (w_up, m_up), (w_down, m_down) = ((b.weight, b.pointer)
+                                      for b in report.final_state.branches)
+    assert (w_up, w_down) == (0.7, 0.3) and m_up > 0.99 and m_down < -0.99
+    n, j, g, t = 100000, 2.5, 0.225, 0.85
+    half_gap = math.sqrt(0.2**2 + abs(0.3 + 0.1j) ** 2)
+    expected = {
+        "s_system_initial": -sum(x * math.log(x) for x in (0.5 + half_gap, 0.5 - half_gap)),
+        "s_system_final": -(0.7 * math.log(0.7) + 0.3 * math.log(0.3)),
+        "s_magnet_initial": n * math.log(2.0),
+        "s_magnet_final": n * (w_up * statics.mixing_entropy(m_up)
+                               + w_down * statics.mixing_entropy(m_down)),
+        "bath_entropy_change": n * sum(w * (j * m**4 / 4 + g * abs(m))
+                                       for w, m in ((w_up, m_up), (w_down, m_down))) / t,
+    }
+    expected["delta_total"] = (expected["s_system_final"] - expected["s_system_initial"]
+                               + expected["s_magnet_final"] - expected["s_magnet_initial"]
+                               + expected["bath_entropy_change"])
+    budget = report.entropy
+    for name, value in expected.items():
+        assert getattr(budget, name) == pytest.approx(value, rel=1e-12), name
 
 
 def test_entropy_dephasing_never_decreases():
@@ -318,6 +351,41 @@ def test_final_residual_is_the_last_collapse_sample():
         assert report.final_state.log10_offdiag_residual == report.offdiag.log10_abs[-1]
 
 
+def test_an_unset_bath_acts_where_gamma_is_positive():
+    # bath unset: the collapse and its timescales carry the bath exactly when
+    # gamma > 0; bath = off never does
+    cfg = RunConfig(params=REF_PARAMS, state=PLUS)
+    assert collapse_timescales(cfg)["tau_2"] == offdiag.decay_time_bath(REF_PARAMS)
+    # |r(t)| = |r0| |cos 2gt|^N exp(-N chi(t)), chi = gamma Gamma^2 g^2 t^4 / 2 pi
+    t, g, n = 40.0, REF_PARAMS.coupling_g, REF_PARAMS.n_spins
+    chi = REF_PARAMS.gamma * REF_PARAMS.debye_cutoff**2 * g**2 * t**4 / (2.0 * math.pi)
+    expected = (math.log10(0.5) + n * math.log10(abs(math.cos(2.0 * g * t)))
+                - n * chi / math.log(10.0))
+    traj = collapse_run(cfg, t)
+    assert traj.times[-1] == t
+    assert traj.log10_abs[-1] == pytest.approx(expected, rel=1e-12)
+    assert traj.log10_abs[-1] == pytest.approx(-3.5834e8, rel=1e-4)
+    assert cfg.bath is None and cfg.bath_acts
+    for bath, gamma, acts in ((None, 0.0, False), (False, 1e-3, False), (True, 1e-3, True)):
+        other = RunConfig(params=replace(REF_PARAMS, gamma=gamma), state=PLUS, bath=bath)
+        assert other.bath_acts is acts
+        assert ("tau_2" in collapse_timescales(other)) is acts
+        assert bool(collapse_run(other, t).bath_factor[-1] < 1.0) is acts
+
+
+def test_registration_summary_brackets_the_crossing_time():
+    # the operational registration time at the threshold, and at 0.8 and
+    # 1.25 times it, on the reference up sector
+    up, down = (registration.integrate_registration(s, REF_PARAMS) for s in (+1, -1))
+    summary = registration_summary(up, down, REF_PARAMS)
+    theta = registration.registration_threshold(REF_PARAMS)
+    assert summary["threshold"] == theta
+    assert summary["crossing_time"] == registration.crossing_time(up, theta)
+    assert summary["crossing_time_low"] == registration.crossing_time(up, 0.8 * theta)
+    assert summary["crossing_time_high"] == registration.crossing_time(up, 1.25 * theta)
+    assert summary["crossing_time_low"] < summary["crossing_time"] < summary["crossing_time_high"]
+
+
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 @pytest.mark.parametrize("samples", [2, 3, 400])
 def test_time_grid_ends_at_t_hi(spacing, samples):
@@ -362,9 +430,9 @@ def test_run_config_toggle_consistency():
     p = ModelParams(n_spins=1000, coupling_g=0.09, temperature=0.34, gamma=0.0,
                     debye_cutoff=50.0)
     with pytest.raises(ConfigError):
-        RunConfig(params=p, state=PLUS, bath=True).resolved()
+        RunConfig(params=p, state=PLUS, bath=True)
     with pytest.raises(ConfigError):
-        RunConfig(params=p, state=PLUS, spacing="cubic").resolved()
+        RunConfig(params=p, state=PLUS, spacing="cubic")
 
 
 def test_write_run_deterministic(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curieweiss.errors import DomainError, NoFerromagneticSolution, SpinodalUndefined
+from curieweiss.errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
 from curieweiss.model import ModelParams
 from curieweiss.statics import (
     PointKind,
@@ -46,7 +46,7 @@ def test_mixing_entropy_half():
 
 
 def test_mixing_entropy_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(CurieWeissError, match=r"\|m\| must be <= 1, got 1.0001"):
         mixing_entropy(1.0001)
 
 
