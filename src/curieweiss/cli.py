@@ -47,8 +47,8 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     files = scenario.write_landscape(out_dir, params, down_dat=True)
 
     summary: dict = {"config": scenario.config_payload(cfg)}
-    scapes = {name: statics.stationary_magnetizations(sign, params)
-              for sign, name in ((+1, "up"), (-1, "down"))}
+    up = statics.stationary_magnetizations(+1, params)
+    scapes = {"up": up, "down": up.mirrored()}
     for name, scape in scapes.items():
         rows = [[p.m, p.free_energy, p.kind.value, p.label.value] for p in scape.points]
         files.append(output.write_csv(os.path.join(out_dir, f"stationary_{name}.csv"),
@@ -76,14 +76,14 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 
 def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     params, echo_at = cfg.params, args.echo_at
-    traj = scenario.collapse_run(cfg, cfg.t_max)
+    couplings = offdiag.sample_couplings(params, cfg.seed)
+    traj = scenario.collapse_run(cfg, cfg.t_max, couplings)
     timescales = scenario.collapse_timescales(cfg)
     payload = {"config": scenario.config_payload(cfg), "timescales": timescales}
 
     files = []
     if echo_at is not None:
         # spin_echo rejects a bad pulse time before the first file is written
-        couplings = offdiag.sample_couplings(params, cfg.seed)
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times)
         payload["pulse_time"] = echo_at
         revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at])
@@ -102,8 +102,8 @@ def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     reason = scenario.why_not_a_measurement(params, cfg.bath)
     if reason is not None:
         raise ConfigError(f"nothing to register: {reason}")
-    up, down = (registration.integrate_registration(s, params, cfg.t_max) for s in (+1, -1))
-    files = scenario.write_sectors(out_dir, (up, down), params)
+    up, down = registration.integrate_sectors(params, cfg.t_max)
+    files = scenario.write_sectors(out_dir, up, params)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         **scenario.registration_summary(up, down, params),

@@ -334,19 +334,22 @@ def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
     return np.concatenate([[0.0], grid[:-1], [t_hi]])
 
 
-def collapse_run(cfg: RunConfig, t_hi: float | None) -> offdiag.OffDiagTrajectory:
+def collapse_run(cfg: RunConfig, t_hi: float | None,
+                 couplings: offdiag.CouplingVector | None = None) -> offdiag.OffDiagTrajectory:
     """Off-diagonal trajectory of the config on its grid up to t_hi (None:
     1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
-    delta_g = 0), damped by the bath where it acts; g = 0 has no collapse to
-    run."""
+    delta_g = 0; pass them when already drawn), damped by the bath where it
+    acts; g = 0 has no collapse to run."""
     params = cfg.params
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
     if t_hi is None:
         t_hi = 1.2 * math.pi / params.coupling_g
+    if couplings is None:
+        couplings = offdiag.sample_couplings(params, cfg.seed)
     return offdiag.offdiag_trajectory(
         params, cfg.state.r_ud, _time_grid(cfg, t_hi),
-        couplings=offdiag.sample_couplings(params, cfg.seed), include_bath=cfg.bath_acts,
+        couplings=couplings, include_bath=cfg.bath_acts,
     )
 
 
@@ -418,7 +421,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         return replace(report, timescales=Timescales(**timescales),
                        offdiag=collapse_run(config, config.t_max))
     timescales.update(registration_times(params))
-    up, down = (registration.integrate_registration(s, params, config.t_max) for s in (+1, -1))
+    up, down = registration.integrate_sectors(params, config.t_max)
     collapse = collapse_run(config, _registration_end(timescales["tau_reg_quadrature"], up, down))
     report = replace(report, timescales=Timescales(**timescales), offdiag=collapse,
                      sector_up=up, sector_down=down)
@@ -489,8 +492,11 @@ def config_payload(cfg: RunConfig) -> dict:
 
 def write_landscape(out_dir, params: ModelParams, down_dat: bool = False) -> list[dict]:
     """landscape.csv (m, F_up, F_down) and landscape_up.dat, plus
-    landscape_down.dat when asked; returns their records."""
-    cols = [output.column(c) for c in statics.landscape_table(params)]
+    landscape_down.dat when asked; returns their records.  F_down is F_up
+    reversed to the bit, so its column is F_up's formatted one reversed."""
+    m, f_up, _ = statics.landscape_table(params)
+    cols = [output.column(m), output.column(f_up)]
+    cols.append(cols[1][::-1])
     files = [
         output.write_csv(os.path.join(out_dir, "landscape.csv"), ["m", "F_up", "F_down"], cols),
         output.write_dat(os.path.join(out_dir, "landscape_up.dat"), cols[:2]),
@@ -527,16 +533,25 @@ def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> list[dict]:
     ]
 
 
-def write_sectors(out_dir, sectors, params: ModelParams) -> list[dict]:
-    """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m);
-    returns their records."""
+def _minus(text: str) -> str:
+    """repr(-x) from repr(x): the sign flipped."""
+    return text[1:] if text[0] == "-" else "-" + text
+
+
+def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
+                  params: ModelParams) -> list[dict]:
+    """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m)
+    of the up sector and its mirror image (see
+    :meth:`registration.MagnetizationTrajectory.mirrored`); returns their
+    records.  The up columns are formatted once: the down sector shares t
+    and F_down(-m) = F_up(m), and its m and dm_dt columns are the up ones
+    with the sign flipped (0.0 - 0.0 stays 0.0)."""
+    t, m, rate, f = (output.column(c) for c in (
+        up.times, up.m, up.rate, statics.free_energy(up.m, +1, params),
+    ))
+    down = [t, [c if c == "0.0" else _minus(c) for c in m], list(map(_minus, rate)), f]
     files = []
-    for traj in sectors:
-        sign = traj.field_sign
-        name = "up" if sign > 0 else "down"
-        cols = [output.column(c) for c in (
-            traj.times, traj.m, traj.rate, statics.free_energy(traj.m, sign, params),
-        )]
+    for name, cols in (("up", [t, m, rate, f]), ("down", down)):
         files += [
             output.write_csv(os.path.join(out_dir, f"registration_{name}.csv"),
                              ["t", "m", "dm_dt", "free_energy"], cols),
@@ -588,6 +603,6 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         entropy = payload["entropy"] = asdict(report.entropy)
         entropy["bath_entropy_change_estimate"] = entropy.pop("bath_entropy_change")
     if report.sector_up is not None:
-        files += write_sectors(out_dir, sectors, params)
+        files += write_sectors(out_dir, report.sector_up, params)
         payload["registration_summary"] = registration_summary(*sectors, params)
     return output.write_manifest(out_dir, payload, files)

@@ -63,6 +63,20 @@ class Landscape:
             raise NoFerromagneticSolution("landscape has no ferromagnetic minimum")
         return max(ferro, key=lambda p: (abs(p.m), self.field_sign * p.m))
 
+    def mirrored(self) -> "Landscape":
+        """The landscape of the opposite field sign, by the exact parity
+        F_s(m) = F_-s(-m): the points reversed with m -> 0.0 - m (so the g = 0
+        root stays +0.0), F and kind kept, ferromagnetic labels swapped.  Bit
+        for bit what :func:`stationary_magnetizations` finds for -field_sign,
+        whose roots and tie-break mirror exactly."""
+        points = tuple(
+            StationaryPoint(m=0.0 - p.m, free_energy=p.free_energy, kind=p.kind,
+                            label=label_point(0.0 - p.m))
+            for p in reversed(self.points)
+        )
+        return Landscape(field_sign=-self.field_sign, points=points,
+                         global_minimum=len(points) - 1 - self.global_minimum)
+
 
 def mixing_entropy(m):
     """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2."""
@@ -115,8 +129,12 @@ def _curvature_roots(params: ModelParams) -> tuple[float, float]:
 def bisect(f, a: float, b: float, fa: float) -> float:
     """Root of f in [a, b], f(a) = fa and f(b) of opposite signs, to the last bit.
 
-    Mirror-exact: on (-b, -a) with -f(-m) it returns exactly the negated root,
-    because midpoints, their rounding and the half kept all mirror.
+    Mirror-exact: with g(x) = f(-x) or -f(-x), bisect(g, -a, -b, g(-a))
+    returns exactly the negated root (a zero root stays +0.0), because
+    midpoints, their rounding and the half kept all mirror.  The down
+    landscape and the down registration sector are derived from the up ones
+    on the strength of this (:meth:`Landscape.mirrored`,
+    :meth:`registration.MagnetizationTrajectory.mirrored`).
     """
     while True:
         mid = 0.5 * (a + b)
@@ -272,7 +290,13 @@ def ferromagnetic_gap(up: Landscape, params: ModelParams) -> GapEstimate:
 
 
 def landscape_table(params: ModelParams):
-    """(m, F_up, F_down) on 401 evenly spaced m in [-1, 1], for export and
-    plotting."""
-    m = np.linspace(-1.0, 1.0, 401)
-    return m, free_energy(m, +1, params), free_energy(m, -1, params)
+    """(m, F_up, F_down) on the 401 nodes m = k/200, k = -200..200, for
+    export and plotting.
+
+    Each node is the correctly rounded k/200, so the grid is exactly
+    antisymmetric (np.linspace is not), and F_down = F_up reversed holds to
+    the bit: F_s(m) = F_-s(-m) exactly.
+    """
+    m = np.arange(-200, 201) / 200.0
+    f_up = free_energy(m, +1, params)
+    return m, f_up, f_up[::-1]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curieweiss import registration, scenario, statics
+from curieweiss import offdiag, registration, scenario, statics
 from curieweiss.cli import main
 from curieweiss.model import ModelParams
 from curieweiss.statics import critical_coupling
@@ -79,7 +79,8 @@ def test_statics_scans_each_landscape_once(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setattr(statics, "stationary_magnetizations",
                         lambda *a, **k: calls.append(a) or scan(*a, **k))
     assert main(["statics", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
-    assert len(calls) == 2
+    # the down landscape is the up one mirrored
+    assert calls == [(+1, REFERENCE_PARAMS)]
 
 
 def test_register_scans_no_landscape(tmp_path, monkeypatch):
@@ -179,6 +180,23 @@ def test_collapse_echo_revival_at_two_theta(tmp_path):
     assert abs(load_manifest(out)["echo_revival_log10"] - math.log10(0.5)) < 1e-12
 
 
+def test_collapse_echo_draws_the_couplings_once(tmp_path, monkeypatch):
+    # the collapse and the echo run over one draw; echo.csv is the echo of it
+    calls = []
+    draw = offdiag.sample_couplings
+    monkeypatch.setattr(offdiag, "sample_couplings",
+                        lambda *a: calls.append(a) or draw(*a))
+    cfg = write_cfg(tmp_path, delta_g=0.0045, samples=50)
+    out = tmp_path / "echo"
+    assert main(["collapse", "--config", str(cfg), "--out", str(out), "--echo-at", "7.5"]) == 0
+    assert len(calls) == 1
+    run = scenario.load_run_config(cfg)
+    times = scenario.collapse_run(run, None).times
+    echo = offdiag.spin_echo(7.5, draw(run.params, run.seed), run.state.r_ud, times)
+    scenario.write_offdiag_csv(tmp_path / "expected.csv", echo)
+    assert (out / "echo.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 @pytest.mark.parametrize("theta", ["-1", "nan", "inf", "1e308"])
 def test_collapse_rejects_bad_pulse_time(theta, cfg_path, tmp_path, capsys):
     # at 1e308 the revival time 2 theta overflows
@@ -205,6 +223,19 @@ def test_collapse_rejects_zero_coupling(extra, tmp_path, capsys):
     assert main(["collapse", "--config", str(cfg), "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err == "error: collapse requires a nonzero coupling g\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["register", "scenario"])
+def test_command_integrates_one_sector(command, tmp_path, monkeypatch):
+    # the down sector is the up one mirrored
+    signs = []
+    integrate = registration.integrate_registration
+    monkeypatch.setattr(registration, "integrate_registration",
+                        lambda sign, *a: signs.append(sign) or integrate(sign, *a))
+    out = tmp_path / command
+    assert main([command, "--config", str(REFERENCE_CFG), "--out", str(out)]) == 0
+    assert signs == [+1]
+    assert (out / "registration_down.csv").exists()
 
 
 def test_register_command(cfg_path, tmp_path):

@@ -22,6 +22,7 @@ from curieweiss.registration import (
     crossing_time,
     flow_rate,
     integrate_registration,
+    integrate_sectors,
     registration_threshold,
     registration_time_asymptotic,
     registration_time_quadrature,
@@ -246,6 +247,51 @@ def test_down_sector_mirrors_up(T, g):
     assert np.array_equal(down.times, up.times)
     assert np.array_equal(down.m, -up.m)
     assert down.terminal is up.terminal
+
+
+def assert_same_trajectory(a, b):
+    """a and b agree byte for byte, the sign of every zero included."""
+    for name in ("times", "m", "rate", "zeta0"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.field_sign == b.field_sign
+    assert a.terminal is b.terminal
+    assert a.attractor.hex() == b.attractor.hex()
+
+
+def assert_mirror_is_the_down_sector(p, t_max):
+    """The down sector of integrate_sectors, and the up sector mirrored, are
+    the directly integrated down sector to the bit; returns it."""
+    down = integrate_registration(-1, p, t_max)
+    up, mirrored = integrate_sectors(p, t_max)
+    assert_same_trajectory(up, integrate_registration(+1, p, t_max))
+    assert_same_trajectory(mirrored, down)
+    assert_same_trajectory(up.mirrored(), down)
+    return down
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.05, 0.8),
+       st.floats(1e-300, 0.6), st.none() | st.floats(1.0, 1e5))
+@example(1.0, 0.34, 0.09, 6e5)
+@example(1.0, 0.5, 5e-324, None)  # gamma g underflows: no flow, and the rate is -0.0
+def test_mirrored_sector_is_the_down_sector_bit_for_bit(j, t, x, t_max):
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    assert_mirror_is_the_down_sector(p, t_max)
+
+
+@pytest.mark.parametrize("j, t, x, t_max, terminal", [
+    (1.0, 0.34, 0.09, 6e5, TerminalKind.CONVERGED_FERRO),  # test_registration_sector_parity's
+    (2.5, 0.2, 0.1, None, TerminalKind.CONVERGED_FERRO),
+    (1.0, 0.34, 0.05, None, TerminalKind.TRAPPED_PARAMAGNETIC),
+    (4.0, 0.8, 0.01, None, TerminalKind.TRAPPED_PARAMAGNETIC),  # no spinodal
+    (1.0, 0.34, 0.09, 1e4, TerminalKind.MAX_TIME_REACHED),
+    (0.5, 0.3, 0.05, 20.0, TerminalKind.MAX_TIME_REACHED),
+])
+def test_mirrored_sector_covers_every_terminal_kind(j, t, x, t_max, terminal):
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    assert assert_mirror_is_the_down_sector(p, t_max).terminal is terminal
 
 
 # --- exact scaling of the energies -------------------------------------------------

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curieweiss import offdiag, registration, statics
+from curieweiss import offdiag, output, registration, statics
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
@@ -27,7 +27,9 @@ from curieweiss.scenario import (
     run_scenario,
     state_entropy,
     why_not_a_measurement,
+    write_landscape,
     write_run,
+    write_sectors,
 )
 
 REF_PARAMS = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34,
@@ -442,6 +444,56 @@ def test_write_run_deterministic(tmp_path):
     for name in sorted((tmp_path / "a").iterdir()):
         other = tmp_path / "b" / name.name
         assert name.read_bytes() == other.read_bytes(), name.name
+
+
+def count_columns(monkeypatch) -> list:
+    """Record every output.column call from here on."""
+    calls = []
+    column = output.column
+    monkeypatch.setattr(output, "column", lambda values: calls.append(1) or column(values))
+    return calls
+
+
+def test_write_landscape_formats_two_columns(tmp_path, monkeypatch):
+    # m and F_up; F_down's column is F_up's reversed
+    calls = count_columns(monkeypatch)
+    files = write_landscape(tmp_path, REF_PARAMS, down_dat=True)
+    assert len(calls) == 2
+    assert [f["name"] for f in files] == ["landscape.csv", "landscape_up.dat",
+                                          "landscape_down.dat"]
+    m, _, f_down = statics.landscape_table(REF_PARAMS)
+    expected = "".join(f"{x!r} {y!r}\n" for x, y in zip(m.tolist(), f_down.tolist()))
+    assert (tmp_path / "landscape_down.dat").read_text() == expected
+
+
+def test_write_sectors_formats_the_up_columns_once(tmp_path, monkeypatch):
+    up = registration.integrate_registration(+1, REF_PARAMS)
+    calls = count_columns(monkeypatch)
+    write_sectors(tmp_path, up, REF_PARAMS)
+    assert len(calls) == 4
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.05, 0.8), st.floats(1e-300, 0.6),
+       st.none() | st.floats(1.0, 1e5))
+@example(1.0, 0.34, 0.09, None)
+@example(1.0, 0.34, 0.05, None)  # trapped
+@example(1.0, 0.34, 0.09, 1e4)  # cut at t_max
+@example(1.0, 0.5, 5e-324, None)  # gamma g underflows: the up rate is 0.0, the down -0.0
+def test_down_files_are_the_down_sector_formatted(tmp_path_factory, j, t, x, t_max):
+    # the down files, derived from the up columns, equal the directly
+    # integrated down sector formatted column by column
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    out = tmp_path_factory.mktemp("sectors")
+    write_sectors(out, registration.integrate_registration(+1, p, t_max), p)
+    down = registration.integrate_registration(-1, p, t_max)
+    cols = [output.column(c) for c in (down.times, down.m, down.rate,
+                                       statics.free_energy(down.m, -1, p))]
+    output.write_csv(out / "expected.csv", ["t", "m", "dm_dt", "free_energy"], cols)
+    output.write_dat(out / "expected.dat", cols[:2])
+    assert (out / "registration_down.csv").read_bytes() == (out / "expected.csv").read_bytes()
+    assert (out / "registration_down.dat").read_bytes() == (out / "expected.dat").read_bytes()
 
 
 @st.composite

@@ -215,6 +215,32 @@ def test_roots_mirror_exactly(T, g):
     assert down == [-m for m in reversed(up)]
 
 
+def assert_same_landscape(a, b):
+    """a and b agree point for point, m and F to the bit (a zero's sign included)."""
+    assert a.field_sign == b.field_sign
+    assert a.global_minimum == b.global_minimum
+    assert len(a.points) == len(b.points)
+    for p, q in zip(a.points, b.points):
+        assert p.m.hex() == q.m.hex()
+        assert p.free_energy.hex() == q.free_energy.hex()
+        assert p.kind is q.kind
+        assert p.label is q.label
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.02, 1.2),
+       st.just(0.0) | st.floats(0.0, 0.6))
+@example(1.0, 0.34, 0.0)  # two ferromagnetic minima tie; the root m = 0 stays +0.0
+@example(1.0, 0.34, 0.09)
+@example(1.0, 0.34, 0.05)
+@example(2.5, 0.8, 0.05)  # T >= 3J/4: no spinodal
+def test_mirrored_landscape_is_the_down_scan(j, t, x):
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    up = stationary_magnetizations(+1, p)
+    assert_same_landscape(up.mirrored(), stationary_magnetizations(-1, p))
+
+
 def assert_first_stationary_is_the_scanned_point(sign, p):
     """first_stationary(sign, p) is, to the bit (a zero's sign included), the
     stationary point of the scan nearest m = 0 on the field's side; returns it."""
@@ -363,4 +389,18 @@ def test_landscape_table_shape():
     m, f_up, f_down = landscape_table(params())
     assert len(m) == len(f_up) == len(f_down) == 401
     assert m[0] == -1.0 and m[200] == 0.0 and m[-1] == 1.0
-    assert np.allclose(f_up, f_down[::-1], atol=1e-14)  # parity
+
+
+@pytest.mark.parametrize("p", [
+    params(), params(g=0.0), params(T=0.8, g=0.05),
+    ModelParams(n_spins=100000, coupling_j=2.5, coupling_g=0.225, temperature=0.85),
+])
+def test_landscape_table_is_exactly_mirrored(p):
+    m, f_up, f_down = landscape_table(p)
+    # each node is the correctly rounded k/200 (Python's int / int), so the
+    # grid is antisymmetric to the bit: 0.0 - m keeps the centre +0.0
+    assert m.tolist() == [k / 200 for k in range(-200, 201)]
+    assert m[::-1].tobytes() == (0.0 - m).tobytes()
+    # parity F_s(m) = F_-s(-m), to the bit
+    assert f_down.tobytes() == free_energy(m, -1, p).tobytes()
+    assert f_down.tobytes() == f_up[::-1].tobytes()
