@@ -35,7 +35,6 @@ from .offdiag import (
     decay_time_bath,
     dispersion_decay_time,
     envelope,
-    integrate_zeta_short_time,
     offdiag_trajectory,
     reduction_time,
     sample_couplings,
@@ -84,7 +83,6 @@ __all__ = [
     "decay_time_bath",
     "dispersion_decay_time",
     "envelope",
-    "integrate_zeta_short_time",
     "offdiag_trajectory",
     "reduction_time",
     "sample_couplings",

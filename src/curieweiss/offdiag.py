@@ -16,14 +16,12 @@ magnitudes far below the float underflow threshold remain exact as logs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CurieWeissError
 from .model import ModelParams
-from . import ode
 
 _LOG10 = math.log(10.0)
 
@@ -256,51 +254,6 @@ def spin_echo(
         bath_factor=np.ones_like(times),
         dispersion_factor=np.ones_like(times),
     )
-
-
-# --- short-time zeta equations ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZetaTrajectory:
-    """Numerical solution of the per-spin short-time equations."""
-
-    times: np.ndarray
-    zeta0: np.ndarray
-    zetaz: np.ndarray
-
-
-def zeta_matrix(t: float, params: ModelParams) -> np.ndarray:
-    """Matrix A(t) of the short-time equations (zeta0, zetaz)' = A(t) (zeta0, zetaz)
-    of the up-down sector.
-
-    The bath enters through a frequency-shift term and a friction term whose
-    time-averaged amplitude law is exactly exp(-chi(t)) with the quartic
-    chi of :func:`bath_exponent`; the friction coefficient carries the
-    (2gt/hbar)^2 weight required for that law to hold.
-    """
-    g = params.coupling_g
-    c = params.gamma * params.debye_cutoff**2
-    freq = 2j * g
-    friction = (c * t / math.pi) * (2.0 * g * t) ** 2
-    return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
-
-
-def integrate_zeta_short_time(params: ModelParams, t_max: float) -> ZetaTrajectory:
-    """Integrate the short-time equations from (1, 0) up to t_max.
-
-    The equations are linear, so they are propagated by adaptive
-    fourth-order Magnus steps at the fixed tolerances of
-    :func:`ode.propagate`.  A warning is issued when t_max exceeds the
-    stated validity window 1/Gamma.
-    """
-    if t_max > 1.0 / params.debye_cutoff:
-        warnings.warn(
-            f"t_max = {t_max} exceeds the short-time window 1/Gamma = {1.0 / params.debye_cutoff}",
-            stacklevel=2,
-        )
-    times, states = ode.propagate(lambda t: zeta_matrix(t, params), [1.0, 0.0], t_max)
-    return ZetaTrajectory(times=times, zeta0=states[:, 0], zetaz=states[:, 1])
 
 
 # --- bath spectrum ----------------------------------------------------------

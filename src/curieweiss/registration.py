@@ -9,7 +9,8 @@ sector rises to the ferromagnetic value m_f when g exceeds the critical
 coupling, and gets stuck at the shifted paramagnetic minimum otherwise.
 The flow is one-dimensional and autonomous, so it is inverted rather than
 stepped: t(m) = integral of dm'/v(m') from m(0) toward the attractor the
-statics give.
+statics give.  This module places the nodes of that integral and inverts
+it at t_max; :mod:`ode` takes the quadrature.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ from .errors import (
     SpinodalUndefined,
 )
 from .model import ModelParams
-from . import statics
+from . import ode, statics
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 #: geometric nodes per decade of distance to the attractor
 _NODES_PER_DECADE = 20
-#: accepted relative disagreement of an interval's rule with its two halves
-_RTOL = 1e-10
-_MAX_HALVINGS = 40
 #: distance from the attractor at which a registration flow is stopped
 STOP_DELTA = 1e-6
 #: residual band |m_f - m| / |m_f| of the tail that :func:`asymptotic_rate` fits
@@ -107,42 +104,6 @@ def flow_rate(m, field_sign: int, params: ModelParams):
     return params.gamma * np.where(np.abs(x) < 1e-8, series, exact)
 
 
-def _gauss(u, w, field_sign: int, params: ModelParams):
-    """12-point Gauss-Legendre time of flight from u to w, per interval, and a
-    bound on its rounding error: near a fixed point the rate is a difference
-    of terms of size |h| <= g + J, so it is off by a few ulp of gamma (g + J)."""
-    half = 0.5 * (w - u)[:, None]
-    x = 0.5 * (u + w)[:, None] + half * _GL_X
-    v = flow_rate(x, field_sign, params)
-    wrong = x[half * v <= 0.0]
-    if wrong.size:
-        raise CurieWeissError(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
-    dv = 4.0 * np.finfo(float).eps * params.gamma * (params.coupling_g + params.coupling_j)
-    return (half * _GL_W / v).sum(axis=1), (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
-
-
-def _time_to(u, w, field_sign: int, params: ModelParams):
-    """Ends and times of flight of intervals covering each (u, w): an interval
-    whose rule and the sum over its halves differ beyond _RTOL and rounding
-    is replaced by its halves."""
-    ends, times = [], []
-    for _ in range(_MAX_HALVINGS):
-        mid = 0.5 * (u + w)
-        t, noise = _gauss(np.concatenate([u, u, mid]), np.concatenate([w, mid, w]),
-                          field_sign, params)
-        whole, left, right = np.split(t, 3)
-        total = left + right
-        ok = np.abs(total - whole) <= _RTOL * np.abs(total) + sum(np.split(noise, 3))
-        ends.append(w[ok])
-        times.append(total[ok])
-        u, w = np.concatenate([u[~ok], mid[~ok]]), np.concatenate([mid[~ok], w[~ok]])
-        if not u.size:
-            return np.concatenate(ends), np.concatenate(times)
-    raise CurieWeissError(
-        f"registration time not resolved after {_MAX_HALVINGS} halvings near m = {u[0]!r}"
-    )
-
-
 def integrate_registration(
     field_sign: int,
     params: ModelParams,
@@ -171,7 +132,14 @@ def integrate_registration(
     n = math.ceil(_NODES_PER_DECADE * math.log10(gap / STOP_DELTA))
     d = np.union1d(np.geomspace(gap, STOP_DELTA, n + 1), np.linspace(STOP_DELTA, gap, 101))
     nodes = np.append(0.0, m_attr - direction * d[-2::-1])
-    ends, dt = _time_to(nodes[:-1], nodes[1:], field_sign, params)
+
+    def rate(m):
+        return flow_rate(m, field_sign, params)
+
+    # near a fixed point the rate is a difference of terms of size |h| <= g + J,
+    # so it is off by a few ulp of gamma (g + J)
+    dv = 4.0 * np.finfo(float).eps * params.gamma * (params.coupling_g + params.coupling_j)
+    ends, dt = ode.time_to(nodes[:-1], nodes[1:], rate, dv)
     order = np.argsort(direction * ends)
     m, times = np.append(0.0, ends[order]), np.append(0.0, np.cumsum(dt[order]))
     terminal = (TerminalKind.TRAPPED_PARAMAGNETIC
@@ -181,7 +149,7 @@ def integrate_registration(
         k = int(np.searchsorted(times, t_max)) - 1  # times[k] < t_max <= times[k + 1]
 
         def overshoot(x):
-            return _gauss(m[k:k + 1], np.array([x]), field_sign, params)[0][0] - (t_max - times[k])
+            return ode.gauss(m[k:k + 1], np.array([x]), rate, dv)[0][0] - (t_max - times[k])
 
         m = np.append(m[: k + 1], statics.bisect(overshoot, m[k], m[k + 1], times[k] - t_max))
         times = np.append(times[: k + 1], t_max)

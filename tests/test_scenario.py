@@ -396,6 +396,8 @@ def test_time_grid_ends_at_t_hi(spacing, samples):
     assert len(grid) == samples
     assert grid[0] == 0.0 and grid[-1] == 5.0
     assert np.all(np.diff(grid) > 0)
+    if spacing == "log" and samples >= 3:
+        assert grid[1] == 5.0 * 1e-4  # README: geometric from 1e-4 of the end time
 
 
 def test_verdict_reasons():
