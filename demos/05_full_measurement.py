@@ -23,11 +23,11 @@ print(f"regime valid at margin {rep.margin:g}: {rep.overall_valid}")
 
 ts = report.timescales
 print("\ntime scales (hbar/J):")
-print(f"  collapse      tau_red = {ts.tau_red:12.4f}")
-print(f"  bath damping  tau_2   = {ts.tau_2:12.4f}")
-print(f"  registration  tau_reg = {ts.tau_reg_quadrature:12.1f}")
+print(f"  collapse      tau_red = {ts['tau_red']:12.4f}")
+print(f"  bath damping  tau_2   = {ts['tau_2']:12.4f}")
+print(f"  registration  tau_reg = {ts['tau_reg_quadrature']:12.1f}")
 print(f"  ordering tau_red < tau_2 < tau_reg: "
-      f"{ts.tau_red < ts.tau_2 < ts.tau_reg_quadrature}")
+      f"{ts['tau_red'] < ts['tau_2'] < ts['tau_reg_quadrature']}")
 
 fs = report.final_state
 print("\nfinal state:")

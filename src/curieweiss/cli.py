@@ -55,9 +55,7 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
                                       ["m", "free_energy", "kind", "label"],
                                       [output.column(c) for c in zip(*rows)]))
         summary[f"global_minimum_{name}"] = scape.points[scape.global_minimum].m
-    summary["critical_g"], error = scenario.critical_g(params)
-    if error is not None:
-        summary["critical_g_error"] = error
+    summary.update(scenario.critical_g(params))
     summary["curie_temperature"] = statics.curie_temperature(params)
     try:
         summary["m_ferromagnetic"] = scapes["up"].ferromagnetic.m

@@ -9,8 +9,8 @@ sector rises to the ferromagnetic value m_f when g exceeds the critical
 coupling, and gets stuck at the shifted paramagnetic minimum otherwise.
 The flow is one-dimensional and autonomous, so it is inverted rather than
 stepped: t(m) = integral of dm'/v(m') from m(0) toward the attractor the
-statics give.  This module places the nodes of that integral and inverts
-it at t_max; :mod:`ode` takes the quadrature.
+statics give.  This module places the nodes of that integral, inverts it
+at t_max and reads it at a threshold; :mod:`ode` takes the quadrature.
 """
 
 from __future__ import annotations
@@ -201,9 +201,10 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
     return RateFit(fitted=-float(slope), predicted=params.gamma * params.coupling_j)
 
 
-def crossing_time(trajectory: MagnetizationTrajectory, m_target: float) -> float:
-    """First time at which m(t) passes m_target, by cubic Hermite interpolation
-    of t(m) between the stored nodes with the slopes dt/dm = 1/rate.
+def crossing_time(trajectory: MagnetizationTrajectory, m_target: float,
+                  params: ModelParams) -> float:
+    """First time at which m(t) passes m_target: the node before it plus the
+    Gauss rule of the flow from there, the rule the ``t_max`` cut inverts.
 
     The trajectory's m is strictly monotone toward its attractor; targets at
     or behind the starting point return 0.
@@ -215,12 +216,9 @@ def crossing_time(trajectory: MagnetizationTrajectory, m_target: float) -> float
     if x <= u[0]:
         return 0.0
     k = int(np.searchsorted(u, x)) - 1  # u[k] < x <= u[k + 1]
-    h = u[k + 1] - u[k]
-    s = (x - u[k]) / h
-    t0, t1 = trajectory.times[k], trajectory.times[k + 1]
-    d0, d1 = h / abs(trajectory.rate[k]), h / abs(trajectory.rate[k + 1])
-    return float((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * t0 + s * d0)
-                 + s * s * ((3.0 - 2.0 * s) * t1 - (1.0 - s) * d1))
+    dt = ode.gauss(trajectory.m[k:k + 1], np.array([m_target]),
+                   lambda m: flow_rate(m, trajectory.field_sign, params), 0.0)[0][0]
+    return float(trajectory.times[k] + dt)
 
 
 def registration_threshold(params: ModelParams) -> float:

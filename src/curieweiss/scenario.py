@@ -251,17 +251,10 @@ def load_run_config(path) -> RunConfig:
     return RunConfig(params=params, state=state, **run)
 
 
-@dataclass(frozen=True)
-class Timescales:
-    tau_red: float
-    tau_2: float | None
-    tau_2_prime: float | None
-    log10_recurrence_bath: float | None
-    log10_recurrence_dispersion: float | None
-    tau_reg_quadrature: float | None
-    tau_reg_asymptotic: float | None
-    #: exception type that left tau_reg undefined (trapped, no spinodal, no bath)
-    tau_reg_error: str | None
+#: the time scales a scenario manifest always holds, None where undefined;
+#: ``tau_reg_error`` follows them where tau_reg is undefined
+TIMESCALES = ("tau_red", "tau_2", "tau_2_prime", "log10_recurrence_bath",
+              "log10_recurrence_dispersion", "tau_reg_quadrature", "tau_reg_asymptotic")
 
 
 @dataclass(frozen=True)
@@ -271,13 +264,15 @@ class ScenarioReport:
     regime: RegimeReport
     landscape_up: statics.Landscape
     critical_g: float | None
-    timescales: Timescales | None
-    offdiag: offdiag.OffDiagTrajectory | None
-    sector_up: registration.MagnetizationTrajectory | None
-    sector_down: registration.MagnetizationTrajectory | None
-    final_state: FinalState | None
-    entropy: EntropyBudget | None
     config: RunConfig
+    # the stages, None where the run did not reach them; timescales is the
+    # manifest's: TIMESCALES, plus tau_reg_error where set
+    timescales: dict | None = None
+    offdiag: offdiag.OffDiagTrajectory | None = None
+    sector_up: registration.MagnetizationTrajectory | None = None
+    sector_down: registration.MagnetizationTrajectory | None = None
+    final_state: FinalState | None = None
+    entropy: EntropyBudget | None = None
 
 
 # --- pipeline stages -------------------------------------------------------------
@@ -300,12 +295,12 @@ def why_not_a_measurement(params: ModelParams, bath: bool | None) -> str | None:
     return None
 
 
-def critical_g(params: ModelParams) -> tuple[float | None, str | None]:
-    """(g_c, None), or (None, the error) where T >= 3J/4 leaves no spinodal."""
+def critical_g(params: ModelParams) -> dict:
+    """g_c; None, with the error, where T >= 3J/4 leaves no spinodal."""
     try:
-        return statics.critical_coupling(params), None
+        return {"critical_g": statics.critical_coupling(params)}
     except SpinodalUndefined as exc:
-        return None, f"SpinodalUndefined: {exc}"
+        return {"critical_g": None, "critical_g_error": f"SpinodalUndefined: {exc}"}
 
 
 def collapse_timescales(cfg: RunConfig) -> dict:
@@ -366,9 +361,9 @@ def registration_times(params: ModelParams) -> dict:
                 "tau_reg_error": type(exc).__name__}
 
 
-def _registration_end(tau_reg: float | None, up, down) -> float:
-    """max(3 tau_reg, both sector stop times); tau_reg counts as 0 where undefined."""
-    return max(3.0 * (tau_reg or 0.0), float(up.times[-1]), float(down.times[-1]))
+def _registration_end(tau_reg: float | None, up) -> float:
+    """max(3 tau_reg or 0, the sectors' stop time): 0 where they rest at m = 0."""
+    return max(3.0 * (tau_reg or 0.0), float(up.times[-1]))
 
 
 def registration_summary(up, down, params: ModelParams) -> dict:
@@ -382,10 +377,10 @@ def registration_summary(up, down, params: ModelParams) -> dict:
         "threshold": threshold,
     }
     try:
-        summary["crossing_time"] = registration.crossing_time(up, threshold)
+        summary["crossing_time"] = registration.crossing_time(up, threshold, params)
         # sensitivity of the operational registration time to the threshold
-        summary["crossing_time_low"] = registration.crossing_time(up, 0.8 * threshold)
-        summary["crossing_time_high"] = registration.crossing_time(up, 1.25 * threshold)
+        summary["crossing_time_low"] = registration.crossing_time(up, 0.8 * threshold, params)
+        summary["crossing_time_high"] = registration.crossing_time(up, 1.25 * threshold, params)
     except NeverCrossed:
         summary["crossing_time"] = None
     try:
@@ -410,20 +405,19 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         status="not_a_measurement", reason=why_not_a_measurement(params, config.bath),
         regime=validate_regime(params, margin=config.margin),
         landscape_up=statics.stationary_magnetizations(+1, params),
-        critical_g=critical_g(params)[0], timescales=None, offdiag=None, sector_up=None,
-        sector_down=None, final_state=None, entropy=None, config=config,
+        critical_g=critical_g(params)["critical_g"], config=config,
     )
     if params.coupling_g == 0:
         return report
-    timescales = dict.fromkeys(f.name for f in fields(Timescales))
-    timescales.update(collapse_timescales(config))
+    timescales = {**dict.fromkeys(TIMESCALES), **collapse_timescales(config)}
     if report.reason is not None:
-        return replace(report, timescales=Timescales(**timescales),
-                       offdiag=collapse_run(config, config.t_max))
+        return replace(report, timescales=timescales, offdiag=collapse_run(config, config.t_max))
     timescales.update(registration_times(params))
     up, down = registration.integrate_sectors(params, config.t_max)
-    collapse = collapse_run(config, _registration_end(timescales["tau_reg_quadrature"], up, down))
-    report = replace(report, timescales=Timescales(**timescales), offdiag=collapse,
+    # a sector at rest at m = 0 leaves the collapse its own end
+    t_end = _registration_end(timescales["tau_reg_quadrature"], up) or config.t_max
+    collapse = collapse_run(config, t_end)
+    report = replace(report, timescales=timescales, offdiag=collapse,
                      sector_up=up, sector_down=down)
     try:
         final = assemble_final_state(state, up, down, collapse)
@@ -451,7 +445,7 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
             rows.append([*values, "invalid-params", None, None, None])
             continue
         if why_not_a_measurement(p, cfg.bath) is not None:
-            rows.append([*values, "not-a-measurement", critical_g(p)[0], None, 0.0])
+            rows.append([*values, "not-a-measurement", critical_g(p)["critical_g"], None, 0.0])
             continue
         if cfg.t_max is None:
             m_attr = statics.first_stationary(+1, p)
@@ -471,7 +465,7 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
                 tau_reg = registration.registration_time_quadrature(p)
             except CurieWeissError:  # undefined here, e.g. no spinodal (T >= 3J/4)
                 pass
-        rows.append([*values, outcome, critical_g(p)[0], tau_reg, m_final])
+        rows.append([*values, outcome, critical_g(p)["critical_g"], tau_reg, m_final])
     return rows
 
 
@@ -585,9 +579,7 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         },
     }
     if report.timescales is not None:
-        payload["timescales"] = asdict(report.timescales)
-        if report.timescales.tau_reg_error is None:
-            del payload["timescales"]["tau_reg_error"]
+        payload["timescales"] = report.timescales
     if report.final_state is not None:
         fs = report.final_state
         payload["final_state"] = {

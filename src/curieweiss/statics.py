@@ -188,8 +188,9 @@ def _brackets(target: float, params: ModelParams):
 
 
 def _root(f, a: float, b: float, fa: float) -> float:
-    # a root past the last double below 1 rounds to that double, not to the edge
-    return max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa)))
+    # a root past the last double below 1 rounds to that double, not to the
+    # edge; a zero root is +0.0 in either field, as its mirror image is
+    return max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa))) + 0.0
 
 
 def first_stationary(field_sign: int, params: ModelParams) -> float:

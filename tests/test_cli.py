@@ -101,7 +101,8 @@ def test_statics_spinodal_recorded(tmp_path):
         assert main(["statics", "--config", str(cfg), "--out", str(out)]) == 0
         m = load_manifest(out)
         assert m["critical_g"] is None
-        assert "SpinodalUndefined" in m["critical_g_error"]
+        assert m["critical_g_error"].startswith(
+            f"SpinodalUndefined: T = {temperature} >= 3J/4 = 0.75")
         assert m["m_ferromagnetic"] is None
         assert m["ferromagnetic_gap"] is None
 
@@ -296,10 +297,14 @@ def test_scenario_reason_names_the_bath_toggle(bath_off_cfg, tmp_path):
     reason = load_manifest(out)["reason"]
     assert "bath = off" in reason and "gamma = 0" not in reason
     out = tmp_path / "scn_gamma0"
-    assert main(["scenario", "--config", str(write_cfg(tmp_path, gamma=0.0)),
+    assert main(["scenario", "--config", str(write_cfg(tmp_path, gamma=0.0, delta_g=0.0045)),
                  "--out", str(out)]) == 3
-    assert load_manifest(out)["reason"] == (
+    m = load_manifest(out)
+    assert m["reason"] == (
         "no bath (gamma = 0): the magnet cannot relax, so nothing is registered")
+    # every time scale is listed, those of the bath and of registration null
+    assert set(m["timescales"]) == SCENARIO_TIMESCALES
+    assert m["timescales"]["tau_2"] is None and m["timescales"]["tau_2_prime"] > 0
 
 
 def test_register_failure_outcome(tmp_path):
@@ -310,11 +315,19 @@ def test_register_failure_outcome(tmp_path):
     assert m["terminal_up"] == "trapped_paramagnetic"
 
 
+#: the time scales of every scenario manifest with a collapse; tau_reg_error
+#: joins them only where tau_reg is undefined
+SCENARIO_TIMESCALES = {"tau_red", "tau_2", "tau_2_prime", "log10_recurrence_bath",
+                       "log10_recurrence_dispersion", "tau_reg_quadrature",
+                       "tau_reg_asymptotic"}
+
+
 def test_scenario_command_exit_codes(cfg_path, tmp_path):
     out = tmp_path / "scn"
     assert main(["scenario", "--config", str(cfg_path), "--out", str(out)]) == 0
     m = load_manifest(out)
     assert m["status"] == "completed"
+    assert set(m["timescales"]) == SCENARIO_TIMESCALES
     assert m["final_state"]["branches"][0]["weight"] == 0.5
     assert m["entropy"]["delta_total"] > 0
 
@@ -325,6 +338,7 @@ def test_scenario_command_exit_codes(cfg_path, tmp_path):
         assert main(["scenario", "--config", str(cfg_fail), "--out",
                      str(tmp_path / f"scnf{g}")]) == 2
         ts = load_manifest(tmp_path / f"scnf{g}")["timescales"]
+        assert set(ts) == SCENARIO_TIMESCALES | {"tau_reg_error"}
         assert ts["tau_reg_quadrature"] is None and ts["tau_reg_asymptotic"] is None
         assert ts["tau_reg_error"] == "CriticalOrSubcritical"
 
@@ -342,6 +356,25 @@ def test_scenario_command_exit_codes(cfg_path, tmp_path):
     cfg_nom = write_cfg(tmp_path, coupling_g=0.0)
     assert main(["scenario", "--config", str(cfg_nom), "--out",
                  str(tmp_path / "scnn")]) == 3
+    assert "timescales" not in load_manifest(tmp_path / "scnn")  # no collapse to time
+
+
+@pytest.mark.parametrize("keys, t_end", [
+    ({"spacing": "log"}, 1.2 * math.pi / 1e-8),
+    ({"spacing": "linear"}, 1.2 * math.pi / 1e-8),
+    ({"t_max": 50.0}, 50.0),
+])
+def test_scenario_at_rest_at_zero_ends_the_collapse_at_its_own_end(keys, t_end, tmp_path):
+    # at g = 1e-8 the up sector's rest point (about g/T) lies within
+    # STOP_DELTA of 0, so neither sector leaves m = 0 and no registration
+    # time bounds the run: the collapse ends at t_max, or 1.2 pi/g unset
+    out = tmp_path / "rest"
+    cfg = write_cfg(tmp_path, coupling_g=1e-8, **keys)
+    assert main(["scenario", "--config", str(cfg), "--out", str(out)]) == 2
+    times = [float(row.split(",")[0])
+             for row in (out / "offdiag.csv").read_text().splitlines()[1:]]
+    assert times[0] == 0.0 and times[-1] == t_end
+    assert len(set(times)) == 400
 
 
 def test_scenario_near_critical_verdict(tmp_path):
@@ -367,8 +400,8 @@ def test_no_registration_time_at_the_critical_coupling(temperature, tmp_path):
     cfg = write_cfg(tmp_path, coupling_g=repr(gc), temperature=temperature)
     report = scenario.run_scenario(scenario.load_run_config(cfg))
     assert report.sector_up.terminal is registration.TerminalKind.TRAPPED_PARAMAGNETIC
-    assert report.timescales.tau_reg_quadrature is None
-    assert report.timescales.tau_reg_error == "CriticalOrSubcritical"
+    assert report.timescales["tau_reg_quadrature"] is None
+    assert report.timescales["tau_reg_error"] == "CriticalOrSubcritical"
     out = tmp_path / "reg"
     assert main(["register", "--config", str(cfg), "--out", str(out)]) == 0
     m = load_manifest(out)

@@ -455,7 +455,7 @@ def test_crossing_time_matches_quadrature():
     target = registration_threshold(p)
     assert target == pytest.approx((T / 3.0) ** 0.25, rel=1e-12)
     up = integrate_registration(+1, p, t_max=3e5)
-    t_cross = crossing_time(up, target)
+    t_cross = crossing_time(up, target, p)
     tau_q = registration_time_quadrature(p)
     assert t_cross == pytest.approx(tau_q, rel=0.15)
     assert t_cross / tau_q == pytest.approx(1.0069, abs=5e-3)  # frozen ratio
@@ -463,7 +463,7 @@ def test_crossing_time_matches_quadrature():
 
 def test_crossing_time_matches_exact_quadrature():
     # t(m) = integral_0^m dm'/v(m') to 30 digits at the reference point; the
-    # Hermite interpolant between the stored nodes is far inside 1e-6
+    # flow's Gauss rule from the node before m agrees to rounding
     p = mk()
     up = integrate_registration(+1, p)
 
@@ -476,18 +476,18 @@ def test_crossing_time_matches_exact_quadrature():
     with mpmath.workdps(30):
         for target in (0.8 * threshold, threshold, 1.25 * threshold):
             exact = float(mpmath.quad(inverse_rate, [0, bottleneck, target]))
-            assert crossing_time(up, target) == pytest.approx(exact, rel=1e-6)
+            assert crossing_time(up, target, p) == pytest.approx(exact, rel=1e-12)
 
 
 def test_crossing_time_edges():
     p = mk()
     up = integrate_registration(+1, p, t_max=6e5)
-    assert crossing_time(up, 0.0) == 0.0
-    assert crossing_time(up, -0.5) == 0.0  # behind the start
+    assert crossing_time(up, 0.0, p) == 0.0
+    assert crossing_time(up, -0.5, p) == 0.0  # behind the start
     with pytest.raises(NeverCrossed):
-        crossing_time(up, 0.9999)
-    # interpolated crossing is consistent with the stored samples
-    t_half = crossing_time(up, 0.5)
+        crossing_time(up, 0.9999, p)
+    # the crossing lies between the stored samples around it
+    t_half = crossing_time(up, 0.5, p)
     i = int(np.searchsorted(up.m, 0.5))
     assert up.times[i - 1] <= t_half <= up.times[i]
 
@@ -495,6 +495,15 @@ def test_crossing_time_edges():
 def test_crossing_time_down_sector():
     p = mk()
     down = integrate_registration(-1, p, t_max=6e5)
-    t = crossing_time(down, -0.5)
     up = integrate_registration(+1, p, t_max=6e5)
-    assert t == pytest.approx(crossing_time(up, 0.5), rel=1e-9)
+    assert crossing_time(down, -0.5, p) == crossing_time(up, 0.5, p)
+
+
+@pytest.mark.parametrize("t_cut", [1e3, 5e3, 1e4, 3e4])
+def test_crossing_time_inverts_the_t_max_cut(t_cut):
+    # the cut and crossing_time invert the flow by one Gauss rule: the time
+    # at which the full trajectory passes the cut's m_final is t_cut
+    p = mk()
+    full = integrate_registration(+1, p)
+    cut = integrate_registration(+1, p, t_max=t_cut)
+    assert crossing_time(full, cut.m_final, p) == pytest.approx(t_cut, rel=1e-14)

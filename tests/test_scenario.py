@@ -119,9 +119,9 @@ def test_run_scenario_evaluates_tau_reg_once(monkeypatch):
     report = run_scenario(load_run_config(REFERENCE_CFG))
     assert report.status == "completed"
     assert len(calls) == 1
-    # t_final is max(3 tau_reg, both sector stop times)
+    # t_final is max(3 tau_reg, the sectors' stop time)
     assert report.final_state.t_final == _registration_end(
-        report.timescales.tau_reg_quadrature, report.sector_up, report.sector_down)
+        report.timescales["tau_reg_quadrature"], report.sector_up)
 
 
 def test_run_scenario_scans_each_landscape_once(monkeypatch):
@@ -292,7 +292,7 @@ def test_run_scenario_reference_point(tmp_path):
     report = run_scenario(cfg)
     assert report.status == "completed"
     ts = report.timescales
-    assert ts.tau_red < ts.tau_2 < ts.tau_reg_quadrature
+    assert ts["tau_red"] < ts["tau_2"] < ts["tau_reg_quadrature"]
     assert report.sector_up.m_final == pytest.approx(0.9965, abs=1e-3)
     assert report.sector_down.m_final == pytest.approx(-0.9965, abs=1e-3)
     assert report.final_state.log10_offdiag_residual < -30.0
@@ -323,8 +323,8 @@ def test_run_scenario_dispersion_only():
     assert report.status == "not_a_measurement"
     assert "bath" in report.reason
     ts = report.timescales
-    assert ts.tau_2 is None
-    assert ts.tau_2_prime == pytest.approx(1.0 / (0.005 * math.sqrt(2000.0)), rel=1e-12)
+    assert ts["tau_2"] is None
+    assert ts["tau_2_prime"] == pytest.approx(1.0 / (0.005 * math.sqrt(2000.0)), rel=1e-12)
     assert report.sector_up is None  # registration stage unavailable
     assert report.offdiag is not None
 
@@ -335,8 +335,8 @@ def test_run_scenario_both_mechanisms():
     report = run_scenario(RunConfig(params=p, state=PLUS, samples=50))
     assert report.status == "completed"
     ts = report.timescales
-    assert ts.tau_2 is not None and ts.tau_2_prime is not None
-    assert ts.log10_recurrence_bath < 0 and ts.log10_recurrence_dispersion < 0
+    assert ts["tau_2"] is not None and ts["tau_2_prime"] is not None
+    assert ts["log10_recurrence_bath"] < 0 and ts["log10_recurrence_dispersion"] < 0
     traj = report.offdiag
     assert np.any(traj.bath_factor < 1.0)
     assert np.any(traj.dispersion_factor != 1.0)
@@ -382,9 +382,11 @@ def test_registration_summary_brackets_the_crossing_time():
     summary = registration_summary(up, down, REF_PARAMS)
     theta = registration.registration_threshold(REF_PARAMS)
     assert summary["threshold"] == theta
-    assert summary["crossing_time"] == registration.crossing_time(up, theta)
-    assert summary["crossing_time_low"] == registration.crossing_time(up, 0.8 * theta)
-    assert summary["crossing_time_high"] == registration.crossing_time(up, 1.25 * theta)
+    assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
+    assert summary["crossing_time_low"] == registration.crossing_time(
+        up, 0.8 * theta, REF_PARAMS)
+    assert summary["crossing_time_high"] == registration.crossing_time(
+        up, 1.25 * theta, REF_PARAMS)
     assert summary["crossing_time_low"] < summary["crossing_time"] < summary["crossing_time_high"]
 
 
@@ -417,7 +419,7 @@ def test_run_scenario_bath_off():
     assert report.status == "not_a_measurement"
     assert report.reason == why_not_a_measurement(REF_PARAMS, False)
     assert report.sector_up is None and report.final_state is None
-    assert report.timescales.tau_2 is None
+    assert report.timescales["tau_2"] is None
     assert np.all(report.offdiag.bath_factor == 1.0)
 
 

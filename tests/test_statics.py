@@ -234,6 +234,7 @@ def assert_same_landscape(a, b):
 @example(1.0, 0.34, 0.09)
 @example(1.0, 0.34, 0.05)
 @example(2.5, 0.8, 0.05)  # T >= 3J/4: no spinodal
+@example(2.5, 1.125, 5e-324)  # g = 1e-323: the root m = 0 is +0.0 in both fields
 def test_mirrored_landscape_is_the_down_scan(j, t, x):
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
                     gamma=1e-3)
