@@ -67,7 +67,7 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         summary["m_ferromagnetic"] = summary["ferromagnetic_gap"] = None
     output.write_manifest(out_dir, summary, files)
     print(f"statics: critical_g = {summary['critical_g']}, "
-          f"T_c = {summary['curie_temperature']:.4f}, "
+          f"T_c = {summary['curie_temperature']}, "
           f"m_f = {summary['m_ferromagnetic']}")
     return 0
 

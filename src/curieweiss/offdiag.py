@@ -209,7 +209,10 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
     n = params.n_spins
     uniform = CouplingVector.uniform(params.coupling_g, n)
     log_osc, sign_osc = log_cos_product(times, uniform)
-    log_total, sign_total = log_cos_product(times, couplings)
+    if couplings.values.tolist() == [params.coupling_g] and couplings.counts.tolist() == [n]:
+        log_total, sign_total = log_osc, sign_osc  # the same product
+    else:
+        log_total, sign_total = log_cos_product(times, couplings)
 
     if include_bath:
         log_bath = -n * bath_exponent(times, params)

@@ -9,6 +9,7 @@ and the entropy budget of the whole process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -484,12 +485,19 @@ def config_payload(cfg: RunConfig) -> dict:
     }
 
 
+@functools.cache
+def _landscape_m_column() -> tuple[str, ...]:
+    """The formatted m column of :func:`statics.landscape_grid`, once per process."""
+    return tuple(output.column(statics.landscape_grid()[0]))
+
+
 def write_landscape(out_dir, params: ModelParams, down_dat: bool = False) -> list[dict]:
     """landscape.csv (m, F_up, F_down) and landscape_up.dat, plus
-    landscape_down.dat when asked; returns their records.  F_down is F_up
-    reversed to the bit, so its column is F_up's formatted one reversed."""
-    m, f_up, _ = statics.landscape_table(params)
-    cols = [output.column(m), output.column(f_up)]
+    landscape_down.dat when asked; returns their records.  The m column is
+    the grid's, formatted once per process; F_down is F_up reversed to the
+    bit, so its column is F_up's formatted one reversed."""
+    _, f_up, _ = statics.landscape_table(params)
+    cols = [_landscape_m_column(), output.column(f_up)]
     cols.append(cols[1][::-1])
     files = [
         output.write_csv(os.path.join(out_dir, "landscape.csv"), ["m", "F_up", "F_down"], cols),

@@ -12,6 +12,7 @@ the sign of F'' = -3 J m^2 + T/(1 - m^2).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,16 +93,21 @@ def mixing_entropy(m):
     return float(s) if np.isscalar(m) or arr.ndim == 0 else s
 
 
+def _free_energy(m, m4, entropy, s: float, params: ModelParams):
+    """F_s from m, m^4 and S(m): the one expression, in one order, that
+    :func:`free_energy` and :func:`landscape_table` share."""
+    return (
+        -s * params.coupling_g * m
+        - 0.25 * params.coupling_j * m4
+        - params.temperature * entropy
+    )
+
+
 def free_energy(m, field_sign: int, params: ModelParams):
     """F_s(m) per spin, in energy units of the input parameters."""
     arr = np.asarray(m, dtype=float)
-    s = float(field_sign)
     m2 = arr * arr  # exactly even, unlike NumPy's arr**4
-    out = (
-        -s * params.coupling_g * arr
-        - 0.25 * params.coupling_j * (m2 * m2)
-        - params.temperature * mixing_entropy(arr)
-    )
+    out = _free_energy(arr, m2 * m2, mixing_entropy(arr), float(field_sign), params)
     return float(out) if np.isscalar(m) or arr.ndim == 0 else out
 
 
@@ -251,6 +257,17 @@ def critical_coupling_low_t(params: ModelParams) -> float:
     return (2.0 * t / 3.0) * math.sqrt(t / (3.0 * j))
 
 
+@functools.cache
+def _curie_gap() -> float:
+    """The gap x = 1 - m at T_c, a root of h(x) = 3 m atanh m + 2 log(1 - m^2)."""
+
+    def h(x: float) -> float:
+        log_ratio = math.log((2.0 - x) / x)  # 2 atanh(1 - x)
+        return 1.5 * (1.0 - x) * log_ratio + 2.0 * math.log(x * (2.0 - x))
+
+    return bisect(h, 0.0, 1.0 - math.sqrt(0.5), -math.inf)
+
+
 def curie_temperature(params: ModelParams) -> float:
     """Temperature at which the ferromagnetic minima are degenerate with m = 0.
 
@@ -258,15 +275,11 @@ def curie_temperature(params: ModelParams) -> float:
     eliminating T leaves h(m) = 3 m atanh m + 2 log(1 - m^2) = 0 on
     (1/sqrt 2, 1), so T_c/J is one pure number.  h is bisected to the last
     bit in the gap x = 1 - m, whose ulp is about 100 times finer than m's
-    near m_f = 0.9906, and T_c = J m^3 / atanh m.  Below T_c the
-    ferromagnetic states are the global minima.
+    near m_f = 0.9906, once per process: no parameter enters it.  Then
+    T_c = J m^3 / atanh m.  Below T_c the ferromagnetic states are the
+    global minima.
     """
-
-    def h(x: float) -> float:
-        log_ratio = math.log((2.0 - x) / x)  # 2 atanh(1 - x)
-        return 1.5 * (1.0 - x) * log_ratio + 2.0 * math.log(x * (2.0 - x))
-
-    x = bisect(h, 0.0, 1.0 - math.sqrt(0.5), -math.inf)
+    x = _curie_gap()
     return 2.0 * params.coupling_j * (1.0 - x) ** 3 / math.log((2.0 - x) / x)
 
 
@@ -290,14 +303,31 @@ def ferromagnetic_gap(up: Landscape, params: ModelParams) -> GapEstimate:
     return GapEstimate(gap=1.0 - up.ferromagnetic.m, asymptote=asym)
 
 
-def landscape_table(params: ModelParams):
-    """(m, F_up, F_down) on the 401 nodes m = k/200, k = -200..200, for
-    export and plotting.
+@functools.cache
+def landscape_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, m^4, S(m)) on the 401 nodes m = k/200, k = -200..200: read-only
+    arrays, computed once per process, since no parameter enters them.
 
     Each node is the correctly rounded k/200, so the grid is exactly
-    antisymmetric (np.linspace is not), and F_down = F_up reversed holds to
-    the bit: F_s(m) = F_-s(-m) exactly.
+    antisymmetric (np.linspace is not), and m^4 = (m m)(m m) and S(m) are
+    exactly even.
     """
     m = np.arange(-200, 201) / 200.0
-    f_up = free_energy(m, +1, params)
+    m2 = m * m
+    grid = (m, m2 * m2, mixing_entropy(m))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def landscape_table(params: ModelParams):
+    """(m, F_up, F_down) on the nodes of :func:`landscape_grid`, for export
+    and plotting.
+
+    m is the shared read-only grid array.  F_up is :func:`free_energy`'s
+    expression on the grid's m^4 and S(m), bit for bit, and F_down is F_up
+    reversed, which holds to the bit: F_s(m) = F_-s(-m) exactly.
+    """
+    m, m4, entropy = landscape_grid()
+    f_up = _free_energy(m, m4, entropy, 1.0, params)
     return m, f_up, f_up[::-1]

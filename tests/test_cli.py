@@ -70,6 +70,19 @@ def test_statics_command(cfg_path, tmp_path, capsys):
     assert header == "m,F_up,F_down"
 
 
+def test_statics_summary_prints_t_c_in_full(cfg_path, tmp_path, capsys):
+    # T_c is printed as the manifest holds it, like critical_g and m_f
+    assert main(["statics", "--config", str(cfg_path), "--out", str(tmp_path / "ref")]) == 0
+    assert capsys.readouterr().out == (
+        "statics: critical_g = 0.08148611226097796, T_c = 0.3629493340972723, "
+        "m_f = 0.9965142159314115\n")
+    cfg = write_cfg(tmp_path, coupling_j=1e-300)
+    assert main(["statics", "--config", str(cfg), "--out", str(tmp_path / "tiny")]) == 0
+    assert capsys.readouterr().out == (
+        "statics: critical_g = None, T_c = 3.629493340972723e-301, m_f = None\n")
+    assert load_manifest(tmp_path / "tiny")["curie_temperature"] == 3.629493340972723e-301
+
+
 def test_statics_scans_each_landscape_once(cfg_path, tmp_path, monkeypatch):
     # T_c is a closed 1-D condition and the gap reuses the up landscape
     from curieweiss import statics

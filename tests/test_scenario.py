@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curieweiss import offdiag, output, registration, statics
+from curieweiss import offdiag, output, registration, scenario, statics
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
@@ -155,6 +155,18 @@ def test_run_scenario_runs_the_collapse_once(monkeypatch):
     report = run_scenario(RunConfig(params=p, state=PLUS, samples=50))
     assert report.status == "completed"
     assert calls == {"offdiag_trajectory": 1, "sample_couplings": 1}
+
+
+@pytest.mark.parametrize("delta_g, products", [(0.0, 1), (0.0045, 2)])
+def test_uniform_collapse_takes_one_cosine_product(monkeypatch, delta_g, products):
+    # with every coupling at g the product over the couplings is the uniform one
+    calls = []
+    product = offdiag.log_cos_product
+    monkeypatch.setattr(offdiag, "log_cos_product",
+                        lambda *a: calls.append(1) or product(*a))
+    cfg = RunConfig(params=replace(REF_PARAMS, delta_g=delta_g), state=PLUS, samples=50)
+    collapse_run(cfg, None)
+    assert len(calls) == products
 
 
 def test_final_state_fails_below_critical():
@@ -459,15 +471,32 @@ def count_columns(monkeypatch) -> list:
 
 
 def test_write_landscape_formats_two_columns(tmp_path, monkeypatch):
-    # m and F_up; F_down's column is F_up's reversed
+    # a cold process formats m and F_up; F_down's column is F_up's reversed,
+    # and a later landscape, at other params, formats F_up alone
+    statics.landscape_grid.cache_clear()
+    scenario._landscape_m_column.cache_clear()
     calls = count_columns(monkeypatch)
-    files = write_landscape(tmp_path, REF_PARAMS, down_dat=True)
-    assert len(calls) == 2
-    assert [f["name"] for f in files] == ["landscape.csv", "landscape_up.dat",
-                                          "landscape_down.dat"]
-    m, _, f_down = statics.landscape_table(REF_PARAMS)
-    expected = "".join(f"{x!r} {y!r}\n" for x, y in zip(m.tolist(), f_down.tolist()))
-    assert (tmp_path / "landscape_down.dat").read_text() == expected
+    other = replace(REF_PARAMS, coupling_g=0.05, temperature=0.2)
+    for params, formatted in ((REF_PARAMS, 2), (other, 3)):
+        out = tmp_path / str(formatted)
+        files = write_landscape(out, params, down_dat=True)
+        assert len(calls) == formatted
+        assert [f["name"] for f in files] == ["landscape.csv", "landscape_up.dat",
+                                              "landscape_down.dat"]
+        m, _, f_down = statics.landscape_table(params)
+        expected = "".join(f"{x!r} {y!r}\n" for x, y in zip(m.tolist(), f_down.tolist()))
+        assert (out / "landscape_down.dat").read_text() == expected
+
+
+def test_landscape_grid_and_m_column_are_shared_read_only():
+    # every landscape of the process shares them, so none may change them
+    for arr in statics.landscape_grid():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert statics.landscape_table(REF_PARAMS)[0] is statics.landscape_grid()[0]
+    column = scenario._landscape_m_column()
+    assert isinstance(column, tuple)
+    assert column == tuple(map(repr, statics.landscape_grid()[0].tolist()))
 
 
 def test_write_sectors_formats_the_up_columns_once(tmp_path, monkeypatch):

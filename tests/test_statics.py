@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from curieweiss import statics
 from curieweiss.errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
 from curieweiss.model import ModelParams
 from curieweiss.statics import (
@@ -315,6 +316,19 @@ def test_curie_temperature_value():
     assert tc == pytest.approx(0.362949, abs=2e-5)
 
 
+def test_curie_temperature_bisects_once_per_process(monkeypatch):
+    # T_c/J is one pure number: its gap is bisected at the first call only
+    p1, p25 = params(), ModelParams(n_spins=100000, coupling_j=2.5, coupling_g=0.09,
+                                    temperature=0.34)
+    statics._curie_gap.cache_clear()
+    calls = []
+    bisect = statics.bisect
+    monkeypatch.setattr(statics, "bisect", lambda *a: calls.append(1) or bisect(*a))
+    assert curie_temperature(p1) == 0.3629493340972723
+    assert curie_temperature(p25) == 0.9073733352431808
+    assert len(calls) == 1
+
+
 def test_ferro_states_win_below_curie_and_lose_above():
     tc = curie_temperature(params())
     below = stationary_magnetizations(+1, params(T=tc - 0.01, g=0.0))
@@ -390,6 +404,17 @@ def test_landscape_table_shape():
     m, f_up, f_down = landscape_table(params())
     assert len(m) == len(f_up) == len(f_down) == 401
     assert m[0] == -1.0 and m[200] == 0.0 and m[-1] == 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.05, 0.8), st.floats(0.0, 0.6))
+@example(1.0, 0.34, 0.0)
+@example(1.0, 0.34, 5e-324)
+def test_landscape_table_is_free_energy_to_the_bit(j, t, x):
+    # the table evaluates F on the cached grid's m^4 and S(m)
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j)
+    m = np.arange(-200, 201) / 200.0
+    assert landscape_table(p)[1].tobytes() == free_energy(m, +1, p).tobytes()
 
 
 @pytest.mark.parametrize("p", [
