@@ -15,6 +15,7 @@ from .model import (
     ModelParams,
     RegimeReport,
     SystemState2x2,
+    regime_valid,
     validate_regime,
     validate_state,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "ModelParams",
     "RegimeReport",
     "SystemState2x2",
+    "regime_valid",
     "validate_regime",
     "validate_state",
     "Landscape",

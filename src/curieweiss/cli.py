@@ -149,13 +149,14 @@ def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         raise ConfigError(f"sweep axis {keys[0]!r} given twice")
 
     header = [*keys, "outcome", "critical_g", "tau_reg", "m_final"]
-    rows = scenario.sweep_rows(cfg, keys, grids)
+    rows, errors = scenario.sweep_rows(cfg, keys, grids)
     table = output.write_csv(os.path.join(out_dir, "sweep.csv"), header,
                              [output.column(c) for c in zip(*rows)])
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
         "axes": [{"key": k, "values": g} for k, g in parsed],
         "rows": len(rows),
+        "errors": errors,
     }, [table])
     print(f"sweep: {len(rows)} points -> {os.path.join(out_dir, 'sweep.csv')}")
     return 0

@@ -120,10 +120,11 @@ class RegimeCheck:
     rhs: float
     required_factor: float
     passed: bool
-    #: lhs / (required_factor * rhs); > 1 means passed, inf when rhs = 0
+    #: lhs / (required_factor * rhs); > 1 means passed, inf when the
+    #: denominator is 0
     margin_ratio: float
     #: whether this check enters overall_valid
-    counted: bool = True
+    counted: bool
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,13 @@ class RegimeReport:
     margin: float
 
 
-def _mk_check(name, lhs, rhs, factor, counted=True) -> RegimeCheck:
-    if rhs == 0.0:
+def _holds(lhs: float, rhs: float, factor: float) -> bool:
+    """One inequality of the regime: strictly lhs > factor * rhs."""
+    return lhs > factor * rhs
+
+
+def _mk_check(name, lhs, rhs, factor, counted) -> RegimeCheck:
+    if factor * rhs == 0.0:  # rhs = 0, or a subnormal rhs that the factor rounds to 0
         ratio = math.inf if lhs > 0 else 0.0
     else:
         ratio = lhs / (factor * rhs)
@@ -143,7 +149,7 @@ def _mk_check(name, lhs, rhs, factor, counted=True) -> RegimeCheck:
         lhs=lhs,
         rhs=rhs,
         required_factor=factor,
-        passed=lhs > factor * rhs,
+        passed=_holds(lhs, rhs, factor),
         margin_ratio=ratio,
         counted=counted,
     )
@@ -156,15 +162,23 @@ def check_margin(margin: float) -> None:
         raise ConfigError(f"margin must be positive and finite, got {margin}")
 
 
-def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
-    """Evaluate the inequalities under which the model acts as a measurement.
+def _square(x: float) -> float:
+    """x ** 2, or inf where the square overflows (float ** raises there;
+    x * x would differ from C pow's x ** 2 in the last bit now and then)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _regime_rows(params: ModelParams, margin: float) -> tuple[tuple, ...]:
+    """The inequalities of the regime as rows (name, lhs, rhs, factor,
+    counted), in the order :func:`_overall_valid` reads them.
 
     Each ``X >> Y`` is operationalized as ``X > margin * Y``; the plain
-    inequality J > g uses factor 1.  The off-diagonal suppression condition
-    has two alternative branches (bath or coupling dispersion); at least one
-    must hold.  The smallness of gamma is reported but not counted: the
-    chain hbar*Gamma >> T >> gamma*J already bounds it whenever T < J
-    (hbar = 1).
+    inequality J > g uses factor 1.  The smallness of gamma is reported but
+    not counted: the chain hbar*Gamma >> T >> gamma*J already bounds it
+    whenever T < J (hbar = 1).
     Raises ConfigError for a margin that is not positive and finite.
     """
     check_margin(margin)
@@ -173,29 +187,48 @@ def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
     j, t = params.coupling_j, params.temperature
     hg = params.debye_cutoff
 
-    bath_rhs = (g / hg) ** 2 / params.gamma if params.gamma > 0 else math.inf
-    disp_rhs = (g / dg) ** 2 if dg > 0 else math.inf
+    bath_rhs = _square(g / hg) / params.gamma if params.gamma > 0 else math.inf
+    disp_rhs = _square(g / dg) if dg > 0 else math.inf
 
-    checks = (
-        _mk_check("n_large", n, 1.0, margin),
-        _mk_check("n_vs_bath", n, bath_rhs, margin),
-        _mk_check("n_vs_dispersion", n, disp_rhs, margin),
-        _mk_check("cutoff_vs_temperature", hg, t, margin),
-        _mk_check("temperature_vs_gamma_j", t, params.gamma * j, margin),
-        _mk_check("cutoff_vs_j", hg, j, margin),
-        _mk_check("j_vs_g", j, g, 1.0),
-        _mk_check("gamma_small", 1.0, params.gamma, margin, counted=False),
+    return (
+        ("n_large", n, 1.0, margin, True),
+        ("n_vs_bath", n, bath_rhs, margin, True),
+        ("n_vs_dispersion", n, disp_rhs, margin, True),
+        ("cutoff_vs_temperature", hg, t, margin, True),
+        ("temperature_vs_gamma_j", t, params.gamma * j, margin, True),
+        ("cutoff_vs_j", hg, j, margin, True),
+        ("j_vs_g", j, g, 1.0, True),
+        ("gamma_small", 1.0, params.gamma, margin, False),
     )
-    by_name = {c.name: c for c in checks}
-    overall = (
-        by_name["n_large"].passed
-        and (by_name["n_vs_bath"].passed or by_name["n_vs_dispersion"].passed)
-        and by_name["cutoff_vs_temperature"].passed
-        and by_name["temperature_vs_gamma_j"].passed
-        and by_name["cutoff_vs_j"].passed
-        and by_name["j_vs_g"].passed
-    )
-    return RegimeReport(checks=checks, overall_valid=overall, margin=margin)
+
+
+def _overall_valid(passed) -> bool:
+    """The regime's verdict from the passed flags of :func:`_regime_rows`, in
+    its order: every counted check holds, except that the off-diagonal
+    suppression needs only one of its two branches (bath or coupling
+    dispersion)."""
+    n_large, bath, dispersion, *chain, _gamma_small = passed
+    return n_large and (bath or dispersion) and all(chain)
+
+
+def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
+    """Evaluate the inequalities under which the model acts as a measurement
+    (see :func:`_regime_rows`), each as a :class:`RegimeCheck` with its sides
+    and margin ratio.
+    Raises ConfigError for a margin that is not positive and finite.
+    """
+    checks = tuple(_mk_check(*row) for row in _regime_rows(params, margin))
+    return RegimeReport(checks=checks, overall_valid=_overall_valid(c.passed for c in checks),
+                        margin=margin)
+
+
+def regime_valid(params: ModelParams, margin: float) -> bool:
+    """``validate_regime(params, margin).overall_valid``, from the same rows
+    and verdict, without building the report: the sweep's per-point test.
+    Raises ConfigError for a margin that is not positive and finite.
+    """
+    return _overall_valid([_holds(lhs, rhs, factor)
+                           for _, lhs, rhs, factor, _ in _regime_rows(params, margin)])
 
 
 # --- flat key = value configuration files ---------------------------------

@@ -9,6 +9,7 @@ and the entropy budget of the whole process.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -35,6 +36,7 @@ from .model import (
     get_int,
     params_from_mapping,
     read_config_file,
+    regime_valid,
     validate_regime,
     validate_state,
 )
@@ -428,21 +430,26 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
                    entropy=entropy_budget(state, params, final))
 
 
-def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
+def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]:
     """One row [*values, outcome, g_c, tau_reg, m_final] per point of the
-    product of the axis grids, each axis setting the parameter of its key.
+    product of the axis grids, each axis setting the parameter of its key,
+    and the count of each error class the rows absorbed, by class name.
 
-    A point whose parameters ModelParams rejects is "invalid-params".  One
-    that is not a measurement has m_final = 0: the rate at m = 0 is exactly
-    0 there, so no flow leaves it.  Without t_max the up flow from m = 0 ends
-    at :func:`statics.first_stationary`, one bisection per point and no
-    trajectory.
+    A point whose parameters ModelParams rejects is "invalid-params" (a
+    ConfigError).  One that is not a measurement has m_final = 0: the rate
+    at m = 0 is exactly 0 there, so no flow leaves it.  Without t_max the up
+    flow from m = 0 ends at :func:`statics.first_stationary`, one bisection
+    per point and no trajectory.  The "/invalid-regime" suffix is
+    :func:`regime_valid`'s verdict, without the report of
+    :func:`validate_regime`.  A registered row whose tau_reg is undefined
+    (no spinodal, say) has tau_reg None, and its error is counted.
     """
-    rows = []
+    rows, errors = [], collections.Counter()
     for values in itertools.product(*grids):
         try:
             p = replace(cfg.params, **dict(zip(keys, values)))
-        except ConfigError:
+        except ConfigError as exc:
+            errors[type(exc).__name__] += 1
             rows.append([*values, "invalid-params", None, None, None])
             continue
         if why_not_a_measurement(p, cfg.bath) is not None:
@@ -458,16 +465,16 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> list[list]:
             registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
             m_final = up.m_final
         outcome = "registered" if registered else "failed"
-        if not validate_regime(p, margin=cfg.margin).overall_valid:
+        if not regime_valid(p, cfg.margin):
             outcome += "/invalid-regime"
         tau_reg = None
         if registered:
             try:
                 tau_reg = registration.registration_time_quadrature(p)
-            except CurieWeissError:  # undefined here, e.g. no spinodal (T >= 3J/4)
-                pass
+            except CurieWeissError as exc:  # undefined here, e.g. no spinodal (T >= 3J/4)
+                errors[type(exc).__name__] += 1
         rows.append([*values, outcome, critical_g(p)["critical_g"], tau_reg, m_final])
-    return rows
+    return rows, dict(sorted(errors.items()))
 
 
 # --- persistence ---------------------------------------------------------------

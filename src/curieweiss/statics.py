@@ -218,7 +218,8 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
 
     They solve psi(m) = s g, one per bracket of :func:`_brackets`, each
-    bisected to the last bit.
+    bisected to the last bit.  F at all roots is one array evaluation of
+    :func:`free_energy`, elementwise the same as one call per root.
     """
     s = int(field_sign)
     f, brackets = _brackets(s * params.coupling_g, params)
@@ -227,11 +228,11 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     points = tuple(
         StationaryPoint(
             m=r,
-            free_energy=float(free_energy(r, s, params)),
+            free_energy=fr,
             kind=PointKind.MINIMUM if free_energy_curvature(r, params) > 0 else PointKind.MAXIMUM,
             label=label_point(r),
         )
-        for r in roots
+        for r, fr in zip(roots, free_energy(np.array(roots), s, params).tolist())
     )
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:

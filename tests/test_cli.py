@@ -535,6 +535,27 @@ def test_sweep_margin_flag(tmp_path):
     assert rows and all(r.split(",")[1].endswith("/invalid-regime") for r in rows)
 
 
+def test_sweep_counts_the_errors_its_rows_absorb(tmp_path):
+    # a half-integer n_spins is an invalid-params row (a ConfigError); at
+    # T = 0.8 >= 3J/4 the rows register but tau_reg is undefined
+    cfg = write_cfg(tmp_path, temperature=0.8)
+    out = tmp_path / "sweep_err"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep", "n_spins=1000:1001:3", "--sweep", "coupling_g=0.6:1.0:3"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    outcomes = [row[2] for row in rows]
+    assert outcomes.count("invalid-params") == 3
+    assert outcomes.count("registered") + outcomes.count("registered/invalid-regime") == 6
+    assert "registered/invalid-regime" in outcomes  # g = J
+    assert all(row[4] == "None" for row in rows)
+    assert load_manifest(out)["errors"] == {"ConfigError": 3, "CriticalOrSubcritical": 6}
+
+    out = tmp_path / "sweep_clean"
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", "coupling_g=0.05:0.11:4"]) == 0
+    assert load_manifest(out)["errors"] == {}
+
+
 def assert_not_a_measurement(out, base, key):
     """Each row is not a measurement, with the m_final of the up flow from m = 0."""
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]

@@ -3,7 +3,7 @@ import re
 from dataclasses import fields
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curieweiss.errors import ConfigError, CurieWeissError
 from curieweiss.model import (
@@ -11,6 +11,7 @@ from curieweiss.model import (
     ModelParams,
     SystemState2x2,
     read_config_mapping,
+    regime_valid,
     validate_regime,
     validate_state,
 )
@@ -155,6 +156,12 @@ def test_regime_rejects_margin_not_positive_finite(margin):
         validate_regime(ModelParams(**REF), margin=margin)
 
 
+@pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+def test_regime_valid_rejects_margin_not_positive_finite(margin):
+    with pytest.raises(ConfigError, match="margin must be positive and finite"):
+        regime_valid(ModelParams(**REF), margin)
+
+
 def test_regime_dispersion_branch():
     p = ModelParams(**{**REF, "gamma": 0.0, "delta_g": 0.01})
     rep = validate_regime(p)
@@ -176,6 +183,74 @@ def test_regime_temperature_check_is_against_gamma_j():
     # T >> gamma J, with its right side pinned at J != 1
     rep = validate_regime(ModelParams(**{**REF, "coupling_j": 2.5}))
     assert check(rep, "temperature_vs_gamma_j").rhs == REF["gamma"] * 2.5
+
+
+@st.composite
+def regime_params(draw):
+    """Params under which each counted check can fail on its own: few spins,
+    no bath (its branch's side is inf), a coupling spread carrying the
+    dispersion branch, a cutoff at or below margin T or margin J, T at or
+    below margin gamma J, and g at or above J."""
+    j = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    g = j * draw(st.floats(0.0, 2.0))
+    return ModelParams(
+        n_spins=draw(st.integers(1, 200) | st.integers(1, 10**12)),
+        coupling_j=j,
+        coupling_g=g,
+        delta_g=g * draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+        temperature=j * draw(st.floats(1e-4, 5.0)),
+        gamma=draw(st.just(0.0) | st.floats(1e-6, 1.0)),
+        debye_cutoff=draw(st.floats(0.01, 100.0)),
+    )
+
+
+#: (check, params, margin) with that check's lhs exactly factor * rhs
+TIES = [
+    ("n_large", dict(n_spins=10), 10.0),
+    ("n_vs_bath", dict(n_spins=64, coupling_g=0.5, gamma=2.0**-20, debye_cutoff=64.0), 1.0),
+    ("n_vs_dispersion", dict(n_spins=160, coupling_g=0.5, delta_g=0.125, gamma=0.0), 10.0),
+    ("cutoff_vs_temperature", dict(temperature=5.0), 10.0),
+    ("temperature_vs_gamma_j", dict(temperature=0.15625, gamma=2.0**-6), 10.0),
+    ("cutoff_vs_j", dict(debye_cutoff=10.0), 10.0),
+    ("j_vs_g", dict(coupling_g=1.0), 10.0),
+    ("gamma_small", dict(coupling_j=0.25, temperature=0.5, gamma=1.0), 1.0),
+]
+
+
+def with_ties(test):
+    for _, changes, margin in TIES:
+        test = example(ModelParams(**{**REF, **changes}), margin)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=300)
+@given(regime_params(), st.sampled_from([0.5, 1.0, 10.0]))
+@with_ties
+# a right side whose square overflows (float ** raises there) is inf
+@example(ModelParams(n_spins=1, coupling_j=0.5, coupling_g=0.5, delta_g=5e-301,
+                     temperature=0.5, gamma=0.0, debye_cutoff=1.0), 0.5)
+@example(ModelParams(**{**REF, "coupling_g": 1e200, "coupling_j": 1e201}), 10.0)
+# a subnormal right side that the factor rounds to 0: the margin ratio is inf
+@example(ModelParams(**{**REF, "temperature": 5e-324}), 0.5)
+def test_regime_valid_is_the_report_verdict(p, margin):
+    report = validate_regime(p, margin)
+    assert regime_valid(p, margin) is report.overall_valid
+    for c in report.checks:
+        if c.lhs == c.required_factor * c.rhs:
+            assert not c.passed, c.name  # each check is a strict >
+
+
+@pytest.mark.parametrize("name, changes, margin", TIES, ids=[t[0] for t in TIES])
+def test_regime_tie_alone_fails_its_check(name, changes, margin):
+    # only the tied check fails (and the bath branch fails next to the
+    # dispersion one, and vice versa), so the verdict hangs on the strict >
+    report = validate_regime(ModelParams(**{**REF, **changes}), margin)
+    failed = {c.name for c in report.checks if not c.passed}
+    tied = check(report, name)
+    assert tied.lhs == tied.required_factor * tied.rhs
+    assert failed - {"n_vs_bath", "n_vs_dispersion"} <= {name}
+    assert name in failed
+    assert report.overall_valid is not tied.counted
 
 
 def test_regime_deterministic():

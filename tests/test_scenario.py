@@ -157,6 +157,41 @@ def test_run_scenario_runs_the_collapse_once(monkeypatch):
     assert calls == {"offdiag_trajectory": 1, "sample_couplings": 1}
 
 
+@pytest.fixture()
+def regime_builds(monkeypatch):
+    """The count of RegimeCheck and RegimeReport instances built, by class name."""
+    from curieweiss import model
+
+    built = {"RegimeCheck": 0, "RegimeReport": 0}
+    for name in built:
+        def counted(*a, _cls=getattr(model, name), _name=name, **k):
+            built[_name] += 1
+            return _cls(*a, **k)
+        monkeypatch.setattr(model, name, counted)
+    return built
+
+
+def test_sweep_builds_no_regime_report(regime_builds, tmp_path):
+    from curieweiss.cli import main
+
+    # each point takes the verdict of the regime's inequalities, not their report
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(tmp_path),
+                 "--sweep", "coupling_g=0.05:1.2:3", "--sweep", "temperature=0.2:0.34:2"]) == 0
+    outcomes = [r.split(",")[2] for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(outcomes) == 6 and "registered" in outcomes
+    assert "registered/invalid-regime" in outcomes  # g > J
+    assert regime_builds == {"RegimeCheck": 0, "RegimeReport": 0}
+
+
+def test_validate_and_scenario_build_one_regime_report(regime_builds, tmp_path):
+    from curieweiss.cli import main
+
+    assert main(["validate", "--config", str(REFERENCE_CFG), "--out", str(tmp_path)]) == 0
+    assert regime_builds == {"RegimeCheck": 8, "RegimeReport": 1}
+    run_scenario(load_run_config(REFERENCE_CFG))
+    assert regime_builds == {"RegimeCheck": 16, "RegimeReport": 2}
+
+
 @pytest.mark.parametrize("delta_g, products", [(0.0, 1), (0.0045, 2)])
 def test_uniform_collapse_takes_one_cosine_product(monkeypatch, delta_g, products):
     # with every coupling at g the product over the couplings is the uniform one

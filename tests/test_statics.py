@@ -243,6 +243,25 @@ def test_mirrored_landscape_is_the_down_scan(j, t, x):
     assert_same_landscape(up.mirrored(), stationary_magnetizations(-1, p))
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.02, 1.2),
+       st.just(0.0) | st.floats(0.0, 0.6), st.sampled_from([+1, -1]))
+@example(1.0, 0.34, 0.0, +1)  # g = 0: the tied pair and the root +0.0
+@example(1.0, 0.34, 0.0, -1)
+@example(1.0, 0.8, 0.05, +1)  # T >= 3J/4: one root
+@example(2.5, 0.75, 0.3, -1)
+def test_landscape_free_energy_is_the_scalar_one(j, t, x, sign):
+    # the scan evaluates F at all its roots in one array call; each value is
+    # the scalar call's at that root, to the bit
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    points = stationary_magnetizations(sign, p).points
+    if t >= 0.75:
+        assert len(points) == 1
+    for pt in points:
+        assert pt.free_energy.hex() == free_energy(pt.m, sign, p).hex()
+
+
 def assert_first_stationary_is_the_scanned_point(sign, p):
     """first_stationary(sign, p) is, to the bit (a zero's sign included), the
     stationary point of the scan nearest m = 0 on the field's side; returns it."""
