@@ -44,8 +44,8 @@ print(f"  m_f(T=0.34, g=0.09) = {mf:.4f}")
 p_cold = cw.ModelParams(n_spins=1000, coupling_g=0.0, temperature=0.2, gamma=1e-3,
                         debye_cutoff=50.0)
 gap = cw.ferromagnetic_gap(cw.stationary_magnetizations(+1, p_cold), p_cold)
-print(f"\nLow-T saturation: 1 - m_f = {gap.gap:.3e} vs asymptote "
-      f"2 exp(-2J/T) = {gap.asymptote:.3e} at T = 0.2")
+print(f"\nLow-T saturation: 1 - m_f = {gap['gap']:.3e} vs asymptote "
+      f"2 exp(-2J/T) = {gap['asymptote_2exp_minus_2j_over_t']:.3e} at T = 0.2")
 
 m, f_up, f_down = statics.landscape_table(p)
 output.write_csv("landscape_demo.csv", ["m", "F_up", "F_down"],

@@ -29,8 +29,8 @@ print(f"ODE crossing of m = {threshold:.3f}:                 "
       f"{cw.crossing_time(up, threshold, p):10.1f}")
 
 fit = cw.asymptotic_rate(up, p)
-print(f"\ntail approach to m_f: fitted rate {fit.fitted:.3e}"
-      f" vs gamma*J/hbar = {fit.predicted:.3e}")
+print(f"\ntail approach to m_f: fitted rate {fit['tail_rate_fitted']:.3e}"
+      f" vs gamma*J/hbar = {fit['tail_rate_predicted']:.3e}")
 
 p_weak = cw.ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                         gamma=1e-3, debye_cutoff=50.0)

@@ -19,7 +19,7 @@ report = cw.run_scenario(cw.RunConfig(params=params, state=state, samples=200))
 print(f"status: {report.status}")
 
 rep = report.regime
-print(f"regime valid at margin {rep.margin:g}: {rep.overall_valid}")
+print(f"regime valid at margin {rep['margin']:g}: {rep['overall_valid']}")
 
 ts = report.timescales
 print("\ntime scales (hbar/J):")
@@ -31,20 +31,20 @@ print(f"  ordering tau_red < tau_2 < tau_reg: "
 
 fs = report.final_state
 print("\nfinal state:")
-for b, name in zip(fs.branches, ("up", "down")):
-    print(f"  branch {name:4s}: weight {b.weight:.3f}, pointer {b.pointer:+.4f}")
-print(f"  off-diagonal residue: 10^({fs.log10_offdiag_residual:.3e})")
-var_up, var_down = cw.pointer_correlation(fs, params)
+for b, name in zip(fs["branches"], ("up", "down")):
+    print(f"  branch {name:4s}: weight {b['weight']:.3f}, pointer {b['pointer']:+.4f}")
+print(f"  off-diagonal residue: 10^({fs['log10_offdiag_residual']:.3e})")
+var_up, var_down = fs["pointer_variance"]
 print(f"  pointer variance per branch: {var_up:.2e}, {var_down:.2e}")
 
 e = report.entropy
 print("\nentropy budget (nats):")
-print(f"  system:  {e.s_system_initial:.4f} -> {e.s_system_final:.4f}"
-      f"  (+{e.s_system_final - e.s_system_initial:.4f} from truncation)")
-print(f"  magnet:  {e.s_magnet_initial:.1f} -> {e.s_magnet_final:.1f}"
-      f"  (ordering costs {e.s_magnet_initial - e.s_magnet_final:.1f})")
-print(f"  bath:    +{e.bath_entropy_change:.1f} (quasi-static estimate)")
-print(f"  total:   {e.delta_total:+.1f}  (irreversible: > 0)")
+print(f"  system:  {e['s_system_initial']:.4f} -> {e['s_system_final']:.4f}"
+      f"  (+{e['s_system_final'] - e['s_system_initial']:.4f} from truncation)")
+print(f"  magnet:  {e['s_magnet_initial']:.1f} -> {e['s_magnet_final']:.1f}"
+      f"  (ordering costs {e['s_magnet_initial'] - e['s_magnet_final']:.1f})")
+print(f"  bath:    +{e['bath_entropy_change_estimate']:.1f} (quasi-static estimate)")
+print(f"  total:   {e['delta_total']:+.1f}  (irreversible: > 0)")
 
 payload = scenario.write_run(report, "runs/demo_scenario")
 print(f"\nwrote {len(payload['files']) + 1} files to runs/demo_scenario/ "

@@ -13,7 +13,6 @@ package needs only numpy.
 from .errors import CurieWeissError
 from .model import (
     ModelParams,
-    RegimeReport,
     SystemState2x2,
     regime_valid,
     validate_regime,
@@ -51,13 +50,10 @@ from .registration import (
     registration_time_quadrature,
 )
 from .scenario import (
-    EntropyBudget,
-    FinalState,
     RunConfig,
     ScenarioReport,
     assemble_final_state,
     entropy_budget,
-    pointer_correlation,
     run_scenario,
 )
 
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CurieWeissError",
     "ModelParams",
-    "RegimeReport",
     "SystemState2x2",
     "regime_valid",
     "validate_regime",
@@ -96,13 +91,10 @@ __all__ = [
     "integrate_registration",
     "registration_time_asymptotic",
     "registration_time_quadrature",
-    "EntropyBudget",
-    "FinalState",
     "RunConfig",
     "ScenarioReport",
     "assemble_final_state",
     "entropy_budget",
-    "pointer_correlation",
     "run_scenario",
     "__version__",
 ]

@@ -18,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,14 +31,11 @@ _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement
 
 def cmd_validate(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     report = validate_regime(cfg.params, margin=cfg.margin)
-    output.write_manifest(out_dir, {
-        "config": scenario.config_payload(cfg),
-        "regime": asdict(report),
-    }, [])
-    print(f"regime overall_valid = {report.overall_valid} (margin {cfg.margin})")
-    for c in report.checks:
-        mark = "pass" if c.passed else "FAIL"
-        print(f"  {c.name:28s} {mark}  lhs={c.lhs:.6g} rhs={c.rhs:.6g}")
+    output.write_manifest(out_dir, {"config": scenario.config_payload(cfg), "regime": report}, [])
+    print(f"regime overall_valid = {report['overall_valid']} (margin {cfg.margin})")
+    for c in report["checks"]:
+        mark = "pass" if c["passed"] else "FAIL"
+        print(f"  {c['name']:28s} {mark}  lhs={c['lhs']:.6g} rhs={c['rhs']:.6g}")
     return 0
 
 
@@ -59,10 +56,7 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     summary["curie_temperature"] = statics.curie_temperature(params)
     try:
         summary["m_ferromagnetic"] = scapes["up"].ferromagnetic.m
-        est = statics.ferromagnetic_gap(scapes["up"], params)
-        summary["ferromagnetic_gap"] = {
-            "gap": est.gap, "asymptote_2exp_minus_2j_over_t": est.asymptote,
-        }
+        summary["ferromagnetic_gap"] = statics.ferromagnetic_gap(scapes["up"], params)
     except NoFerromagneticSolution:
         summary["m_ferromagnetic"] = summary["ferromagnetic_gap"] = None
     output.write_manifest(out_dir, summary, files)

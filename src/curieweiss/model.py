@@ -111,48 +111,9 @@ def validate_state(state: SystemState2x2) -> SystemState2x2:
     return state
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
-    """One inequality of the validity regime, with its evaluated sides."""
-
-    name: str
-    lhs: float
-    rhs: float
-    required_factor: float
-    passed: bool
-    #: lhs / (required_factor * rhs); > 1 means passed, inf when the
-    #: denominator is 0
-    margin_ratio: float
-    #: whether this check enters overall_valid
-    counted: bool
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    checks: tuple[RegimeCheck, ...]
-    overall_valid: bool
-    margin: float
-
-
 def _holds(lhs: float, rhs: float, factor: float) -> bool:
     """One inequality of the regime: strictly lhs > factor * rhs."""
     return lhs > factor * rhs
-
-
-def _mk_check(name, lhs, rhs, factor, counted) -> RegimeCheck:
-    if factor * rhs == 0.0:  # rhs = 0, or a subnormal rhs that the factor rounds to 0
-        ratio = math.inf if lhs > 0 else 0.0
-    else:
-        ratio = lhs / (factor * rhs)
-    return RegimeCheck(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        required_factor=factor,
-        passed=_holds(lhs, rhs, factor),
-        margin_ratio=ratio,
-        counted=counted,
-    )
 
 
 def check_margin(margin: float) -> None:
@@ -211,20 +172,32 @@ def _overall_valid(passed) -> bool:
     return n_large and (bath or dispersion) and all(chain)
 
 
-def validate_regime(params: ModelParams, margin: float = 10.0) -> RegimeReport:
-    """Evaluate the inequalities under which the model acts as a measurement
-    (see :func:`_regime_rows`), each as a :class:`RegimeCheck` with its sides
-    and margin ratio.
+def validate_regime(params: ModelParams, margin: float = 10.0) -> dict:
+    """The regime report a manifest writes: each inequality of
+    :func:`_regime_rows` as a check {name, lhs, rhs, required_factor,
+    passed, margin_ratio, counted}, then overall_valid and the margin.
+
+    margin_ratio is lhs / (required_factor * rhs), > 1 where the check
+    passes; where that denominator is 0 (rhs = 0, or a subnormal rhs that
+    the factor rounds to 0) it is inf for lhs > 0, else 0.
     Raises ConfigError for a margin that is not positive and finite.
     """
-    checks = tuple(_mk_check(*row) for row in _regime_rows(params, margin))
-    return RegimeReport(checks=checks, overall_valid=_overall_valid(c.passed for c in checks),
-                        margin=margin)
+    checks = []
+    for name, lhs, rhs, factor, counted in _regime_rows(params, margin):
+        scale = factor * rhs
+        checks.append({
+            "name": name, "lhs": lhs, "rhs": rhs, "required_factor": factor,
+            "passed": _holds(lhs, rhs, factor),
+            "margin_ratio": lhs / scale if scale else (math.inf if lhs > 0 else 0.0),
+            "counted": counted,
+        })
+    return {"checks": checks, "overall_valid": _overall_valid(c["passed"] for c in checks),
+            "margin": margin}
 
 
 def regime_valid(params: ModelParams, margin: float) -> bool:
-    """``validate_regime(params, margin).overall_valid``, from the same rows
-    and verdict, without building the report: the sweep's per-point test.
+    """``validate_regime(params, margin)["overall_valid"]``, from the same
+    rows and verdict, without building the report: the sweep's per-point test.
     Raises ConfigError for a margin that is not positive and finite.
     """
     return _overall_valid([_holds(lhs, rhs, factor)

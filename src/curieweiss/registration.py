@@ -172,16 +172,10 @@ def integrate_sectors(params: ModelParams, t_max: float | None):
     return up, up.mirrored()
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Fitted exponential tail rate next to the prediction gamma*J/hbar (hbar = 1)."""
-
-    fitted: float
-    predicted: float
-
-
-def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) -> RateFit:
-    """Least-squares slope of ln(m_f - m(t)) over the trajectory tail.
+def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) -> dict:
+    """The fitted exponential tail rate, the negated least-squares slope of
+    ln|m_f - m(t)| over the trajectory tail, next to the prediction
+    gamma*J/hbar (hbar = 1): {"tail_rate_fitted", "tail_rate_predicted"}.
 
     ``TAIL_WINDOW`` bounds the residual |m_f - m| (relative to |m_f|) used in
     the fit; it must span at least one decade of data.
@@ -198,7 +192,8 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
             f"tail spans less than a decade ({mask.sum()} usable points)"
         )
     slope = np.polyfit(trajectory.times[mask], np.log(delta[mask]), 1)[0]
-    return RateFit(fitted=-float(slope), predicted=params.gamma * params.coupling_j)
+    return {"tail_rate_fitted": -float(slope),
+            "tail_rate_predicted": params.gamma * params.coupling_j}
 
 
 def crossing_time(trajectory: MagnetizationTrajectory, m_target: float,

@@ -29,7 +29,6 @@ from .errors import (
 from .model import (
     CONFIG_KEYS,
     ModelParams,
-    RegimeReport,
     SystemState2x2,
     check_margin,
     get_float,
@@ -72,39 +71,25 @@ def dephased_entropy(state: SystemState2x2) -> float:
 # --- final state -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One exclusive outcome: its weight and pointer value; the system is left
-    in the outcome's eigenprojection."""
-
-    weight: float
-    pointer: float
-
-
-@dataclass(frozen=True)
-class FinalState:
-    branches: tuple[Branch, Branch]
-    #: log10 of the surviving off-diagonal magnitude at t_final
-    log10_offdiag_residual: float
-    t_final: float
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        return self.branches[0].weight, self.branches[1].weight
-
-
 def assemble_final_state(
     state: SystemState2x2,
+    params: ModelParams,
     sector_up: registration.MagnetizationTrajectory,
     sector_down: registration.MagnetizationTrajectory,
     collapse: offdiag.OffDiagTrajectory,
-) -> FinalState:
-    """Post-measurement state from a run's own stage results: two exclusive
-    branches and the dead off-diagonal.
+) -> dict:
+    """Post-measurement state from a run's own stage results, as the manifest
+    writes it: two exclusive branches and the dead off-diagonal.
 
-    Registration must have succeeded in both sectors.  The branch weights are
-    the initial diagonals (the Born rule), the pointers the sectors' final
-    magnetizations; t_final and the residual are the collapse's last sample.
+    Registration must have succeeded in both sectors.  Each branch is one
+    exclusive outcome: its weight is an initial diagonal (the Born rule), its
+    pointer the sector's final magnetization, and it leaves the system in the
+    outcome's eigenprojection (r_uu, r_dd).  pointer_variance holds each
+    branch's conditional pointer variance p_i (1 - m_i^2)/N: the magnet's
+    product state gives the magnetization a variance (1 - m^2)/N, so the
+    pointer reads the outcome up to fluctuations that vanish for a
+    macroscopic apparatus.  t_final and log10_offdiag_residual (log10 of the
+    surviving off-diagonal magnitude) are the collapse's last sample.
     """
     validate_state(state)
     for traj in (sector_up, sector_down):
@@ -113,51 +98,31 @@ def assemble_final_state(
                 f"sector {traj.field_sign:+d} ended {traj.terminal.value} "
                 f"at m = {traj.m_final:.4f}"
             )
-    return FinalState(
-        branches=(Branch(weight=state.r_uu, pointer=sector_up.m_final),
-                  Branch(weight=state.r_dd, pointer=sector_down.m_final)),
-        log10_offdiag_residual=float(collapse.log10_abs[-1]),
-        t_final=float(collapse.times[-1]),
-    )
-
-
-def pointer_correlation(final_state: FinalState, params: ModelParams) -> tuple[float, float]:
-    """Per-branch conditional pointer variance p_i (1 - m_i^2)/N.
-
-    The magnet's product state gives the magnetization a variance
-    (1 - m^2)/N, so the pointer reads the outcome up to fluctuations that
-    vanish for a macroscopic apparatus.
-    """
-    return tuple(
-        b.weight * (1.0 - b.pointer**2) / params.n_spins for b in final_state.branches
-    )
+    branches = [
+        {"weight": state.r_uu, "pointer": sector_up.m_final, "r_uu": 1.0, "r_dd": 0.0},
+        {"weight": state.r_dd, "pointer": sector_down.m_final, "r_uu": 0.0, "r_dd": 1.0},
+    ]
+    return {
+        "branches": branches,
+        "pointer_variance": [b["weight"] * (1.0 - b["pointer"]**2) / params.n_spins
+                             for b in branches],
+        "log10_offdiag_residual": float(collapse.log10_abs[-1]),
+        "t_final": float(collapse.times[-1]),
+    }
 
 
 # --- entropy budget -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyBudget:
-    """All entropies in nats; magnet and bath terms are extensive (order N)."""
-
-    s_system_initial: float
-    s_system_final: float
-    s_magnet_initial: float
-    s_magnet_final: float
-    bath_entropy_change: float
-    delta_total: float
-
-
-def entropy_budget(
-    state: SystemState2x2, params: ModelParams, final_state: FinalState
-) -> EntropyBudget:
-    """Entropy before and after the measurement.
+def entropy_budget(state: SystemState2x2, params: ModelParams, final_state: dict) -> dict:
+    """Entropy before and after the measurement, in nats, as the manifest
+    writes it; the magnet and bath terms are extensive (order N).
 
     The magnet starts fully mixed (N ln 2) and ends in a ferromagnetic
     product state with per-spin mixing entropy S(m_f).  The bath term is the
     quasi-static estimate  sum_i p_i (E_M(0) - E_M(m_i) + g N |m_i|)/T  for
-    dumping the released magnet + coupling energy at temperature T; it is an
-    estimate, labelled as such in run manifests.
+    dumping the released magnet + coupling energy at temperature T; hence
+    its key bath_entropy_change_estimate.
     """
     n = params.n_spins
     j, g, t = params.coupling_j, params.coupling_g, params.temperature
@@ -166,19 +131,18 @@ def entropy_budget(
     s_mag_0 = n * LN2
     s_mag_f = 0.0
     bath = 0.0
-    for b in final_state.branches:
-        s_mag_f += b.weight * n * statics.mixing_entropy(b.pointer)
-        e_released = 0.25 * j * n * b.pointer**4 + g * n * abs(b.pointer)
-        bath += b.weight * e_released / t
-    delta = (s_sys_f - s_sys_0) + (s_mag_f - s_mag_0) + bath
-    return EntropyBudget(
-        s_system_initial=s_sys_0,
-        s_system_final=s_sys_f,
-        s_magnet_initial=s_mag_0,
-        s_magnet_final=s_mag_f,
-        bath_entropy_change=bath,
-        delta_total=delta,
-    )
+    for b in final_state["branches"]:
+        w, m = b["weight"], b["pointer"]
+        s_mag_f += w * n * statics.mixing_entropy(m)
+        bath += w * (0.25 * j * n * m**4 + g * n * abs(m)) / t
+    return {
+        "s_system_initial": s_sys_0,
+        "s_system_final": s_sys_f,
+        "s_magnet_initial": s_mag_0,
+        "s_magnet_final": s_mag_f,
+        "bath_entropy_change_estimate": bath,
+        "delta_total": (s_sys_f - s_sys_0) + (s_mag_f - s_mag_0) + bath,
+    }
 
 
 # --- run configuration ---------------------------------------------------------
@@ -262,11 +226,15 @@ TIMESCALES = ("tau_red", "tau_2", "tau_2_prime", "log10_recurrence_bath",
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """What a scenario run computed.  regime, critical_g, timescales,
+    final_state and entropy are the dicts its manifest writes, as their
+    stages return them."""
+
     status: str  # completed | measurement_failed | not_a_measurement
     reason: str | None
-    regime: RegimeReport
+    regime: dict
     landscape_up: statics.Landscape
-    critical_g: float | None
+    critical_g: dict
     config: RunConfig
     # the stages, None where the run did not reach them; timescales is the
     # manifest's: TIMESCALES, plus tau_reg_error where set
@@ -274,8 +242,8 @@ class ScenarioReport:
     offdiag: offdiag.OffDiagTrajectory | None = None
     sector_up: registration.MagnetizationTrajectory | None = None
     sector_down: registration.MagnetizationTrajectory | None = None
-    final_state: FinalState | None = None
-    entropy: EntropyBudget | None = None
+    final_state: dict | None = None
+    entropy: dict | None = None
 
 
 # --- pipeline stages -------------------------------------------------------------
@@ -387,9 +355,7 @@ def registration_summary(up, down, params: ModelParams) -> dict:
     except NeverCrossed:
         summary["crossing_time"] = None
     try:
-        fit = registration.asymptotic_rate(up, params)
-        summary["tail_rate_fitted"] = fit.fitted
-        summary["tail_rate_predicted"] = fit.predicted
+        summary.update(registration.asymptotic_rate(up, params))
     except InsufficientTail:
         summary["tail_rate_fitted"] = None
     return summary
@@ -408,7 +374,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         status="not_a_measurement", reason=why_not_a_measurement(params, config.bath),
         regime=validate_regime(params, margin=config.margin),
         landscape_up=statics.stationary_magnetizations(+1, params),
-        critical_g=critical_g(params)["critical_g"], config=config,
+        critical_g=critical_g(params), config=config,
     )
     if params.coupling_g == 0:
         return report
@@ -423,7 +389,7 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     report = replace(report, timescales=timescales, offdiag=collapse,
                      sector_up=up, sector_down=down)
     try:
-        final = assemble_final_state(state, up, down, collapse)
+        final = assemble_final_state(state, params, up, down, collapse)
     except MeasurementFailed as exc:
         return replace(report, status="measurement_failed", reason=str(exc))
     return replace(report, status="completed", reason=None, final_state=final,
@@ -570,7 +536,8 @@ def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
 
 
 def write_run(report: ScenarioReport, out_dir) -> dict:
-    """Persist all artifacts of a scenario run; returns the manifest payload."""
+    """Persist all artifacts of a scenario run; returns the manifest payload,
+    which holds the report's dicts as its stages returned them."""
     cfg = report.config
     params = cfg.params
     files = write_landscape(out_dir, params)
@@ -587,28 +554,15 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         "reason": report.reason,
         "config": config_payload(cfg),
         "stages": stages,
-        "regime": asdict(report.regime),
+        "regime": report.regime,
         "statics": {
-            "critical_g": report.critical_g,
+            **report.critical_g,
             "stationary_points": [asdict(p) for p in report.landscape_up.points],
         },
     }
-    if report.timescales is not None:
-        payload["timescales"] = report.timescales
-    if report.final_state is not None:
-        fs = report.final_state
-        payload["final_state"] = {
-            "t_final": fs.t_final,
-            "log10_offdiag_residual": fs.log10_offdiag_residual,
-            "branches": [  # each leaves the system in its eigenprojection
-                {"weight": b.weight, "pointer": b.pointer, "r_uu": r_uu, "r_dd": 1.0 - r_uu}
-                for b, r_uu in zip(fs.branches, (1.0, 0.0))
-            ],
-            "pointer_variance": list(pointer_correlation(fs, params)),
-        }
-    if report.entropy is not None:
-        entropy = payload["entropy"] = asdict(report.entropy)
-        entropy["bath_entropy_change_estimate"] = entropy.pop("bath_entropy_change")
+    for key in ("timescales", "final_state", "entropy"):
+        if getattr(report, key) is not None:
+            payload[key] = getattr(report, key)
     if report.sector_up is not None:
         files += write_sectors(out_dir, report.sector_up, params)
         payload["registration_summary"] = registration_summary(*sectors, params)

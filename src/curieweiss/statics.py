@@ -284,24 +284,18 @@ def curie_temperature(params: ModelParams) -> float:
     return 2.0 * params.coupling_j * (1.0 - x) ** 3 / math.log((2.0 - x) / x)
 
 
-@dataclass(frozen=True)
-class GapEstimate:
-    """1 - m_f next to its low-temperature estimate 2 exp(-2J/T)."""
-
-    gap: float
-    asymptote: float
-
-
-def ferromagnetic_gap(up: Landscape, params: ModelParams) -> GapEstimate:
+def ferromagnetic_gap(up: Landscape, params: ModelParams) -> dict:
     """Distance of the ferromagnetic fixed point of the up landscape ``up``,
-    scanned at params, from saturation.
+    scanned at params, from saturation, next to its low-temperature estimate:
+    {"gap": 1 - m_f, "asymptote_2exp_minus_2j_over_t": 2 exp(-2J/T)}.
 
     The asymptote follows from 1 - tanh(x) -> 2 e^{-2x} applied to the
     self-consistency condition at m -> 1 with g = 0; it is only meaningful
     when params.coupling_g is zero or negligible.
     """
-    asym = 2.0 * math.exp(-2.0 * params.coupling_j / params.temperature)
-    return GapEstimate(gap=1.0 - up.ferromagnetic.m, asymptote=asym)
+    return {"gap": 1.0 - up.ferromagnetic.m,
+            "asymptote_2exp_minus_2j_over_t":
+                2.0 * math.exp(-2.0 * params.coupling_j / params.temperature)}
 
 
 @functools.cache

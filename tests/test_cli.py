@@ -120,6 +120,21 @@ def test_statics_spinodal_recorded(tmp_path):
         assert m["ferromagnetic_gap"] is None
 
 
+def test_scenario_records_why_g_c_is_undefined(tmp_path):
+    # above T = 3J/4 a run still registers (g = 0.5 moves the only minimum
+    # far out); its manifest keeps the reason g_c is undefined, as statics does
+    cfg = write_cfg(tmp_path, temperature=0.8, coupling_g=0.5)
+    assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "scn")]) == 0
+    assert main(["statics", "--config", str(cfg), "--out", str(tmp_path / "st")]) == 0
+    recorded = load_manifest(tmp_path / "scn")["statics"]
+    assert recorded["critical_g"] is None
+    assert recorded["critical_g_error"] == "SpinodalUndefined: T = 0.8 >= 3J/4 = 0.75: no spinodal"
+    assert recorded["critical_g_error"] == load_manifest(tmp_path / "st")["critical_g_error"]
+    # with a spinodal there is no error to record
+    assert main(["scenario", "--config", str(REFERENCE_CFG), "--out", str(tmp_path / "ref")]) == 0
+    assert set(load_manifest(tmp_path / "ref")["statics"]) == {"critical_g", "stationary_points"}
+
+
 def test_statics_two_ferro_minima_at_zero_field(tmp_path):
     cfg = write_cfg(tmp_path, coupling_g=0.0)
     out = tmp_path / "statics0"
@@ -471,6 +486,36 @@ def test_manifest_lists_only_this_commands_files(tmp_path):
         "landscape.csv", "landscape_down.dat", "landscape_up.dat",
         "stationary_down.csv", "stationary_up.csv"]
     assert (out / "offdiag.csv").exists()  # the scenario's, no longer certified
+
+
+def test_manifests_hold_the_stage_dicts_as_returned(tmp_path):
+    # the key sets of the dicts that the stages return and the manifests store
+    check_keys = {"name", "lhs", "rhs", "required_factor", "passed", "margin_ratio", "counted"}
+    tail_rate = {"tail_rate_fitted", "tail_rate_predicted"}
+    m = {}
+    for command in ("validate", "statics", "register", "scenario"):
+        out = tmp_path / command
+        assert main([command, "--config", str(REFERENCE_CFG), "--out", str(out)]) == 0
+        m[command] = load_manifest(out)
+    for regime in (m["validate"]["regime"], m["scenario"]["regime"]):
+        assert regime.keys() == {"checks", "overall_valid", "margin"}
+        assert len(regime["checks"]) == 8
+        assert all(check.keys() == check_keys for check in regime["checks"])
+    assert m["statics"]["ferromagnetic_gap"].keys() == {"gap", "asymptote_2exp_minus_2j_over_t"}
+    assert tail_rate <= m["register"].keys()
+    assert tail_rate <= m["scenario"]["registration_summary"].keys()
+    final = m["scenario"]["final_state"]
+    assert final.keys() == {"branches", "pointer_variance", "log10_offdiag_residual", "t_final"}
+    assert len(final["branches"]) == len(final["pointer_variance"]) == 2
+    assert all(b.keys() == {"weight", "pointer", "r_uu", "r_dd"} for b in final["branches"])
+    assert m["scenario"]["entropy"].keys() == {
+        "s_system_initial", "s_system_final", "s_magnet_initial", "s_magnet_final",
+        "bath_entropy_change_estimate", "delta_total"}
+    # write_run stores the report's dicts themselves, not reshaped copies
+    report = scenario.run_scenario(scenario.load_run_config(REFERENCE_CFG))
+    payload = scenario.write_run(report, tmp_path / "again")
+    for key in ("regime", "final_state", "entropy", "timescales"):
+        assert payload[key] is getattr(report, key), key
 
 
 def test_cached_parser_keeps_no_state_between_commands(tmp_path):

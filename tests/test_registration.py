@@ -336,9 +336,10 @@ def test_tail_rate_near_gamma_j():
     p = mk()
     up = integrate_registration(+1, p, t_max=6e5)
     fit = asymptotic_rate(up, p)
-    assert fit.predicted == pytest.approx(1e-3, rel=1e-12)
-    assert fit.fitted == pytest.approx(fit.predicted, rel=0.25)
-    assert fit.fitted == pytest.approx(1.0136e-3, rel=1e-2)  # frozen fit value
+    assert fit.keys() == {"tail_rate_fitted", "tail_rate_predicted"}
+    assert fit["tail_rate_predicted"] == pytest.approx(1e-3, rel=1e-12)
+    assert fit["tail_rate_fitted"] == pytest.approx(fit["tail_rate_predicted"], rel=0.25)
+    assert fit["tail_rate_fitted"] == pytest.approx(1.0136e-3, rel=1e-2)  # frozen fit value
 
 
 def test_tail_rate_prediction_is_gamma_j():
@@ -349,15 +350,15 @@ def test_tail_rate_prediction_is_gamma_j():
     up = integrate_registration(+1, p)
     assert up.terminal is TerminalKind.CONVERGED_FERRO
     fit = asymptotic_rate(up, p)
-    assert fit.predicted == p.gamma * p.coupling_j
-    assert fit.fitted == pytest.approx(fit.predicted, rel=0.02)
+    assert fit["tail_rate_predicted"] == p.gamma * p.coupling_j
+    assert fit["tail_rate_fitted"] == pytest.approx(fit["tail_rate_predicted"], rel=0.02)
 
 
 def test_tail_rate_scales_with_gamma():
     p1, p2 = mk(), mk(gamma=2e-3)
     f1 = asymptotic_rate(integrate_registration(+1, p1, 6e5), p1)
     f2 = asymptotic_rate(integrate_registration(+1, p2, 3e5), p2)
-    assert f2.fitted == pytest.approx(2.0 * f1.fitted, rel=0.02)
+    assert f2["tail_rate_fitted"] == pytest.approx(2.0 * f1["tail_rate_fitted"], rel=0.02)
 
 
 def test_tail_rate_insufficient_tail():

@@ -10,8 +10,6 @@ from curieweiss import offdiag, output, registration, scenario, statics
 from curieweiss.errors import ConfigError, MeasurementFailed
 from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
-    Branch,
-    FinalState,
     RunConfig,
     _registration_end,
     _time_grid,
@@ -22,7 +20,6 @@ from curieweiss.scenario import (
     dephased_entropy,
     entropy_budget,
     load_run_config,
-    pointer_correlation,
     registration_summary,
     run_scenario,
     state_entropy,
@@ -54,6 +51,16 @@ def final_state(state, params=REF_PARAMS):
     return run_scenario(RunConfig(params=params, state=state)).final_state
 
 
+def weights(fs):
+    """The Born weights of a final state's two branches."""
+    return tuple(b["weight"] for b in fs["branches"])
+
+
+def pointers(fs):
+    """The pointers of a final state's two branches."""
+    return tuple(b["pointer"] for b in fs["branches"])
+
+
 @pytest.fixture(scope="module")
 def final_plus():
     return final_state(PLUS)
@@ -62,51 +69,51 @@ def final_plus():
 def assemble(state, up, down, t_hi):
     """assemble_final_state from the given sectors and the collapse of state up to t_hi."""
     collapse = collapse_run(RunConfig(params=REF_PARAMS, state=state), t_hi)
-    return assemble_final_state(state, up, down, collapse)
+    return assemble_final_state(state, REF_PARAMS, up, down, collapse)
 
 
 # --- Born rule ----------------------------------------------------------------
 
 
 def test_born_eigenstate():
-    assert final_state(UP).weights == (1.0, 0.0)
+    assert weights(final_state(UP)) == (1.0, 0.0)
 
 
 def test_born_ignores_offdiagonals(final_plus):
-    assert final_plus.weights == (0.5, 0.5)
+    assert weights(final_plus) == (0.5, 0.5)
 
 
 def test_born_trace_rule():
-    assert final_state(SystemState2x2(0.3, 0.7, 0j)).weights == (0.3, 0.7)
+    assert weights(final_state(SystemState2x2(0.3, 0.7, 0j))) == (0.3, 0.7)
 
 
 # --- final state -----------------------------------------------------------------
 
 
 def test_final_state_reference(final_plus):
-    assert final_plus.weights == (0.5, 0.5)
-    up, down = final_plus.branches
-    assert up.pointer == pytest.approx(0.9965, abs=1e-3)
-    assert down.pointer == pytest.approx(-up.pointer, abs=1e-9)
+    assert weights(final_plus) == (0.5, 0.5)
+    up, down = pointers(final_plus)
+    assert up == pytest.approx(0.9965, abs=1e-3)
+    assert down == pytest.approx(-up, abs=1e-9)
 
 
 def test_final_state_offdiag_residual_dead(final_plus):
-    assert final_plus.log10_offdiag_residual < -30.0
+    assert final_plus["log10_offdiag_residual"] < -30.0
 
 
 def test_final_state_pure_input():
     fs = final_state(UP)
-    assert fs.weights == (1.0, 0.0)
-    assert fs.branches[0].pointer > 0.99
-    assert fs.log10_offdiag_residual == -math.inf
+    assert weights(fs) == (1.0, 0.0)
+    assert pointers(fs)[0] > 0.99
+    assert fs["log10_offdiag_residual"] == -math.inf
 
 
 def test_final_state_same_for_same_diagonals():
     # off-diagonal content does not reach the outcome statistics
     a = final_state(SystemState2x2(0.3, 0.7, 0.2j))
     b = final_state(SystemState2x2(0.3, 0.7, 0j))
-    assert a.weights == b.weights
-    assert a.branches[0].pointer == b.branches[0].pointer
+    assert weights(a) == weights(b)
+    assert pointers(a)[0] == pointers(b)[0]
 
 
 def test_run_scenario_evaluates_tau_reg_once(monkeypatch):
@@ -120,7 +127,7 @@ def test_run_scenario_evaluates_tau_reg_once(monkeypatch):
     assert report.status == "completed"
     assert len(calls) == 1
     # t_final is max(3 tau_reg, the sectors' stop time)
-    assert report.final_state.t_final == _registration_end(
+    assert report.final_state["t_final"] == _registration_end(
         report.timescales["tau_reg_quadrature"], report.sector_up)
 
 
@@ -158,20 +165,26 @@ def test_run_scenario_runs_the_collapse_once(monkeypatch):
 
 
 @pytest.fixture()
-def regime_builds(monkeypatch):
-    """The count of RegimeCheck and RegimeReport instances built, by class name."""
+def regime_reports(monkeypatch):
+    """The calls to model.validate_regime, by every module of the package that
+    bound it, each recorded as its params."""
+    import sys
+    import curieweiss.cli  # noqa: F401  (loaded first: it binds the name too)
     from curieweiss import model
 
-    built = {"RegimeCheck": 0, "RegimeReport": 0}
-    for name in built:
-        def counted(*a, _cls=getattr(model, name), _name=name, **k):
-            built[_name] += 1
-            return _cls(*a, **k)
-        monkeypatch.setattr(model, name, counted)
-    return built
+    calls = []
+    report = model.validate_regime
+
+    def counted(params, *a, **k):
+        calls.append(params)
+        return report(params, *a, **k)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "curieweiss" and getattr(module, "validate_regime", None) is report:
+            monkeypatch.setattr(module, "validate_regime", counted)
+    return calls
 
 
-def test_sweep_builds_no_regime_report(regime_builds, tmp_path):
+def test_sweep_builds_no_regime_report(regime_reports, tmp_path):
     from curieweiss.cli import main
 
     # each point takes the verdict of the regime's inequalities, not their report
@@ -180,16 +193,17 @@ def test_sweep_builds_no_regime_report(regime_builds, tmp_path):
     outcomes = [r.split(",")[2] for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
     assert len(outcomes) == 6 and "registered" in outcomes
     assert "registered/invalid-regime" in outcomes  # g > J
-    assert regime_builds == {"RegimeCheck": 0, "RegimeReport": 0}
+    assert regime_reports == []
 
 
-def test_validate_and_scenario_build_one_regime_report(regime_builds, tmp_path):
+def test_validate_and_scenario_build_one_regime_report(regime_reports, tmp_path):
     from curieweiss.cli import main
 
+    cfg = load_run_config(REFERENCE_CFG)
     assert main(["validate", "--config", str(REFERENCE_CFG), "--out", str(tmp_path)]) == 0
-    assert regime_builds == {"RegimeCheck": 8, "RegimeReport": 1}
-    run_scenario(load_run_config(REFERENCE_CFG))
-    assert regime_builds == {"RegimeCheck": 16, "RegimeReport": 2}
+    assert regime_reports == [cfg.params]
+    run_scenario(cfg)
+    assert regime_reports == [cfg.params, cfg.params]
 
 
 @pytest.mark.parametrize("delta_g, products", [(0.0, 1), (0.0045, 2)])
@@ -210,17 +224,15 @@ def test_final_state_fails_below_critical():
     up, down = (registration.integrate_registration(s, p) for s in (+1, -1))
     collapse = collapse_run(RunConfig(params=p, state=PLUS), None)
     with pytest.raises(MeasurementFailed):
-        assemble_final_state(PLUS, up, down, collapse)
+        assemble_final_state(PLUS, p, up, down, collapse)
 
 
 def test_measurement_idempotence(final_plus):
     # feeding the up branch's eigenprojection back reproduces that branch
     # with probability 1
     again = final_state(UP)
-    assert again.weights == (1.0, 0.0)
-    assert again.branches[0].pointer == pytest.approx(
-        final_plus.branches[0].pointer, abs=1e-12
-    )
+    assert weights(again) == (1.0, 0.0)
+    assert pointers(again)[0] == pytest.approx(pointers(final_plus)[0], abs=1e-12)
 
 
 def test_born_preserved_for_random_states():
@@ -230,39 +242,36 @@ def test_born_preserved_for_random_states():
     for _ in range(100):
         state = random_state(rng)
         fs = assemble(state, up, down, 6e5)
-        assert abs(fs.weights[0] - state.r_uu) < 1e-12
-        assert abs(fs.weights[1] - state.r_dd) < 1e-12
-        assert fs.t_final == 6e5
+        assert abs(weights(fs)[0] - state.r_uu) < 1e-12
+        assert abs(weights(fs)[1] - state.r_dd) < 1e-12
+        assert fs["t_final"] == 6e5
 
 
-# --- pointer correlation -----------------------------------------------------------
+# --- pointer variance -----------------------------------------------------------
 
 
-def test_pointer_correlation_plugin_value():
-    fs = FinalState(
-        branches=(
-            Branch(0.5, 0.996),
-            Branch(0.5, -0.996),
-        ),
-        log10_offdiag_residual=-100.0,
-        t_final=1.0,
-    )
-    var_up, var_down = pointer_correlation(fs, REF_PARAMS)
+def converged_sectors(m_final):
+    """A converged up sector ending at m_final, and its mirror image."""
+    up = registration.MagnetizationTrajectory(
+        field_sign=+1, times=np.array([0.0, 1.0]), m=np.array([0.0, m_final]),
+        rate=np.zeros(2), zeta0=np.ones(2),
+        terminal=registration.TerminalKind.CONVERGED_FERRO, attractor=m_final)
+    return up, up.mirrored()
+
+
+def test_pointer_variance_plugin_value():
+    fs = assemble(PLUS, *converged_sectors(0.996), 1.0)
+    assert pointers(fs) == (0.996, -0.996)
+    var_up, var_down = fs["pointer_variance"]
     assert var_up == pytest.approx(0.5 * (1 - 0.996**2) / 1e5, rel=1e-12)
     assert var_up == pytest.approx(3.992e-8, rel=1e-3)
     assert var_down == var_up
 
 
-def test_pointer_correlation_saturated_and_large_n():
-    fs = FinalState(
-        branches=(
-            Branch(1.0, 1.0),
-            Branch(0.0, -1.0),
-        ),
-        log10_offdiag_residual=-100.0,
-        t_final=1.0,
-    )
-    assert pointer_correlation(fs, REF_PARAMS) == (0.0, 0.0)
+def test_pointer_variance_saturated_and_large_n():
+    fs = assemble(UP, *converged_sectors(1.0), 1.0)
+    assert weights(fs) == (1.0, 0.0) and pointers(fs) == (1.0, -1.0)
+    assert fs["pointer_variance"] == [0.0, 0.0]
 
 
 # --- entropy -------------------------------------------------------------------------
@@ -270,23 +279,23 @@ def test_pointer_correlation_saturated_and_large_n():
 
 def test_entropy_pure_superposition(final_plus):
     budget = entropy_budget(PLUS, REF_PARAMS, final_plus)
-    assert budget.s_system_initial == pytest.approx(0.0, abs=1e-12)
-    assert budget.s_system_final == pytest.approx(math.log(2.0), rel=1e-12)
+    assert budget["s_system_initial"] == pytest.approx(0.0, abs=1e-12)
+    assert budget["s_system_final"] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_entropy_diagonal_input_unchanged():
     state = SystemState2x2(0.3, 0.7, 0j)
     fs = final_state(state)
     budget = entropy_budget(state, REF_PARAMS, fs)
-    assert budget.s_system_final == pytest.approx(budget.s_system_initial, abs=1e-13)
+    assert budget["s_system_final"] == pytest.approx(budget["s_system_initial"], abs=1e-13)
 
 
 def test_entropy_budget_signs(final_plus):
     budget = entropy_budget(PLUS, REF_PARAMS, final_plus)
     # the magnet orders (entropy drops) but the bath dump dominates
-    assert budget.s_magnet_final < budget.s_magnet_initial
-    assert budget.bath_entropy_change > 0
-    assert budget.delta_total > 0
+    assert budget["s_magnet_final"] < budget["s_magnet_initial"]
+    assert budget["bath_entropy_change_estimate"] > 0
+    assert budget["delta_total"] > 0
 
 
 def test_entropy_budget_closed_forms_at_j_2_5():
@@ -297,8 +306,7 @@ def test_entropy_budget_closed_forms_at_j_2_5():
     state = SystemState2x2(0.7, 0.3, 0.3 + 0.1j)
     report = run_scenario(RunConfig(params=p, state=state, samples=40))
     assert report.status == "completed"
-    (w_up, m_up), (w_down, m_down) = ((b.weight, b.pointer)
-                                      for b in report.final_state.branches)
+    (w_up, w_down), (m_up, m_down) = weights(report.final_state), pointers(report.final_state)
     assert (w_up, w_down) == (0.7, 0.3) and m_up > 0.99 and m_down < -0.99
     n, j, g, t = 100000, 2.5, 0.225, 0.85
     half_gap = math.sqrt(0.2**2 + abs(0.3 + 0.1j) ** 2)
@@ -308,15 +316,16 @@ def test_entropy_budget_closed_forms_at_j_2_5():
         "s_magnet_initial": n * math.log(2.0),
         "s_magnet_final": n * (w_up * statics.mixing_entropy(m_up)
                                + w_down * statics.mixing_entropy(m_down)),
-        "bath_entropy_change": n * sum(w * (j * m**4 / 4 + g * abs(m))
-                                       for w, m in ((w_up, m_up), (w_down, m_down))) / t,
+        "bath_entropy_change_estimate": n * sum(
+            w * (j * m**4 / 4 + g * abs(m)) for w, m in ((w_up, m_up), (w_down, m_down))) / t,
     }
     expected["delta_total"] = (expected["s_system_final"] - expected["s_system_initial"]
                                + expected["s_magnet_final"] - expected["s_magnet_initial"]
-                               + expected["bath_entropy_change"])
+                               + expected["bath_entropy_change_estimate"])
     budget = report.entropy
+    assert budget.keys() == expected.keys()
     for name, value in expected.items():
-        assert getattr(budget, name) == pytest.approx(value, rel=1e-12), name
+        assert budget[name] == pytest.approx(value, rel=1e-12), name
 
 
 def test_entropy_dephasing_never_decreases():
@@ -342,8 +351,8 @@ def test_run_scenario_reference_point(tmp_path):
     assert ts["tau_red"] < ts["tau_2"] < ts["tau_reg_quadrature"]
     assert report.sector_up.m_final == pytest.approx(0.9965, abs=1e-3)
     assert report.sector_down.m_final == pytest.approx(-0.9965, abs=1e-3)
-    assert report.final_state.log10_offdiag_residual < -30.0
-    assert report.entropy.delta_total > 0
+    assert report.final_state["log10_offdiag_residual"] < -30.0
+    assert report.entropy["delta_total"] > 0
     payload = write_run(report, tmp_path / "run")
     assert payload["status"] == "completed"
     assert (tmp_path / "run" / "manifest.json").exists()
@@ -396,8 +405,8 @@ def test_final_residual_is_the_last_collapse_sample():
     for keys in ({}, {"samples": 2}):
         report = run_scenario(RunConfig(params=p, state=PLUS, **{"samples": 50, "seed": 4, **keys}))
         assert report.status == "completed"
-        assert report.offdiag.times[-1] == report.final_state.t_final
-        assert report.final_state.log10_offdiag_residual == report.offdiag.log10_abs[-1]
+        assert report.offdiag.times[-1] == report.final_state["t_final"]
+        assert report.final_state["log10_offdiag_residual"] == report.offdiag.log10_abs[-1]
 
 
 def test_an_unset_bath_acts_where_gamma_is_positive():

@@ -398,19 +398,20 @@ def gap(p):
 
 def test_gap_matches_low_t_asymptote():
     est = gap(params(T=0.2, g=0.0))
-    assert est.asymptote == pytest.approx(2 * math.exp(-10.0), rel=1e-14)
-    assert est.gap == pytest.approx(est.asymptote, rel=0.20)
-    assert est.gap == pytest.approx(9.1044e-05, rel=1e-3)
+    assert est.keys() == {"gap", "asymptote_2exp_minus_2j_over_t"}
+    asymptote = est["asymptote_2exp_minus_2j_over_t"]
+    assert asymptote == pytest.approx(2 * math.exp(-10.0), rel=1e-14)
+    assert est["gap"] == pytest.approx(asymptote, rel=0.20)
+    assert est["gap"] == pytest.approx(9.1044e-05, rel=1e-3)
 
 
 def test_gap_at_reference_coupling():
-    est = gap(params())
-    assert est.gap == pytest.approx(0.004, abs=0.001)
+    assert gap(params())["gap"] == pytest.approx(0.004, abs=0.001)
 
 
 def test_gap_vanishes_at_low_t():
-    g1 = gap(params(T=0.15, g=0.0)).gap
-    g2 = gap(params(T=0.10, g=0.0)).gap
+    g1 = gap(params(T=0.15, g=0.0))["gap"]
+    g2 = gap(params(T=0.10, g=0.0))["gap"]
     assert g2 < g1 < 1e-4
 
 
