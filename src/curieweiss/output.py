@@ -8,15 +8,20 @@ of its CSV instead of formatting them again.  Each file is rendered whole,
 written once over any earlier file in place, and hashed from the bytes in
 memory; the writers return that record, and a command's manifest lists the
 records of the files it wrote.
+
+A manifest is rendered in one pass as ``json.dumps(indent=2, sort_keys=True)``
+renders it with keys made str, tuples lists, enums their values and the
+non-finite floats their repr in quotes ("nan", "inf", "-inf"); other types
+raise TypeError.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -78,22 +83,39 @@ def write_dat(path, columns) -> dict:
     return _write(path, "\n".join([*map(" ".join, zip(*columns)), ""]))
 
 
-def _jsonify(obj):
-    """Recursively convert to JSON-safe types; non-finite floats become strings."""
+def _encode(obj, indent: str) -> str:
+    """obj rendered as JSON, its nested lines indented two spaces past indent."""
+    cls = type(obj)  # the common leaves first
+    if cls is str:
+        return encode_basestring_ascii(obj)
+    if cls is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        inner = indent + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{\n" + ",\n".join([inner + encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                                   for k, v in items]) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        inner = indent + "  "
+        return "[\n" + ",\n".join([inner + _encode(v, inner) for v in obj]) + "\n" + indent + "]"
     if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # "inf", "-inf", "nan": JSON has no literals for these
-    return obj
+        return _encode(obj.value, indent)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else encode_basestring_ascii(repr(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict) -> dict:
-    """Sorted, indented JSON of the payload; returns the file's record."""
-    return _write(path, json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+    """The payload as the module docstring's manifest rule renders it; returns the file's record."""
+    return _write(path, _encode(payload, "") + "\n")
 
 
 def write_manifest(directory, payload: dict, files) -> dict:

@@ -347,17 +347,17 @@ def registration_summary(up, down, params: ModelParams) -> dict:
         "m_final_down": down.m_final,
         "threshold": threshold,
     }
-    try:
-        summary["crossing_time"] = registration.crossing_time(up, threshold, params)
-        # sensitivity of the operational registration time to the threshold
-        summary["crossing_time_low"] = registration.crossing_time(up, 0.8 * threshold, params)
-        summary["crossing_time_high"] = registration.crossing_time(up, 1.25 * threshold, params)
-    except NeverCrossed:
-        summary["crossing_time"] = None
+    # the registration time and its sensitivity to the threshold; null if never reached
+    for key, factor in (("crossing_time", 1.0), ("crossing_time_low", 0.8),
+                        ("crossing_time_high", 1.25)):
+        try:
+            summary[key] = registration.crossing_time(up, factor * threshold, params)
+        except NeverCrossed:
+            summary[key] = None
     try:
         summary.update(registration.asymptotic_rate(up, params))
     except InsufficientTail:
-        summary["tail_rate_fitted"] = None
+        summary.update(tail_rate_fitted=None, tail_rate_predicted=params.gamma * params.coupling_j)
     return summary
 
 
@@ -486,25 +486,27 @@ _OFFDIAG_HEADER = ["t", "re_r", "im_r", "log10_abs_r", "osc_factor", "bath_facto
                    "dispersion_factor"]
 
 
-def _offdiag_columns(traj: offdiag.OffDiagTrajectory) -> list[list[str]]:
-    return [output.column(c) for c in (
-        traj.times, traj.amplitude.real, traj.amplitude.imag, traj.log10_abs,
+def _offdiag_columns(t: list[str], traj: offdiag.OffDiagTrajectory) -> list[list[str]]:
+    return [t, *(output.column(c) for c in (
+        traj.amplitude.real, traj.amplitude.imag, traj.log10_abs,
         traj.osc_factor, traj.bath_factor, traj.dispersion_factor,
-    )]
+    ))]
 
 
-def write_offdiag_csv(path, traj: offdiag.OffDiagTrajectory) -> dict:
-    """The trajectory's CSV; returns its record."""
-    return output.write_csv(path, _OFFDIAG_HEADER, _offdiag_columns(traj))
-
-
-def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory) -> list[dict]:
-    """offdiag.csv and the (t, log10|r|) curve offdiag_log10.dat; returns
-    their records."""
-    cols = _offdiag_columns(traj)
-    return [
+def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory,
+                  echo: offdiag.OffDiagTrajectory | None) -> list[dict]:
+    """offdiag.csv, the (t, log10|r|) curve offdiag_log10.dat and, given an
+    echo, echo.csv; returns their records.  spin_echo returns the times it is
+    passed, so all three share one formatted t column."""
+    t = output.column(traj.times)
+    files = []
+    if echo is not None:
+        files.append(output.write_csv(os.path.join(out_dir, "echo.csv"), _OFFDIAG_HEADER,
+                                      _offdiag_columns(t, echo)))
+    cols = _offdiag_columns(t, traj)
+    return files + [
         output.write_csv(os.path.join(out_dir, "offdiag.csv"), _OFFDIAG_HEADER, cols),
-        output.write_dat(os.path.join(out_dir, "offdiag_log10.dat"), [cols[0], cols[3]]),
+        output.write_dat(os.path.join(out_dir, "offdiag_log10.dat"), [t, cols[3]]),
     ]
 
 
@@ -543,7 +545,7 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
     files = write_landscape(out_dir, params)
     stages = {"regime": "done", "statics": "done", "collapse": "skipped"}
     if report.offdiag is not None:
-        files += write_offdiag(out_dir, report.offdiag)
+        files += write_offdiag(out_dir, report.offdiag, None)
         stages["collapse"] = "done"
     sectors = (report.sector_up, report.sector_down)
     for name, traj in zip(("up", "down"), sectors):

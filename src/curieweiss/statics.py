@@ -142,6 +142,7 @@ def bisect(f, a: float, b: float, fa: float) -> float:
     on the strength of this (:meth:`Landscape.mirrored`,
     :meth:`registration.MagnetizationTrajectory.mirrored`).
     """
+    negative = fa < 0.0  # a only moves to points of f's sign at a
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -149,8 +150,8 @@ def bisect(f, a: float, b: float, fa: float) -> float:
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
+        if (fm < 0.0) == negative:
+            a = mid
         else:
             b = mid
 
@@ -175,8 +176,10 @@ def _brackets(target: float, params: ModelParams):
     a double root, the bracket (edge, edge), which :func:`bisect` returns at once.
     """
 
-    def f(m):
-        return _psi(m, params) - target
+    t, j = params.temperature, params.coupling_j
+
+    def f(m):  # _psi(m, params) - target, inlined
+        return t * math.atanh(m) - j * (m * m * m) - target
 
     try:
         lo, hi = _curvature_roots(params)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curieweiss import offdiag, registration, scenario, statics
+from curieweiss import offdiag, output, registration, scenario, statics
 from curieweiss.cli import main
 from curieweiss.model import ModelParams
 from curieweiss.statics import critical_coupling
@@ -222,7 +222,12 @@ def test_collapse_echo_draws_the_couplings_once(tmp_path, monkeypatch):
     run = scenario.load_run_config(cfg)
     times = scenario.collapse_run(run, None).times
     echo = offdiag.spin_echo(7.5, draw(run.params, run.seed), run.state.r_ud, times)
-    scenario.write_offdiag_csv(tmp_path / "expected.csv", echo)
+    output.write_csv(tmp_path / "expected.csv",
+                     ["t", "re_r", "im_r", "log10_abs_r", "osc_factor", "bath_factor",
+                      "dispersion_factor"],
+                     [output.column(c) for c in (
+                         echo.times, echo.amplitude.real, echo.amplitude.imag, echo.log10_abs,
+                         echo.osc_factor, echo.bath_factor, echo.dispersion_factor)])
     assert (out / "echo.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
@@ -341,6 +346,24 @@ def test_register_failure_outcome(tmp_path):
     assert main(["register", "--config", str(cfg), "--out", str(out)]) == 0
     m = load_manifest(out)
     assert m["terminal_up"] == "trapped_paramagnetic"
+
+
+def test_trapped_and_registered_register_manifests_share_their_keys(tmp_path):
+    # the reference config, trapped at g = 0.05 and registered at g = 0.09:
+    # a trapped run writes its crossing times and fitted tail rate as null,
+    # and adds only tau_reg_error, the reason its tau_reg is null
+    m = {}
+    for g in (0.05, 0.09):
+        out = tmp_path / f"g{g}"
+        assert main(["register", "--config", str(write_cfg(tmp_path, coupling_g=g)),
+                     "--out", str(out)]) == 0
+        m[g] = load_manifest(out)
+    assert m[0.05].keys() == m[0.09].keys() | {"tau_reg_error"}
+    trapped = m[0.05]
+    assert trapped["terminal_up"] == "trapped_paramagnetic"
+    for key in ("crossing_time", "crossing_time_low", "crossing_time_high", "tail_rate_fitted"):
+        assert trapped[key] is None, key
+    assert trapped["tail_rate_predicted"] == m[0.09]["tail_rate_predicted"] == 1e-3
 
 
 #: the time scales of every scenario manifest with a collapse; tau_reg_error

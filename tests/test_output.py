@@ -1,14 +1,19 @@
-"""Column formatting renders every table byte for byte as fmt does per value."""
+"""Column formatting renders every table byte for byte as fmt does per
+value, and the manifest encoder every payload as json.dumps does."""
 
+import enum
 import hashlib
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curieweiss import output
 from curieweiss.output import column, fmt
+from curieweiss.statics import PointKind
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 0.1, 1e300]
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
@@ -88,3 +93,59 @@ def test_manifest_lists_the_records_it_is_given(tmp_path):
         assert entry["bytes"] == len(blob)
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
     assert (directory / "a.json").read_text() == '{\n  "x": "inf"\n}\n'
+
+
+# the oracle: the manifest rendering the encoder replaced, a conversion to
+# JSON-safe types followed by json.dumps
+
+
+def _jsonify(obj):
+    """Recursively convert to JSON-safe types; non-finite floats become strings."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "inf", "-inf", "nan": JSON has no literals for these
+    return obj
+
+
+def reference_json(payload) -> str:
+    """The two-pass rendering the manifest encoder must reproduce."""
+    return json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**80, 2**80), FLOATS,
+                    FLOATS.map(np.float64), st.text(max_size=8), st.sampled_from(list(PointKind)))
+KEYS = st.one_of(st.text(max_size=8), st.integers(-10**6, 10**6))
+PAYLOADS = st.recursive(
+    SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=5),
+                                     st.lists(inner, max_size=5).map(tuple),
+                                     st.dictionaries(KEYS, inner, max_size=5)),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(KEYS, PAYLOADS, max_size=6))
+@example({"special": SPECIAL, "neg": [-math.inf, -0.0], "big": 1e300, "tiny": 5e-324})
+@example({"text": ["\u00e9t\u00e9 \u03c8 \U0001d53c", "tab\tnew\nline\x00\x1f", '"q"', "back\\slash"],
+          "\u00fcnicode key \"\\": "x"})
+@example({"empty": {}, "nest": [[], {}, [{}], {"a": []}, ()]})
+@example({1: "int key", "2": 2, -3: PointKind.MINIMUM, "huge": 2**70, "neg": -2**70})
+def test_manifest_encoding_matches_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "encoded.json"
+    record = output.write_json(path, payload)
+    blob = path.read_bytes()
+    assert blob == reference_json(payload).encode("ascii")
+    assert record["bytes"] == len(blob)
+
+
+@pytest.mark.parametrize("value", [object(), np.float32(1)])
+def test_manifest_encoding_rejects_what_json_dumps_rejects(tmp_path, value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        reference_json({"x": [value]})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        output.write_json(tmp_path / "m.json", {"x": [value]})
+    assert not (tmp_path / "m.json").exists()

@@ -446,6 +446,18 @@ def test_registration_summary_brackets_the_crossing_time():
     assert summary["crossing_time_low"] < summary["crossing_time"] < summary["crossing_time_high"]
 
 
+def test_registration_summary_keeps_the_crossings_a_cut_run_reached():
+    # cut at t_max = 32000, the reference sector has passed 0.8 and 1 times
+    # the threshold (at t = 27104 and 31505) but not 1.25 times it (33817)
+    up, down = (registration.integrate_registration(s, REF_PARAMS, 32000.0) for s in (+1, -1))
+    summary = registration_summary(up, down, REF_PARAMS)
+    assert summary["terminal_up"] == "max_time_reached"
+    theta = registration.registration_threshold(REF_PARAMS)
+    assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
+    assert 27000 < summary["crossing_time_low"] < summary["crossing_time"] < 32000
+    assert summary["crossing_time_high"] is None
+
+
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 @pytest.mark.parametrize("samples", [2, 3, 400])
 def test_time_grid_ends_at_t_hi(spacing, samples):
@@ -548,6 +560,23 @@ def test_write_sectors_formats_the_up_columns_once(tmp_path, monkeypatch):
     calls = count_columns(monkeypatch)
     write_sectors(tmp_path, up, REF_PARAMS)
     assert len(calls) == 4
+
+
+def test_collapse_echo_formats_the_shared_time_column_once(tmp_path, monkeypatch):
+    from curieweiss.cli import main
+
+    # offdiag.csv and echo.csv share one formatted t: 1 + 6 + 6 columns
+    text = REFERENCE_CFG.read_text()
+    assert "delta_g      = 0.0\n" in text
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text(text.replace("delta_g      = 0.0\n", "delta_g = 0.0045\nsamples = 50\n"))
+    out = tmp_path / "out"
+    calls = count_columns(monkeypatch)
+    assert main(["collapse", "--config", str(cfg), "--out", str(out), "--echo-at", "7.5"]) == 0
+    assert len(calls) == 13
+    t = [[row.split(",")[0] for row in (out / name).read_text().splitlines()]
+         for name in ("offdiag.csv", "echo.csv")]
+    assert len(t[0]) == 51 and t[0] == t[1]
 
 
 @settings(deadline=None, max_examples=60)
