@@ -197,7 +197,10 @@ def regime_params(draw):
         n_spins=draw(st.integers(1, 200) | st.integers(1, 10**12)),
         coupling_j=j,
         coupling_g=g,
-        delta_g=g * draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+        # g * u rounds up to g itself at a subnormal g (5e-324 * 0.75 is
+        # 5e-324), which ModelParams rightly rejects: cap it just below g
+        delta_g=min(g * draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+                    math.nextafter(g, 0.0)),
         temperature=j * draw(st.floats(1e-4, 5.0)),
         gamma=draw(st.just(0.0) | st.floats(1e-6, 1.0)),
         debye_cutoff=draw(st.floats(0.01, 100.0)),
@@ -232,6 +235,8 @@ def with_ties(test):
 @example(ModelParams(**{**REF, "coupling_g": 1e200, "coupling_j": 1e201}), 10.0)
 # a subnormal right side that the factor rounds to 0: the margin ratio is inf
 @example(ModelParams(**{**REF, "temperature": 5e-324}), 0.5)
+# the least g, whose only smaller spread is 0
+@example(ModelParams(**{**REF, "coupling_g": 5e-324, "delta_g": 0.0}), 0.5)
 def test_regime_valid_is_the_report_verdict(p, margin):
     report = validate_regime(p, margin)
     assert regime_valid(p, margin) is report["overall_valid"]
