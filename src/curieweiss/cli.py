@@ -78,8 +78,7 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
         # spin_echo rejects a bad pulse time before the first file is written
         echo = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, traj.times)
         payload["pulse_time"] = echo_at
-        revival = offdiag.spin_echo(echo_at, couplings, cfg.state.r_ud, [2.0 * echo_at])
-        payload["echo_revival_log10"] = float(revival.log10_abs[0])
+        payload["echo_revival_log10"] = offdiag.echo_revival_log10(cfg.state.r_ud)
     output.write_manifest(out_dir, payload, scenario.write_offdiag(out_dir, traj, echo))
     names = {"tau_red": "tau_red", "tau_2": "tau_2", "tau_2_prime": "tau_2'"}
     print("collapse: " + ", ".join(f"{name} = {timescales[key]:.6g}"

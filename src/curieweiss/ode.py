@@ -14,7 +14,21 @@ import numpy as np
 
 from .errors import CurieWeissError
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+#: the 12-point Gauss-Legendre nodes and weights on [-1, 1], as
+#: numpy.polynomial.legendre.leggauss(12) returns them: written out, so that
+#: importing the package loads neither numpy.polynomial nor LAPACK
+_GL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 #: accepted relative disagreement of an interval's rule with its two halves
 _RTOL = 1e-10
 _MAX_HALVINGS = 40

@@ -16,6 +16,7 @@ magnitudes far below the float underflow threshold remain exact as logs.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +119,72 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
         return CouplingVector.uniform(g, n)
     if n < 2:
         raise CurieWeissError("a nonzero spread requires at least two spins")
-    k = int(np.random.default_rng(seed).binomial(n, 0.5))
+    k = _binomial_half(n, random.Random(seed))
     if k in (0, n):  # degenerate draw: flip every other sign to balance it
         k = (n + 1) // 2 if k == 0 else n // 2
     return CouplingVector(
         values=np.array([g - dg * math.sqrt(k / (n - k)), g + dg * math.sqrt((n - k) / k)]),
         counts=np.array([n - k, k]),
     )
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _binomial_half(n: int, rng: random.Random) -> int:
+    """One Binomial(n, 1/2) count drawn from rng, exact in law up to rounding.
+
+    Below a mean of 10 it counts the set bits of n random bits.  Above, it
+    is Hoermann's transformed rejection with squeeze, BTRS (J. Stat. Comput.
+    Simul. 46 (1993) 101), whose acceptance test is written in log1p ratios
+    and Stirling tails, so it keeps its precision at every n below 2^53.
+    Beyond that the proposal is quantized to the spacing of doubles.
+    """
+    if n < 20:
+        return rng.getrandbits(n).bit_count()
+    sd = 0.5 * math.sqrt(n)
+    b = 1.15 + 2.53 * sd
+    a = -0.0873 + 0.0248 * b + 0.01 * 0.5  # the last term is 0.01 p
+    alpha = (2.83 + 5.1 / b) * sd
+    squeeze = 0.92 - 4.2 / b
+    mode = (n + 1) // 2
+    while True:
+        u, v = rng.random() - 0.5, 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2, where the hat is unbounded
+            continue
+        k = math.floor((2.0 * a / us + b) * u + 0.5 * n + 0.5)
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= squeeze:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= _log_binomial_ratio(n, k, mode):
+            return k
+
+
+def _log_binomial_ratio(n: int, k: int, m: int) -> float:
+    """ln[C(n, k) / C(n, m)] from Stirling's formula with exact tails.  The
+    log terms cancel from O(|k - m|), not from O(n ln n) as lgamma's would."""
+    return ((m + 0.5) * _log_ratio(m + 1, n - m + 1)
+            + (n + 1) * _log_ratio(n - m + 1, n - k + 1)
+            + (k + 0.5) * _log_ratio(n - k + 1, k + 1)
+            + _stirling_tail(m) + _stirling_tail(n - m)
+            - _stirling_tail(k) - _stirling_tail(n - k))
+
+
+def _log_ratio(p: int, q: int) -> float:
+    """ln(p/q) of two positive integers to a few ulps of itself: by log1p
+    where p/q is near 1, else by log."""
+    return math.log1p((p - q) / q) if q < 2 * p and p < 2 * q else math.log(p / q)
+
+
+def _stirling_tail(x: int) -> float:
+    """ln x! - [(x + 1/2) ln(x + 1) - (x + 1) + ln(2 pi)/2]: from lgamma for
+    small x, else from the series 1/12z - 1/360z^3 + 1/1260z^5, z = x + 1."""
+    if x < 100:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x + 1) + (x + 1) - _HALF_LOG_2PI
+    y = 1.0 / (x + 1)
+    return y * (1.0 / 12.0 - y * y * (1.0 / 360.0 - y * y / 1260.0))
 
 
 # --- log-domain cosine products ---------------------------------------------
@@ -257,6 +317,13 @@ def spin_echo(
         bath_factor=np.ones_like(times),
         dispersion_factor=np.ones_like(times),
     )
+
+
+def echo_revival_log10(r0: complex) -> float:
+    """log10 |r(2 theta)| of :func:`spin_echo`, without the bath as there:
+    every factor at t = 2 theta is cos 0 = 1, so it is log10 |r0|, or -inf
+    for r0 = 0, whatever the pulse time and the couplings."""
+    return _log10_abs(0.0, r0)
 
 
 # --- bath spectrum ----------------------------------------------------------

@@ -191,7 +191,13 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
         raise InsufficientTail(
             f"tail spans less than a decade ({mask.sum()} usable points)"
         )
-    slope = np.polyfit(trajectory.times[mask], np.log(delta[mask]), 1)[0]
+    # least-squares slope in closed form, from sums centred on the means;
+    # the times are taken in units of their span so that no square underflows
+    times = trajectory.times[mask]
+    span = times[-1] - times[0]
+    x = (times - times.mean()) / span
+    y = np.log(delta[mask])
+    slope = x @ (y - y.mean()) / (x @ x) / span
     return {"tail_rate_fitted": -float(slope),
             "tail_rate_predicted": params.gamma * params.coupling_j}
 

@@ -1,9 +1,11 @@
 """scipy is a test-only dependency: no module of the package imports it, at
 the top or inside a function (the oracles that need it live in tests/), and
-no CLI command loads it.  Each command runs in a fresh interpreter that
-reports, at exit, every scipy module it imported.  The macroscopic runs, at
-N = 1e12 with a coupling spread, also show that no command holds an array
-of size N.
+no CLI command loads it.  Of numpy a command loads only the core: no module
+names numpy.random, numpy.polynomial, np.polyfit or np.linalg (the last two
+call LAPACK).  Each command runs in a fresh interpreter that reports, at
+exit, every scipy, numpy.random and numpy.polynomial module it imported.
+The macroscopic runs, at N = 1e12 with a coupling spread, also show that no
+command holds an array of size N.
 Importing the CLI builds no argument parser: that is left to the first
 command.  hbar = 1 is fixed in the code, so no module names it outside
 docstrings and comments.  Modules meet through public names: none reaches
@@ -41,6 +43,42 @@ def test_no_module_imports_scipy():
     offenders = [path.name for path in modules
                  if "scipy" in _imported_roots(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+#: numpy attributes and submodules that no module of the package names
+NUMPY_UNUSED = {"random", "polynomial", "polyfit", "linalg"}
+
+
+def _numpy_names(tree):
+    """numpy attributes and submodules that tree names through np. or
+    numpy., or imports, with their line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("numpy.")]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "numpy"):
+            names = node.module.split(".")[1:2] or [a.name for a in node.names]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names)
+
+
+def test_no_module_names_numpy_random_polynomial_or_lapack():
+    modules = sorted((ROOT / "src" / "curieweiss").glob("*.py"))
+    assert len(modules) > 5
+    offenders = [f"{path.name}: numpy.{name} at line {line}" for path in modules
+                 for name, line in _numpy_names(ast.parse(path.read_text()))
+                 if name in NUMPY_UNUSED]
+    assert offenders == []
+
+
+def test_numpy_names_sees_every_spelling():
+    source = ("import numpy.random\nfrom numpy import polynomial\n"
+              "from numpy.linalg import lstsq\nnp.polyfit(x, y, 1)\n")
+    assert sorted(_numpy_names(ast.parse(source))) == [
+        ("linalg", 3), ("polyfit", 4), ("polynomial", 2), ("random", 1)]
 
 
 #: public names kept although only the unit tests use them, with the reason
@@ -202,7 +240,8 @@ _PROBE = """
 import json, sys
 from curieweiss.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+print(json.dumps([code, sorted(k for k in sys.modules
+                               if k.startswith(("scipy", "numpy.random", "numpy.polynomial")))]))
 """
 
 COMMANDS = {
@@ -232,9 +271,9 @@ def test_command_imports_no_scipy(name, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    code, unwanted_modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert scipy_modules == []
+    assert unwanted_modules == []
 
 
 def test_import_builds_no_parser():

@@ -29,6 +29,15 @@ def test_linear_relaxation_matches_closed_form():
         assert t == pytest.approx(math.log((A - 0.0) / (A - x)) / K, rel=1e-10)
 
 
+def test_gauss_rule_is_leggauss_12():
+    # the rule is written out so that the package never loads numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert [v.hex() for v in ode._GL_X.tolist()] == [v.hex() for v in x.tolist()]
+    assert [v.hex() for v in ode._GL_W.tolist()] == [v.hex() for v in w.tolist()]
+    assert np.array_equal(ode._GL_X, -ode._GL_X[::-1])
+    assert np.array_equal(ode._GL_W, ode._GL_W[::-1])
+
+
 def test_rate_pointing_away_raises():
     with pytest.raises(CurieWeissError, match="the rate does not point toward the attractor"):
         ode.time_to(np.array([0.0]), np.array([0.5]), lambda m: -relaxation(m), 0.0)

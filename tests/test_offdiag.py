@@ -1,9 +1,12 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curieweiss import offdiag
 from curieweiss.errors import CurieWeissError
 from curieweiss.model import ModelParams
 from curieweiss.offdiag import (
@@ -11,6 +14,7 @@ from curieweiss.offdiag import (
     bath_exponent,
     decay_time_bath,
     dispersion_decay_time,
+    echo_revival_log10,
     envelope,
     log_cos_product,
     log_recurrence_height_bath,
@@ -174,9 +178,99 @@ def test_sample_couplings_macroscopic_n():
     assert moments(cv)[1] == pytest.approx(0.005, rel=1e-12)
 
 
+def test_sample_couplings_beyond_two_to_the_63():
+    # N = 1e30 > 2^63: the split is drawn (BTRS proposes it in doubles, so
+    # k is quantized to their spacing) and the two values keep the moments
+    n = 10**30
+    cv = sample_couplings(mk(n=n, dg=0.005), seed=3)
+    k = int(cv.counts[1])
+    assert 0 < k < n and int(cv.counts.sum()) == n
+    assert float(k) == k
+    assert moments(cv)[1] == pytest.approx(0.005, rel=1e-12)
+
+
 def test_sample_couplings_needs_two_spins():
     with pytest.raises(CurieWeissError, match="a nonzero spread requires at least two spins"):
         sample_couplings(mk(n=1, dg=0.005), seed=0)
+
+
+# --- the draw of the split -------------------------------------------------------
+
+#: fixed seeds of the law tests, one draw each
+LAW_SEEDS = range(4000)
+
+
+def draw_split(n, seed):
+    return offdiag._binomial_half(n, random.Random(seed))
+
+
+def binomial_half_pvalue(ks, n):
+    """Pearson's chi-square p-value of the draws ks against Binomial(n, 1/2),
+    each tail pooled into the first bin that expects at least 5 draws."""
+    from scipy.stats import chisquare
+
+    pmf = np.array([math.comb(n, k) / 2**n for k in range(n + 1)])
+    lo = int(np.argmax(len(ks) * pmf >= 5.0))
+    hi = n - lo
+    observed = np.bincount(np.clip(ks, lo, hi), minlength=n + 1)[lo:hi + 1]
+    expected = len(ks) * np.concatenate([[pmf[:lo + 1].sum()], pmf[lo + 1:hi],
+                                         [pmf[hi:].sum()]])
+    return chisquare(observed, expected).pvalue
+
+
+# N < 20 counts random bits, N >= 20 (a mean of at least 10) runs BTRS
+@pytest.mark.parametrize("n", [*range(2, 13), 19, 20, 21, 40, 101, 1000])
+def test_split_draw_law(n):
+    ks = np.array([draw_split(n, seed) for seed in LAW_SEEDS])
+    assert binomial_half_pvalue(ks, n) > 1e-3
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_split_draw_law_at_the_least_btrs_mean(n):
+    # where the hat is tightest a small misplacement of it shows only in a
+    # long stream: shifting it by half a count gives p < 1e-9 here
+    rng = random.Random(n)
+    ks = np.array([offdiag._binomial_half(n, rng) for _ in range(200_000)])
+    assert binomial_half_pvalue(ks, n) > 1e-3
+
+
+@pytest.mark.parametrize("n", [20, 21, 101, 10**6, 10**12, 2**53 - 1])
+def test_log_binomial_ratio_against_mpmath(n):
+    # the error grows with |k - m| and the result, not with n ln n as that of
+    # a difference of lgammas would
+    m, r = (n + 1) // 2, math.isqrt(n)
+    for k in {0, 1, 5, 99, 100, m - 7 * r, m - 1, m, m + 3, m + r, n - 100, n - 1, n}:
+        if not 0 <= k <= n:
+            continue
+        with mpmath.workdps(60):
+            exact = float(mpmath.loggamma(m + 1) + mpmath.loggamma(n - m + 1)
+                          - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1))
+        got = offdiag._log_binomial_ratio(n, k, m)
+        assert abs(got - exact) <= 1e-13 + 1e-14 * (abs(k - m) + abs(exact)), k
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6, 10**12])
+def test_split_draw_moments_at_large_n(n):
+    # z of the sample mean and of the mean square deviation from N/2, whose
+    # variance is (mu_4 - sigma^4)/S = (2 - 2/N) sigma^4 / S for the binomial
+    d = np.array([draw_split(n, seed) - n // 2 for seed in LAW_SEEDS], dtype=float)
+    var, draws = n / 4.0, len(LAW_SEEDS)
+    assert abs(d.mean() / math.sqrt(var / draws)) < 4.0
+    assert abs((d @ d / draws / var - 1.0) / math.sqrt(2.0 / draws)) < 4.0
+
+
+def test_split_draw_law_fails_for_a_biased_coin():
+    # the tests above can fail: a coin with odds 0.47 is found at N = 12
+    rng = np.random.default_rng(0)
+    assert binomial_half_pvalue(rng.binomial(12, 0.47, len(LAW_SEEDS)), 12) < 1e-3
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**100), st.integers(0, 2**64))
+def test_split_draw_is_a_function_of_the_seed(n, seed):
+    k = draw_split(n, seed)
+    assert k == draw_split(n, seed)
+    assert 0 <= k <= n
 
 
 # --- uniform envelope -----------------------------------------------------------
@@ -346,6 +440,13 @@ def test_log_cos_product_even_in_time(pairs, t):
 def test_spin_echo_revival_exact_property(pairs, theta, r0):
     traj = spin_echo(theta, vector(pairs), r0, np.array([2.0 * theta]))
     assert abs(traj.amplitude[0]) == abs(r0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(PAIRS, st.floats(0.0, 1e3), st.complex_numbers(max_magnitude=1.0))
+def test_echo_revival_log10_is_the_echo_at_two_theta(pairs, theta, r0):
+    traj = spin_echo(theta, vector(pairs), r0, np.array([2.0 * theta]))
+    assert echo_revival_log10(r0).hex() == float(traj.log10_abs[0]).hex()
 
 
 # --- assembled trajectory ----------------------------------------------------------

@@ -16,6 +16,8 @@ from curieweiss.errors import (
 from curieweiss import statics
 from curieweiss.model import ModelParams
 from curieweiss.registration import (
+    TAIL_WINDOW,
+    MagnetizationTrajectory,
     TerminalKind,
     asymptotic_rate,
     bottleneck_integral,
@@ -359,6 +361,57 @@ def test_tail_rate_scales_with_gamma():
     f1 = asymptotic_rate(integrate_registration(+1, p1, 6e5), p1)
     f2 = asymptotic_rate(integrate_registration(+1, p2, 3e5), p2)
     assert f2["tail_rate_fitted"] == pytest.approx(2.0 * f1["tail_rate_fitted"], rel=0.02)
+
+
+def polyfit_rate(traj):
+    """The tail rate as np.polyfit fits it, over the tail asymptotic_rate takes."""
+    delta = np.abs(traj.attractor - traj.m)
+    lo, hi = (w * abs(traj.attractor) for w in TAIL_WINDOW)
+    mask = (delta > lo) & (delta < hi)
+    return -np.polyfit(traj.times[mask], np.log(delta[mask]), 1)[0]
+
+
+def test_tail_rate_is_the_least_squares_slope_at_the_reference_point():
+    p = mk()
+    up = integrate_registration(+1, p)
+    assert asymptotic_rate(up, p)["tail_rate_fitted"] == pytest.approx(polyfit_rate(up),
+                                                                       rel=1e-12)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.floats(0.1, 0.6), st.floats(1.03, 2.0))
+def test_tail_rate_is_the_least_squares_slope(T, ratio):
+    p = mk(T=T, g=ratio * critical_coupling(mk(T=T)))
+    up = integrate_registration(+1, p)
+    assert up.terminal is TerminalKind.CONVERGED_FERRO
+    assert asymptotic_rate(up, p)["tail_rate_fitted"] == pytest.approx(polyfit_rate(up),
+                                                                       rel=1e-12)
+
+
+def exponential_tail(rate, p):
+    """A converged trajectory whose m_f - m = e^(-rate t) falls through five
+    decades, across the whole window the fit takes."""
+    t = np.linspace(0.0, 5.0 * math.log(10.0) / rate, 200)
+    m = 0.9 - np.exp(-rate * t)
+    return MagnetizationTrajectory(field_sign=+1, times=t, m=m, rate=flow_rate(m, +1, p),
+                                   zeta0=np.ones_like(t),
+                                   terminal=TerminalKind.CONVERGED_FERRO, attractor=0.9)
+
+
+def test_tail_rate_of_a_noiseless_exponential():
+    p, rate = mk(), 2.5e-3
+    tail = exponential_tail(rate, p)
+    fitted = asymptotic_rate(tail, p)["tail_rate_fitted"]
+    assert fitted == pytest.approx(polyfit_rate(tail), rel=1e-12)
+    assert fitted == pytest.approx(rate, rel=1e-12)
+
+
+def test_tail_rate_where_the_squared_times_underflow():
+    # at gamma = 1e300 the tail lasts ~1e-299, whose square is below the
+    # least double: the fit works in units of the tail's span
+    p, rate = mk(), 2.5e299
+    assert asymptotic_rate(exponential_tail(rate, p), p)["tail_rate_fitted"] == pytest.approx(
+        rate, rel=1e-12)
 
 
 def test_tail_rate_insufficient_tail():
