@@ -43,7 +43,10 @@ def gauss(u, w, rate, dv: float):
     wrong = x[half * v <= 0.0]
     if wrong.size:
         raise CurieWeissError(f"the rate does not point toward the attractor at m = {wrong[0]!r}")
-    return (half * _GL_W / v).sum(axis=1), (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
+    # v * v overflows only where the rate is huge, and the bound is then 0
+    with np.errstate(over="ignore"):
+        noise = (np.abs(half) * dv * _GL_W / (v * v)).sum(axis=1)
+    return (half * _GL_W / v).sum(axis=1), noise
 
 
 def time_to(u, w, rate, dv: float):

@@ -227,24 +227,49 @@ def registration_threshold(params: ModelParams) -> float:
     return (params.temperature / (3.0 * params.coupling_j)) ** 0.25
 
 
-def _supercritical_low_t_gc(params: ModelParams) -> float:
+def _supercritical_low_t_gc(params: ModelParams, critical_g: float | None = None) -> float:
     """Low-temperature g_c of the bottleneck formulas, once the statics allow registration.
 
-    Raises CriticalOrSubcritical when g <= g_c of the statics (or no g_c
-    exists, T >= 3J/4) and when there is no bath: a trapped sector has no
-    registration time, whatever the low-temperature asymptote says.
+    Raises CriticalOrSubcritical when g <= g_c of the statics (``critical_g``
+    where the caller has it, else computed; no g_c exists for T >= 3J/4) and
+    when there is no bath: a trapped sector has no registration time,
+    whatever the low-temperature asymptote says.
     """
-    try:
-        gc = statics.critical_coupling(params)
-    except SpinodalUndefined as exc:
-        raise CriticalOrSubcritical(f"no critical coupling: {exc}") from exc
-    if params.coupling_g <= gc:
+    if critical_g is None:
+        try:
+            critical_g = statics.critical_coupling(params)
+        except SpinodalUndefined as exc:
+            raise CriticalOrSubcritical(f"no critical coupling: {exc}") from exc
+    if params.coupling_g <= critical_g:
         raise CriticalOrSubcritical(
-            f"g = {params.coupling_g} <= g_c = {gc}: bottleneck integral diverges"
+            f"g = {params.coupling_g} <= g_c = {critical_g}: bottleneck integral diverges"
         )
     if params.gamma == 0:
         raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
     return statics.critical_coupling_low_t(params)
+
+
+def _bottleneck_root(eps: float) -> float:
+    """Root delta of f(delta) = delta (delta - 3)^2 + eps on (-max(1, eps), 0):
+    :func:`statics.bisect`'s, bit for bit, with f written into the loop.
+    f < 0 at the lower end and f(0) = eps > 0.  Where (delta - 3)^2
+    overflows (|delta| > 1e154, so eps > 1e154) delta < 0, and f counts as
+    -inf, so every finite eps > 0 has its root."""
+    a, b = -max(1.0, eps), 0.0
+    while True:
+        d = 0.5 * (a + b)
+        if d == a or d == b:
+            return d
+        try:
+            fd = d * (d - 3.0) ** 2 + eps
+        except OverflowError:
+            fd = -math.inf
+        if fd == 0.0:
+            return d
+        if fd < 0.0:
+            a = d
+        else:
+            b = d
 
 
 def bottleneck_integral(eps: float) -> float:
@@ -253,34 +278,30 @@ def bottleneck_integral(eps: float) -> float:
     Partial fractions over the roots rho_k of p give I = -sum_k log(-rho_k)/p'(rho_k),
     and since sum_k 1/p'(rho_k) = 0 this is -2 Re[log(rho/r)/p'(rho)] over the
     complex pair rho, with r < -2 the real root.  Both come from delta = r + 2,
-    the root of delta (delta - 3)^2 = -eps on (-max(1, eps), 0), bisected to the
-    last bit: rho = 1 - delta/2 + (i/2) sqrt(3 delta (delta - 4)) and
+    the root of delta (delta - 3)^2 = -eps (:func:`_bottleneck_root`):
+    rho = 1 - delta/2 + (i/2) sqrt(3 delta (delta - 4)) and
     p'(rho) = 3 (rho - 1)(rho + 1), with no cancellation as eps -> 0.
     """
     if not 0.0 < eps < math.inf:
         raise CurieWeissError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
-
-    def f(d):
-        return d * (d - 3.0) ** 2 + eps
-
-    lo = -max(1.0, eps)
-    delta = statics.bisect(f, lo, 0.0, f(lo))
+    delta = _bottleneck_root(eps)
     im = 0.5 * math.sqrt(3.0 * delta * (delta - 4.0))
     rho = complex(1.0 - 0.5 * delta, im)
     dp = 3.0 * complex(-0.5 * delta, im) * complex(2.0 - 0.5 * delta, im)
     return -2.0 * (cmath.log(rho / (delta - 2.0)) / dp).real
 
 
-def registration_time_quadrature(params: ModelParams) -> float:
+def registration_time_quadrature(params: ModelParams, critical_g: float | None = None) -> float:
     """Registration time from the small-m bottleneck integral, in closed form.
 
     tau_reg = (3 hbar / gamma T) * I(eps), I(eps) = integral_0^inf dx / ((x-1)^2 (x+2) + eps),
     eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J);
-    defined only above the exact g_c of the statics.  I(eps) is the exact
-    partial-fraction sum over the roots of the cubic (see
-    :func:`bottleneck_integral`), good to a few ulp for every eps > 0.
+    defined only above the exact g_c of the statics, which a caller that has
+    already taken it passes as ``critical_g`` (None: computed here).  I(eps)
+    is the exact partial-fraction sum over the roots of the cubic (see
+    :func:`bottleneck_integral`), good to a few ulp for every finite eps > 0.
     """
-    gc = _supercritical_low_t_gc(params)
+    gc = _supercritical_low_t_gc(params, critical_g)
     eps = 2.0 * (params.coupling_g - gc) / gc
     return 3.0 / (params.gamma * params.temperature) * bottleneck_integral(eps)
 

@@ -401,25 +401,29 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
     product of the axis grids, each axis setting the parameter of its key,
     and the count of each error class the rows absorbed, by class name.
 
+    Each point builds one ModelParams from the base fields and its values.
     A point whose parameters ModelParams rejects is "invalid-params" (a
     ConfigError).  One that is not a measurement has m_final = 0: the rate
     at m = 0 is exactly 0 there, so no flow leaves it.  Without t_max the up
     flow from m = 0 ends at :func:`statics.first_stationary`, one bisection
     per point and no trajectory.  The "/invalid-regime" suffix is
     :func:`regime_valid`'s verdict, without the report of
-    :func:`validate_regime`.  A registered row whose tau_reg is undefined
-    (no spinodal, say) has tau_reg None, and its error is counted.
+    :func:`validate_regime`.  g_c is taken once per point, and a registered
+    row's tau_reg quadrature reuses it.  A registered row whose tau_reg is
+    undefined (no spinodal, say) has tau_reg None, and its error is counted.
     """
+    base = {f.name: getattr(cfg.params, f.name) for f in fields(ModelParams)}
     rows, errors = [], collections.Counter()
     for values in itertools.product(*grids):
         try:
-            p = replace(cfg.params, **dict(zip(keys, values)))
+            p = ModelParams(**{**base, **dict(zip(keys, values))})
         except ConfigError as exc:
             errors[type(exc).__name__] += 1
             rows.append([*values, "invalid-params", None, None, None])
             continue
+        gc = critical_g(p)["critical_g"]
         if why_not_a_measurement(p, cfg.bath) is not None:
-            rows.append([*values, "not-a-measurement", critical_g(p)["critical_g"], None, 0.0])
+            rows.append([*values, "not-a-measurement", gc, None, 0.0])
             continue
         if cfg.t_max is None:
             m_attr = statics.first_stationary(+1, p)
@@ -436,10 +440,10 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
         tau_reg = None
         if registered:
             try:
-                tau_reg = registration.registration_time_quadrature(p)
+                tau_reg = registration.registration_time_quadrature(p, critical_g=gc)
             except CurieWeissError as exc:  # undefined here, e.g. no spinodal (T >= 3J/4)
                 errors[type(exc).__name__] += 1
-        rows.append([*values, outcome, critical_g(p)["critical_g"], tau_reg, m_final])
+        rows.append([*values, outcome, gc, tau_reg, m_final])
     return rows, dict(sorted(errors.items()))
 
 

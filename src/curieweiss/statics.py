@@ -167,39 +167,50 @@ def label_point(m: float) -> PointLabel:
     return PointLabel.PARAMAGNETIC
 
 
-def _brackets(target: float, params: ModelParams):
-    """f = psi - target and the brackets (a, b, f(a)) of its roots, in increasing m.
+def _brackets(target: float, params: ModelParams) -> list[tuple[float, float, float]]:
+    """The brackets (a, b, f(a)) of the roots of f = psi - target, in increasing m.
 
     psi is monotone between its branch edges -1, -m+, -m-, m-, m+, 1 (only
     -1, 1 for T >= 3J/4), so each branch holds at most one root, bracketed by
     its ends where f changes sign.  An inner edge on which f is exactly 0 is
-    a double root, the bracket (edge, edge), which :func:`bisect` returns at once.
+    a double root, the bracket (edge, edge), which :func:`_root` returns at once.
     """
-
-    t, j = params.temperature, params.coupling_j
-
-    def f(m):  # _psi(m, params) - target, inlined
-        return t * math.atanh(m) - j * (m * m * m) - target
-
     try:
         lo, hi = _curvature_roots(params)
         inner = [-hi, -lo, lo, hi]
     except SpinodalUndefined:
         inner = []
-    edges, values = [-1.0, *inner, 1.0], [-math.inf, *(f(m) for m in inner), math.inf]
+    edges = [-1.0, *inner, 1.0]
+    values = [-math.inf, *(_psi(m, params) - target for m in inner), math.inf]
     brackets = []
     for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
         if fa == 0.0:
             brackets.append((a, a, fa))
         if fa < 0.0 < fb or fb < 0.0 < fa:
             brackets.append((a, b, fa))
-    return f, brackets
+    return brackets
 
 
-def _root(f, a: float, b: float, fa: float) -> float:
-    # a root past the last double below 1 rounds to that double, not to the
-    # edge; a zero root is +0.0 in either field, as its mirror image is
-    return max(-_BELOW_ONE, min(_BELOW_ONE, bisect(f, a, b, fa))) + 0.0
+def _root(target: float, params: ModelParams, a: float, b: float, fa: float) -> float:
+    """Root of f = psi - target in the bracket (a, b, fa): ``bisect(f, a, b, fa)``
+    bit for bit, mirror-exactness included, with f's arithmetic written into
+    the loop in f's order, so no call per step.  A root past the last double
+    below 1 rounds to that double, not to the edge; a zero root is +0.0 in
+    either field, as its mirror image is."""
+    t, j, atanh = params.temperature, params.coupling_j, math.atanh
+    negative = fa < 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        fm = t * atanh(mid) - j * (mid * mid * mid) - target
+        if fm == 0.0:
+            break
+        if (fm < 0.0) == negative:
+            a = mid
+        else:
+            b = mid
+    return max(-_BELOW_ONE, min(_BELOW_ONE, mid)) + 0.0
 
 
 def first_stationary(field_sign: int, params: ModelParams) -> float:
@@ -211,10 +222,10 @@ def first_stationary(field_sign: int, params: ModelParams) -> float:
     nearest 0 on the field's side (0 itself at g = 0).
     """
     s = 1 if field_sign > 0 else -1
-    f, brackets = _brackets(s * params.coupling_g, params)
+    target = s * params.coupling_g
     # along the field, the first bracket that reaches past m = 0
-    a, b, fa = next(br for br in brackets[::s] if max(s * br[0], s * br[1]) > 0.0)
-    return _root(f, a, b, fa)
+    bracket = next(br for br in _brackets(target, params)[::s] if max(s * br[0], s * br[1]) > 0.0)
+    return _root(target, params, *bracket)
 
 
 def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape:
@@ -225,8 +236,8 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     :func:`free_energy`, elementwise the same as one call per root.
     """
     s = int(field_sign)
-    f, brackets = _brackets(s * params.coupling_g, params)
-    roots = [_root(f, *br) for br in brackets]
+    target = s * params.coupling_g
+    roots = [_root(target, params, *br) for br in _brackets(target, params)]
 
     points = tuple(
         StationaryPoint(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 from dataclasses import replace
@@ -757,22 +758,32 @@ def test_sweep_with_t_max_integrates_each_point(count_calls, tmp_path):
 
 
 def test_sweep_row_computes_only_what_it_keeps(tmp_path, monkeypatch):
-    # a registered row takes g_c once for its column and once for the
-    # quadrature tau_reg; the asymptotic tau_reg is not in the table
-    calls = {"critical_coupling": 0, "registration_time_asymptotic": 0}
+    # a registered row takes g_c once, for its column and for the quadrature
+    # tau_reg, and builds one ModelParams; the asymptotic tau_reg is not in
+    # the table
+    calls = {"critical_coupling": 0, "registration_time_asymptotic": 0, "ModelParams": 0}
     for module, name in ((statics, "critical_coupling"),
                          (registration, "registration_time_asymptotic")):
         def counted(*a, _f=getattr(module, name), _name=name, **k):
             calls[_name] += 1
             return _f(*a, **k)
         monkeypatch.setattr(module, name, counted)
+    post_init = ModelParams.__post_init__
+
+    def counted_post_init(self):
+        calls["ModelParams"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
                  "--sweep", "coupling_g=0.09:0.12:3"]) == 0
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[1].split("/")[0] for r in rows] == ["registered"] * 3
     assert all(r[3] != "None" for r in rows)
-    assert calls == {"critical_coupling": 6, "registration_time_asymptotic": 0}
+    # one ModelParams for the config file, then one per point
+    assert calls == {"critical_coupling": 3, "registration_time_asymptotic": 0,
+                     "ModelParams": 1 + 3}
 
 
 def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
@@ -834,6 +845,39 @@ def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[:2] for r in rows] == [["1000.5", "invalid-params"], ["1001.0", "registered"],
                                      ["1001.5", "invalid-params"]]
+
+
+def test_register_and_sweep_at_a_huge_coupling(tmp_path):
+    # at g = 1e200, eps ~ 1e202: the bottleneck cubic overflows at its
+    # bracket's end, and tau_reg is (3/gamma T) 2 pi/(3 sqrt 3) eps^(-2/3)
+    reg, sweep = tmp_path / "register", tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, coupling_g=1e200)
+    assert main(["register", "--config", str(cfg), "--out", str(reg)]) == 0
+    tau = load_manifest(reg)["tau_reg_quadrature"]
+    gc = (2.0 * 0.34 / 3.0) * math.sqrt(0.34 / 3.0)
+    eps = 2.0 * (1e200 - gc) / gc
+    assert tau == pytest.approx(3.0 / (1e-3 * 0.34) * 2.0 * math.pi / (3.0 * math.sqrt(3.0))
+                                * eps ** (-2.0 / 3.0), rel=1e-13)
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(sweep),
+                 "--sweep", "coupling_g=1e200:1e200:1"]) == 0
+    (row,) = [r.split(",") for r in (sweep / "sweep.csv").read_text().splitlines()[1:]]
+    assert row[1].startswith("registered") and row[3] == repr(tau)
+
+
+def test_register_at_a_huge_rate_warns_nothing(tmp_path):
+    # at gamma = 1e300 the square of the rate in ode.gauss's rounding bound
+    # overflows; the bound is then 0, with no warning and the same bytes
+    cfg = write_cfg(tmp_path, gamma=1e300)
+    runs = {}
+    for action in ("error", "ignore"):
+        out = tmp_path / action
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["register", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[action] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert runs["error"] == runs["ignore"]
+    assert load_manifest(tmp_path / "error")["tail_rate_fitted"] == pytest.approx(
+        1.0145331161132985e300, rel=1e-12)
 
 
 #: the reference point with every energy scaled by J = 2.5, and a coupling spread

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -13,7 +14,7 @@ from curieweiss.errors import (
     InsufficientTail,
     NeverCrossed,
 )
-from curieweiss import statics
+from curieweiss import registration, statics
 from curieweiss.model import ModelParams
 from curieweiss.registration import (
     TAIL_WINDOW,
@@ -479,6 +480,33 @@ def test_bottleneck_closed_form_domain():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(CurieWeissError, match="the bottleneck integral needs a finite eps > 0"):
             bottleneck_integral(eps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(-15.0, 150.0).map(lambda k: 10.0 ** k))
+@example(1e-15)
+@example(1.0)
+@example(16.0)
+@example(1e150)
+def test_bottleneck_root_is_the_generic_bisection(eps):
+    # the loop's delta is statics.bisect's on the same bracket, to the bit
+    def f(d):
+        return d * (d - 3.0) ** 2 + eps
+
+    lo = -max(1.0, eps)
+    want = statics.bisect(f, lo, 0.0, f(lo))
+    assert registration._bottleneck_root(eps).hex() == want.hex()
+
+
+@pytest.mark.parametrize("eps", [1e30, 1e100, 1e154, 1.3e154, 1.4e154, 1e155, 1e200,
+                                 1e300, sys.float_info.max])
+def test_bottleneck_integral_at_large_eps(eps):
+    # past eps ~ 1.3e154, (delta - 3)^2 overflows at the bracket's lower end;
+    # I(eps) -> 2 pi/(3 sqrt 3) eps^(-2/3), to 1e-20 relative from eps = 1e30 on
+    with mpmath.workdps(30):
+        e = mpmath.mpf(eps)
+        want = float(2 * mpmath.pi / (3 * mpmath.sqrt(3)) * e ** (mpmath.mpf(-2) / 3))
+    assert bottleneck_integral(eps) == pytest.approx(want, rel=1e-14)
 
 
 def test_quadrature_time_is_prefactor_times_bottleneck():

@@ -299,6 +299,48 @@ def test_first_stationary_at_the_critical_coupling(T, sign):
         assert label_point(got) is label
 
 
+def assert_roots_are_bisect(sign, p):
+    """Every root of the scan and first_stationary are, to the bit, the
+    generic statics.bisect of f = psi - s g on the same bracket, rounded
+    into (-1, 1) with a zero made +0.0 as the scan rounds it."""
+    t, j, target = p.temperature, p.coupling_j, sign * p.coupling_g
+
+    def f(m):
+        return t * math.atanh(m) - j * (m * m * m) - target
+
+    below_one = math.nextafter(1.0, 0.0)
+    want = [max(-below_one, min(below_one, statics.bisect(f, *br))) + 0.0
+            for br in statics._brackets(target, p)]
+    got = [pt.m for pt in stationary_magnetizations(sign, p).points]
+    assert [m.hex() for m in got] == [m.hex() for m in want]
+    first = min((m for m in want if sign * m >= 0.0), key=lambda m: sign * m)
+    assert first_stationary(sign, p).hex() == first.hex()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.5, 4.0), st.floats(0.02, 1.2), st.just(0.0) | st.floats(0.0, 0.6),
+       st.sampled_from([+1, -1]))
+@example(1.0, 0.34, 0.0, +1)  # g = 0: the root m = 0 and the tied pair
+@example(1.0, 0.34, 0.09, -1)
+@example(1.0, 0.34, 5e-324, +1)
+@example(2.5, 0.8, 0.05, -1)  # T >= 3J/4: one root
+@example(4.0, 0.02, 0.6, +1)  # a root past the last double below 1
+def test_roots_are_the_generic_bisection(j, t, x, sign):
+    # T = t J and g = x J cover one, three and five roots for every J drawn
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
+                    gamma=1e-3)
+    assert_roots_are_bisect(sign, p)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("T", [0.05, 0.34, 0.7])
+def test_roots_are_the_generic_bisection_at_the_critical_coupling(T, sign):
+    # at g = g_c, f is exactly 0 on the edge m-: a double root, the bracket (m-, m-)
+    gc = critical_coupling(params(T=T))
+    for g in (math.nextafter(gc, 0.0), gc, math.nextafter(gc, 1.0)):
+        assert_roots_are_bisect(sign, params(T=T, g=g))
+
+
 # --- critical coupling ------------------------------------------------------
 
 

@@ -1,0 +1,84 @@
+"""SHA-256 digest of every artifact of a fixed command set.
+
+Runs each command of :data:`COMMANDS` through ``curieweiss.cli.main`` in its
+own directory under a temporary directory, and prints one line
+``sha256  command/file`` per file written, and ``exit <code>  command`` per
+command, sorted by command and file.  A command that raises is listed as
+``raised <Type>  command``.  Two source trees give the same listing
+exactly when every command writes the same bytes, so a diff of two listings
+shows which artifacts a change touched::
+
+    PYTHONPATH=src python tools/artifact_digest.py > digest.txt
+
+Only the standard library and the package are used.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from curieweiss.cli import main
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "configs", "reference.cfg")
+
+#: command name -> (changes to configs/reference.cfg, the subcommand and its
+#: arguments); --config and --out go right after the subcommand
+COMMANDS = {
+    "statics": ({}, ["statics"]),
+    "collapse": ({}, ["collapse"]),
+    "register": ({}, ["register"]),
+    "scenario": ({}, ["scenario"]),
+    "sweep": ({}, ["sweep", "--sweep", "coupling_g=0.05:0.11:4"]),
+    "validate": ({}, ["validate"]),
+    "collapse_dispersed_echo": ({"delta_g": "0.0045"}, ["collapse", "--echo-at", "7.5"]),
+    "sweep_40x25": ({}, ["sweep", "--sweep", "coupling_g=0.01:0.6:40",
+                         "--sweep", "temperature=0.1:0.8:25"]),
+    "register_t_max_50": ({"t_max": "50"}, ["register"]),
+    "register_g_1e200": ({"coupling_g": "1e200"}, ["register"]),
+    "sweep_g_1e200": ({}, ["sweep", "--sweep", "coupling_g=1e200:1e200:1"]),
+}
+
+
+def _config(path: str, changes: dict[str, str]) -> None:
+    """configs/reference.cfg with the keys of ``changes`` set, written to path."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if line.partition("=")[0].strip() not in changes]
+    lines += [f"{key} = {value}" for key, value in changes.items()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def digest_lines(root: str) -> list[str]:
+    """The listing of every command of :data:`COMMANDS`, run under root."""
+    lines = []
+    for name, (changes, args) in COMMANDS.items():
+        cfg, out = os.path.join(root, f"{name}.cfg"), os.path.join(root, name)
+        _config(cfg, changes)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*args[:1], "--config", cfg, "--out", out, *args[1:]])
+        except Exception as exc:  # a raising command is listed, not fatal
+            lines.append(f"raised {type(exc).__name__}  {name}")
+            continue
+        lines.append(f"exit {code}  {name}")
+        for file in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+            with open(os.path.join(out, file), "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}/{file}")
+    return sorted(lines, key=lambda line: line.split("  ")[::-1])
+
+
+def run() -> int:
+    with tempfile.TemporaryDirectory() as root:
+        print("\n".join(digest_lines(root)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
