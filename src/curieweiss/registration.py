@@ -38,6 +38,7 @@ _NODES_PER_DECADE = 20
 STOP_DELTA = 1e-6
 #: residual band |m_f - m| / |m_f| of the tail that :func:`asymptotic_rate` fits
 TAIL_WINDOW = (1e-5, 1e-2)
+_SQRT3 = math.sqrt(3.0)
 
 
 class TerminalKind(enum.Enum):
@@ -249,46 +250,28 @@ def _supercritical_low_t_gc(params: ModelParams, critical_g: float | None = None
     return statics.critical_coupling_low_t(params)
 
 
-def _bottleneck_root(eps: float) -> float:
-    """Root delta of f(delta) = delta (delta - 3)^2 + eps on (-max(1, eps), 0):
-    :func:`statics.bisect`'s, bit for bit, with f written into the loop.
-    f < 0 at the lower end and f(0) = eps > 0.  Where (delta - 3)^2
-    overflows (|delta| > 1e154, so eps > 1e154) delta < 0, and f counts as
-    -inf, so every finite eps > 0 has its root."""
-    a, b = -max(1.0, eps), 0.0
-    while True:
-        d = 0.5 * (a + b)
-        if d == a or d == b:
-            return d
-        try:
-            fd = d * (d - 3.0) ** 2 + eps
-        except OverflowError:
-            fd = -math.inf
-        if fd == 0.0:
-            return d
-        if fd < 0.0:
-            a = d
-        else:
-            b = d
-
-
 def bottleneck_integral(eps: float) -> float:
     """I(eps) = integral_0^inf dx / p(x), p(x) = (x-1)^2 (x+2) + eps = x^3 - 3x + 2 + eps.
 
     Partial fractions over the roots rho_k of p give I = -sum_k log(-rho_k)/p'(rho_k),
     and since sum_k 1/p'(rho_k) = 0 this is -2 Re[log(rho/r)/p'(rho)] over the
-    complex pair rho, with r < -2 the real root.  Both come from delta = r + 2,
-    the root of delta (delta - 3)^2 = -eps (:func:`_bottleneck_root`):
-    rho = 1 - delta/2 + (i/2) sqrt(3 delta (delta - 4)) and
-    p'(rho) = 3 (rho - 1)(rho + 1), with no cancellation as eps -> 0.
+    complex pair rho, with r < -2 the real root.  The roots are hyperbolic
+    (Viete): with s = sinh(asinh(sqrt(eps)/2)/3), the root of 4s^3 + 3s =
+    sqrt(eps)/2 (polished by one Newton step), and c = sqrt(1 + s^2),
+    r = -2 - 4s^2, rho = 1 + 2s^2 + 2i sqrt(3) s c and
+    p'(rho) = 12 s c (s + i sqrt(3) c)(c + i sqrt(3) s).  Nothing cancels,
+    overflows or underflows, so every finite eps > 0 has its value,
+    subnormal eps included.
     """
     if not 0.0 < eps < math.inf:
         raise CurieWeissError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
-    delta = _bottleneck_root(eps)
-    im = 0.5 * math.sqrt(3.0 * delta * (delta - 4.0))
-    rho = complex(1.0 - 0.5 * delta, im)
-    dp = 3.0 * complex(-0.5 * delta, im) * complex(2.0 - 0.5 * delta, im)
-    return -2.0 * (cmath.log(rho / (delta - 2.0)) / dp).real
+    x = 0.5 * math.sqrt(eps)
+    s = math.sinh(math.asinh(x) / 3.0)
+    s -= (4.0 * s * s * s + 3.0 * s - x) / (12.0 * s * s + 3.0)
+    c = math.sqrt(1.0 + s * s)
+    rho = complex(1.0 + 2.0 * s * s, 2.0 * _SQRT3 * s * c)
+    dp = 12.0 * s * c * complex(s, _SQRT3 * c) * complex(c, _SQRT3 * s)
+    return -2.0 * (cmath.log(rho / (-2.0 - 4.0 * s * s)) / dp).real
 
 
 def registration_time_quadrature(params: ModelParams, critical_g: float | None = None) -> float:
@@ -298,8 +281,7 @@ def registration_time_quadrature(params: ModelParams, critical_g: float | None =
     eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J);
     defined only above the exact g_c of the statics, which a caller that has
     already taken it passes as ``critical_g`` (None: computed here).  I(eps)
-    is the exact partial-fraction sum over the roots of the cubic (see
-    :func:`bottleneck_integral`), good to a few ulp for every finite eps > 0.
+    is :func:`bottleneck_integral`.
     """
     gc = _supercritical_low_t_gc(params, critical_g)
     eps = 2.0 * (params.coupling_g - gc) / gc

@@ -848,8 +848,8 @@ def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
 
 
 def test_register_and_sweep_at_a_huge_coupling(tmp_path):
-    # at g = 1e200, eps ~ 1e202: the bottleneck cubic overflows at its
-    # bracket's end, and tau_reg is (3/gamma T) 2 pi/(3 sqrt 3) eps^(-2/3)
+    # at g = 1e200, eps ~ 1e202: the bottleneck cubic's real root is about
+    # -eps^(1/3), and tau_reg is (3/gamma T) 2 pi/(3 sqrt 3) eps^(-2/3)
     reg, sweep = tmp_path / "register", tmp_path / "sweep"
     cfg = write_cfg(tmp_path, coupling_g=1e200)
     assert main(["register", "--config", str(cfg), "--out", str(reg)]) == 0
@@ -857,7 +857,7 @@ def test_register_and_sweep_at_a_huge_coupling(tmp_path):
     gc = (2.0 * 0.34 / 3.0) * math.sqrt(0.34 / 3.0)
     eps = 2.0 * (1e200 - gc) / gc
     assert tau == pytest.approx(3.0 / (1e-3 * 0.34) * 2.0 * math.pi / (3.0 * math.sqrt(3.0))
-                                * eps ** (-2.0 / 3.0), rel=1e-13)
+                                * eps ** (-2.0 / 3.0), rel=1e-13, abs=0.0)
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(sweep),
                  "--sweep", "coupling_g=1e200:1e200:1"]) == 0
     (row,) = [r.split(",") for r in (sweep / "sweep.csv").read_text().splitlines()[1:]]

@@ -14,7 +14,7 @@ from curieweiss.errors import (
     InsufficientTail,
     NeverCrossed,
 )
-from curieweiss import registration, statics
+from curieweiss import statics
 from curieweiss.model import ModelParams
 from curieweiss.registration import (
     TAIL_WINDOW,
@@ -461,7 +461,8 @@ def _mp_bottleneck(eps):
 
 @pytest.mark.parametrize("eps", [10.0 ** (k / 2) for k in range(-28, 13)])
 def test_bottleneck_closed_form_matches_mpmath(eps):
-    assert bottleneck_integral(eps) == pytest.approx(float(_mp_bottleneck(eps)), rel=1e-14)
+    assert bottleneck_integral(eps) == pytest.approx(float(_mp_bottleneck(eps)), rel=1e-14,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("eps", [10.0 ** (k / 2) for k in range(-12, 9)])
@@ -473,7 +474,7 @@ def test_bottleneck_closed_form_matches_adaptive_quadrature(eps):
         return 1.0 / ((x - 1.0) ** 2 * (x + 2.0) + eps) / (1.0 - u) ** 2
 
     val = quad(mapped, 0.0, 1.0, points=[0.5], limit=400, epsabs=1e-13, epsrel=1e-12)[0]
-    assert bottleneck_integral(eps) == pytest.approx(val, rel=1e-12)
+    assert bottleneck_integral(eps) == pytest.approx(val, rel=1e-12, abs=0.0)
 
 
 def test_bottleneck_closed_form_domain():
@@ -482,31 +483,60 @@ def test_bottleneck_closed_form_domain():
             bottleneck_integral(eps)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.floats(-15.0, 150.0).map(lambda k: 10.0 ** k))
-@example(1e-15)
-@example(1.0)
-@example(16.0)
-@example(1e150)
-def test_bottleneck_root_is_the_generic_bisection(eps):
-    # the loop's delta is statics.bisect's on the same bracket, to the bit
-    def f(d):
-        return d * (d - 3.0) ** 2 + eps
+def _newton_bottleneck(eps):
+    """80-digit I(eps) from roots found apart from the closed form: Newton on
+    p(x) = x^3 - 3x + 2 + eps from -3 - eps^(1/3), left of the real root r,
+    where p is concave and rising, so the steps climb to r without passing
+    it; the complex pair rho = (-r + i sqrt(3r^2 - 12))/2 by deflation, and
+    I = -2 Re[log(rho/r)/p'(rho)]."""
+    with mpmath.workdps(80):
+        e = mpmath.mpf(eps)
+        r = -3 - mpmath.cbrt(e)
+        for _ in range(100):
+            step = (r ** 3 - 3 * r + 2 + e) / (3 * r * r - 3)
+            r -= step
+            if abs(step) <= abs(r) * mpmath.mpf(10) ** -75:
+                break
+        else:
+            raise AssertionError(f"Newton did not converge at eps = {eps}")
+        rho = (-r + 1j * mpmath.sqrt(3 * r * r - 12)) / 2
+        return float(-2 * mpmath.re(mpmath.log(rho / r) / (3 * rho * rho - 3)))
 
-    lo = -max(1.0, eps)
-    want = statics.bisect(f, lo, 0.0, f(lo))
-    assert registration._bottleneck_root(eps).hex() == want.hex()
+
+def _ten_to(k):
+    """10^k, clipped to the largest double (10.0 ** k raises past it)."""
+    return min(10.0 ** (k - 1.0) * 10.0, sys.float_info.max)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.floats(-40.0, math.log10(sys.float_info.max)).map(_ten_to))
+@example(16.0)
+@example(1e-14)
+@example(1e6)
+@example(1.3e154)
+@example(sys.float_info.max)
+def test_bottleneck_integral_matches_newton_roots(eps):
+    assert bottleneck_integral(eps) == pytest.approx(_newton_bottleneck(eps), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-40, 1e-100, 1e-300, 1e-310, 1e-320, 1e-323, 5e-324])
+def test_bottleneck_integral_at_small_eps(eps):
+    # subnormal eps included; I(eps) = pi/sqrt(3 eps) (1 - 2.26 sqrt(eps) + ...),
+    # whose next term is below 1e-20 relative here
+    want = math.pi / math.sqrt(3.0 * eps)
+    assert bottleneck_integral(eps) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("eps", [1e30, 1e100, 1e154, 1.3e154, 1.4e154, 1e155, 1e200,
                                  1e300, sys.float_info.max])
 def test_bottleneck_integral_at_large_eps(eps):
-    # past eps ~ 1.3e154, (delta - 3)^2 overflows at the bracket's lower end;
-    # I(eps) -> 2 pi/(3 sqrt 3) eps^(-2/3), to 1e-20 relative from eps = 1e30 on
+    # up to the largest double the real root r ~ -eps^(1/3) and the complex
+    # pair stay far from overflow; I(eps) -> 2 pi/(3 sqrt 3) eps^(-2/3), to
+    # 1e-20 relative from eps = 1e30 on
     with mpmath.workdps(30):
         e = mpmath.mpf(eps)
         want = float(2 * mpmath.pi / (3 * mpmath.sqrt(3)) * e ** (mpmath.mpf(-2) / 3))
-    assert bottleneck_integral(eps) == pytest.approx(want, rel=1e-14)
+    assert bottleneck_integral(eps) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_quadrature_time_is_prefactor_times_bottleneck():
