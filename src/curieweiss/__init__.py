@@ -2,12 +2,12 @@
 
 A spin-1/2 system is measured by a magnetic dot: N Ising spins with an
 infinite-range quartic coupling, weakly coupled to a phonon bath.  The
-package computes the static phase structure of the magnet, the collapse and
-recurrence dynamics of the off-diagonal density-matrix blocks, the
-registration dynamics of the pointer magnetization, and the resulting Born
-probabilities, final state, and entropy balance.  The independent oracles
-that pin every closed form are test code (``tests/oracles.py``), so the
-package needs only numpy.
+package computes the magnet's static phases, the collapse and recurrences
+of the off-diagonal blocks over couplings given as (value, multiplicity)
+pairs (``((g, N),)`` when uniform), the registration of the pointer
+magnetization, and the resulting Born probabilities, final state and
+entropy balance.  The oracles that pin every closed form are test code
+(``tests/oracles.py``), so the package needs only numpy.
 """
 
 from .errors import CurieWeissError
@@ -29,7 +29,6 @@ from .statics import (
     stationary_magnetizations,
 )
 from .offdiag import (
-    CouplingVector,
     OffDiagTrajectory,
     bath_exponent,
     decay_time_bath,
@@ -74,7 +73,6 @@ __all__ = [
     "free_energy",
     "mixing_entropy",
     "stationary_magnetizations",
-    "CouplingVector",
     "OffDiagTrajectory",
     "bath_exponent",
     "decay_time_bath",

@@ -8,8 +8,8 @@ couplings (Gaussian exponent, decay time tau_2').  A pi pulse around y at
 time theta rephases the dispersed product and revives the amplitude at
 2*theta exactly.
 
-Couplings are stored as distinct values with multiplicities, and every
-product of cosines is one log-magnitude + sign kernel over them, so
+Couplings are (value, multiplicity) pairs of their distinct values, and
+every product of cosines is one log-magnitude + sign loop over them, so
 magnitudes far below the float underflow threshold remain exact as logs.
 """
 
@@ -81,27 +81,13 @@ def log_recurrence_height_dispersed(params: ModelParams) -> float:
     return -params.n_spins * math.pi**2 * params.delta_g**2 / (2.0 * params.coupling_g**2)
 
 
-# --- coupling vectors -------------------------------------------------------
+# --- couplings -------------------------------------------------------------
+
+#: per-spin couplings g_n as (value, multiplicity) pairs of distinct values
+Couplings = tuple[tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
-class CouplingVector:
-    """Per-spin couplings g_n as distinct values with their multiplicities."""
-
-    values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.counts.setflags(write=False)
-
-    @classmethod
-    def uniform(cls, g: float, n_spins: int) -> "CouplingVector":
-        """N identical couplings g."""
-        return cls(values=np.array([g]), counts=np.array([n_spins]))
-
-
-def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
+def sample_couplings(params: ModelParams, seed: int) -> Couplings:
     """Draw N couplings with empirical mean exactly g and RMS exactly delta_g.
 
     Each coupling starts as g +/- delta_g with equal odds and the draw is
@@ -116,16 +102,13 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingVector:
     n = params.n_spins
     g, dg = params.coupling_g, params.delta_g
     if dg == 0:
-        return CouplingVector.uniform(g, n)
+        return ((g, n),)
     if n < 2:
         raise CurieWeissError("a nonzero spread requires at least two spins")
     k = _binomial_half(n, random.Random(seed))
     if k in (0, n):  # degenerate draw: flip every other sign to balance it
         k = (n + 1) // 2 if k == 0 else n // 2
-    return CouplingVector(
-        values=np.array([g - dg * math.sqrt(k / (n - k)), g + dg * math.sqrt((n - k) / k)]),
-        counts=np.array([n - k, k]),
-    )
+    return ((g - dg * math.sqrt(k / (n - k)), n - k), (g + dg * math.sqrt((n - k) / k), k))
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -194,27 +177,32 @@ def _stirling_tail(x: int) -> float:
 _libm_log = np.frompyfunc(math.log, 1, 1)
 
 
-def log_cos_product(times, couplings: CouplingVector):
+def log_cos_product(times, couplings: Couplings):
     """(log|prod_n cos(2 g_n t/hbar)|, sign) at a time or an array of times.
 
-    Each distinct coupling contributes its multiplicity times log|cos|, so
-    magnitudes far below the float underflow threshold stay exact as logs.
-    The sign is 0 where a factor vanishes exactly (the log is then -inf),
-    else (-1) to the number of negative factors.
+    Each (value, multiplicity) pair adds its multiplicity times log|cos|, so
+    magnitudes far below the float underflow threshold stay exact as logs,
+    and a multiplicity may be any Python int.  The sign is 0 where a factor
+    vanishes exactly (the log is then -inf), else (-1) to the number of
+    negative factors.
     """
-    c = np.cos(np.multiply.outer(np.asarray(times, dtype=float), 2.0 * couplings.values))
-    zero = c == 0.0
-    log_abs = _libm_log(np.where(zero, 1.0, np.abs(c))).astype(float)
-    vanishes = np.any(zero, axis=-1)
-    logmag = np.where(vanishes, -math.inf, log_abs @ couplings.counts)
-    sign = np.where(vanishes, 0.0, 1.0 - 2.0 * ((c < 0) @ couplings.counts % 2))
-    return logmag, sign
+    times = np.asarray(times, dtype=float)
+    logmag, sign = np.zeros_like(times), np.ones_like(times)
+    for g, n in couplings:
+        c = np.cos(times * (2.0 * g))
+        zero = c == 0.0
+        log_abs = np.asarray(_libm_log(np.where(zero, 1.0, np.abs(c))), dtype=float)
+        logmag = logmag + n * np.where(zero, -math.inf, log_abs)
+        if n % 2:
+            sign = np.where(c < 0.0, -sign, sign)
+    return logmag, np.where(logmag == -math.inf, 0.0, sign)
 
 
-def _linear(logmag, sign, cap: float):
+def _linear(logmag, sign):
     """sign * exp(logmag), 0 below the double underflow threshold; logmag
-    is capped at ``cap`` so that the exponential cannot overflow."""
-    return sign * np.where(logmag > -745.0, np.exp(np.minimum(logmag, cap)), 0.0)
+    is capped at 700 so that the exponential cannot overflow (only a ratio
+    of two products can exceed 0)."""
+    return sign * np.where(logmag > -745.0, np.exp(np.minimum(logmag, 700.0)), 0.0)
 
 
 def _log10_abs(logmag, r0: complex):
@@ -222,10 +210,10 @@ def _log10_abs(logmag, r0: complex):
     return (logmag + (math.log(abs(r0)) if r0 != 0 else -math.inf)) / _LOG10
 
 
-def envelope(t, couplings: CouplingVector, r0: complex):
+def envelope(t, couplings: Couplings, r0: complex):
     """Off-diagonal amplitude r0 prod_n cos(2 g_n t/hbar) without the bath;
-    uniform couplings give r0 cos^N(2gt/hbar)."""
-    return r0 * _linear(*log_cos_product(t, couplings), 0.0)
+    uniform couplings ((g, N),) give r0 cos^N(2gt/hbar)."""
+    return r0 * _linear(*log_cos_product(t, couplings))
 
 
 # --- assembled trajectory ---------------------------------------------------
@@ -239,8 +227,8 @@ class OffDiagTrajectory:
     magnitude is always available as ``log10_abs`` (base-10 log, -inf only
     when the amplitude vanishes identically).  The product
     osc_factor * bath_factor * dispersion_factor * r(0) equals the amplitude;
-    the factor split is exact in the log domain, so the linear dispersion
-    column can overflow near the isolated zeros of the uniform factor.
+    the factor split is exact in the log domain, so near the isolated zeros
+    of the uniform factor the linear dispersion column is capped at e^700.
     """
 
     times: np.ndarray
@@ -257,7 +245,7 @@ class OffDiagTrajectory:
 
 
 def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
-                       couplings: CouplingVector, include_bath: bool) -> OffDiagTrajectory:
+                       couplings: Couplings, include_bath: bool) -> OffDiagTrajectory:
     """Closed-form off-diagonal amplitude on a time grid.
 
     The amplitude is the uniform oscillation times the bath factor
@@ -267,9 +255,9 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     n = params.n_spins
-    uniform = CouplingVector.uniform(params.coupling_g, n)
+    uniform = ((params.coupling_g, n),)
     log_osc, sign_osc = log_cos_product(times, uniform)
-    if couplings.values.tolist() == [params.coupling_g] and couplings.counts.tolist() == [n]:
+    if couplings == uniform:
         log_total, sign_total = log_osc, sign_osc  # the same product
     else:
         log_total, sign_total = log_cos_product(times, couplings)
@@ -282,17 +270,17 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
     log_amp = log_total + log_bath
     return OffDiagTrajectory(
         times=times,
-        amplitude=r0 * _linear(log_amp, sign_total, 700.0),
+        amplitude=r0 * _linear(log_amp, sign_total),
         log10_abs=_log10_abs(log_amp, r0),
-        osc_factor=_linear(log_osc, sign_osc, 700.0),
+        osc_factor=_linear(log_osc, sign_osc),
         bath_factor=np.exp(log_bath),
-        dispersion_factor=_linear(log_total - log_osc, sign_total * sign_osc, 700.0),
+        dispersion_factor=_linear(log_total - log_osc, sign_total * sign_osc),
     )
 
 
 def spin_echo(
     theta: float,
-    couplings: CouplingVector,
+    couplings: Couplings,
     r0: complex,
     times: np.ndarray,
 ) -> OffDiagTrajectory:
@@ -308,7 +296,7 @@ def spin_echo(
     log_amp, sign = log_cos_product(
         np.where(times < theta, times, times - 2.0 * theta), couplings
     )
-    factor = _linear(log_amp, sign, 0.0)
+    factor = _linear(log_amp, sign)
     return OffDiagTrajectory(
         times=times,
         amplitude=r0 * factor,

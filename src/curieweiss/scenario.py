@@ -301,7 +301,7 @@ def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
 
 
 def collapse_run(cfg: RunConfig, t_hi: float | None,
-                 couplings: offdiag.CouplingVector | None = None) -> offdiag.OffDiagTrajectory:
+                 couplings: offdiag.Couplings | None = None) -> offdiag.OffDiagTrajectory:
     """Off-diagonal trajectory of the config on its grid up to t_hi (None:
     1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
     delta_g = 0; pass them when already drawn), damped by the bath where it

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import gammaln
 
-from curieweiss.offdiag import CouplingVector
+from curieweiss.offdiag import Couplings
 
 _ENUMERATION_CAP = 20
 
@@ -69,7 +69,7 @@ def offdiag_sector_sum(t: float, g: float, n: int, r0: complex) -> complex:
     return r0 * _kahan_complex_sum(weights * phases)
 
 
-def full_hilbert_offdiag(t: float, couplings: CouplingVector, r0: complex) -> complex:
+def full_hilbert_offdiag(t: float, couplings: Couplings, r0: complex) -> complex:
     """Exact 2^N enumeration of the dispersed off-diagonal trace.
 
     Every operator involved is diagonal in the sigma_z product basis and the
@@ -78,13 +78,13 @@ def full_hilbert_offdiag(t: float, couplings: CouplingVector, r0: complex) -> co
     Capped at N = 20; identical couplings collapse onto the binomial levels
     of :func:`offdiag_sector_sum`.
     """
-    n = int(couplings.counts.sum())
+    n = sum(c for _, c in couplings)
     if n > _ENUMERATION_CAP:
         raise TooLarge(f"N = {n} exceeds the enumeration cap {_ENUMERATION_CAP}")
-    if len(couplings.values) == 1:
-        return offdiag_sector_sum(t, float(couplings.values[0]), n, r0)
+    if len(couplings) == 1:
+        return offdiag_sector_sum(t, float(couplings[0][0]), n, r0)
     totals = np.zeros(1)
-    for gn in np.repeat(couplings.values, couplings.counts):
+    for gn in np.repeat([g for g, _ in couplings], [c for _, c in couplings]):
         totals = np.concatenate([totals + gn, totals - gn])
     terms = np.exp(2j * t * totals) / 2.0**n
     return r0 * _kahan_complex_sum(terms)

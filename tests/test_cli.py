@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -878,6 +882,53 @@ def test_register_at_a_huge_rate_warns_nothing(tmp_path):
     assert runs["error"] == runs["ignore"]
     assert load_manifest(tmp_path / "error")["tail_rate_fitted"] == pytest.approx(
         1.0145331161132985e300, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta_g", [0.0, 0.0045])
+@pytest.mark.parametrize("command", ["collapse", "scenario"])
+def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, command,
+                                                         delta_g):
+    # N = 1e30: the multiplicities stay Python ints, which no int64 holds.
+    # The config reads the count as a double, so N is the double nearest 1e30
+    draws = []
+    draw = offdiag.sample_couplings
+    monkeypatch.setattr(offdiag, "sample_couplings",
+                        lambda *args: draws.append(draw(*args)) or draws[-1])
+    cfg, out = write_cfg(tmp_path, n_spins=10**30, delta_g=delta_g), tmp_path / command
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = load_manifest(out)
+    n = manifest["config"]["n_spins"]
+    assert n == int(1e30)
+    assert manifest["timescales"]["tau_red"] == pytest.approx(
+        1.0 / (0.09 * math.sqrt(2.0 * n)), rel=1e-15, abs=0.0)
+    (couplings,) = draws
+    assert len(couplings) == (2 if delta_g else 1)
+    assert all(type(count) is int for _, count in couplings)
+    assert sum(count for _, count in couplings) == n
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE selects x86-64 kernels only")
+def test_dispersed_collapse_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a BLAS dot product of the two log columns rounds once with FMA
+    # (Haswell) and twice without (Sandybridge); the cosine product sums
+    # the pairs itself, so both kernels write the same bytes
+    cfg = write_cfg(tmp_path, delta_g=0.0045)
+    runs = {}
+    for core in ("Haswell", "Sandybridge"):
+        out = tmp_path / core
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "curieweiss.cli", "collapse", "--config",
+                               str(cfg), "--out", str(out), "--echo-at", "7.5"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[core] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert sorted(runs["Haswell"]) == ["echo.csv", "manifest.json", "offdiag.csv",
+                                       "offdiag_log10.dat"]
+    assert runs["Haswell"] == runs["Sandybridge"]
 
 
 #: the reference point with every energy scaled by J = 2.5, and a coupling spread

@@ -42,6 +42,8 @@ COMMANDS = {
     "register_t_max_50": ({"t_max": "50"}, ["register"]),
     "register_g_1e200": ({"coupling_g": "1e200"}, ["register"]),
     "sweep_g_1e200": ({}, ["sweep", "--sweep", "coupling_g=1e200:1e200:1"]),
+    "collapse_n_1e30": ({"n_spins": str(10**30)}, ["collapse"]),
+    "scenario_dispersed": ({"delta_g": "0.0045"}, ["scenario"]),
 }
 
 
