@@ -7,92 +7,62 @@ of the off-diagonal blocks over couplings given as (value, multiplicity)
 pairs (``((g, N),)`` when uniform), the registration of the pointer
 magnetization, and the resulting Born probabilities, final state and
 entropy balance.  The oracles that pin every closed form are test code
-(``tests/oracles.py``), so the package needs only numpy.
+(``tests/oracles.py``).  Only the collapse and registration modules use
+numpy, and each re-export below is imported on first access (PEP 562), so
+``import curieweiss`` loads no numpy, nor any module a caller does not use.
 """
 
-from .errors import CurieWeissError
-from .model import (
-    ModelParams,
-    SystemState2x2,
-    regime_valid,
-    validate_regime,
-    validate_state,
-)
-from .statics import (
-    Landscape,
-    StationaryPoint,
-    critical_coupling,
-    curie_temperature,
-    ferromagnetic_gap,
-    free_energy,
-    mixing_entropy,
-    stationary_magnetizations,
-)
-from .offdiag import (
-    OffDiagTrajectory,
-    bath_exponent,
-    decay_time_bath,
-    dispersion_decay_time,
-    envelope,
-    offdiag_trajectory,
-    reduction_time,
-    sample_couplings,
-    spin_echo,
-)
-from .registration import (
-    MagnetizationTrajectory,
-    TerminalKind,
-    asymptotic_rate,
-    crossing_time,
-    integrate_registration,
-    registration_time_asymptotic,
-    registration_time_quadrature,
-)
-from .scenario import (
-    RunConfig,
-    ScenarioReport,
-    assemble_final_state,
-    entropy_budget,
-    run_scenario,
-)
+import importlib
+
+#: re-exported name -> the module of the package that defines it
+_EXPORTS = {
+    "CurieWeissError": "errors",
+    "ModelParams": "model",
+    "SystemState2x2": "model",
+    "regime_valid": "model",
+    "validate_regime": "model",
+    "validate_state": "model",
+    "Landscape": "statics",
+    "StationaryPoint": "statics",
+    "critical_coupling": "statics",
+    "curie_temperature": "statics",
+    "ferromagnetic_gap": "statics",
+    "free_energy": "statics",
+    "mixing_entropy": "statics",
+    "stationary_magnetizations": "statics",
+    "OffDiagTrajectory": "offdiag",
+    "bath_exponent": "offdiag",
+    "decay_time_bath": "offdiag",
+    "dispersion_decay_time": "offdiag",
+    "envelope": "offdiag",
+    "offdiag_trajectory": "offdiag",
+    "reduction_time": "offdiag",
+    "sample_couplings": "offdiag",
+    "spin_echo": "offdiag",
+    "MagnetizationTrajectory": "registration",
+    "TerminalKind": "registration",
+    "asymptotic_rate": "registration",
+    "crossing_time": "registration",
+    "integrate_registration": "registration",
+    "registration_time_asymptotic": "registration",
+    "registration_time_quadrature": "registration",
+    "RunConfig": "scenario",
+    "ScenarioReport": "scenario",
+    "assemble_final_state": "scenario",
+    "entropy_budget": "scenario",
+    "run_scenario": "scenario",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurieWeissError",
-    "ModelParams",
-    "SystemState2x2",
-    "regime_valid",
-    "validate_regime",
-    "validate_state",
-    "Landscape",
-    "StationaryPoint",
-    "critical_coupling",
-    "curie_temperature",
-    "ferromagnetic_gap",
-    "free_energy",
-    "mixing_entropy",
-    "stationary_magnetizations",
-    "OffDiagTrajectory",
-    "bath_exponent",
-    "decay_time_bath",
-    "dispersion_decay_time",
-    "envelope",
-    "offdiag_trajectory",
-    "reduction_time",
-    "sample_couplings",
-    "spin_echo",
-    "MagnetizationTrajectory",
-    "TerminalKind",
-    "asymptotic_rate",
-    "crossing_time",
-    "integrate_registration",
-    "registration_time_asymptotic",
-    "registration_time_quadrature",
-    "RunConfig",
-    "ScenarioReport",
-    "assemble_final_state",
-    "entropy_budget",
-    "run_scenario",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -20,11 +20,9 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
 from .model import ModelParams, validate_regime
-from . import offdiag, output, registration, scenario, statics
+from . import output, scenario, statics
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
@@ -67,6 +65,8 @@ def cmd_statics(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
+    from . import offdiag
+
     params, echo_at = cfg.params, args.echo_at
     couplings = offdiag.sample_couplings(params, cfg.seed)
     traj = scenario.collapse_run(cfg, cfg.t_max, couplings)
@@ -87,6 +87,8 @@ def cmd_collapse(cfg: scenario.RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
+    from . import registration
+
     params = cfg.params
     reason = scenario.why_not_a_measurement(params, cfg.bath)
     if reason is not None:
@@ -111,6 +113,18 @@ def cmd_scenario(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     return _EXIT[report.status]
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.linspace(start, stop, n).tolist()`` bit for bit: i * step + start,
+    i / div * delta + start where the step underflows to 0, and stop as the
+    last point when n > 1."""
+    delta, div = stop - start, max(n - 1, 1)
+    step = delta / div
+    grid = [(i / div * delta if step == 0 else i * step) + start for i in range(n)]
+    if n > 1:
+        grid[-1] = stop
+    return grid
+
+
 def _parse_sweep_axis(spec: str):
     try:
         key, _, rng = spec.partition("=")
@@ -126,7 +140,7 @@ def _parse_sweep_axis(spec: str):
     keys = tuple(f.name for f in fields(ModelParams))
     if key not in keys:
         raise ConfigError(f"cannot sweep {key!r}; choose one of {keys}")
-    return key, np.linspace(start, stop, steps).tolist()
+    return key, _linspace(start, stop, steps)
 
 
 def cmd_sweep(cfg: scenario.RunConfig, out_dir: str, args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, CurieWeissError
@@ -25,7 +26,8 @@ class ModelParams:
     Attributes
     ----------
     n_spins : int
-        N, number of apparatus spins.
+        N, number of apparatus spins, at most the largest double (the
+        closed forms take float(N)).
     coupling_j : float
         J, quartic magnet coupling (the energy unit).
     coupling_g : float
@@ -52,6 +54,9 @@ class ModelParams:
         # range first, so that int() never sees a NaN or an infinity
         if not 1 <= self.n_spins < math.inf or int(self.n_spins) != self.n_spins:
             raise ConfigError(f"n_spins must be a positive integer, got {self.n_spins}")
+        if self.n_spins > sys.float_info.max:  # no echo: str() of a huge int can raise
+            raise ConfigError("n_spins must be at most the largest double, "
+                              f"{sys.float_info.max!r}")
         object.__setattr__(self, "n_spins", int(self.n_spins))
         for name in ("coupling_j", "temperature", "debye_cutoff"):
             v = getattr(self, name)
@@ -234,7 +239,12 @@ def get_float(mapping: dict[str, str], key: str) -> float:
 
 
 def get_int(mapping: dict[str, str], key: str) -> int:
-    """Integer-valued key; '1e5' is accepted, '100000.9' is rejected, not truncated."""
+    """Integer-valued key: an integer literal is read exactly, anything else
+    as a number; '1e5' is accepted, '100000.9' is rejected, not truncated."""
+    try:
+        return int(mapping[key])
+    except (KeyError, ValueError):
+        pass
     value = get_float(mapping, key)
     if not value.is_integer():
         raise ConfigError(f"config key {key!r}: not an integer: {mapping[key]!r}")

@@ -21,9 +21,8 @@ import enum
 import hashlib
 import math
 import os
+import sys
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 
 def fmt(value) -> str:
@@ -38,8 +37,10 @@ def fmt(value) -> str:
 def column(values) -> list[str]:
     """A table column rendered as fmt renders each value: a float64 array in
     one pass of repr (which already gives nan and inf), anything else value
-    by value."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+    by value.  An array exists only once numpy is loaded, so numpy is looked
+    up, never imported, here."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray) and values.dtype == np.float64:
         return list(map(repr, values.tolist()))
     return [fmt(v) for v in values]
 

@@ -193,12 +193,13 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
             f"tail spans less than a decade ({mask.sum()} usable points)"
         )
     # least-squares slope in closed form, from sums centred on the means;
-    # the times are taken in units of their span so that no square underflows
+    # the times are taken in units of their span so that no square underflows,
+    # and fsum adds the products exactly, where a BLAS dot rounds by its kernel
     times = trajectory.times[mask]
     span = times[-1] - times[0]
     x = (times - times.mean()) / span
     y = np.log(delta[mask])
-    slope = x @ (y - y.mean()) / (x @ x) / span
+    slope = math.fsum(x * (y - y.mean())) / math.fsum(x * x) / span
     return {"tail_rate_fitted": -float(slope),
             "tail_rate_predicted": params.gamma * params.coupling_j}
 

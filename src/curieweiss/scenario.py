@@ -5,6 +5,10 @@ validation, magnet statics, the off-diagonal collapse with its damping
 mechanisms, both diagonal-sector registrations, the post-measurement state
 (branch weights = initial diagonals, pointer at the ferromagnetic value),
 and the entropy budget of the whole process.
+
+The collapse and registration modules, which hold numpy arrays, are
+imported by the stages that run them, so the scalar stages (regime,
+statics) and the commands made of them load no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -39,7 +42,10 @@ from .model import (
     validate_regime,
     validate_state,
 )
-from . import offdiag, output, registration, statics
+from . import output, statics
+
+if TYPE_CHECKING:  # for the annotations; the stages import them when they run
+    from . import offdiag, registration
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
@@ -91,6 +97,8 @@ def assemble_final_state(
     macroscopic apparatus.  t_final and log10_offdiag_residual (log10 of the
     surviving off-diagonal magnitude) are the collapse's last sample.
     """
+    from . import registration
+
     validate_state(state)
     for traj in (sector_up, sector_down):
         if traj.terminal is not registration.TerminalKind.CONVERGED_FERRO:
@@ -278,6 +286,8 @@ def collapse_timescales(cfg: RunConfig) -> dict:
     """Reduction time, plus decay time and log10 first-recurrence height of
     each damping mechanism at work: the bath where it acts
     (:attr:`RunConfig.bath_acts`), the coupling spread where delta_g > 0."""
+    from . import offdiag
+
     params = cfg.params
     out = {"tau_red": offdiag.reduction_time(params)}
     if cfg.bath_acts:
@@ -291,9 +301,11 @@ def collapse_timescales(cfg: RunConfig) -> dict:
     return out
 
 
-def _time_grid(cfg: RunConfig, t_hi: float) -> np.ndarray:
-    """cfg.samples times from 0 to exactly t_hi; a log grid puts all but the
-    first geometrically from 1e-4 t_hi (two samples: 0 and t_hi)."""
+def _time_grid(cfg: RunConfig, t_hi: float):
+    """cfg.samples times from 0 to exactly t_hi, as an array; a log grid puts
+    all but the first geometrically from 1e-4 t_hi (two samples: 0 and t_hi)."""
+    import numpy as np
+
     if cfg.spacing == "linear":
         return np.linspace(0.0, t_hi, cfg.samples)
     grid = np.geomspace(t_hi * 1e-4, t_hi, cfg.samples - 1)
@@ -306,6 +318,8 @@ def collapse_run(cfg: RunConfig, t_hi: float | None,
     1.2 pi hbar/g), over the couplings drawn at its seed (uniform at
     delta_g = 0; pass them when already drawn), damped by the bath where it
     acts; g = 0 has no collapse to run."""
+    from . import offdiag
+
     params = cfg.params
     if params.coupling_g == 0:
         raise ConfigError("collapse requires a nonzero coupling g")
@@ -322,6 +336,8 @@ def collapse_run(cfg: RunConfig, t_hi: float | None,
 def registration_times(params: ModelParams) -> dict:
     """Quadrature and asymptotic tau_reg; both None, with the error type, when
     the statics leave nothing to register."""
+    from . import registration
+
     try:
         return {
             "tau_reg_quadrature": registration.registration_time_quadrature(params),
@@ -339,6 +355,8 @@ def _registration_end(tau_reg: float | None, up) -> float:
 
 def registration_summary(up, down, params: ModelParams) -> dict:
     """Terminal states, threshold crossing times and tail rate of both sectors."""
+    from . import registration
+
     threshold = registration.registration_threshold(params)
     summary: dict = {
         "terminal_up": up.terminal.value,
@@ -369,6 +387,8 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     "not_a_measurement", with the collapse alone where g > 0.
     :func:`write_run` persists the report.
     """
+    from . import registration
+
     params, state = config.params, config.state
     report = ScenarioReport(
         status="not_a_measurement", reason=why_not_a_measurement(params, config.bath),
@@ -412,6 +432,8 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
     row's tau_reg quadrature reuses it.  A registered row whose tau_reg is
     undefined (no spinodal, say) has tau_reg None, and its error is counted.
     """
+    from . import registration
+
     base = {f.name: getattr(cfg.params, f.name) for f in fields(ModelParams)}
     rows, errors = [], collections.Counter()
     for values in itertools.product(*grids):
@@ -528,7 +550,7 @@ def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
     and F_down(-m) = F_up(m), and its m and dm_dt columns are the up ones
     with the sign flipped (0.0 - 0.0 stays 0.0)."""
     t, m, rate, f = (output.column(c) for c in (
-        up.times, up.m, up.rate, statics.free_energy(up.m, +1, params),
+        up.times, up.m, up.rate, statics.free_energy(up.m.tolist(), +1, params),
     ))
     down = [t, [c if c == "0.0" else _minus(c) for c in m], list(map(_minus, rate)), f]
     files = []

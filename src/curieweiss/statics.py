@@ -16,8 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
 from .model import ModelParams
 
@@ -80,35 +78,35 @@ class Landscape:
 
 
 def mixing_entropy(m):
-    """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2."""
-    arr = np.asarray(m, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise CurieWeissError(f"|m| must be <= 1, got {m}")
-    p = (1.0 + arr) / 2.0
-    q = (1.0 - arr) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0) - np.where(
-            q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0
-        )
-    return float(s) if np.isscalar(m) or arr.ndim == 0 else s
+    """Binary mixing entropy per spin, in nats; S(+-1) = 0, S(0) = ln 2.
+    m is a float, or an iterable of floats for a list of S."""
+    scalar = isinstance(m, (int, float))
+    log, out = math.log, []
+    for x in ((m,) if scalar else m):
+        if abs(x) > 1.0:
+            raise CurieWeissError(f"|m| must be <= 1, got {x}")
+        p = (1.0 + x) / 2.0
+        q = (1.0 - x) / 2.0
+        out.append(-(p * log(p) if p > 0 else 0.0) - (q * log(q) if q > 0 else 0.0))
+    return out[0] if scalar else out
 
 
-def _free_energy(m, m4, entropy, s: float, params: ModelParams):
-    """F_s from m, m^4 and S(m): the one expression, in one order, that
-    :func:`free_energy` and :func:`landscape_table` share."""
-    return (
-        -s * params.coupling_g * m
-        - 0.25 * params.coupling_j * m4
-        - params.temperature * entropy
-    )
+def _free_energies(m, m4, entropy, s: float, params: ModelParams) -> list[float]:
+    """F_s from m, m^4 and S(m), elementwise: the one expression, in one
+    order, that :func:`free_energy` and :func:`landscape_table` share, in
+    one loop with its factors bound."""
+    a, b, t = -s * params.coupling_g, 0.25 * params.coupling_j, params.temperature
+    return [a * x - b * x4 - t * e for x, x4, e in zip(m, m4, entropy)]
 
 
 def free_energy(m, field_sign: int, params: ModelParams):
-    """F_s(m) per spin, in energy units of the input parameters."""
-    arr = np.asarray(m, dtype=float)
-    m2 = arr * arr  # exactly even, unlike NumPy's arr**4
-    out = _free_energy(arr, m2 * m2, mixing_entropy(arr), float(field_sign), params)
-    return float(out) if np.isscalar(m) or arr.ndim == 0 else out
+    """F_s(m) per spin, in energy units of the input parameters; m is a
+    float, or an iterable of floats for a list of F."""
+    scalar = isinstance(m, (int, float))
+    ms = [m] if scalar else list(m)
+    m4 = [(x * x) * (x * x) for x in ms]  # exactly even, unlike x**4
+    out = _free_energies(ms, m4, mixing_entropy(ms), float(field_sign), params)
+    return out[0] if scalar else out
 
 
 def free_energy_curvature(m: float, params: ModelParams) -> float:
@@ -232,8 +230,9 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
 
     They solve psi(m) = s g, one per bracket of :func:`_brackets`, each
-    bisected to the last bit.  F at all roots is one array evaluation of
-    :func:`free_energy`, elementwise the same as one call per root.
+    bisected to the last bit.  F at all roots is one call of
+    :func:`free_energy` on their list, elementwise the same as one call per
+    root.
     """
     s = int(field_sign)
     target = s * params.coupling_g
@@ -246,7 +245,7 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
             kind=PointKind.MINIMUM if free_energy_curvature(r, params) > 0 else PointKind.MAXIMUM,
             label=label_point(r),
         )
-        for r, fr in zip(roots, free_energy(np.array(roots), s, params).tolist())
+        for r, fr in zip(roots, free_energy(roots, s, params))
     )
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:
@@ -313,30 +312,25 @@ def ferromagnetic_gap(up: Landscape, params: ModelParams) -> dict:
 
 
 @functools.cache
-def landscape_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, m^4, S(m)) on the 401 nodes m = k/200, k = -200..200: read-only
-    arrays, computed once per process, since no parameter enters them.
+def landscape_grid() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """(m, m^4, S(m)) on the 401 nodes m = k/200, k = -200..200: tuples,
+    computed once per process, since no parameter enters them.
 
     Each node is the correctly rounded k/200, so the grid is exactly
-    antisymmetric (np.linspace is not), and m^4 = (m m)(m m) and S(m) are
-    exactly even.
+    antisymmetric, and m^4 = (m m)(m m) and S(m) are exactly even.
     """
-    m = np.arange(-200, 201) / 200.0
-    m2 = m * m
-    grid = (m, m2 * m2, mixing_entropy(m))
-    for arr in grid:
-        arr.setflags(write=False)
-    return grid
+    m = tuple(k / 200 for k in range(-200, 201))
+    return m, tuple((x * x) * (x * x) for x in m), tuple(mixing_entropy(m))
 
 
 def landscape_table(params: ModelParams):
     """(m, F_up, F_down) on the nodes of :func:`landscape_grid`, for export
     and plotting.
 
-    m is the shared read-only grid array.  F_up is :func:`free_energy`'s
-    expression on the grid's m^4 and S(m), bit for bit, and F_down is F_up
+    m is the shared grid tuple.  F_up is :func:`free_energy`'s expression on
+    the grid's m^4 and S(m), bit for bit, as a list, and F_down is F_up
     reversed, which holds to the bit: F_s(m) = F_-s(-m) exactly.
     """
     m, m4, entropy = landscape_grid()
-    f_up = _free_energy(m, m4, entropy, 1.0, params)
+    f_up = _free_energies(m, m4, entropy, 1.0, params)
     return m, f_up, f_up[::-1]

@@ -889,7 +889,7 @@ def test_register_at_a_huge_rate_warns_nothing(tmp_path):
 def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, command,
                                                          delta_g):
     # N = 1e30: the multiplicities stay Python ints, which no int64 holds.
-    # The config reads the count as a double, so N is the double nearest 1e30
+    # The config reads the count's digits exactly
     draws = []
     draw = offdiag.sample_couplings
     monkeypatch.setattr(offdiag, "sample_couplings",
@@ -900,7 +900,7 @@ def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, 
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     manifest = load_manifest(out)
     n = manifest["config"]["n_spins"]
-    assert n == int(1e30)
+    assert n == 10**30
     assert manifest["timescales"]["tau_red"] == pytest.approx(
         1.0 / (0.09 * math.sqrt(2.0 * n)), rel=1e-15, abs=0.0)
     (couplings,) = draws
@@ -909,25 +909,41 @@ def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, 
     assert sum(count for _, count in couplings) == n
 
 
+@pytest.mark.parametrize("command", ["collapse", "scenario"])
+def test_collapse_and_scenario_reject_n_beyond_the_largest_double(tmp_path, capsys, command):
+    # the digits are read exactly, so N = 10**400 reaches ModelParams, which
+    # rejects a count that float() cannot hold
+    cfg, out = write_cfg(tmp_path, n_spins=10**400), tmp_path / command
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: n_spins must be at most the largest double" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OPENBLAS_CORETYPE selects x86-64 kernels only")
-def test_dispersed_collapse_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
-    # a BLAS dot product of the two log columns rounds once with FMA
-    # (Haswell) and twice without (Sandybridge); the cosine product sums
-    # the pairs itself, so both kernels write the same bytes
-    cfg = write_cfg(tmp_path, delta_g=0.0045)
+@pytest.mark.parametrize("argv, overrides, names", [
+    # a BLAS dot product rounds once with FMA (Haswell) and twice without
+    # (Sandybridge); the cosine product sums its pairs itself
+    (["collapse", "--echo-at", "7.5"], {"delta_g": 0.0045},
+     ["echo.csv", "manifest.json", "offdiag.csv", "offdiag_log10.dat"]),
+    # the tail fit's sums are exact (fsum), so its slope at g = 1e200 is too
+    (["register"], {"coupling_g": 1e200},
+     ["manifest.json", "registration_down.csv", "registration_down.dat",
+      "registration_up.csv", "registration_up.dat"]),
+], ids=["collapse-dispersed-echo", "register-g-1e200"])
+def test_artifact_bytes_do_not_depend_on_the_blas_kernel(tmp_path, argv, overrides, names):
+    cfg = write_cfg(tmp_path, **overrides)
     runs = {}
     for core in ("Haswell", "Sandybridge"):
         out = tmp_path / core
         env = {**os.environ, "OPENBLAS_CORETYPE": core,
                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        proc = subprocess.run([sys.executable, "-m", "curieweiss.cli", "collapse", "--config",
-                               str(cfg), "--out", str(out), "--echo-at", "7.5"],
+        proc = subprocess.run([sys.executable, "-m", "curieweiss.cli", argv[0], "--config",
+                               str(cfg), "--out", str(out), *argv[1:]],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runs[core] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    assert sorted(runs["Haswell"]) == ["echo.csv", "manifest.json", "offdiag.csv",
-                                       "offdiag_log10.dat"]
+    assert sorted(runs["Haswell"]) == names
     assert runs["Haswell"] == runs["Sandybridge"]
 
 

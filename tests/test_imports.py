@@ -3,7 +3,10 @@ the top or inside a function (the oracles that need it live in tests/), and
 no CLI command loads it.  Of numpy a command loads only the core: no module
 names numpy.random, numpy.polynomial, np.polyfit or np.linalg (the last two
 call LAPACK).  Each command runs in a fresh interpreter that reports, at
-exit, every scipy, numpy.random and numpy.polynomial module it imported.
+exit, every scipy, numpy.random and numpy.polynomial module it imported,
+and whether it loaded numpy at all: only the commands that build arrays
+(collapse, register, scenario, sweep) do, and importing the package or its
+CLI loads none.
 The macroscopic runs, at N = 1e12 with a coupling spread, also show that no
 command holds an array of size N.
 Importing the CLI builds no argument parser: that is left to the first
@@ -23,7 +26,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from curieweiss import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CFG = ROOT / "configs" / "reference.cfg"
@@ -241,7 +248,8 @@ import json, sys
 from curieweiss.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(k for k in sys.modules
-                               if k.startswith(("scipy", "numpy.random", "numpy.polynomial")))]))
+                               if k.startswith(("scipy", "numpy.random", "numpy.polynomial"))),
+                  "numpy" in sys.modules]))
 """
 
 COMMANDS = {
@@ -257,23 +265,100 @@ COMMANDS = {
 }
 
 
+#: the commands whose stages are all scalar, so that they load no numpy
+SCALAR_COMMANDS = {"statics", "validate"}
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """name -> (exit code, unwanted modules, numpy loaded) of the command of
+    COMMANDS in a fresh interpreter, run once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            tmp_path = tmp_path_factory.mktemp(name)
+            cfg = tmp_path / "run.cfg"
+            text = REFERENCE_CFG.read_text()
+            if name == "collapse_dispersed" or "macroscopic" in name:
+                text = re.sub(r"(?m)^delta_g\s*=.*$", "delta_g = 0.0045", text)
+            if "macroscopic" in name:
+                text = re.sub(r"(?m)^n_spins\s*=.*$", "n_spins = 1e12", text)
+            cfg.write_text(text)
+            argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = json.loads(proc.stdout.splitlines()[-1])
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_imports_no_scipy(name, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    text = REFERENCE_CFG.read_text()
-    if name == "collapse_dispersed" or "macroscopic" in name:
-        text = re.sub(r"(?m)^delta_g\s*=.*$", "delta_g = 0.0045", text)
-    if "macroscopic" in name:
-        text = re.sub(r"(?m)^n_spins\s*=.*$", "n_spins = 1e12", text)
-    cfg.write_text(text)
-    argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, unwanted_modules = json.loads(proc.stdout.splitlines()[-1])
+def test_command_imports_no_scipy(name, probe):
+    code, unwanted_modules, _ = probe(name)
     assert code == 0
     assert unwanted_modules == []
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_only_the_array_commands_load_numpy(name, probe):
+    # collapse*, register, scenario* and sweep load numpy; statics and validate do not
+    code, _, numpy_loaded = probe(name)
+    assert code == 0
+    assert numpy_loaded is (name not in SCALAR_COMMANDS)
+
+
+_IMPORT_PROBE = """
+import json, sys
+import curieweiss, curieweiss.cli
+loaded = "numpy" in sys.modules
+names = {}
+exec("from curieweiss import *", names)
+print(json.dumps([loaded, sorted(set(curieweiss.__all__) - set(names))]))
+"""
+
+
+def test_import_loads_no_numpy_and_resolves_every_export():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, []]
+
+
+def test_every_export_is_the_defining_modules_object():
+    import importlib
+
+    import curieweiss
+
+    assert curieweiss.__all__[-1] == "__version__"
+    for name in curieweiss.__all__[:-1]:
+        obj = getattr(curieweiss, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+        assert obj.__module__.startswith("curieweiss.")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        curieweiss.no_such_name
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(FINITE, FINITE, st.integers(1, 50))
+@example(-0.0, 1.0, 1)  # 0 * delta + start is +0.0
+@example(-1e308, 1e308, 1)  # stop - start overflows: nan
+@example(-1e308, 1e308, 3)
+@example(0.0, 5e-324, 40)  # the step underflows to 0
+@example(0.05, 0.11, 4)
+def test_sweep_axis_is_numpy_linspace_to_the_bit(start, stop, steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(start, stop, steps).tolist()
+    key, grid = cli._parse_sweep_axis(f"temperature={start!r}:{stop!r}:{steps}")
+    assert key == "temperature"
+    assert [x.hex() for x in grid] == [x.hex() for x in want]
 
 
 def test_import_builds_no_parser():

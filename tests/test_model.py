@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -56,6 +57,13 @@ def test_params_reject_non_finite_n_spins(n_spins):
     # checked before int(), which raises ValueError on NaN and OverflowError on inf
     with pytest.raises(ConfigError, match="n_spins"):
         ModelParams(**{**REF, "n_spins": n_spins})
+
+
+def test_params_reject_n_spins_beyond_the_largest_double():
+    # a Python int has no range, but the closed forms take float(N)
+    ModelParams(**{**REF, "n_spins": int(sys.float_info.max)})
+    with pytest.raises(ConfigError, match=r"at most the largest double, 1\.79769"):
+        ModelParams(**{**REF, "n_spins": 10**400})
 
 
 def test_delta_g_unconstrained_when_g_zero():
@@ -319,6 +327,17 @@ def test_config_rejects_non_integer_n_spins(tmp_path, n_spins):
     path.write_text(CONFIG_TEXT.replace("= 100000\n", f"= {n_spins}\n"))
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+def test_config_reads_integer_counts_exactly(tmp_path):
+    # digits are read as an int; anything else, such as 1e5, as a number
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEXT.replace("= 100000\n", "= 1000000000000000000000000000001\n"))
+    assert load_run_config(path).params.n_spins == 10**30 + 1
+    path.write_text(CONFIG_TEXT.replace("= 100000\n", "= 1e5\nseed = 7\n"))
+    cfg = load_run_config(path)
+    assert (cfg.params.n_spins, cfg.seed) == (100000, 7)
+    assert type(cfg.params.n_spins) is int and type(cfg.seed) is int
 
 
 def test_config_mapping_comments_and_duplicates():

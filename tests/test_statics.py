@@ -43,7 +43,7 @@ def test_mixing_entropy_pure_configurations():
 
 def test_mixing_entropy_half():
     # -(0.75 ln 0.75 + 0.25 ln 0.25)
-    assert mixing_entropy(0.5) == pytest.approx(0.5623351446188083, rel=1e-12)
+    assert mixing_entropy(0.5) == pytest.approx(0.5623351446188083, rel=1e-12, abs=0.0)
 
 
 def test_mixing_entropy_domain():
@@ -62,26 +62,26 @@ def test_mixing_entropy_vectorized_and_even():
 
 def test_free_energy_entropy_only_at_origin():
     p = params()
-    assert free_energy(0.0, +1, p) == pytest.approx(-0.34 * math.log(2.0), rel=1e-14)
+    assert free_energy(0.0, +1, p) == pytest.approx(-0.34 * math.log(2.0), rel=1e-14, abs=0.0)
 
 
 def test_free_energy_saturated():
     p = params()
-    assert free_energy(1.0, +1, p) == pytest.approx(-0.09 - 0.25, rel=1e-14)
+    assert free_energy(1.0, +1, p) == pytest.approx(-0.09 - 0.25, rel=1e-14, abs=0.0)
 
 
 def test_free_energy_reference_value():
     # -0.09*0.5 - 0.015625 - 0.34*S(0.5)
     p = params()
     expected = -0.045 - 0.015625 - 0.34 * 0.5623351446188083
-    assert free_energy(0.5, +1, p) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(-0.2518189491703948, rel=1e-12)
+    assert free_energy(0.5, +1, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert expected == pytest.approx(-0.2518189491703948, rel=1e-12, abs=0.0)
 
 
 def test_free_energy_parity():
     p = params()
     for m in np.linspace(-0.99, 0.99, 23):
-        assert free_energy(m, +1, p) == pytest.approx(free_energy(-m, -1, p), rel=1e-14)
+        assert free_energy(m, +1, p) == pytest.approx(free_energy(-m, -1, p), rel=1e-14, abs=0.0)
 
 
 # --- stationary points ------------------------------------------------------
@@ -163,7 +163,8 @@ def test_ferromagnetic_root_beyond_the_old_grid():
     # 1 - m_f ~ 2 exp(-2J/T): 7.7e-13 at T = 0.07, below the last double at T = 0.05
     mf = stationary_magnetizations(+1, params(T=0.07, g=0.01)).ferromagnetic.m
     assert 0.999 < mf < 1.0
-    assert 1.0 - mf == pytest.approx(2.0 * math.exp(-2.0 * (1.0 + 0.01) / 0.07), rel=1e-3)
+    assert 1.0 - mf == pytest.approx(2.0 * math.exp(-2.0 * (1.0 + 0.01) / 0.07), rel=1e-3,
+                                     abs=0.0)
     scape = stationary_magnetizations(+1, params(T=0.05, g=0.01))
     assert scape.ferromagnetic.m == math.nextafter(1.0, 0.0)
     assert scape.points[scape.global_minimum].m == scape.ferromagnetic.m
@@ -346,15 +347,15 @@ def test_roots_are_the_generic_bisection_at_the_critical_coupling(T, sign):
 
 def test_critical_coupling_reference():
     assert critical_coupling(params()) == pytest.approx(0.08, abs=0.005)
-    assert critical_coupling(params()) == pytest.approx(0.0814861122609779, rel=1e-12)
+    assert critical_coupling(params()) == pytest.approx(0.0814861122609779, rel=1e-12, abs=0.0)
 
 
 def test_critical_coupling_low_t_asymptote():
     p = params(T=0.1)
     exact = critical_coupling(p)
     asym = critical_coupling_low_t(p)
-    assert asym == pytest.approx((2 * 0.1 / 3) * math.sqrt(0.1 / 3), rel=1e-14)
-    assert exact == pytest.approx(asym, rel=0.05)
+    assert asym == pytest.approx((2 * 0.1 / 3) * math.sqrt(0.1 / 3), rel=1e-14, abs=0.0)
+    assert exact == pytest.approx(asym, rel=0.05, abs=0.0)
 
 
 def test_critical_coupling_spinodal_boundary():
@@ -442,9 +443,9 @@ def test_gap_matches_low_t_asymptote():
     est = gap(params(T=0.2, g=0.0))
     assert est.keys() == {"gap", "asymptote_2exp_minus_2j_over_t"}
     asymptote = est["asymptote_2exp_minus_2j_over_t"]
-    assert asymptote == pytest.approx(2 * math.exp(-10.0), rel=1e-14)
-    assert est["gap"] == pytest.approx(asymptote, rel=0.20)
-    assert est["gap"] == pytest.approx(9.1044e-05, rel=1e-3)
+    assert asymptote == pytest.approx(2 * math.exp(-10.0), rel=1e-14, abs=0.0)
+    assert est["gap"] == pytest.approx(asymptote, rel=0.20, abs=0.0)
+    assert est["gap"] == pytest.approx(9.1044e-05, rel=1e-3, abs=0.0)
 
 
 def test_gap_at_reference_coupling():
@@ -462,6 +463,11 @@ def test_gap_error_above_spinodal():
         gap(params(T=0.55, g=0.0))
 
 
+def bits(values) -> list[str]:
+    """The values' exact bits, a zero's sign included."""
+    return [float(x).hex() for x in values]
+
+
 def test_landscape_table_shape():
     m, f_up, f_down = landscape_table(params())
     assert len(m) == len(f_up) == len(f_down) == 401
@@ -476,7 +482,7 @@ def test_landscape_table_is_free_energy_to_the_bit(j, t, x):
     # the table evaluates F on the cached grid's m^4 and S(m)
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j)
     m = np.arange(-200, 201) / 200.0
-    assert landscape_table(p)[1].tobytes() == free_energy(m, +1, p).tobytes()
+    assert bits(landscape_table(p)[1]) == bits(free_energy(m, +1, p))
 
 
 @pytest.mark.parametrize("p", [
@@ -487,8 +493,8 @@ def test_landscape_table_is_exactly_mirrored(p):
     m, f_up, f_down = landscape_table(p)
     # each node is the correctly rounded k/200 (Python's int / int), so the
     # grid is antisymmetric to the bit: 0.0 - m keeps the centre +0.0
-    assert m.tolist() == [k / 200 for k in range(-200, 201)]
-    assert m[::-1].tobytes() == (0.0 - m).tobytes()
+    assert list(m) == [k / 200 for k in range(-200, 201)]
+    assert bits(m[::-1]) == bits(0.0 - x for x in m)
     # parity F_s(m) = F_-s(-m), to the bit
-    assert f_down.tobytes() == free_energy(m, -1, p).tobytes()
-    assert f_down.tobytes() == f_up[::-1].tobytes()
+    assert bits(f_down) == bits(free_energy(m, -1, p))
+    assert bits(f_down) == bits(f_up[::-1])

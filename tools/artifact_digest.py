@@ -31,6 +31,8 @@ REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 #: arguments); --config and --out go right after the subcommand
 COMMANDS = {
     "statics": ({}, ["statics"]),
+    "statics_g0": ({"coupling_g": "0.0"}, ["statics"]),  # the wells tie
+    "statics_paramagnetic": ({"temperature": "0.8", "coupling_g": "0.05"}, ["statics"]),
     "collapse": ({}, ["collapse"]),
     "register": ({}, ["register"]),
     "scenario": ({}, ["scenario"]),
