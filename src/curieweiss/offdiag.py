@@ -263,7 +263,8 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
         log_total, sign_total = log_cos_product(times, couplings)
 
     if include_bath:
-        log_bath = -n * bath_exponent(times, params)
+        with np.errstate(over="ignore"):  # -inf is the model's value: a bath factor of 0
+            log_bath = -n * bath_exponent(times, params)
     else:
         log_bath = np.zeros_like(times)
 

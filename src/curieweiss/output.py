@@ -35,13 +35,24 @@ def fmt(value) -> str:
 
 
 def column(values) -> list[str]:
-    """A table column rendered as fmt renders each value: a float64 array in
-    one pass of repr (which already gives nan and inf), anything else value
-    by value.  An array exists only once numpy is loaded, so numpy is looked
-    up, never imported, here."""
+    """A table column rendered as fmt renders each value.  A float64 array
+    takes one pass of repr over its list (which already gives nan and inf),
+    any other column that starts with a float one pass of float.__repr__,
+    which equals fmt on every float, numpy's float64 included.  That pass
+    raises TypeError on any other value (a str, None, an int or bool, a
+    complex, a numpy float32); the column is then rendered value by value,
+    as is a column that starts with such a value.  So values must be a
+    sequence that can be iterated twice, such as a list or a tuple.  An array
+    exists only once numpy is loaded, so numpy is looked up, never imported,
+    here."""
     np = sys.modules.get("numpy")
     if np is not None and isinstance(values, np.ndarray) and values.dtype == np.float64:
         return list(map(repr, values.tolist()))
+    if isinstance(next(iter(values), 0.0), float):  # a label column skips the pass
+        try:
+            return list(map(float.__repr__, values))
+        except TypeError:
+            pass
     return [fmt(v) for v in values]
 
 

@@ -536,11 +536,6 @@ def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory,
     ]
 
 
-def _minus(text: str) -> str:
-    """repr(-x) from repr(x): the sign flipped."""
-    return text[1:] if text[0] == "-" else "-" + text
-
-
 def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
                   params: ModelParams) -> list[dict]:
     """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m)
@@ -552,7 +547,8 @@ def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
     t, m, rate, f = (output.column(c) for c in (
         up.times, up.m, up.rate, statics.free_energy(up.m.tolist(), +1, params),
     ))
-    down = [t, [c if c == "0.0" else _minus(c) for c in m], list(map(_minus, rate)), f]
+    down = [t, [c[1:] if c[0] == "-" else c if c == "0.0" else "-" + c for c in m],
+            [c[1:] if c[0] == "-" else "-" + c for c in rate], f]
     files = []
     for name, cols in (("up", [t, m, rate, f]), ("down", down)):
         files += [

@@ -1,6 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import re
 from pathlib import Path
+
+from curieweiss.cli import main
+from curieweiss.output import fmt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,3 +27,17 @@ def test_digest_lists_one_manifest_per_command(capsys):
     manifests = [line.split("  ")[1] for line in lines if line.endswith("/manifest.json")]
     assert manifests == sorted(f"{name}/manifest.json" for name in tool.COMMANDS)
     assert sum(line.startswith("exit 0  ") for line in lines) == len(tool.COMMANDS)
+
+
+def test_digest_sweeps_a_column_of_floats_then_none(tmp_path):
+    # the listing pins column()'s fallback after a partial float pass
+    tool = load_tool()
+    changes, args = tool.COMMANDS["sweep_none_cells"]
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep"
+    tool._config(cfg, changes)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*args[:1], "--config", str(cfg), "--out", str(out), *args[1:]]) == 0
+    header, *rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    for name in ("critical_g", "tau_reg"):
+        cells = [row[header.index(name)] for row in rows]
+        assert cells[0] == fmt(float(cells[0])) and "None" in cells

@@ -884,6 +884,24 @@ def test_register_at_a_huge_rate_warns_nothing(tmp_path):
         1.0145331161132985e300, rel=1e-12)
 
 
+def test_collapse_at_a_huge_rate_warns_nothing(tmp_path):
+    # at gamma = 1e300 the bath exponent N chi(t) overflows to inf at late
+    # times; its -inf is the model's value, a bath factor of 0, with no warning
+    cfg = write_cfg(tmp_path, gamma=1e300)
+    runs = {}
+    for action in ("error", "ignore"):
+        out = tmp_path / action
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[action] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert runs["error"] == runs["ignore"]
+    rows = [r.split(",") for r in runs["error"]["offdiag.csv"].decode().splitlines()[1:]]
+    assert rows[0][5] == "1.0" and {r[5] for r in rows[1:]} == {"0.0"}
+    assert rows[-1][3] == "-inf"
+    assert load_manifest(tmp_path / "error")["timescales"]["log10_recurrence_bath"] == "-inf"
+
+
 @pytest.mark.parametrize("delta_g", [0.0, 0.0045])
 @pytest.mark.parametrize("command", ["collapse", "scenario"])
 def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, command,

@@ -145,8 +145,8 @@ def test_regime_reference_point_passes():
     assert rep["overall_valid"]
     bath = check(rep, "n_vs_bath")
     # (1/gamma)(g/hbar Gamma)^2 = 1000 * (0.09/50)^2 at hbar = 1
-    assert bath["rhs"] == pytest.approx(1000 * (0.09 / 50.0) ** 2, rel=1e-12)
-    assert bath["rhs"] == pytest.approx(3.24e-3, rel=1e-10)
+    assert bath["rhs"] == pytest.approx(1000 * (0.09 / 50.0) ** 2, rel=1e-12, abs=0.0)
+    assert bath["rhs"] == pytest.approx(3.24e-3, rel=1e-10, abs=0.0)
     assert bath["passed"]
     disp = check(rep, "n_vs_dispersion")  # delta_g = 0: the branch is off
     assert math.isinf(disp["rhs"]) and not disp["passed"] and disp["margin_ratio"] == 0.0

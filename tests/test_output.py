@@ -1,25 +1,30 @@
 """Column formatting renders every table byte for byte as fmt does per
 value, and the manifest encoder every payload as json.dumps does."""
 
+import array
 import enum
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from curieweiss import output
+from curieweiss import output, scenario
+from curieweiss.cli import main
 from curieweiss.output import column, fmt
 from curieweiss.statics import PointKind
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 0.1, 1e300]
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
-# the cells of the sweep and stationary tables: None, labels, floats and numpy floats
+# the cells of the sweep and stationary tables: None, labels, floats and numpy
+# floats; and values that no table holds but fmt renders: bools, complex, float32
 CELLS = st.one_of(st.none(), st.sampled_from(["registered", "failed/invalid-regime", "minimum"]),
-                  FLOATS, FLOATS.map(np.float64), st.integers(-5, 5))
+                  FLOATS, FLOATS.map(np.float64), st.integers(-5, 5), st.booleans(),
+                  st.complex_numbers(), st.floats(width=32).map(np.float32))
 
 
 def reference_csv(header, rows) -> str:
@@ -40,6 +45,15 @@ def test_float64_column_matches_fmt(arr):
 
 @settings(deadline=None, max_examples=200)
 @given(st.lists(CELLS, max_size=20))
+@example([True, False])
+@example([None, None])
+@example([1 + 2j, complex(math.nan, -0.0)])
+@example([np.float32(0.1), np.float32(-2.5)])
+@example([0, -7, 2**70])
+@example([0.5, True])  # each after a float: the fallback follows a partial pass
+@example([0.5, np.float32(0.1)])
+@example([0.5, 1 + 2j])
+@example([0.5, 3])
 def test_mixed_column_matches_fmt(values):
     assert column(values) == [fmt(v) for v in values]
 
@@ -48,6 +62,42 @@ def test_other_dtypes_fall_back_to_fmt():
     for arr in (np.array([1, -2, 3]), np.array([0.1, 2.5], dtype=np.float32),
                 np.array([1 + 2j, math.nan - 1j])):
         assert column(arr) == [fmt(v) for v in arr]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(FLOATS, max_size=20))
+@example(SPECIAL)
+def test_float_sequences_match_fmt(values):
+    # the one-pass branch: lists, tuples, array("d") and numpy float64 scalars
+    expected = [fmt(v) for v in values]
+    for seq in (values, tuple(values), array.array("d", values), list(map(np.float64, values))):
+        assert column(seq) == expected
+
+
+def test_fallback_after_a_partial_float_pass():
+    # a sweep's critical_g column: floats first, then None where g_c is undefined
+    values = (0.12, -0.0, math.inf, 0.075, None, math.nan, None)
+    assert column(values) == ["0.12", "-0.0", "inf", "0.075", "None", "nan", "None"]
+    assert column(values) == [fmt(v) for v in values]
+
+
+def test_statics_formats_only_its_label_columns_value_by_value(tmp_path, monkeypatch):
+    # a cold statics command renders every float column in one pass: fmt
+    # sees only the kind and label strings of the stationary tables
+    scenario._landscape_m_column.cache_clear()
+    seen = []
+
+    def counting_fmt(value):
+        seen.append(value)
+        return fmt(value)
+
+    monkeypatch.setattr(output, "fmt", counting_fmt)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
+    assert main(["statics", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = sum(len((tmp_path / f"stationary_{name}.csv").read_text().splitlines()) - 1
+               for name in ("up", "down"))
+    assert rows > 0 and len(seen) == 2 * rows
+    assert all(type(v) is str for v in seen)
 
 
 @settings(deadline=None, max_examples=60)

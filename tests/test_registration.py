@@ -50,8 +50,10 @@ def mk(T=0.34, g=0.09, gamma=1e-3, n=100000):
 
 def test_rhs_at_origin_equals_gamma_g():
     p = mk()
-    assert float(flow_rate(0.0, +1, p)) == pytest.approx(p.gamma * p.coupling_g, rel=1e-12)
-    assert float(flow_rate(0.0, -1, p)) == pytest.approx(-p.gamma * p.coupling_g, rel=1e-12)
+    assert float(flow_rate(0.0, +1, p)) == pytest.approx(p.gamma * p.coupling_g,
+                                                         rel=1e-12, abs=0.0)
+    assert float(flow_rate(0.0, -1, p)) == pytest.approx(-p.gamma * p.coupling_g,
+                                                         rel=1e-12, abs=0.0)
 
 
 def test_rhs_vanishes_at_fixed_point():
@@ -73,7 +75,7 @@ def test_rhs_series_matches_exact_near_removable_point():
             assert got == pytest.approx(exact, rel=1e-6, abs=1e-18)
     # exactly at the removable point: limit value -(gamma/hbar) m T, hbar = 1
     got = float(flow_rate(m_zero, +1, p))
-    assert got == pytest.approx(-p.gamma * m_zero * p.temperature, rel=1e-8)
+    assert got == pytest.approx(-p.gamma * m_zero * p.temperature, rel=1e-8, abs=0.0)
 
 
 def test_rhs_bottleneck_minimum():
@@ -340,7 +342,7 @@ def test_tail_rate_near_gamma_j():
     up = integrate_registration(+1, p, t_max=6e5)
     fit = asymptotic_rate(up, p)
     assert fit.keys() == {"tail_rate_fitted", "tail_rate_predicted"}
-    assert fit["tail_rate_predicted"] == pytest.approx(1e-3, rel=1e-12)
+    assert fit["tail_rate_predicted"] == pytest.approx(1e-3, rel=1e-12, abs=0.0)
     assert fit["tail_rate_fitted"] == pytest.approx(fit["tail_rate_predicted"], rel=0.25)
     assert fit["tail_rate_fitted"] == pytest.approx(1.0136e-3, rel=1e-2)  # frozen fit value
 
@@ -376,7 +378,7 @@ def test_tail_rate_is_the_least_squares_slope_at_the_reference_point():
     p = mk()
     up = integrate_registration(+1, p)
     assert asymptotic_rate(up, p)["tail_rate_fitted"] == pytest.approx(polyfit_rate(up),
-                                                                       rel=1e-12)
+                                                                       rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=20)
@@ -386,7 +388,7 @@ def test_tail_rate_is_the_least_squares_slope(T, ratio):
     up = integrate_registration(+1, p)
     assert up.terminal is TerminalKind.CONVERGED_FERRO
     assert asymptotic_rate(up, p)["tail_rate_fitted"] == pytest.approx(polyfit_rate(up),
-                                                                       rel=1e-12)
+                                                                       rel=1e-12, abs=0.0)
 
 
 def exponential_tail(rate, p):
@@ -403,8 +405,8 @@ def test_tail_rate_of_a_noiseless_exponential():
     p, rate = mk(), 2.5e-3
     tail = exponential_tail(rate, p)
     fitted = asymptotic_rate(tail, p)["tail_rate_fitted"]
-    assert fitted == pytest.approx(polyfit_rate(tail), rel=1e-12)
-    assert fitted == pytest.approx(rate, rel=1e-12)
+    assert fitted == pytest.approx(polyfit_rate(tail), rel=1e-12, abs=0.0)
+    assert fitted == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
 def test_tail_rate_where_the_squared_times_underflow():
@@ -565,7 +567,7 @@ def test_crossing_time_matches_quadrature():
     gc = critical_coupling_low_t(mk(T=T, g=0.001))
     p = mk(T=T, g=1.5 * gc)
     target = registration_threshold(p)
-    assert target == pytest.approx((T / 3.0) ** 0.25, rel=1e-12)
+    assert target == pytest.approx((T / 3.0) ** 0.25, rel=1e-12, abs=0.0)
     up = integrate_registration(+1, p, t_max=3e5)
     t_cross = crossing_time(up, target, p)
     tau_q = registration_time_quadrature(p)

@@ -263,7 +263,7 @@ def test_pointer_variance_plugin_value():
     fs = assemble(PLUS, *converged_sectors(0.996), 1.0)
     assert pointers(fs) == (0.996, -0.996)
     var_up, var_down = fs["pointer_variance"]
-    assert var_up == pytest.approx(0.5 * (1 - 0.996**2) / 1e5, rel=1e-12)
+    assert var_up == pytest.approx(0.5 * (1 - 0.996**2) / 1e5, rel=1e-12, abs=0.0)
     assert var_up == pytest.approx(3.992e-8, rel=1e-3)
     assert var_down == var_up
 
@@ -280,7 +280,7 @@ def test_pointer_variance_saturated_and_large_n():
 def test_entropy_pure_superposition(final_plus):
     budget = entropy_budget(PLUS, REF_PARAMS, final_plus)
     assert budget["s_system_initial"] == pytest.approx(0.0, abs=1e-12)
-    assert budget["s_system_final"] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert budget["s_system_final"] == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_entropy_diagonal_input_unchanged():
@@ -325,7 +325,7 @@ def test_entropy_budget_closed_forms_at_j_2_5():
     budget = report.entropy
     assert budget.keys() == expected.keys()
     for name, value in expected.items():
-        assert budget[name] == pytest.approx(value, rel=1e-12), name
+        assert budget[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
 def test_entropy_dephasing_never_decreases():

@@ -44,6 +44,9 @@ COMMANDS = {
     "register_t_max_50": ({"t_max": "50"}, ["register"]),
     "register_g_1e200": ({"coupling_g": "1e200"}, ["register"]),
     "sweep_g_1e200": ({}, ["sweep", "--sweep", "coupling_g=1e200:1e200:1"]),
+    # critical_g and tau_reg hold floats, then None (g_c undefined, no registration)
+    "sweep_none_cells": ({}, ["sweep", "--sweep", "coupling_g=0.12:0.0:9",
+                              "--sweep", "temperature=0.3:0.9:4"]),
     "collapse_n_1e30": ({"n_spins": str(10**30)}, ["collapse"]),
     "scenario_dispersed": ({"delta_g": "0.0045"}, ["scenario"]),
 }
