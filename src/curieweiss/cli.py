@@ -93,15 +93,16 @@ def cmd_register(cfg: scenario.RunConfig, out_dir: str, args) -> int:
     reason = scenario.why_not_a_measurement(params, cfg.bath)
     if reason is not None:
         raise ConfigError(f"nothing to register: {reason}")
-    up, down = registration.integrate_sectors(params, cfg.t_max)
+    up = registration.integrate_registration(+1, params, cfg.t_max)
     files = scenario.write_sectors(out_dir, up, params)
+    summary = scenario.registration_summary(up, params)
     output.write_manifest(out_dir, {
         "config": scenario.config_payload(cfg),
-        **scenario.registration_summary(up, down, params),
+        **summary,
         **scenario.registration_times(params),
     }, files)
-    print(f"register: up -> {up.m_final:.6f} ({up.terminal.value}), "
-          f"down -> {down.m_final:.6f} ({down.terminal.value})")
+    print(f"register: up -> {summary['m_final_up']:.6f} ({summary['terminal_up']}), "
+          f"down -> {summary['m_final_down']:.6f} ({summary['terminal_down']})")
     return 0
 
 

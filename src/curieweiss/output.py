@@ -59,7 +59,7 @@ def column(values) -> list[str]:
 def _write(path, text: str) -> dict:
     """Write text over the file at path in place, creating its run directory
     on first use; returns the file's manifest record, hashed from the bytes
-    in memory.
+    in memory.  An OSError names path, which os.write and os.ftruncate omit.
 
     The file is opened without truncation and cut to the new length after
     the write, which is much cheaper than reopening an existing file with
@@ -77,6 +77,9 @@ def _write(path, text: str) -> dict:
         while view:
             view = view[os.write(fd, view):]
         os.ftruncate(fd, len(data))
+    except OSError as exc:
+        exc.filename = path
+        raise
     finally:
         os.close(fd)
     return {"name": os.path.basename(path), "bytes": len(data),

@@ -71,30 +71,13 @@ class MagnetizationTrajectory:
     def m_final(self) -> float:
         return float(self.m[-1])
 
-    def mirrored(self) -> "MagnetizationTrajectory":
-        """The trajectory of the opposite sector, by the parity of the flow
-        under (s, m) -> (-s, -m): the same times, m -> 0.0 - m (so m(0)
-        stays +0.0), rate -> -rate and the attractor negated.  For g > 0 it
-        is bit for bit what :func:`integrate_registration` gives for
-        -field_sign: its nodes, quadrature, bisection and rate all mirror
-        exactly."""
-        return MagnetizationTrajectory(
-            field_sign=-self.field_sign,
-            times=self.times,
-            m=0.0 - self.m,
-            rate=-self.rate,
-            zeta0=self.zeta0,
-            terminal=self.terminal,
-            attractor=0.0 - self.attractor,
-        )
-
 
 def flow_rate(m, field_sign: int, params: ModelParams):
     """dm/dt of the registration flow on an array of m, exactly odd under
     (s, m) -> (-s, -m): h, x and the series are odd term by term (m*m*m,
-    not NumPy's m**3) and tanh is odd, which
-    :meth:`MagnetizationTrajectory.mirrored` relies on.  Near the removable
-    point h = 0 (|x| < 1e-8, x = h/T) m h/tanh(h/T) is its series
+    not NumPy's m**3) and tanh is odd, so the down sector's files are the up
+    sector's written mirrored (:func:`scenario.write_sectors`).  Near the
+    removable point h = 0 (|x| < 1e-8, x = h/T) m h/tanh(h/T) is its series
     m T (1 + x^2/3 - ...), whose x^2/3 < 4e-17 vanishes in rounding."""
     m = np.asarray(m, dtype=float)
     h = field_sign * params.coupling_g + params.coupling_j * (m * m * m)
@@ -164,13 +147,6 @@ def integrate_registration(
         terminal=terminal,
         attractor=m_attr,
     )
-
-
-def integrate_sectors(params: ModelParams, t_max: float | None):
-    """(up, down) sector trajectories from m = 0: the up flow integrated by
-    :func:`integrate_registration`, the down one its mirror image."""
-    up = integrate_registration(+1, params, t_max)
-    return up, up.mirrored()
 
 
 def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) -> dict:

@@ -81,13 +81,13 @@ def assemble_final_state(
     state: SystemState2x2,
     params: ModelParams,
     sector_up: registration.MagnetizationTrajectory,
-    sector_down: registration.MagnetizationTrajectory,
     collapse: offdiag.OffDiagTrajectory,
 ) -> dict:
     """Post-measurement state from a run's own stage results, as the manifest
     writes it: two exclusive branches and the dead off-diagonal.
 
-    Registration must have succeeded in both sectors.  Each branch is one
+    Registration must have succeeded in the up sector, and so in its mirror
+    image, the down one (pointer 0.0 - m_final).  Each branch is one
     exclusive outcome: its weight is an initial diagonal (the Born rule), its
     pointer the sector's final magnetization, and it leaves the system in the
     outcome's eigenprojection (r_uu, r_dd).  pointer_variance holds each
@@ -100,15 +100,13 @@ def assemble_final_state(
     from . import registration
 
     validate_state(state)
-    for traj in (sector_up, sector_down):
-        if traj.terminal is not registration.TerminalKind.CONVERGED_FERRO:
-            raise MeasurementFailed(
-                f"sector {traj.field_sign:+d} ended {traj.terminal.value} "
-                f"at m = {traj.m_final:.4f}"
-            )
+    if sector_up.terminal is not registration.TerminalKind.CONVERGED_FERRO:
+        raise MeasurementFailed(
+            f"sector +1 ended {sector_up.terminal.value} at m = {sector_up.m_final:.4f}"
+        )
     branches = [
         {"weight": state.r_uu, "pointer": sector_up.m_final, "r_uu": 1.0, "r_dd": 0.0},
-        {"weight": state.r_dd, "pointer": sector_down.m_final, "r_uu": 0.0, "r_dd": 1.0},
+        {"weight": state.r_dd, "pointer": 0.0 - sector_up.m_final, "r_uu": 0.0, "r_dd": 1.0},
     ]
     return {
         "branches": branches,
@@ -248,8 +246,8 @@ class ScenarioReport:
     # manifest's: TIMESCALES, plus tau_reg_error where set
     timescales: dict | None = None
     offdiag: offdiag.OffDiagTrajectory | None = None
+    # the down sector is the up one mirrored, so the report holds the up one
     sector_up: registration.MagnetizationTrajectory | None = None
-    sector_down: registration.MagnetizationTrajectory | None = None
     final_state: dict | None = None
     entropy: dict | None = None
 
@@ -353,16 +351,17 @@ def _registration_end(tau_reg: float | None, up) -> float:
     return max(3.0 * (tau_reg or 0.0), float(up.times[-1]))
 
 
-def registration_summary(up, down, params: ModelParams) -> dict:
-    """Terminal states, threshold crossing times and tail rate of both sectors."""
+def registration_summary(up, params: ModelParams) -> dict:
+    """Terminal states and final m of both sectors, the down ones the up ones
+    mirrored, and the up sector's threshold crossing times and tail rate."""
     from . import registration
 
     threshold = registration.registration_threshold(params)
     summary: dict = {
         "terminal_up": up.terminal.value,
-        "terminal_down": down.terminal.value,
+        "terminal_down": up.terminal.value,
         "m_final_up": up.m_final,
-        "m_final_down": down.m_final,
+        "m_final_down": 0.0 - up.m_final,
         "threshold": threshold,
     }
     # the registration time and its sensitivity to the threshold; null if never reached
@@ -402,14 +401,13 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
     if report.reason is not None:
         return replace(report, timescales=timescales, offdiag=collapse_run(config, config.t_max))
     timescales.update(registration_times(params))
-    up, down = registration.integrate_sectors(params, config.t_max)
+    up = registration.integrate_registration(+1, params, config.t_max)
     # a sector at rest at m = 0 leaves the collapse its own end
     t_end = _registration_end(timescales["tau_reg_quadrature"], up) or config.t_max
     collapse = collapse_run(config, t_end)
-    report = replace(report, timescales=timescales, offdiag=collapse,
-                     sector_up=up, sector_down=down)
+    report = replace(report, timescales=timescales, offdiag=collapse, sector_up=up)
     try:
-        final = assemble_final_state(state, params, up, down, collapse)
+        final = assemble_final_state(state, params, up, collapse)
     except MeasurementFailed as exc:
         return replace(report, status="measurement_failed", reason=str(exc))
     return replace(report, status="completed", reason=None, final_state=final,
@@ -539,11 +537,11 @@ def write_offdiag(out_dir, traj: offdiag.OffDiagTrajectory,
 def write_sectors(out_dir, up: registration.MagnetizationTrajectory,
                   params: ModelParams) -> list[dict]:
     """registration_<up|down>.csv (t, m, dm_dt, free_energy) and .dat (t, m)
-    of the up sector and its mirror image (see
-    :meth:`registration.MagnetizationTrajectory.mirrored`); returns their
-    records.  The up columns are formatted once: the down sector shares t
-    and F_down(-m) = F_up(m), and its m and dm_dt columns are the up ones
-    with the sign flipped (0.0 - 0.0 stays 0.0)."""
+    of the up sector and of the down one, its mirror image (see
+    :func:`registration.flow_rate`); returns their records.  The up columns
+    are formatted once: the down sector shares t and F_down(-m) = F_up(m),
+    and its m and dm_dt columns are the up ones with the sign flipped
+    (0.0 - 0.0 stays 0.0)."""
     t, m, rate, f = (output.column(c) for c in (
         up.times, up.m, up.rate, statics.free_energy(up.m.tolist(), +1, params),
     ))
@@ -569,9 +567,9 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
     if report.offdiag is not None:
         files += write_offdiag(out_dir, report.offdiag, None)
         stages["collapse"] = "done"
-    sectors = (report.sector_up, report.sector_down)
-    for name, traj in zip(("up", "down"), sectors):
-        stages[f"registration_{name}"] = "unavailable" if traj is None else traj.terminal.value
+    up = report.sector_up
+    for name in ("up", "down"):
+        stages[f"registration_{name}"] = "unavailable" if up is None else up.terminal.value
 
     payload: dict = {
         "status": report.status,
@@ -587,7 +585,7 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
     for key in ("timescales", "final_state", "entropy"):
         if getattr(report, key) is not None:
             payload[key] = getattr(report, key)
-    if report.sector_up is not None:
-        files += write_sectors(out_dir, report.sector_up, params)
-        payload["registration_summary"] = registration_summary(*sectors, params)
+    if up is not None:
+        files += write_sectors(out_dir, up, params)
+        payload["registration_summary"] = registration_summary(up, params)
     return output.write_manifest(out_dir, payload, files)

@@ -136,9 +136,9 @@ def bisect(f, a: float, b: float, fa: float) -> float:
     Mirror-exact: with g(x) = f(-x) or -f(-x), bisect(g, -a, -b, g(-a))
     returns exactly the negated root (a zero root stays +0.0), because
     midpoints, their rounding and the half kept all mirror.  The down
-    landscape and the down registration sector are derived from the up ones
+    landscape and the down registration sector are written from the up ones
     on the strength of this (:meth:`Landscape.mirrored`,
-    :meth:`registration.MagnetizationTrajectory.mirrored`).
+    :func:`scenario.write_sectors`).
     """
     negative = fa < 0.0  # a only moves to points of f's sign at a
     while True:

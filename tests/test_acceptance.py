@@ -221,7 +221,7 @@ def test_criterion_12_tail_rate(reference_up):
            f"(dev {dev:.3f}, limit 0.25)")
 
 
-def test_criterion_13_entropy(reference_up, reference_down):
+def test_criterion_13_entropy(reference_up):
     rng = np.random.default_rng(123)
     ok = True
     for i in range(1000):
@@ -237,7 +237,7 @@ def test_criterion_13_entropy(reference_up, reference_down):
             ok = ok and abs(s1 - s0) <= 1e-12
         else:
             ok = ok and (s1 > s0)
-    fs = scenario.assemble_final_state(PLUS, REF, reference_up, reference_down,
+    fs = scenario.assemble_final_state(PLUS, REF, reference_up,
                                        scenario.collapse_run(cw.RunConfig(params=REF, state=PLUS),
                                                              6e5))
     delta_total = scenario.entropy_budget(PLUS, REF, fs)["delta_total"]
@@ -248,19 +248,23 @@ def test_criterion_13_entropy(reference_up, reference_down):
 
 def test_criterion_14_born_preservation(reference_up, reference_down):
     rng = np.random.default_rng(321)
-    worst = 0.0
+    worst, mirrored = 0.0, True
     for _ in range(100):
         r_uu = rng.uniform(0.01, 0.99)
         cap = math.sqrt(r_uu * (1.0 - r_uu))
         r_ud = rng.uniform(0, cap) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         st = cw.SystemState2x2(r_uu, 1.0 - r_uu, complex(r_ud))
-        fs = scenario.assemble_final_state(st, REF, reference_up, reference_down,
+        fs = scenario.assemble_final_state(st, REF, reference_up,
                                            scenario.collapse_run(cw.RunConfig(params=REF, state=st),
                                                                  6e5))
         w_up, w_down = (b["weight"] for b in fs["branches"])
         worst = max(worst, abs(w_up - st.r_uu), abs(w_down - st.r_dd))
-    report(14, worst <= 1e-12,
-           f"branch weights vs initial diagonals: worst |diff| = {worst:.2e} (limit 1e-12)")
+        # the down branch's pointer, written from the up sector, is the down sector's
+        down_pointer = fs["branches"][1]["pointer"]
+        mirrored = mirrored and down_pointer.hex() == reference_down.m_final.hex()
+    report(14, worst <= 1e-12 and mirrored,
+           f"branch weights vs initial diagonals: worst |diff| = {worst:.2e} (limit 1e-12); "
+           f"down pointer is the down sector's m_final to the bit: {mirrored}")
 
 
 def test_criterion_15_determinism(tmp_path):

@@ -292,6 +292,21 @@ def test_register_command(cfg_path, tmp_path):
     assert np.allclose(m_up, [-v for v in m_down], atol=1e-9)  # antisymmetric
 
 
+@pytest.mark.parametrize("call", ["write", "ftruncate"])
+def test_a_failed_write_names_its_file(call, cfg_path, tmp_path, monkeypatch, capsys):
+    # os.write and os.ftruncate raise an OSError without a filename
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "statics"
+    with monkeypatch.context() as patch:
+        patch.setattr(output.os, call, no_space)
+        code = main(["statics", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'landscape.csv'}: No space left on device\n")
+
+
 def test_register_rejects_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, coupling_g=0.0)
     out = tmp_path / "register_g0"

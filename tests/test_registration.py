@@ -25,7 +25,6 @@ from curieweiss.registration import (
     crossing_time,
     flow_rate,
     integrate_registration,
-    integrate_sectors,
     registration_threshold,
     registration_time_asymptotic,
     registration_time_quadrature,
@@ -254,23 +253,19 @@ def test_down_sector_mirrors_up(T, g):
     assert down.terminal is up.terminal
 
 
-def assert_same_trajectory(a, b):
-    """a and b agree byte for byte, the sign of every zero included."""
-    for name in ("times", "m", "rate", "zeta0"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert a.field_sign == b.field_sign
-    assert a.terminal is b.terminal
-    assert a.attractor.hex() == b.attractor.hex()
-
-
-def assert_mirror_is_the_down_sector(p, t_max):
-    """The down sector of integrate_sectors, and the up sector mirrored, are
-    the directly integrated down sector to the bit; returns it."""
-    down = integrate_registration(-1, p, t_max)
-    up, mirrored = integrate_sectors(p, t_max)
-    assert_same_trajectory(up, integrate_registration(+1, p, t_max))
-    assert_same_trajectory(mirrored, down)
-    assert_same_trajectory(up.mirrored(), down)
+def assert_down_is_up_mirrored(p, t_max):
+    """The directly integrated down sector is the up one mirrored to the bit,
+    by the parity of the flow under (s, m) -> (-s, -m): the same times and
+    zeta0, m -> 0.0 - m (so m(0) stays +0.0), rate -> -rate, the attractor
+    negated and the same terminal kind, the sign of every zero included;
+    returns it."""
+    up, down = (integrate_registration(s, p, t_max) for s in (+1, -1))
+    mirrored = {"times": up.times, "m": 0.0 - up.m, "rate": -up.rate, "zeta0": up.zeta0}
+    for name, want in mirrored.items():
+        assert getattr(down, name).tobytes() == want.tobytes(), name
+    assert (up.field_sign, down.field_sign) == (+1, -1)
+    assert down.terminal is up.terminal
+    assert down.attractor.hex() == (0.0 - up.attractor).hex()
     return down
 
 
@@ -282,7 +277,7 @@ def assert_mirror_is_the_down_sector(p, t_max):
 def test_mirrored_sector_is_the_down_sector_bit_for_bit(j, t, x, t_max):
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
                     gamma=1e-3)
-    assert_mirror_is_the_down_sector(p, t_max)
+    assert_down_is_up_mirrored(p, t_max)
 
 
 @pytest.mark.parametrize("j, t, x, t_max, terminal", [
@@ -296,7 +291,7 @@ def test_mirrored_sector_is_the_down_sector_bit_for_bit(j, t, x, t_max):
 def test_mirrored_sector_covers_every_terminal_kind(j, t, x, t_max, terminal):
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
                     gamma=1e-3)
-    assert assert_mirror_is_the_down_sector(p, t_max).terminal is terminal
+    assert assert_down_is_up_mirrored(p, t_max).terminal is terminal
 
 
 # --- exact scaling of the energies -------------------------------------------------

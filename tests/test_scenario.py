@@ -66,10 +66,10 @@ def final_plus():
     return final_state(PLUS)
 
 
-def assemble(state, up, down, t_hi):
-    """assemble_final_state from the given sectors and the collapse of state up to t_hi."""
+def assemble(state, up, t_hi):
+    """assemble_final_state from the given up sector and the collapse of state up to t_hi."""
     collapse = collapse_run(RunConfig(params=REF_PARAMS, state=state), t_hi)
-    return assemble_final_state(state, REF_PARAMS, up, down, collapse)
+    return assemble_final_state(state, REF_PARAMS, up, collapse)
 
 
 # --- Born rule ----------------------------------------------------------------
@@ -221,10 +221,10 @@ def test_uniform_collapse_takes_one_cosine_product(monkeypatch, delta_g, product
 def test_final_state_fails_below_critical():
     p = ModelParams(n_spins=100000, coupling_g=0.05, temperature=0.34,
                     gamma=1e-3, debye_cutoff=50.0)
-    up, down = (registration.integrate_registration(s, p) for s in (+1, -1))
+    up = registration.integrate_registration(+1, p)
     collapse = collapse_run(RunConfig(params=p, state=PLUS), None)
-    with pytest.raises(MeasurementFailed):
-        assemble_final_state(PLUS, p, up, down, collapse)
+    with pytest.raises(MeasurementFailed, match="sector \\+1 ended trapped_paramagnetic"):
+        assemble_final_state(PLUS, p, up, collapse)
 
 
 def test_measurement_idempotence(final_plus):
@@ -241,26 +241,26 @@ def test_born_preserved_for_random_states():
     rng = np.random.default_rng(42)
     for _ in range(100):
         state = random_state(rng)
-        fs = assemble(state, up, down, 6e5)
+        fs = assemble(state, up, 6e5)
         assert abs(weights(fs)[0] - state.r_uu) < 1e-12
         assert abs(weights(fs)[1] - state.r_dd) < 1e-12
+        assert [m.hex() for m in pointers(fs)] == [up.m_final.hex(), down.m_final.hex()]
         assert fs["t_final"] == 6e5
 
 
 # --- pointer variance -----------------------------------------------------------
 
 
-def converged_sectors(m_final):
-    """A converged up sector ending at m_final, and its mirror image."""
-    up = registration.MagnetizationTrajectory(
+def converged_sector(m_final):
+    """A converged up sector ending at m_final."""
+    return registration.MagnetizationTrajectory(
         field_sign=+1, times=np.array([0.0, 1.0]), m=np.array([0.0, m_final]),
         rate=np.zeros(2), zeta0=np.ones(2),
         terminal=registration.TerminalKind.CONVERGED_FERRO, attractor=m_final)
-    return up, up.mirrored()
 
 
 def test_pointer_variance_plugin_value():
-    fs = assemble(PLUS, *converged_sectors(0.996), 1.0)
+    fs = assemble(PLUS, converged_sector(0.996), 1.0)
     assert pointers(fs) == (0.996, -0.996)
     var_up, var_down = fs["pointer_variance"]
     assert var_up == pytest.approx(0.5 * (1 - 0.996**2) / 1e5, rel=1e-12, abs=0.0)
@@ -269,7 +269,7 @@ def test_pointer_variance_plugin_value():
 
 
 def test_pointer_variance_saturated_and_large_n():
-    fs = assemble(UP, *converged_sectors(1.0), 1.0)
+    fs = assemble(UP, converged_sector(1.0), 1.0)
     assert weights(fs) == (1.0, 0.0) and pointers(fs) == (1.0, -1.0)
     assert fs["pointer_variance"] == [0.0, 0.0]
 
@@ -350,11 +350,18 @@ def test_run_scenario_reference_point(tmp_path):
     ts = report.timescales
     assert ts["tau_red"] < ts["tau_2"] < ts["tau_reg_quadrature"]
     assert report.sector_up.m_final == pytest.approx(0.9965, abs=1e-3)
-    assert report.sector_down.m_final == pytest.approx(-0.9965, abs=1e-3)
     assert report.final_state["log10_offdiag_residual"] < -30.0
     assert report.entropy["delta_total"] > 0
     payload = write_run(report, tmp_path / "run")
     assert payload["status"] == "completed"
+    # the down sector, written from the up one, is the directly integrated one
+    down = registration.integrate_registration(-1, REF_PARAMS)
+    summary = payload["registration_summary"]
+    assert summary["m_final_down"].hex() == down.m_final.hex()
+    assert summary["m_final_down"] == pytest.approx(-0.9965, abs=1e-3)
+    assert summary["terminal_down"] == down.terminal.value == "converged_ferro"
+    assert payload["stages"]["registration_down"] == down.terminal.value
+    assert pointers(report.final_state)[1].hex() == down.m_final.hex()
     assert (tmp_path / "run" / "manifest.json").exists()
     assert (tmp_path / "run" / "offdiag.csv").exists()
     names = {f["name"] for f in payload["files"]}
@@ -435,7 +442,9 @@ def test_registration_summary_brackets_the_crossing_time():
     # the operational registration time at the threshold, and at 0.8 and
     # 1.25 times it, on the reference up sector
     up, down = (registration.integrate_registration(s, REF_PARAMS) for s in (+1, -1))
-    summary = registration_summary(up, down, REF_PARAMS)
+    summary = registration_summary(up, REF_PARAMS)
+    assert summary["m_final_down"].hex() == down.m_final.hex()
+    assert summary["terminal_down"] == down.terminal.value == "converged_ferro"
     theta = registration.registration_threshold(REF_PARAMS)
     assert summary["threshold"] == theta
     assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
@@ -450,12 +459,25 @@ def test_registration_summary_keeps_the_crossings_a_cut_run_reached():
     # cut at t_max = 32000, the reference sector has passed 0.8 and 1 times
     # the threshold (at t = 27104 and 31505) but not 1.25 times it (33817)
     up, down = (registration.integrate_registration(s, REF_PARAMS, 32000.0) for s in (+1, -1))
-    summary = registration_summary(up, down, REF_PARAMS)
+    summary = registration_summary(up, REF_PARAMS)
+    assert summary["terminal_up"] == summary["terminal_down"] == down.terminal.value
     assert summary["terminal_up"] == "max_time_reached"
+    assert summary["m_final_down"].hex() == down.m_final.hex()
     theta = registration.registration_threshold(REF_PARAMS)
     assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
     assert 27000 < summary["crossing_time_low"] < summary["crossing_time"] < 32000
     assert summary["crossing_time_high"] is None
+
+
+@pytest.mark.parametrize("g", [0.05, 5e-324])
+def test_registration_summary_writes_a_trapped_down_sector_as_integrated(g):
+    # g = 0.05 < g_c traps both sectors; at g = 5e-324 gamma g underflows, so
+    # neither flows: the up rate is 0.0 and the down one -0.0
+    p = replace(REF_PARAMS, coupling_g=g)
+    up, down = (registration.integrate_registration(s, p) for s in (+1, -1))
+    summary = registration_summary(up, p)
+    assert summary["terminal_down"] == down.terminal.value == "trapped_paramagnetic"
+    assert summary["m_final_down"].hex() == down.m_final.hex()
 
 
 @pytest.mark.parametrize("spacing", ["linear", "log"])

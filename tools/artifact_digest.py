@@ -43,6 +43,11 @@ COMMANDS = {
                          "--sweep", "temperature=0.1:0.8:25"]),
     "register_t_max_50": ({"t_max": "50"}, ["register"]),
     "register_g_1e200": ({"coupling_g": "1e200"}, ["register"]),
+    # the down sector, written from the up one, where it does not register:
+    # trapped below g_c, and at rest where gamma g underflows (the up rate
+    # is 0.0, the down one -0.0)
+    "register_trapped": ({"coupling_g": "0.05"}, ["register"]),
+    "register_g_5e_324": ({"coupling_g": "5e-324"}, ["register"]),
     "sweep_g_1e200": ({}, ["sweep", "--sweep", "coupling_g=1e200:1e200:1"]),
     # critical_g and tau_reg hold floats, then None (g_c undefined, no registration)
     "sweep_none_cells": ({}, ["sweep", "--sweep", "coupling_g=0.12:0.0:9",
