@@ -10,7 +10,7 @@ Run:  python demos/04_registration.py
 """
 
 import curieweiss as cw
-from curieweiss import output, registration
+from curieweiss import output, statics
 
 p = cw.ModelParams(n_spins=100000, coupling_g=0.09, temperature=0.34,
                    gamma=1e-3, debye_cutoff=50.0)
@@ -22,7 +22,7 @@ print(f"down sector: {down.terminal.value}, m_final = {down.m_final:+.5f}")
 
 tau_q = cw.registration_time_quadrature(p)
 tau_a = cw.registration_time_asymptotic(p)
-threshold = registration.registration_threshold(p)
+threshold = statics.registration_threshold(p)
 print(f"\nregistration time (bottleneck quadrature): {tau_q:10.1f} hbar/J")
 print(f"near-critical closed form:                 {tau_a:10.1f}")
 print(f"ODE crossing of m = {threshold:.3f}:                 "

@@ -7,8 +7,8 @@ of the off-diagonal blocks over couplings given as (value, multiplicity)
 pairs (``((g, N),)`` when uniform), the registration of the pointer
 magnetization, and the resulting Born probabilities, final state and
 entropy balance.  The oracles that pin every closed form are test code
-(``tests/oracles.py``).  Only the collapse and registration modules use
-numpy, and each re-export below is imported on first access (PEP 562), so
+(``tests/oracles.py``).  Only offdiag, registration and ode use numpy, and
+each re-export below is imported on first access (PEP 562), so
 ``import curieweiss`` loads no numpy, nor any module a caller does not use.
 """
 
@@ -29,6 +29,8 @@ _EXPORTS = {
     "ferromagnetic_gap": "statics",
     "free_energy": "statics",
     "mixing_entropy": "statics",
+    "registration_time_asymptotic": "statics",
+    "registration_time_quadrature": "statics",
     "stationary_magnetizations": "statics",
     "OffDiagTrajectory": "offdiag",
     "bath_exponent": "offdiag",
@@ -44,8 +46,6 @@ _EXPORTS = {
     "asymptotic_rate": "registration",
     "crossing_time": "registration",
     "integrate_registration": "registration",
-    "registration_time_asymptotic": "registration",
-    "registration_time_quadrature": "registration",
     "RunConfig": "scenario",
     "ScenarioReport": "scenario",
     "assemble_final_state": "scenario",

@@ -17,6 +17,10 @@ from .errors import ConfigError, CurieWeissError
 
 #: trace and positivity tolerance of :func:`validate_state`
 STATE_TOL = 1e-12
+#: T/J must exceed 3 * 2**-52.  At the last double m below 1, 1 - m^2 is
+#: 2**-52, so below about that bound the curvature F'' = -3 J m^2 + T/(1 - m^2)
+#: is negative even there, and no ferromagnetic minimum can be represented
+MIN_T_OVER_J = 3.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class ModelParams:
     delta_g : float
         RMS spread of the per-spin couplings g_n around g.
     temperature : float
-        T, bath temperature (k_B = 1).
+        T, bath temperature (k_B = 1), with T/J above ``MIN_T_OVER_J``.
     gamma : float
         Dimensionless magnet-bath coupling strength.
     debye_cutoff : float
@@ -62,6 +66,9 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
+        if self.temperature / self.coupling_j <= MIN_T_OVER_J:
+            raise ConfigError(f"temperature / coupling_j must exceed {MIN_T_OVER_J!r}, "
+                              f"got {self.temperature / self.coupling_j!r}")
         for name in ("coupling_g", "delta_g", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:

@@ -244,6 +244,16 @@ class OffDiagTrajectory:
             getattr(self, name).setflags(write=False)
 
 
+def time_grid(spacing: str, samples: int, t_hi: float) -> np.ndarray:
+    """``samples`` times from 0 to exactly t_hi, as an array: evenly spaced
+    for ``"linear"``; for ``"log"``, all but the first geometrically from
+    1e-4 t_hi (two samples: 0 and t_hi)."""
+    if spacing == "linear":
+        return np.linspace(0.0, t_hi, samples)
+    grid = np.geomspace(t_hi * 1e-4, t_hi, samples - 1)
+    return np.concatenate([[0.0], grid[:-1], [t_hi]])
+
+
 def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
                        couplings: Couplings, include_bath: bool) -> OffDiagTrajectory:
     """Closed-form off-diagonal amplitude on a time grid.

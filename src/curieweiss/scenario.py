@@ -6,9 +6,10 @@ mechanisms, both diagonal-sector registrations, the post-measurement state
 (branch weights = initial diagonals, pointer at the ferromagnetic value),
 and the entropy budget of the whole process.
 
-The collapse and registration modules, which hold numpy arrays, are
-imported by the stages that run them, so the scalar stages (regime,
-statics) and the commands made of them load no numpy.
+This module imports no numpy: the collapse and registration modules, which
+hold the arrays, are imported by the stages that run them, so the scalar
+stages and the commands made of them (validate, statics, and a sweep
+without t_max) load none.
 """
 
 from __future__ import annotations
@@ -299,17 +300,6 @@ def collapse_timescales(cfg: RunConfig) -> dict:
     return out
 
 
-def _time_grid(cfg: RunConfig, t_hi: float):
-    """cfg.samples times from 0 to exactly t_hi, as an array; a log grid puts
-    all but the first geometrically from 1e-4 t_hi (two samples: 0 and t_hi)."""
-    import numpy as np
-
-    if cfg.spacing == "linear":
-        return np.linspace(0.0, t_hi, cfg.samples)
-    grid = np.geomspace(t_hi * 1e-4, t_hi, cfg.samples - 1)
-    return np.concatenate([[0.0], grid[:-1], [t_hi]])
-
-
 def collapse_run(cfg: RunConfig, t_hi: float | None,
                  couplings: offdiag.Couplings | None = None) -> offdiag.OffDiagTrajectory:
     """Off-diagonal trajectory of the config on its grid up to t_hi (None:
@@ -326,7 +316,7 @@ def collapse_run(cfg: RunConfig, t_hi: float | None,
     if couplings is None:
         couplings = offdiag.sample_couplings(params, cfg.seed)
     return offdiag.offdiag_trajectory(
-        params, cfg.state.r_ud, _time_grid(cfg, t_hi),
+        params, cfg.state.r_ud, offdiag.time_grid(cfg.spacing, cfg.samples, t_hi),
         couplings=couplings, include_bath=cfg.bath_acts,
     )
 
@@ -334,12 +324,10 @@ def collapse_run(cfg: RunConfig, t_hi: float | None,
 def registration_times(params: ModelParams) -> dict:
     """Quadrature and asymptotic tau_reg; both None, with the error type, when
     the statics leave nothing to register."""
-    from . import registration
-
     try:
         return {
-            "tau_reg_quadrature": registration.registration_time_quadrature(params),
-            "tau_reg_asymptotic": registration.registration_time_asymptotic(params),
+            "tau_reg_quadrature": statics.registration_time_quadrature(params),
+            "tau_reg_asymptotic": statics.registration_time_asymptotic(params),
         }
     except CurieWeissError as exc:
         return {"tau_reg_quadrature": None, "tau_reg_asymptotic": None,
@@ -356,7 +344,7 @@ def registration_summary(up, params: ModelParams) -> dict:
     mirrored, and the up sector's threshold crossing times and tail rate."""
     from . import registration
 
-    threshold = registration.registration_threshold(params)
+    threshold = statics.registration_threshold(params)
     summary: dict = {
         "terminal_up": up.terminal.value,
         "terminal_down": up.terminal.value,
@@ -424,14 +412,12 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
     ConfigError).  One that is not a measurement has m_final = 0: the rate
     at m = 0 is exactly 0 there, so no flow leaves it.  Without t_max the up
     flow from m = 0 ends at :func:`statics.first_stationary`, one bisection
-    per point and no trajectory.  The "/invalid-regime" suffix is
-    :func:`regime_valid`'s verdict, without the report of
-    :func:`validate_regime`.  g_c is taken once per point, and a registered
-    row's tau_reg quadrature reuses it.  A registered row whose tau_reg is
-    undefined (no spinodal, say) has tau_reg None, and its error is counted.
+    per point and no trajectory: only t_max imports :mod:`registration`.
+    The "/invalid-regime" suffix is :func:`regime_valid`'s verdict, without
+    the report of :func:`validate_regime`.  g_c is taken once per point, and
+    a registered row's tau_reg quadrature reuses it.  A registered row with
+    an undefined tau_reg (no spinodal, say) has None, and its error counted.
     """
-    from . import registration
-
     base = {f.name: getattr(cfg.params, f.name) for f in fields(ModelParams)}
     rows, errors = [], collections.Counter()
     for values in itertools.product(*grids):
@@ -449,8 +435,10 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
             m_attr = statics.first_stationary(+1, p)
             registered = statics.label_point(m_attr) is not statics.PointLabel.PARAMAGNETIC
             # integrate_registration's last node; m = 0 within the stop distance
-            m_final = max(m_attr - registration.STOP_DELTA, 0.0)
+            m_final = max(m_attr - statics.STOP_DELTA, 0.0)
         else:
+            from . import registration
+
             up = registration.integrate_registration(+1, p, cfg.t_max)
             registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
             m_final = up.m_final
@@ -460,7 +448,7 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
         tau_reg = None
         if registered:
             try:
-                tau_reg = registration.registration_time_quadrature(p, critical_g=gc)
+                tau_reg = statics.registration_time_quadrature(p, critical_g=gc)
             except CurieWeissError as exc:  # undefined here, e.g. no spinodal (T >= 3J/4)
                 errors[type(exc).__name__] += 1
         rows.append([*values, outcome, gc, tau_reg, m_final])

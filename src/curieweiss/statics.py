@@ -6,20 +6,27 @@ Free energy per spin in a field of sign s = +/-1:
 
 with S(m) the binary mixing entropy.  Stationary points solve the
 self-consistency m = tanh((s*g + J m^3)/T); minima/maxima are separated by
-the sign of F'' = -3 J m^2 + T/(1 - m^2).
+the sign of F'' = -3 J m^2 + T/(1 - m^2).  Registration's closed forms (the
+time from the bottleneck integral past g_c, the threshold, the stop
+distance) depend on the parameters alone, so they are scalar and live here.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
-from .errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
+from .errors import (CriticalOrSubcritical, CurieWeissError, NoFerromagneticSolution,
+                     SpinodalUndefined)
 from .model import ModelParams
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+#: distance from the attractor at which a registration flow is stopped
+STOP_DELTA = 1e-6
+_SQRT3 = math.sqrt(3.0)
 
 
 class PointKind(enum.Enum):
@@ -269,6 +276,81 @@ def critical_coupling_low_t(params: ModelParams) -> float:
     """Low-temperature asymptote g_c = (2T/3) sqrt(T/3J)."""
     t, j = params.temperature, params.coupling_j
     return (2.0 * t / 3.0) * math.sqrt(t / (3.0 * j))
+
+
+def registration_threshold(params: ModelParams) -> float:
+    """Reference threshold (T/3J)^(1/4): safely past the bottleneck sqrt(T/3J)."""
+    return (params.temperature / (3.0 * params.coupling_j)) ** 0.25
+
+
+def _supercritical_low_t_gc(params: ModelParams, critical_g: float | None = None) -> float:
+    """Low-temperature g_c of the bottleneck formulas, once the statics allow registration.
+
+    Raises CriticalOrSubcritical when g <= g_c of the statics (``critical_g``
+    where the caller has it, else computed; no g_c exists for T >= 3J/4) and
+    when there is no bath: a trapped sector has no registration time,
+    whatever the low-temperature asymptote says.
+    """
+    if critical_g is None:
+        try:
+            critical_g = critical_coupling(params)
+        except SpinodalUndefined as exc:
+            raise CriticalOrSubcritical(f"no critical coupling: {exc}") from exc
+    if params.coupling_g <= critical_g:
+        raise CriticalOrSubcritical(
+            f"g = {params.coupling_g} <= g_c = {critical_g}: bottleneck integral diverges"
+        )
+    if params.gamma == 0:
+        raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
+    return critical_coupling_low_t(params)
+
+
+def bottleneck_integral(eps: float) -> float:
+    """I(eps) = integral_0^inf dx / p(x), p(x) = (x-1)^2 (x+2) + eps = x^3 - 3x + 2 + eps.
+
+    Partial fractions over the roots rho_k of p give I = -sum_k log(-rho_k)/p'(rho_k),
+    and since sum_k 1/p'(rho_k) = 0 this is -2 Re[log(rho/r)/p'(rho)] over the
+    complex pair rho, with r < -2 the real root.  The roots are hyperbolic
+    (Viete): with s = sinh(asinh(sqrt(eps)/2)/3), the root of 4s^3 + 3s =
+    sqrt(eps)/2 (polished by one Newton step), and c = sqrt(1 + s^2),
+    r = -2 - 4s^2, rho = 1 + 2s^2 + 2i sqrt(3) s c and
+    p'(rho) = 12 s c (s + i sqrt(3) c)(c + i sqrt(3) s).  Nothing cancels,
+    overflows or underflows, so every finite eps > 0 has its value,
+    subnormal eps included.
+    """
+    if not 0.0 < eps < math.inf:
+        raise CurieWeissError(f"the bottleneck integral needs a finite eps > 0, got {eps}")
+    x = 0.5 * math.sqrt(eps)
+    s = math.sinh(math.asinh(x) / 3.0)
+    s -= (4.0 * s * s * s + 3.0 * s - x) / (12.0 * s * s + 3.0)
+    c = math.sqrt(1.0 + s * s)
+    rho = complex(1.0 + 2.0 * s * s, 2.0 * _SQRT3 * s * c)
+    dp = 12.0 * s * c * complex(s, _SQRT3 * c) * complex(c, _SQRT3 * s)
+    return -2.0 * (cmath.log(rho / (-2.0 - 4.0 * s * s)) / dp).real
+
+
+def registration_time_quadrature(params: ModelParams, critical_g: float | None = None) -> float:
+    """Registration time from the small-m bottleneck integral, in closed form.
+
+    tau_reg = (3 hbar / gamma T) * I(eps), I(eps) = integral_0^inf dx / ((x-1)^2 (x+2) + eps),
+    eps = 2 (g - g_c)/g_c with the low-temperature g_c = (2T/3) sqrt(T/3J);
+    defined only above the exact g_c of the statics, which a caller that has
+    already taken it passes as ``critical_g`` (None: computed here).  I(eps)
+    is :func:`bottleneck_integral`.
+    """
+    gc = _supercritical_low_t_gc(params, critical_g)
+    eps = 2.0 * (params.coupling_g - gc) / gc
+    return 3.0 / (params.gamma * params.temperature) * bottleneck_integral(eps)
+
+
+def registration_time_asymptotic(params: ModelParams) -> float:
+    """Near-critical closed form tau_reg = (pi hbar/gamma T) sqrt(3 g_c / 2(g - g_c)).
+
+    g_c is the low-temperature asymptote; defined only above the exact g_c.
+    """
+    gc = _supercritical_low_t_gc(params)
+    return (math.pi / (params.gamma * params.temperature)
+            * math.sqrt(3.0 * gc / (2.0 * (params.coupling_g - gc))))
 
 
 @functools.cache

@@ -192,8 +192,8 @@ def test_criterion_11_registration_time():
                        gamma=1e-3, debye_cutoff=50.0))
     p1 = cw.ModelParams(n_spins=1000, coupling_g=1.02 * gc, temperature=t_low,
                         gamma=1e-3, debye_cutoff=50.0)
-    quad_t = registration.registration_time_quadrature(p1)
-    asym_t = registration.registration_time_asymptotic(p1)
+    quad_t = statics.registration_time_quadrature(p1)
+    asym_t = statics.registration_time_asymptotic(p1)
     dev1 = abs(quad_t / asym_t - 1.0)
 
     # quadrature vs ODE crossing at T = 0.2, g = 1.5 g_c
@@ -204,8 +204,8 @@ def test_criterion_11_registration_time():
     p2 = cw.ModelParams(n_spins=1000, coupling_g=1.5 * gc2, temperature=t_mid,
                         gamma=1e-3, debye_cutoff=50.0)
     up = registration.integrate_registration(+1, p2, t_max=3e5)
-    t_cross = registration.crossing_time(up, registration.registration_threshold(p2), p2)
-    tau_q = registration.registration_time_quadrature(p2)
+    t_cross = registration.crossing_time(up, statics.registration_threshold(p2), p2)
+    tau_q = statics.registration_time_quadrature(p2)
     dev2 = abs(t_cross / tau_q - 1.0)
     report(11, dev1 <= 0.05 and dev2 <= 0.15,
            f"quadrature vs asymptotic dev {dev1:.4f} (limit 0.05); "

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curieweiss import offdiag, output, registration, scenario, statics
 from curieweiss.cli import main
-from curieweiss.model import ModelParams
+from curieweiss.model import MIN_T_OVER_J, ModelParams
 from curieweiss.statics import critical_coupling
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
@@ -782,7 +782,7 @@ def test_sweep_row_computes_only_what_it_keeps(tmp_path, monkeypatch):
     # the table
     calls = {"critical_coupling": 0, "registration_time_asymptotic": 0, "ModelParams": 0}
     for module, name in ((statics, "critical_coupling"),
-                         (registration, "registration_time_asymptotic")):
+                         (statics, "registration_time_asymptotic")):
         def counted(*a, _f=getattr(module, name), _name=name, **k):
             calls[_name] += 1
             return _f(*a, **k)
@@ -864,6 +864,15 @@ def test_sweep_non_integer_n_spins_is_invalid(cfg_path, tmp_path):
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[:2] for r in rows] == [["1000.5", "invalid-params"], ["1001.0", "registered"],
                                      ["1001.5", "invalid-params"]]
+
+
+def test_sweep_point_past_the_t_over_j_bound_is_invalid(cfg_path, tmp_path):
+    out = tmp_path / "sweepT"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--sweep", "temperature=1e-300:0.34:2"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["1e-300", "invalid-params"], ["0.34", "registered"]]
+    assert load_manifest(out)["errors"] == {"ConfigError": 1}
 
 
 def test_register_and_sweep_at_a_huge_coupling(tmp_path):
@@ -1070,6 +1079,24 @@ def test_every_command_rejects_bad_run_keys(command, key, tmp_path, capsys):
     overrides, error = BAD_RUN_KEYS[key]
     err = run_writes_nothing(command, write_cfg(tmp_path, **overrides), tmp_path, capsys)
     assert err.startswith(error)
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("overrides", [{"temperature": 1e-300}, {"coupling_j": 1e300}])
+def test_every_command_rejects_t_over_j_at_or_below_the_bound(command, overrides, tmp_path,
+                                                              capsys):
+    # past the bound the ferromagnetic minimum cannot be represented, and
+    # the statics' atanh left its domain (a ValueError traceback)
+    err = run_writes_nothing(command, write_cfg(tmp_path, **overrides), tmp_path, capsys)
+    assert err.startswith(f"error: temperature / coupling_j must exceed {MIN_T_OVER_J!r}, got ")
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_every_command_runs_at_the_least_t_over_j(command, tmp_path):
+    cfg = write_cfg(tmp_path, temperature=repr(math.nextafter(MIN_T_OVER_J, 1.0)))
+    out = tmp_path / "o"
+    extra = ["--sweep", "coupling_g=0.05:0.11:2"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)

@@ -5,8 +5,10 @@ names numpy.random, numpy.polynomial, np.polyfit or np.linalg (the last two
 call LAPACK).  Each command runs in a fresh interpreter that reports, at
 exit, every scipy, numpy.random and numpy.polynomial module it imported,
 and whether it loaded numpy at all: only the commands that build arrays
-(collapse, register, scenario, sweep) do, and importing the package or its
-CLI loads none.
+(collapse, register, scenario, and a sweep with t_max, which integrates
+each point's flow) do, and importing the package or its CLI loads none.
+Only the array modules (offdiag, ode, registration) import numpy, at any
+level.
 The macroscopic runs, at N = 1e12 with a coupling spread, also show that no
 command holds an array of size N.
 Importing the CLI builds no argument parser: that is left to the first
@@ -52,6 +54,21 @@ def test_no_module_imports_scipy():
     offenders = [path.name for path in modules
                  if "scipy" in _imported_roots(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+#: the modules that hold arrays: the collapse, the registration flow and
+#: its quadrature.  A function of the parameters alone is scalar and lives
+#: in statics
+ARRAY_MODULES = {"offdiag", "ode", "registration"}
+
+
+def test_only_the_array_modules_import_numpy():
+    # at any level: an import inside a function loads numpy as surely
+    modules = sorted((ROOT / "src" / "curieweiss").glob("*.py"))
+    assert len(modules) > 5
+    importers = {path.stem for path in modules
+                 if "numpy" in _imported_roots(ast.parse(path.read_text()))}
+    assert importers == ARRAY_MODULES
 
 
 #: numpy attributes and submodules that no module of the package names
@@ -287,6 +304,7 @@ COMMANDS = {
     "register": ["register"],
     "scenario": ["scenario"],
     "sweep": ["sweep", "--sweep", "coupling_g=0.05:0.11:4"],
+    "sweep_t_max": ["sweep", "--sweep", "coupling_g=0.05:0.11:4"],
     "collapse_echo": ["collapse", "--echo-at", "7.5"],
     "collapse_dispersed": ["collapse"],
     "collapse_macroscopic_echo": ["collapse", "--echo-at", "7.5"],
@@ -295,7 +313,7 @@ COMMANDS = {
 
 
 #: the commands whose stages are all scalar, so that they load no numpy
-SCALAR_COMMANDS = {"statics", "validate"}
+SCALAR_COMMANDS = {"statics", "sweep", "validate"}
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +331,8 @@ def probe(tmp_path_factory):
                 text = re.sub(r"(?m)^delta_g\s*=.*$", "delta_g = 0.0045", text)
             if "macroscopic" in name:
                 text = re.sub(r"(?m)^n_spins\s*=.*$", "n_spins = 1e12", text)
+            if name == "sweep_t_max":
+                text += "t_max = 100000\n"
             cfg.write_text(text)
             argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
             env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -334,7 +354,8 @@ def test_command_imports_no_scipy(name, probe):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_only_the_array_commands_load_numpy(name, probe):
-    # collapse*, register, scenario* and sweep load numpy; statics and validate do not
+    # collapse*, register, scenario* and sweep_t_max load numpy; statics,
+    # validate and a sweep without t_max do not
     code, _, numpy_loaded = probe(name)
     assert code == 0
     assert numpy_loaded is (name not in SCALAR_COMMANDS)

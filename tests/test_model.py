@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from curieweiss.errors import ConfigError, CurieWeissError
 from curieweiss.model import (
     CONFIG_KEYS,
+    MIN_T_OVER_J,
     ModelParams,
     SystemState2x2,
     read_config_mapping,
@@ -17,6 +18,7 @@ from curieweiss.model import (
     validate_state,
 )
 from curieweiss.scenario import load_run_config
+from curieweiss.statics import free_energy_curvature, stationary_magnetizations
 
 REF = dict(
     n_spins=100000, coupling_j=1.0, coupling_g=0.09, delta_g=0.0,
@@ -64,6 +66,48 @@ def test_params_reject_n_spins_beyond_the_largest_double():
     ModelParams(**{**REF, "n_spins": int(sys.float_info.max)})
     with pytest.raises(ConfigError, match=r"at most the largest double, 1\.79769"):
         ModelParams(**{**REF, "n_spins": 10**400})
+
+
+#: the least subnormal double, and the largest subnormal one
+TINY, SUBNORMAL_MAX = 5e-324, math.nextafter(sys.float_info.min, 0.0)
+
+
+@pytest.mark.parametrize("temperature, coupling_j", [
+    (MIN_T_OVER_J, 1.0),                # at the bound
+    (1e-300, 1.0),
+    (0.34, 1e300),
+    (TINY, 1e300),                      # T/J underflows to 0
+    (TINY, 2e-308),                     # a subnormal T: T/J = 2.5e-16
+    (TINY, SUBNORMAL_MAX),              # both subnormal: T/J = 2.2e-16
+])
+def test_params_reject_t_over_j_at_or_below_the_bound(temperature, coupling_j):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"temperature / coupling_j must exceed {MIN_T_OVER_J!r}, got ")):
+        ModelParams(**{**REF, "temperature": temperature, "coupling_j": coupling_j})
+
+
+@pytest.mark.parametrize("temperature, coupling_j", [
+    (math.nextafter(MIN_T_OVER_J, 1.0), 1.0),    # the least T/J accepted at J = 1
+    (math.nextafter(MIN_T_OVER_J, 1.0) * 1e300, 1e300),
+    (TINY, TINY),                                 # both subnormal: T/J = 1
+    (4 * TINY, SUBNORMAL_MAX),                    # both subnormal: T/J = 8.9e-16
+    (1e300, 1e-300),                              # T/J overflows to inf
+])
+def test_params_accept_t_over_j_above_the_bound(temperature, coupling_j):
+    p = ModelParams(**{**REF, "temperature": temperature, "coupling_j": coupling_j,
+                       "coupling_g": 0.09 * coupling_j})
+    assert p.temperature / p.coupling_j > MIN_T_OVER_J
+
+
+def test_t_over_j_bound_keeps_the_last_double_below_one_a_minimum():
+    # 1 - m^2 is 2**-52 at the last double m below 1, so F''(m) > 0 there
+    # needs T/J > 3 m^2 2**-52, just under the bound: above it, the
+    # ferromagnetic minimum has a double to sit on
+    m = math.nextafter(1.0, 0.0)
+    assert 1.0 - m * m == 2.0**-52
+    p = ModelParams(**{**REF, "temperature": math.nextafter(MIN_T_OVER_J, 1.0)})
+    assert free_energy_curvature(m, p) > 0.0
+    assert stationary_magnetizations(+1, p).ferromagnetic.m == m
 
 
 def test_delta_g_unconstrained_when_g_zero():
@@ -240,9 +284,10 @@ def with_ties(test):
 # a right side whose square overflows (float ** raises there) is inf
 @example(ModelParams(n_spins=1, coupling_j=0.5, coupling_g=0.5, delta_g=5e-301,
                      temperature=0.5, gamma=0.0, debye_cutoff=1.0), 0.5)
-@example(ModelParams(**{**REF, "coupling_g": 1e200, "coupling_j": 1e201}), 10.0)
+@example(ModelParams(**{**REF, "coupling_g": 1e200, "coupling_j": 1e201,
+                         "temperature": 3.4e200}), 10.0)
 # a subnormal right side that the factor rounds to 0: the margin ratio is inf
-@example(ModelParams(**{**REF, "temperature": 5e-324}), 0.5)
+@example(ModelParams(**{**REF, "temperature": 5e-324, "coupling_j": 5e-324}), 0.5)
 # the least g, whose only smaller spread is 0
 @example(ModelParams(**{**REF, "coupling_g": 5e-324, "delta_g": 0.0}), 0.5)
 def test_regime_valid_is_the_report_verdict(p, margin):

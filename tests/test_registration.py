@@ -21,19 +21,19 @@ from curieweiss.registration import (
     MagnetizationTrajectory,
     TerminalKind,
     asymptotic_rate,
-    bottleneck_integral,
     crossing_time,
     flow_rate,
     integrate_registration,
-    registration_threshold,
-    registration_time_asymptotic,
-    registration_time_quadrature,
 )
 from curieweiss.statics import (
+    bottleneck_integral,
     critical_coupling,
     critical_coupling_low_t,
     first_stationary,
     free_energy,
+    registration_threshold,
+    registration_time_asymptotic,
+    registration_time_quadrature,
     stationary_magnetizations,
 )
 from oracles import reference_integrate

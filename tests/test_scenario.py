@@ -12,7 +12,6 @@ from curieweiss.model import ModelParams, SystemState2x2
 from curieweiss.scenario import (
     RunConfig,
     _registration_end,
-    _time_grid,
     assemble_final_state,
     collapse_run,
     collapse_timescales,
@@ -120,8 +119,8 @@ def test_run_scenario_evaluates_tau_reg_once(monkeypatch):
     from curieweiss.scenario import load_run_config
 
     calls = []
-    integral = registration.bottleneck_integral
-    monkeypatch.setattr(registration, "bottleneck_integral",
+    integral = statics.bottleneck_integral
+    monkeypatch.setattr(statics, "bottleneck_integral",
                         lambda eps: calls.append(eps) or integral(eps))
     report = run_scenario(load_run_config(REFERENCE_CFG))
     assert report.status == "completed"
@@ -445,7 +444,7 @@ def test_registration_summary_brackets_the_crossing_time():
     summary = registration_summary(up, REF_PARAMS)
     assert summary["m_final_down"].hex() == down.m_final.hex()
     assert summary["terminal_down"] == down.terminal.value == "converged_ferro"
-    theta = registration.registration_threshold(REF_PARAMS)
+    theta = statics.registration_threshold(REF_PARAMS)
     assert summary["threshold"] == theta
     assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
     assert summary["crossing_time_low"] == registration.crossing_time(
@@ -463,7 +462,7 @@ def test_registration_summary_keeps_the_crossings_a_cut_run_reached():
     assert summary["terminal_up"] == summary["terminal_down"] == down.terminal.value
     assert summary["terminal_up"] == "max_time_reached"
     assert summary["m_final_down"].hex() == down.m_final.hex()
-    theta = registration.registration_threshold(REF_PARAMS)
+    theta = statics.registration_threshold(REF_PARAMS)
     assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
     assert 27000 < summary["crossing_time_low"] < summary["crossing_time"] < 32000
     assert summary["crossing_time_high"] is None
@@ -483,8 +482,7 @@ def test_registration_summary_writes_a_trapped_down_sector_as_integrated(g):
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 @pytest.mark.parametrize("samples", [2, 3, 400])
 def test_time_grid_ends_at_t_hi(spacing, samples):
-    cfg = RunConfig(params=REF_PARAMS, state=PLUS, samples=samples, spacing=spacing)
-    grid = _time_grid(cfg, 5.0)
+    grid = offdiag.time_grid(spacing, samples, 5.0)
     assert len(grid) == samples
     assert grid[0] == 0.0 and grid[-1] == 5.0
     assert np.all(np.diff(grid) > 0)

@@ -49,6 +49,9 @@ COMMANDS = {
     "register_trapped": ({"coupling_g": "0.05"}, ["register"]),
     "register_g_5e_324": ({"coupling_g": "5e-324"}, ["register"]),
     "sweep_g_1e200": ({}, ["sweep", "--sweep", "coupling_g=1e200:1e200:1"]),
+    # a sweep with t_max integrates each point's flow, where one without it
+    # takes the attractor from the statics
+    "sweep_t_max_1e5": ({"t_max": "100000"}, ["sweep", "--sweep", "coupling_g=0.05:0.11:4"]),
     # critical_g and tau_reg hold floats, then None (g_c undefined, no registration)
     "sweep_none_cells": ({}, ["sweep", "--sweep", "coupling_g=0.12:0.0:9",
                               "--sweep", "temperature=0.3:0.9:4"]),
