@@ -26,7 +26,7 @@ threshold = statics.registration_threshold(p)
 print(f"\nregistration time (bottleneck quadrature): {tau_q:10.1f} hbar/J")
 print(f"near-critical closed form:                 {tau_a:10.1f}")
 print(f"ODE crossing of m = {threshold:.3f}:                 "
-      f"{cw.crossing_time(up, threshold, p):10.1f}")
+      f"{cw.crossing_times(up, [threshold], p)[0]:10.1f}")
 
 fit = cw.asymptotic_rate(up, p)
 print(f"\ntail approach to m_f: fitted rate {fit['tail_rate_fitted']:.3e}"

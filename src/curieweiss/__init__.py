@@ -44,7 +44,7 @@ _EXPORTS = {
     "MagnetizationTrajectory": "registration",
     "TerminalKind": "registration",
     "asymptotic_rate": "registration",
-    "crossing_time": "registration",
+    "crossing_times": "registration",
     "integrate_registration": "registration",
     "RunConfig": "scenario",
     "ScenarioReport": "scenario",

@@ -30,9 +30,5 @@ class InsufficientTail(CurieWeissError):
     """Trajectory tail too short to fit an asymptotic rate."""
 
 
-class NeverCrossed(CurieWeissError):
-    """Trajectory never reaches the requested threshold."""
-
-
 class MeasurementFailed(CurieWeissError):
     """A diagonal sector got trapped in the paramagnetic state."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurieWeissError, InsufficientTail, NeverCrossed
+from .errors import CurieWeissError, InsufficientTail
 from .model import ModelParams
 from . import ode, statics
 
@@ -125,7 +125,7 @@ def integrate_registration(
         k = int(np.searchsorted(times, t_max)) - 1  # times[k] < t_max <= times[k + 1]
 
         def overshoot(x):
-            return ode.gauss(m[k:k + 1], np.array([x]), rate, dv)[0][0] - (t_max - times[k])
+            return ode.kronrod(m[k:k + 1], np.array([x]), rate)[0][0] - (t_max - times[k])
 
         m = np.append(m[: k + 1], statics.bisect(overshoot, m[k], m[k + 1], times[k] - t_max))
         times = np.append(times[: k + 1], t_max)
@@ -172,21 +172,23 @@ def asymptotic_rate(trajectory: MagnetizationTrajectory, params: ModelParams) ->
             "tail_rate_predicted": params.gamma * params.coupling_j}
 
 
-def crossing_time(trajectory: MagnetizationTrajectory, m_target: float,
-                  params: ModelParams) -> float:
-    """First time at which m(t) passes m_target: the node before it plus the
-    Gauss rule of the flow from there, the rule the ``t_max`` cut inverts.
+def crossing_times(trajectory: MagnetizationTrajectory, targets,
+                   params: ModelParams) -> list[float | None]:
+    """First times at which m(t) passes each target, None for one it never
+    reaches: the node before it plus the Kronrod rule of the flow from there,
+    the rule the ``t_max`` cut inverts, taken for all targets in one call.
 
     The trajectory's m is strictly monotone toward its attractor; targets at
     or behind the starting point return 0.
     """
     direction = 1.0 if trajectory.attractor >= trajectory.m[0] else -1.0
-    u, x = direction * trajectory.m, direction * m_target
-    if x > u[-1]:
-        raise NeverCrossed(f"trajectory never reaches m = {m_target}")
-    if x <= u[0]:
-        return 0.0
-    k = int(np.searchsorted(u, x)) - 1  # u[k] < x <= u[k + 1]
-    dt = ode.gauss(trajectory.m[k:k + 1], np.array([m_target]),
-                   lambda m: flow_rate(m, trajectory.field_sign, params), 0.0)[0][0]
-    return float(trajectory.times[k] + dt)
+    u = direction * trajectory.m
+    x = direction * np.asarray(targets, dtype=float)
+    out: list[float | None] = [None if xi > u[-1] else 0.0 for xi in x]
+    ahead = (x > u[0]) & (x <= u[-1])
+    k = np.searchsorted(u, x[ahead]) - 1  # u[k] < x <= u[k + 1]
+    dt, _, _ = ode.kronrod(trajectory.m[k], direction * x[ahead],
+                           lambda m: flow_rate(m, trajectory.field_sign, params))
+    for i, t in zip(np.flatnonzero(ahead), trajectory.times[k] + dt):
+        out[i] = float(t)
+    return out

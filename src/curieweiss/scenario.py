@@ -27,7 +27,6 @@ from .errors import (
     CurieWeissError,
     InsufficientTail,
     MeasurementFailed,
-    NeverCrossed,
     SpinodalUndefined,
 )
 from .model import (
@@ -353,12 +352,9 @@ def registration_summary(up, params: ModelParams) -> dict:
         "threshold": threshold,
     }
     # the registration time and its sensitivity to the threshold; null if never reached
-    for key, factor in (("crossing_time", 1.0), ("crossing_time_low", 0.8),
-                        ("crossing_time_high", 1.25)):
-        try:
-            summary[key] = registration.crossing_time(up, factor * threshold, params)
-        except NeverCrossed:
-            summary[key] = None
+    summary.update(zip(("crossing_time", "crossing_time_low", "crossing_time_high"),
+                       registration.crossing_times(
+                           up, [threshold, 0.8 * threshold, 1.25 * threshold], params)))
     try:
         summary.update(registration.asymptotic_rate(up, params))
     except InsufficientTail:

@@ -287,9 +287,10 @@ def _supercritical_low_t_gc(params: ModelParams, critical_g: float | None = None
     """Low-temperature g_c of the bottleneck formulas, once the statics allow registration.
 
     Raises CriticalOrSubcritical when g <= g_c of the statics (``critical_g``
-    where the caller has it, else computed; no g_c exists for T >= 3J/4) and
+    where the caller has it, else computed; no g_c exists for T >= 3J/4),
     when there is no bath: a trapped sector has no registration time,
-    whatever the low-temperature asymptote says.
+    whatever the low-temperature asymptote says, and when that asymptote
+    underflows to 0 (a subnormal T), which the closed forms divide by.
     """
     if critical_g is None:
         try:
@@ -302,7 +303,11 @@ def _supercritical_low_t_gc(params: ModelParams, critical_g: float | None = None
         )
     if params.gamma == 0:
         raise CriticalOrSubcritical("gamma = 0: no registration dynamics")
-    return critical_coupling_low_t(params)
+    gc = critical_coupling_low_t(params)
+    if gc == 0:
+        raise CriticalOrSubcritical(
+            f"the low-temperature g_c underflows to 0 at T = {params.temperature}")
+    return gc
 
 
 def bottleneck_integral(eps: float) -> float:

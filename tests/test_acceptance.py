@@ -204,7 +204,7 @@ def test_criterion_11_registration_time():
     p2 = cw.ModelParams(n_spins=1000, coupling_g=1.5 * gc2, temperature=t_mid,
                         gamma=1e-3, debye_cutoff=50.0)
     up = registration.integrate_registration(+1, p2, t_max=3e5)
-    t_cross = registration.crossing_time(up, statics.registration_threshold(p2), p2)
+    t_cross = registration.crossing_times(up, [statics.registration_threshold(p2)], p2)[0]
     tau_q = statics.registration_time_quadrature(p2)
     dev2 = abs(t_cross / tau_q - 1.0)
     report(11, dev1 <= 0.05 and dev2 <= 0.15,

@@ -893,8 +893,9 @@ def test_register_and_sweep_at_a_huge_coupling(tmp_path):
 
 
 def test_register_at_a_huge_rate_warns_nothing(tmp_path):
-    # at gamma = 1e300 the square of the rate in ode.gauss's rounding bound
-    # overflows; the bound is then 0, with no warning and the same bytes
+    # at gamma = 1e300 the rate is near 1e299: ode.kronrod's rounding bound
+    # sums |w/v| times dv/|v|, a ratio of two such numbers, so nothing in it
+    # overflows, and no warning changes the bytes
     cfg = write_cfg(tmp_path, gamma=1e300)
     runs = {}
     for action in ("error", "ignore"):
@@ -906,6 +907,82 @@ def test_register_at_a_huge_rate_warns_nothing(tmp_path):
     assert runs["error"] == runs["ignore"]
     assert load_manifest(tmp_path / "error")["tail_rate_fitted"] == pytest.approx(
         1.0145331161132985e300, rel=1e-12)
+
+
+def _csv_columns(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("k", [-900, 600])
+def test_register_is_covariant_under_a_power_of_two_gamma(tmp_path, k):
+    # gamma -> 2^k gamma scales the rate, and with it every rule, its Gauss
+    # estimate and its rounding bound, by exact powers of two: the halving
+    # decides alike, so t maps by 2^-k and dm/dt by 2^k bit for bit, and m
+    # and F keep theirs, with no warning on the way
+    runs = {}
+    for name, gamma in (("base", 1e-3), ("scaled", math.ldexp(1e-3, k))):
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["register", "--config", str(write_cfg(tmp_path, gamma=repr(gamma))),
+                         "--out", str(out)]) == 0
+        runs[name] = {s: _csv_columns(out / f"registration_{s}.csv") for s in ("up", "down")}
+    for sector, base in runs["base"].items():
+        scaled = runs["scaled"][sector]
+        assert len(scaled["t"]) == len(base["t"]) > 200
+        assert scaled["m"] == base["m"]
+        assert scaled["free_energy"] == base["free_energy"]
+        assert scaled["t"] == [math.ldexp(t, -k) for t in base["t"]]
+        assert scaled["dm_dt"] == [math.ldexp(v, k) for v in base["dm_dt"]]
+
+
+#: J = 2e-308, g = 1.98e-308, T = 1.5e-323: the low-temperature g_c
+#: (2T/3) sqrt(T/3J) underflows to 0
+SUBNORMAL_T = {"coupling_j": 2e-308, "coupling_g": 1.98e-308, "temperature": 1.5e-323}
+
+
+def test_sweep_counts_an_underflowing_low_temperature_g_c(tmp_path):
+    # the registered point's tau_reg would divide by that 0: it is None, and
+    # the sweep counts the error and exits 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(write_cfg(tmp_path, **SUBNORMAL_T)), "--out", str(out),
+                 "--sweep", "coupling_g=1.98e-308:1.98e-308:1"]) == 0
+    (row,) = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert row[1].startswith("registered") and row[3] == "None"
+    assert load_manifest(out)["errors"] == {"CriticalOrSubcritical": 1}
+
+
+def test_register_error_names_m_as_a_plain_float(tmp_path, capsys):
+    # near the attractor the subnormal rate rounds to 0; the error line names
+    # m as a float, not as numpy's repr of one
+    out = tmp_path / "register"
+    assert main(["register", "--config", str(write_cfg(tmp_path, **SUBNORMAL_T)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the rate does not point toward the attractor at m = 0.99999")
+    assert "np.float64" not in err
+    assert not out.exists()
+
+
+def test_register_with_an_underflowing_rounding_bound_finishes_in_bounded_memory(tmp_path):
+    # at T = 1.07e-307 the rate is near 1e-302, whose square underflows; the
+    # rounding bound must not divide by it, and the halving must stay within
+    # its budget: under a 2 GiB address-space cap the command ends in time,
+    # with a result or an error line
+    cfg = write_cfg(tmp_path, coupling_j=1.4082031538517637e-299,
+                    coupling_g=1.3022908082884223e-299, temperature=1.071545836260719e-307)
+    cap = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+           "from curieweiss.cli import main; sys.exit(main(sys.argv[1:]))")
+    # one BLAS thread, so that the buffers OpenBLAS reserves per thread stay
+    # far below the cap on a many-core host
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", cap, "register", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.returncode == 0 or proc.stderr.startswith("error: ")
 
 
 def test_collapse_at_a_huge_rate_warns_nothing(tmp_path):

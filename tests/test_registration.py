@@ -1,27 +1,27 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from curieweiss.errors import (
     CriticalOrSubcritical,
     CurieWeissError,
     InsufficientTail,
-    NeverCrossed,
 )
-from curieweiss import statics
+from curieweiss import ode, statics
 from curieweiss.model import ModelParams
 from curieweiss.registration import (
     TAIL_WINDOW,
     MagnetizationTrajectory,
     TerminalKind,
     asymptotic_rate,
-    crossing_time,
+    crossing_times,
     flow_rate,
     integrate_registration,
 )
@@ -210,13 +210,95 @@ def test_rate_sign_change_raises(monkeypatch):
 
 
 def test_quadrature_rounding_allowance_decides_a_halving():
-    # an interval here passes the halving test only through the rounding bound
-    # of ode.gauss; without it the trajectory gets 221 nodes and another end time
-    p = ModelParams(n_spins=100000, coupling_j=0.5, coupling_g=0.04823326021811262,
-                    temperature=0.1813815808202462, gamma=0.004738213258593964)
+    # every interval here passes in the first round only through the rounding
+    # bound of ode.kronrod; without it one is halved, and the trajectory gets
+    # 220 nodes and another end time
+    p = ModelParams(n_spins=100000, coupling_j=8.57291711005751, coupling_g=3.096451371362082,
+                    temperature=6.913994863508019, gamma=0.0031184909587771265)
     traj = integrate_registration(+1, p)
-    assert traj.times.size == 220
-    assert traj.times[-1].hex() == "0x1.67deb2062e63bp+14"
+    assert traj.times.size == 218
+    assert traj.times[-1].hex() == "0x1.6eaf8bda8cf40p+12"
+
+
+def _quadrature_record(monkeypatch):
+    """Patch ode.time_to to record, per call, the intervals given, the
+    accepted ends and times, and the rate's evaluations through a wrapper."""
+    record = {}
+    time_to = ode.time_to
+
+    def counting(u, w, rate, dv):
+        calls = []
+
+        def counted(m):
+            calls.append(m.size)
+            return rate(m)
+
+        ends, times = time_to(u, w, counted, dv)
+        record.update(u=u, w=w, ends=ends, times=times, calls=calls, rate=rate, dv=dv)
+        return ends, times
+
+    monkeypatch.setattr(ode, "time_to", counting)
+    return record
+
+
+def test_reference_flow_takes_15_rate_evaluations_per_interval(monkeypatch):
+    # one Kronrod rule per interval, in one vectorized round, and no halving
+    record = _quadrature_record(monkeypatch)
+    integrate_registration(+1, mk())
+    assert record["u"].size == 219
+    assert record["calls"] == [15 * 219]
+    assert np.array_equal(record["ends"], record["w"])
+
+
+def _probe_params(j, t_over_j, gamma, delta, below, ratio):
+    """The quadrature probe's draw: g at g_c (1 + delta) or ratio g_c below
+    it where a spinodal exists, else ratio J."""
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=0.0, temperature=t_over_j * j,
+                    gamma=gamma)
+    try:
+        gc = critical_coupling(p)
+    except CurieWeissError:
+        return replace(p, coupling_g=ratio * j)
+    return replace(p, coupling_g=gc * (ratio if below else 1.0 + delta))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.1, 10.0), st.floats(0.02, 0.9), st.floats(1e-4, 10.0),
+       st.floats(-8.0, math.log10(3.0)).map(lambda e: 10.0**e), st.booleans(),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(1.0, 0.34, 1e-3, 1e-8, False, 0.5)
+@example(1.0, 0.34, 1e-3, 1e-4, False, 0.5)
+def test_quadrature_work_and_accuracy_over_the_probe_domain(j, t_over_j, gamma, delta,
+                                                            below, ratio):
+    # over the whole probe domain, near g_c included, the halving stays within
+    # its budget, and each accepted interval's time is its Kronrod rule and
+    # agrees with scipy's adaptive quadrature of 1/v to 1e-9 relative beyond
+    # the rule's rounding bound: at the bottleneck, with delta = 1e-8, the
+    # rate's own rounding is 1e-8 relative, and scipy's result is off the
+    # 30-digit integral by 5e-9
+    p = _probe_params(j, t_over_j, gamma, delta, below, ratio)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        record = _quadrature_record(monkeypatch)
+        traj = integrate_registration(+1, p)
+    assert sum(record["calls"]) <= 15 * ode._BUDGET * record["u"].size
+    direction = 1.0 if traj.attractor >= 0.0 else -1.0
+    order = np.argsort(direction * record["ends"])
+    ends, times = record["ends"][order], record["times"][order]
+    starts = np.append(record["u"][:1], ends[:-1])
+    rule, _, noise = ode.kronrod(starts, ends, record["rate"], record["dv"])
+    assert np.array_equal(rule, times)
+
+    def inverse_rate(m):  # 1/flow_rate on a float, in math's scalar arithmetic
+        h = p.coupling_g + p.coupling_j * (m * m * m)
+        x = h / p.temperature
+        v = h - m * p.temperature if abs(x) < 1e-8 else h * (1.0 - m / math.tanh(x))
+        return 1.0 / (p.gamma * v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # its roundoff note
+        want = np.array([quad(inverse_rate, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(starts, ends)])
+    assert np.all(np.abs(times - want) <= 1e-9 * np.abs(want) + noise)
 
 
 def reference_gap(traj, p):
@@ -564,7 +646,7 @@ def test_crossing_time_matches_quadrature():
     target = registration_threshold(p)
     assert target == pytest.approx((T / 3.0) ** 0.25, rel=1e-12, abs=0.0)
     up = integrate_registration(+1, p, t_max=3e5)
-    t_cross = crossing_time(up, target, p)
+    (t_cross,) = crossing_times(up, [target], p)
     tau_q = registration_time_quadrature(p)
     assert t_cross == pytest.approx(tau_q, rel=0.15)
     assert t_cross / tau_q == pytest.approx(1.0069, abs=5e-3)  # frozen ratio
@@ -572,7 +654,7 @@ def test_crossing_time_matches_quadrature():
 
 def test_crossing_time_matches_exact_quadrature():
     # t(m) = integral_0^m dm'/v(m') to 30 digits at the reference point; the
-    # flow's Gauss rule from the node before m agrees to rounding
+    # flow's Kronrod rule from the node before m agrees to rounding
     p = mk()
     up = integrate_registration(+1, p)
 
@@ -585,18 +667,16 @@ def test_crossing_time_matches_exact_quadrature():
     with mpmath.workdps(30):
         for target in (0.8 * threshold, threshold, 1.25 * threshold):
             exact = float(mpmath.quad(inverse_rate, [0, bottleneck, target]))
-            assert crossing_time(up, target, p) == pytest.approx(exact, rel=1e-12)
+            assert crossing_times(up, [target], p)[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_crossing_time_edges():
     p = mk()
     up = integrate_registration(+1, p, t_max=6e5)
-    assert crossing_time(up, 0.0, p) == 0.0
-    assert crossing_time(up, -0.5, p) == 0.0  # behind the start
-    with pytest.raises(NeverCrossed):
-        crossing_time(up, 0.9999, p)
-    # the crossing lies between the stored samples around it
-    t_half = crossing_time(up, 0.5, p)
+    # at and behind the start, never reached, and between the stored samples
+    zero, behind, never, t_half = crossing_times(up, [0.0, -0.5, 0.9999, 0.5], p)
+    assert zero == behind == 0.0
+    assert never is None
     i = int(np.searchsorted(up.m, 0.5))
     assert up.times[i - 1] <= t_half <= up.times[i]
 
@@ -605,14 +685,14 @@ def test_crossing_time_down_sector():
     p = mk()
     down = integrate_registration(-1, p, t_max=6e5)
     up = integrate_registration(+1, p, t_max=6e5)
-    assert crossing_time(down, -0.5, p) == crossing_time(up, 0.5, p)
+    assert crossing_times(down, [-0.5], p) == crossing_times(up, [0.5], p)
 
 
 @pytest.mark.parametrize("t_cut", [1e3, 5e3, 1e4, 3e4])
 def test_crossing_time_inverts_the_t_max_cut(t_cut):
-    # the cut and crossing_time invert the flow by one Gauss rule: the time
+    # the cut and crossing_times invert the flow by one Kronrod rule: the time
     # at which the full trajectory passes the cut's m_final is t_cut
     p = mk()
     full = integrate_registration(+1, p)
     cut = integrate_registration(+1, p, t_max=t_cut)
-    assert crossing_time(full, cut.m_final, p) == pytest.approx(t_cut, rel=1e-14)
+    assert crossing_times(full, [cut.m_final], p)[0] == pytest.approx(t_cut, rel=1e-14)

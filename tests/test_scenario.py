@@ -446,11 +446,10 @@ def test_registration_summary_brackets_the_crossing_time():
     assert summary["terminal_down"] == down.terminal.value == "converged_ferro"
     theta = statics.registration_threshold(REF_PARAMS)
     assert summary["threshold"] == theta
-    assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
-    assert summary["crossing_time_low"] == registration.crossing_time(
-        up, 0.8 * theta, REF_PARAMS)
-    assert summary["crossing_time_high"] == registration.crossing_time(
-        up, 1.25 * theta, REF_PARAMS)
+    # one batched rule call gives each target the bits of its own call
+    for key, factor in (("crossing_time", 1.0), ("crossing_time_low", 0.8),
+                        ("crossing_time_high", 1.25)):
+        assert summary[key] == registration.crossing_times(up, [factor * theta], REF_PARAMS)[0]
     assert summary["crossing_time_low"] < summary["crossing_time"] < summary["crossing_time_high"]
 
 
@@ -463,7 +462,7 @@ def test_registration_summary_keeps_the_crossings_a_cut_run_reached():
     assert summary["terminal_up"] == "max_time_reached"
     assert summary["m_final_down"].hex() == down.m_final.hex()
     theta = statics.registration_threshold(REF_PARAMS)
-    assert summary["crossing_time"] == registration.crossing_time(up, theta, REF_PARAMS)
+    assert summary["crossing_time"] == registration.crossing_times(up, [theta], REF_PARAMS)[0]
     assert 27000 < summary["crossing_time_low"] < summary["crossing_time"] < 32000
     assert summary["crossing_time_high"] is None
 

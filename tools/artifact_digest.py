@@ -56,6 +56,13 @@ COMMANDS = {
     "sweep_none_cells": ({}, ["sweep", "--sweep", "coupling_g=0.12:0.0:9",
                               "--sweep", "temperature=0.3:0.9:4"]),
     "collapse_n_1e30": ({"n_spins": str(10**30)}, ["collapse"]),
+    # g = g_c (1 + 1e-6) at T = 0.34: the quadrature halves at the bottleneck
+    "register_near_critical": ({"coupling_g": "0.08148619374709022"}, ["register"]),
+    # a rate near 1e-302, whose square underflows: the rounding bound takes
+    # no square, and the halving has a work budget
+    "register_rate_1e_302": ({"coupling_j": "1.4082031538517637e-299",
+                              "coupling_g": "1.3022908082884223e-299",
+                              "temperature": "1.071545836260719e-307"}, ["register"]),
     "scenario_dispersed": ({"delta_g": "0.0045"}, ["scenario"]),
 }
 
