@@ -408,7 +408,8 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
     ConfigError).  One that is not a measurement has m_final = 0: the rate
     at m = 0 is exactly 0 there, so no flow leaves it.  Without t_max the up
     flow from m = 0 ends at :func:`statics.first_stationary`, one bisection
-    per point and no trajectory: only t_max imports :mod:`registration`.
+    per point and no trajectory, with psi taken at m- and, above g_c, at m+:
+    only t_max imports :mod:`registration`.
     The "/invalid-regime" suffix is :func:`regime_valid`'s verdict, without
     the report of :func:`validate_regime`.  g_c is taken once per point, and
     a registered row's tau_reg quadrature reuses it.  A registered row with

@@ -177,16 +177,18 @@ def _brackets(target: float, params: ModelParams) -> list[tuple[float, float, fl
 
     psi is monotone between its branch edges -1, -m+, -m-, m-, m+, 1 (only
     -1, 1 for T >= 3J/4), so each branch holds at most one root, bracketed by
-    its ends where f changes sign.  An inner edge on which f is exactly 0 is
-    a double root, the bracket (edge, edge), which :func:`_root` returns at once.
+    its ends where f changes sign.  psi is taken once at m- and at m+; it is
+    exactly odd, so -psi serves at -m- and -m+.  An inner edge on which f is
+    exactly 0 is a double root, the bracket (edge, edge), which :func:`_root`
+    returns at once.
     """
     try:
         lo, hi = _curvature_roots(params)
-        inner = [-hi, -lo, lo, hi]
     except SpinodalUndefined:
-        inner = []
-    edges = [-1.0, *inner, 1.0]
-    values = [-math.inf, *(_psi(m, params) - target for m in inner), math.inf]
+        return [(-1.0, 1.0, -math.inf)]
+    p_lo, p_hi = _psi(lo, params), _psi(hi, params)
+    edges = (-1.0, -hi, -lo, lo, hi, 1.0)
+    values = (-math.inf, -p_hi - target, -p_lo - target, p_lo - target, p_hi - target, math.inf)
     brackets = []
     for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
         if fa == 0.0:
@@ -198,39 +200,67 @@ def _brackets(target: float, params: ModelParams) -> list[tuple[float, float, fl
 
 def _root(target: float, params: ModelParams, a: float, b: float, fa: float) -> float:
     """Root of f = psi - target in the bracket (a, b, fa): ``bisect(f, a, b, fa)``
-    bit for bit, mirror-exactness included, with f's arithmetic written into
-    the loop in f's order, so no call per step.  A root past the last double
-    below 1 rounds to that double, not to the edge; a zero root is +0.0 in
-    either field, as its mirror image is."""
+    bit for bit, mirror-exactness included, with psi written into the loop,
+    so no call per step.  Each step compares psi(mid) with the target where
+    bisect tests the sign of f(mid): fl(psi - target) has the sign of
+    psi - target and is 0 only where they are equal, and psi is never nan
+    inside the bracket, so every step keeps bisect's half.  The ends are
+    ordered once, a where psi < target (mid = 0.5 (a + b) and the end test
+    are symmetric in a and b).  A root past the last double below 1 rounds
+    to that double, not to the edge; a zero root is +0.0 in either field,
+    as its mirror image is."""
     t, j, atanh = params.temperature, params.coupling_j, math.atanh
-    negative = fa < 0.0
+    if fa > 0.0:
+        a, b = b, a
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        fm = t * atanh(mid) - j * (mid * mid * mid) - target
-        if fm == 0.0:
-            break
-        if (fm < 0.0) == negative:
+        p = t * atanh(mid) - j * (mid * mid * mid)
+        if p < target:
             a = mid
-        else:
+        elif p > target:
             b = mid
-    return max(-_BELOW_ONE, min(_BELOW_ONE, mid)) + 0.0
+        else:
+            break
+    if mid > _BELOW_ONE:
+        mid = _BELOW_ONE
+    elif mid < -_BELOW_ONE:
+        mid = -_BELOW_ONE
+    return mid + 0.0
 
 
 def first_stationary(field_sign: int, params: ModelParams) -> float:
     """Where the registration flow of the sector s = field_sign from m = 0
     comes to rest: the first root of psi(m) = s g on the field's side of 0.
 
-    One bisection on the branch that holds it, with the brackets and
-    rounding of :func:`stationary_magnetizations`, so bit for bit its point
-    nearest 0 on the field's side (0 itself at g = 0).
+    The brackets of :func:`_brackets` taken along the field from -s m-, up
+    to the first that reaches past m = 0, and that one bisected as the scan
+    bisects it: bit for bit the scan's point nearest 0 on the field's side
+    (0 itself at g = 0).  psi is taken at s m-, and at s m+ only when the
+    root lies past s m- (g > g_c = psi(m-)); the branch (s m-, s m+) is
+    still tested, since rounding next to the cusp T = 3J/4 can make it
+    bracket a root.  With g >= 0 the outer branch holds the root when no
+    earlier one does.
     """
     s = 1 if field_sign > 0 else -1
     target = s * params.coupling_g
-    # along the field, the first bracket that reaches past m = 0
-    bracket = next(br for br in _brackets(target, params)[::s] if max(s * br[0], s * br[1]) > 0.0)
-    return _root(target, params, *bracket)
+    try:
+        lo, hi = _curvature_roots(params)
+    except SpinodalUndefined:
+        return _root(target, params, -1.0, 1.0, -math.inf)
+    psi_lo = _psi(s * lo, params)  # psi(-s m-) = -psi_lo
+    f_back, f_lo = -psi_lo - target, psi_lo - target
+    if f_back < 0.0 < f_lo or f_lo < 0.0 < f_back:  # the central branch
+        return _root(target, params, -lo, lo, f_back if s > 0 else f_lo)
+    if f_lo == 0.0:  # the double root s m-, at g = g_c
+        return s * lo
+    f_hi = _psi(s * hi, params) - target
+    if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+        return _root(target, params, *((lo, hi, f_lo) if s > 0 else (-hi, -lo, f_hi)))
+    if f_hi == 0.0:
+        return s * hi
+    return _root(target, params, *((hi, 1.0, f_hi) if s > 0 else (-1.0, -hi, -math.inf)))
 
 
 def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape:

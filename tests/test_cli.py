@@ -805,6 +805,27 @@ def test_sweep_row_computes_only_what_it_keeps(tmp_path, monkeypatch):
                      "ModelParams": 1 + 3}
 
 
+def test_sweep_row_takes_psi_only_at_the_edges_it_needs(tmp_path, monkeypatch):
+    # outside the bisection loop a row takes psi once for g_c, once at m- for
+    # its rest point, and at m+ only past g_c: at most 3 calls a row, where
+    # the brackets of the full scan take psi at both edges again; none at
+    # T >= 3J/4, where g_c is undefined and no edge exists
+    calls = {"_psi": 0, "critical_coupling": 0}
+    for name in calls:
+        def counted(*a, _f=getattr(statics, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(statics, name, counted)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", "coupling_g=0.02:0.3:5", "--sweep", "temperature=0.2:0.8:4"]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 20 and calls["critical_coupling"] == 20
+    assert {r[2].split("/")[0] for r in rows} == {"registered", "failed"}
+    needed = sum(0 if gc == "None" else 2 + (float(g) > float(gc)) for g, _, _, gc, *_ in rows)
+    assert calls["_psi"] == needed <= 3 * len(rows)
+
+
 def test_sweep_requires_axis(cfg_path, tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "x")]) == 1

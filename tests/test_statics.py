@@ -300,6 +300,61 @@ def test_first_stationary_at_the_critical_coupling(T, sign):
         assert label_point(got) is label
 
 
+def edge_coupling(j, t, edge, ulps):
+    """g = |psi| at the branch edge m- or m+ of (J, T), moved by ulps ulps
+    (-1, 0 or 1); a float edge is g/J itself.  |psi(m+)|, since psi(m+) < 0
+    below T = 0.4958 J, where it is the field psi(-m+) of the edge -m+."""
+    p = ModelParams(n_spins=100000, coupling_j=j, temperature=t, gamma=1e-3)
+    if not isinstance(edge, str):
+        return edge * j
+    lo, hi = statics._curvature_roots(p)
+    g = abs(statics._psi(lo if edge == "m-" else hi, p))
+    return g if ulps == 0 else math.nextafter(g, math.inf if ulps > 0 else 0.0)
+
+
+#: T/J next to the cusp 3/4, within 1e-10 of which rounding can put psi(m+)
+#: at or above psi(m-) = g_c, so the branch (m-, m+) brackets a root past g_c
+CUSP = st.builds(lambda mantissa, exponent: 0.75 - mantissa * 10.0 ** -exponent,
+                 st.floats(1.0, 9.99), st.integers(4, 15))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.02, 0.7499) | CUSP,
+       st.sampled_from(["m-", "m+"]), st.sampled_from([-1, 0, 1]), st.sampled_from([+1, -1]))
+@example(1.0, 0.34, 0.0, 0, +1)  # g = 0: the root +0.0 in either field
+@example(1.0, 0.34, 0.0, 0, -1)
+@example(1.0, 0.34, "m-", 0, +1)  # g = g_c: the double root m-
+@example(1.0, 0.34, "m-", 0, -1)
+@example(1.0, 0.75, 0.05, 0, +1)  # T >= 3J/4: no branch edges, one root
+@example(2.5, 0.8, 0.3, 0, -1)
+@example(1.0, 0.7499999999998, "m+", -1, +1)  # g_c < g < psi(m+): the root on (m-, m+)
+@example(2.5, 0.7499999999993, "m+", -1, -1)
+@example(1.0, 0.7499999999998, "m+", 0, -1)  # g = psi(m+) > g_c: the double root -m+
+def test_first_stationary_at_the_branch_edges(j, x, edge, ulps, sign):
+    # g at psi of an inner edge, and one ulp either side, where the first
+    # rest point moves from one branch to the next.  Next to the cusp the
+    # scan can classify no root as a minimum and raise, so its roots are
+    # taken here by the generic bisect on each of its brackets
+    t = x * j
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=edge_coupling(j, t, edge, ulps),
+                    temperature=t, gamma=1e-3)
+    target = sign * p.coupling_g
+
+    def f(m):
+        return t * math.atanh(m) - j * (m * m * m) - target
+
+    below_one = math.nextafter(1.0, 0.0)
+    roots = [max(-below_one, min(below_one, statics.bisect(f, *br))) + 0.0
+             for br in statics._brackets(target, p)]
+    first = min((m for m in roots if sign * m >= 0.0), key=lambda m: sign * m)
+    assert first_stationary(sign, p).hex() == first.hex()
+    try:
+        landscape = stationary_magnetizations(sign, p)
+    except NoFerromagneticSolution:
+        return
+    assert [pt.m.hex() for pt in landscape.points] == [m.hex() for m in roots]
+
+
 def assert_roots_are_bisect(sign, p):
     """Every root of the scan and first_stationary are, to the bit, the
     generic statics.bisect of f = psi - s g on the same bracket, rounded

@@ -64,6 +64,16 @@ COMMANDS = {
                               "coupling_g": "1.3022908082884223e-299",
                               "temperature": "1.071545836260719e-307"}, ["register"]),
     "scenario_dispersed": ({"delta_g": "0.0045"}, ["scenario"]),
+    # g exactly g_c(T = 0.34), where the rest point is the double root m-,
+    # and one ulp above it, where it moves to the ferromagnetic branch
+    "statics_at_g_c": ({"coupling_g": "0.08148611226097796"}, ["statics"]),
+    "sweep_at_g_c": ({}, ["sweep", "--sweep", "coupling_g=0.08148611226097796:0.08148611226097796:1"]),
+    "statics_ulp_above_g_c": ({"coupling_g": "0.08148611226097797"}, ["statics"]),
+    "sweep_ulp_above_g_c": ({}, ["sweep", "--sweep",
+                                 "coupling_g=0.08148611226097797:0.08148611226097797:1"]),
+    # next to the cusp T = 3J/4, g across g_c(T) (0.269 at T = 0.70, 0.307 at 0.7499)
+    "sweep_near_cusp": ({}, ["sweep", "--sweep", "temperature=0.70:0.7499:5",
+                             "--sweep", "coupling_g=0.26:0.315:12"]),
 }
 
 
