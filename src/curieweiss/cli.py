@@ -13,16 +13,21 @@ Exit status: 0 completed, 1 error, 2 measurement failed (trapped sector),
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+import types
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
 from .model import ModelParams, validate_regime
 from . import output, scenario, statics
+
+if TYPE_CHECKING:  # for the annotation; build_parser imports it when it runs
+    import argparse
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
@@ -181,11 +186,38 @@ COMMANDS = {
 }
 
 
+#: one command-line flag, as argparse's add_argument takes it
+Flag = collections.namedtuple("Flag", "flag dest type default action help metavar")
+
+#: the flags every command takes; --config is required
+_COMMON_FLAGS = (
+    Flag("--config", "config", str, None, "store", "flat key = value parameter file", None),
+    Flag("--out", "out", str, None, "store", "output directory (default runs/<command>)", None),
+    Flag("--seed", "seed", int, None, "store", "override the config seed", None),
+    Flag("--margin", "margin", float, 10.0, "store",
+         "factor operationalizing 'much greater than' (default 10)", None),
+)
+#: the flags of one command alone
+_OWN_FLAGS = {
+    "collapse": (Flag("--echo-at", "echo_at", float, None, "store",
+                      "add a spin-echo run with a pi pulse at this time", None),),
+    "sweep": (Flag("--sweep", "sweep", str, [], "append",
+                   "sweep axis (repeat for a second axis)", "KEY=START:STOP:STEPS"),),
+}
+#: subcommand -> flag -> its Flag.  build_parser gives them to argparse and
+#: _exact_args reads them itself, so the two parse one table
+FLAGS = {name: {f.flag: f for f in _COMMON_FLAGS + _OWN_FLAGS.get(name, ())}
+         for name in COMMANDS}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built at the first call and then reused:
     parsing leaves it unchanged, and building it costs more than a short
-    command's own work."""
+    command's own work.  argparse is imported here, so a command that
+    :func:`_exact_args` reads loads none."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="curieweiss",
         description="Curie-Weiss measurement model: batch simulation commands",
@@ -193,27 +225,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="flat key = value parameter file")
-        p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--margin", type=float, default=10.0,
-                       help="factor operationalizing 'much greater than' (default 10)")
-        if name == "collapse":
-            p.add_argument("--echo-at", type=float, default=None,
-                           help="add a spin-echo run with a pi pulse at this time")
-        if name == "sweep":
-            p.add_argument("--sweep", action="append", default=[],
-                           metavar="KEY=START:STOP:STEPS",
-                           help="sweep axis (repeat for a second axis)")
+        for f in FLAGS[name].values():
+            p.add_argument(f.flag, dest=f.dest, type=f.type, default=f.default, action=f.action,
+                           required=f.flag == "--config", help=f.help, metavar=f.metavar)
     return parser
 
 
+def _exact_args(argv: list[str]):
+    """The arguments of an argv in the exact form: a command, then ``--flag
+    VALUE`` pairs, each flag spelled in full as one of that command's and no
+    VALUE starting with '-', --config among them.  Each VALUE goes through
+    its flag's type, a repeated --sweep appends and a repeated other flag
+    keeps its last VALUE, so where this reads a namespace it is the one
+    ``build_parser().parse_args(argv)`` gives.  Any other argv (help,
+    abbreviations, ``--flag=VALUE``, a negative number, a stray or missing
+    token, a VALUE its type rejects) gives None, and argparse decides."""
+    flags = FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    args = {"command": argv[0]}
+    for f in flags.values():
+        args[f.dest] = [] if f.action == "append" else f.default
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        f = flags.get(flag)
+        if f is None or value.startswith("-"):
+            return None
+        try:
+            value = f.type(value)
+        except ValueError:
+            return None
+        if f.action == "append":
+            args[f.dest].append(value)
+        else:
+            args[f.dest] = value
+    if args["config"] is None:
+        return None
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _exact_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    overrides = {"margin": args.margin}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     try:
-        cfg = scenario.load_run_config(args.config)
-        seed = cfg.seed if args.seed is None else args.seed
-        cfg = replace(cfg, seed=seed, margin=args.margin)
+        cfg = scenario.load_run_config(args.config, **overrides)
         out_dir = args.out if args.out is not None else os.path.join("runs", args.command)
         return COMMANDS[args.command][0](cfg, out_dir, args)
     except CurieWeissError as exc:

@@ -272,9 +272,12 @@ def params_from_mapping(mapping: dict[str, str]) -> tuple[ModelParams, SystemSta
 
 def read_config_file(path, keys) -> dict[str, str]:
     """Parse a parameter file; keys not in ``keys`` are rejected."""
+    # decoded whole, as text mode's read() decodes: a bad byte is reported at
+    # its offset in the file, and splitlines breaks at \r\n and \r as text
+    # mode's newline translation does
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 at byte {exc.start}"
         raise ConfigError(f"cannot read config file {str(path)!r}: {why}") from None

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -211,8 +211,10 @@ RUN_KEYS = {
 }
 
 
-def load_run_config(path) -> RunConfig:
-    """Read a parameter file plus optional run keys into a RunConfig.
+def load_run_config(path, **overrides) -> RunConfig:
+    """Read a parameter file plus optional run keys into a RunConfig, with
+    the fields of ``overrides`` (the command line's seed and margin) in
+    place of the file's, so that the config is built and validated once.
 
     Unknown keys are rejected, and so are non-integer counts (n_spins,
     samples, seed) rather than truncated, a negative seed and a state that
@@ -221,7 +223,7 @@ def load_run_config(path) -> RunConfig:
     mapping = read_config_file(path, CONFIG_KEYS + tuple(RUN_KEYS))
     params, state = params_from_mapping(mapping)
     run = {key: read(mapping, key) for key, read in RUN_KEYS.items() if key in mapping}
-    return RunConfig(params=params, state=state, **run)
+    return RunConfig(params=params, state=state, **{**run, **overrides})
 
 
 #: the time scales a scenario manifest always holds, None where undefined;
@@ -564,7 +566,8 @@ def write_run(report: ScenarioReport, out_dir) -> dict:
         "regime": report.regime,
         "statics": {
             **report.critical_g,
-            "stationary_points": [asdict(p) for p in report.landscape_up.points],
+            "stationary_points": [{"m": p.m, "free_energy": p.free_energy, "kind": p.kind,
+                                   "label": p.label} for p in report.landscape_up.points],
         },
     }
     for key in ("timescales", "final_state", "entropy"):

@@ -5,8 +5,9 @@ Free energy per spin in a field of sign s = +/-1:
     F_s(m) = -s*g*m - (J/4) m^4 - T S(m),
 
 with S(m) the binary mixing entropy.  Stationary points solve the
-self-consistency m = tanh((s*g + J m^3)/T); minima/maxima are separated by
-the sign of F'' = -3 J m^2 + T/(1 - m^2).  Registration's closed forms (the
+self-consistency m = tanh((s*g + J m^3)/T); a minimum is where F' goes
+from - to + in increasing m, the sign of F'' = -3 J m^2 + T/(1 - m^2) away
+from rounding.  Registration's closed forms (the
 time from the bottleneck integral past g_c, the threshold, the stop
 distance) depend on the parameters alone, so they are scalar and live here.
 """
@@ -267,22 +268,30 @@ def stationary_magnetizations(field_sign: int, params: ModelParams) -> Landscape
     """Find all solutions of m = tanh((s g + J m^3)/T) and classify them.
 
     They solve psi(m) = s g, one per bracket of :func:`_brackets`, each
-    bisected to the last bit.  F at all roots is one call of
-    :func:`free_energy` on their list, elementwise the same as one call per
-    root.
+    bisected to the last bit.  F' = psi - s g, so a simple root is a minimum
+    where F' goes from - to + across its bracket (a < b, F'(a) < 0).  The
+    sign of F'' at the root would say the same, save next to a branch edge,
+    where F'' is rounding noise: next to the cusp T = 3J/4 a root can sit
+    where F'' is -4e-13 and F' still rises across it.  Only a double root,
+    the bracket (edge, edge), is classified by the sign of F''.  F at all
+    roots is one call of :func:`free_energy` on their list, elementwise the
+    same as one call per root.
     """
     s = int(field_sign)
     target = s * params.coupling_g
-    roots = [_root(target, params, *br) for br in _brackets(target, params)]
+    brackets = _brackets(target, params)
+    roots = [_root(target, params, *br) for br in brackets]
 
     points = tuple(
         StationaryPoint(
             m=r,
             free_energy=fr,
-            kind=PointKind.MINIMUM if free_energy_curvature(r, params) > 0 else PointKind.MAXIMUM,
+            kind=(PointKind.MINIMUM
+                  if (fa < 0.0 if a != b else free_energy_curvature(r, params) > 0)
+                  else PointKind.MAXIMUM),
             label=label_point(r),
         )
-        for r, fr in zip(roots, free_energy(roots, s, params))
+        for (a, b, fa), r, fr in zip(brackets, roots, free_energy(roots, s, params))
     )
     minima = [i for i, p in enumerate(points) if p.kind is PointKind.MINIMUM]
     if not minima:

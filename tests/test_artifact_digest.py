@@ -29,6 +29,23 @@ def test_digest_lists_one_manifest_per_command(capsys):
     assert sum(line.startswith("exit 0  ") for line in lines) == len(tool.COMMANDS)
 
 
+def test_digest_twins_write_the_same_bytes(capsys):
+    # an argv that argparse parses (--flag=VALUE, an abbreviation) writes what
+    # its exact form, which the CLI reads itself, writes
+    tool = load_tool()
+    assert tool.run() == 0
+    digests = {}
+    for line in capsys.readouterr().out.splitlines():
+        digest, _, path = line.partition("  ")
+        name, _, file = path.partition("/")
+        digests.setdefault(name, {})[file] = digest
+    assert tool.TWINS
+    for name, twin in tool.TWINS.items():
+        assert name in tool.COMMANDS and twin in tool.COMMANDS
+        assert digests[name] == digests[twin]
+        assert "manifest.json" in digests[name]
+
+
 def test_digest_sweeps_a_column_of_floats_then_none(tmp_path):
     # the listing pins column()'s fallback after a partial float pass
     tool = load_tool()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from curieweiss import offdiag, output, registration, scenario, statics
+from curieweiss import cli
 from curieweiss.cli import main
 from curieweiss.model import MIN_T_OVER_J, ModelParams
 from curieweiss.statics import critical_coupling
@@ -1205,6 +1208,28 @@ def test_every_command_rejects_a_config_that_is_not_utf8(command, tmp_path, caps
     assert err.startswith(f"error: cannot read config file {str(cfg)!r}: not UTF-8")
 
 
+def test_config_read_errors_and_line_ends_are_text_modes(tmp_path, capsys):
+    # the file is read as bytes and decoded whole: a bad byte is named at its
+    # offset in the file, a directory by its strerror, and \r\n or \r end a
+    # line as text mode's newline translation has them end
+    cfg = write_cfg(tmp_path)
+    text = cfg.read_bytes()
+    cfg.write_bytes(text.replace(b"0.09", b"0.09\xff"))
+    err = run_writes_nothing("validate", cfg, tmp_path, capsys)
+    offset = text.index(b"0.09") + 4
+    assert err == f"error: cannot read config file {str(cfg)!r}: not UTF-8 at byte {offset}\n"
+    folder = tmp_path / "folder.cfg"
+    folder.mkdir()
+    err = run_writes_nothing("validate", folder, tmp_path, capsys)
+    assert err == f"error: cannot read config file {str(folder)!r}: Is a directory\n"
+    runs = {}
+    for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        cfg.write_bytes(text.replace(b"\n", end))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        runs[name] = (tmp_path / name / "manifest.json").read_bytes()
+    assert runs["crlf"] == runs["lf"] == runs["cr"]
+
+
 def test_an_output_directory_that_cannot_be_made_is_an_error(cfg_path, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
@@ -1233,3 +1258,94 @@ def test_collapse_spread_needs_two_spins(tmp_path, capsys):
     assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 1
     assert "error: a nonzero spread" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- the exact-form argv reader against argparse ---------------------------------
+
+#: every flag of every command, and every prefix of each that argparse may
+#: take as an abbreviation
+ARGV_FLAGS = sorted({flag[:k] for flags in cli.FLAGS.values() for flag in flags
+                     for k in range(3, len(flag) + 1)})
+ARGV_VALUES = ["run.cfg", "out", "5", "7.5", "1e3", "1.0", "-1", "-10", "-1e3", "nan", "",
+               "-", "--", "coupling_g=0.05:0.11:2", "temperature=0.2:0.3:2"]
+ARGV_TOKENS = st.sampled_from(
+    [*cli.COMMANDS, *ARGV_FLAGS, *ARGV_VALUES, "-h", "stray",
+     *(f"{flag}={value}" for flag in ("--config", "--seed", "--margin", "--echo-at", "--sweep")
+       for value in ("run.cfg", "5", "-1", "7.5", "coupling_g=0.05:0.11:2"))])
+
+
+@st.composite
+def argvs(draw):
+    """A command (or a stray token), flag-value pairs, --config among them or
+    not, and a few tokens inserted anywhere.  In half the draws every flag
+    is the command's own, spelled in full, and no value starts with '-', so
+    that the exact form is drawn often."""
+    first = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["-h", "stray"]))
+    own = st.sampled_from(sorted(cli.FLAGS.get(first, ["--config"])))
+    plain = st.sampled_from([v for v in ARGV_VALUES if not v.startswith("-")])
+    if draw(st.booleans()):
+        flag, value = own, st.one_of(st.sampled_from(["5", "12"]), plain)
+    else:
+        flag = st.one_of(own, st.sampled_from(ARGV_FLAGS), ARGV_TOKENS)
+        value = st.one_of(st.sampled_from(ARGV_VALUES), ARGV_TOKENS)
+    pairs = draw(st.lists(st.tuples(flag, value), max_size=4))
+    if draw(st.integers(0, 3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), ("--config", "run.cfg"))
+    argv = [first, *(token for pair in pairs for token in pair)]
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ARGV_TOKENS))
+    return argv
+
+
+def argparse_vars(argv):
+    """vars of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(deadline=None, max_examples=1500)
+@given(argvs())
+@example(["collapse", "--config", "run.cfg", "--echo-at", "-1e3"])  # an option to argparse
+@example(["collapse", "--config", "run.cfg", "--echo-at", "-1"])  # a negative number
+@example(["validate", "--config", "run.cfg", "--seed", "1e3"])
+@example(["validate", "--config", "run.cfg", "--seed", "1.0"])
+@example(["validate", "--config", "run.cfg", "--margin", "nan", "--margin", "5"])
+@example(["sweep", "--config", "run.cfg", "--sweep", "coupling_g=0.05:0.11:2",
+          "--sweep", "temperature=0.2:0.3:2", "--out", "out"])
+@example(["sweep", "--config", "run.cfg", "--out", ""])
+@example(["statics", "--config", "run.cfg", "--config", "-"])
+@example(["statics", "--conf", "run.cfg"])
+@example(["statics", "--config=run.cfg"])
+@example(["statics", "--config", "run.cfg", "--echo-at", "1"])
+@example(["statics", "--out", "out"])
+@example(["statics", "-h"])
+def test_exact_reader_gives_argparses_namespace_or_none(argv):
+    got, want = cli._exact_args(argv), argparse_vars(argv)
+    if got is not None:
+        # repr tells 5 from 5.0 and compares nan with nan
+        assert repr(sorted(vars(got).items())) == repr(sorted(want.items()))
+    if want is None:
+        assert got is None
+
+
+def test_exact_reader_reads_every_flag_in_full(tmp_path):
+    # the exact form of every flag of every command is read without argparse
+    for name, flags in cli.FLAGS.items():
+        argv = [name, *(token for flag in flags for token in (flag, "5"))]
+        got = cli._exact_args(argv)
+        assert got is not None, argv
+        assert repr(sorted(vars(got).items())) == repr(sorted(argparse_vars(argv).items()))
+
+
+def test_statics_next_to_the_cusp_finds_its_minimum(tmp_path, capsys):
+    # T = 3J/4 - 2e-13, g one ulp below the rounded psi(m+), above g_c: the
+    # one root sits where F'' = -4e-13 is rounding noise, and F' rises across it
+    cfg = write_cfg(tmp_path, temperature="0.7499999999998", coupling_g="0.3074767996712073")
+    out = tmp_path / "o"
+    assert main(["statics", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "stationary_up.csv").read_text().splitlines()[1:] == [
+        "0.7071067811865239,-0.5922905781297305,minimum,paramagnetic"]
+    assert "m_f = None" in capsys.readouterr().out

@@ -11,11 +11,13 @@ Only the array modules (offdiag, ode, registration) import numpy, at any
 level.
 The macroscopic runs, at N = 1e12 with a coupling spread, also show that no
 command holds an array of size N.
-Importing the CLI builds no argument parser: that is left to the first
-command.  hbar = 1 is fixed in the code, so no module names it outside
-docstrings and comments.  Modules meet through public names: none reaches
-a private name of another.  The package ships only what its commands, demos
-and acceptance criteria run: every public function and class, and every
+Importing the CLI builds no argument parser and loads no argparse, and
+neither does a command in the exact form (every flag spelled in full, each
+with its value): argparse parses only the other forms.  hbar = 1 is fixed
+in the code, so no module names it outside docstrings and comments.
+Modules meet through public names: none reaches a private name of another.
+The package ships only what its commands, demos and acceptance criteria
+run: every public function and class, and every
 public method and property of a public class, is used outside its own
 definition, every default parameter of a public function
 is passed by one of them, and every error class is caught by name by one of
@@ -295,7 +297,7 @@ from curieweiss.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(k for k in sys.modules
                                if k.startswith(("scipy", "numpy.random", "numpy.polynomial"))),
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules, "argparse" in sys.modules]))
 """
 
 COMMANDS = {
@@ -318,12 +320,14 @@ SCALAR_COMMANDS = {"statics", "sweep", "validate"}
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    """name -> (exit code, unwanted modules, numpy loaded) of the command of
-    COMMANDS in a fresh interpreter, run once per module."""
+    """(name, config flag) -> (exit code, unwanted modules, numpy loaded,
+    argparse loaded, {file: bytes} written) of the command of COMMANDS in a
+    fresh interpreter, with its config given by that flag, run once per
+    module."""
     runs = {}
 
-    def run(name):
-        if name not in runs:
+    def run(name, config_flag="--config"):
+        if (name, config_flag) not in runs:
             tmp_path = tmp_path_factory.mktemp(name)
             cfg = tmp_path / "run.cfg"
             text = REFERENCE_CFG.read_text()
@@ -334,20 +338,23 @@ def probe(tmp_path_factory):
             if name == "sweep_t_max":
                 text += "t_max = 100000\n"
             cfg.write_text(text)
-            argv = [*COMMANDS[name], "--config", str(cfg), "--out", str(tmp_path / "out")]
+            out = tmp_path / "out"
+            argv = [*COMMANDS[name][:1], config_flag, str(cfg), "--out", str(out),
+                    *COMMANDS[name][1:]]
             env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
             proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            runs[name] = json.loads(proc.stdout.splitlines()[-1])
-        return runs[name]
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            runs[name, config_flag] = [*json.loads(proc.stdout.splitlines()[-1]), files]
+        return runs[name, config_flag]
 
     return run
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_imports_no_scipy(name, probe):
-    code, unwanted_modules, _ = probe(name)
+    code, unwanted_modules, _, _, _ = probe(name)
     assert code == 0
     assert unwanted_modules == []
 
@@ -356,27 +363,45 @@ def test_command_imports_no_scipy(name, probe):
 def test_only_the_array_commands_load_numpy(name, probe):
     # collapse*, register, scenario* and sweep_t_max load numpy; statics,
     # validate and a sweep without t_max do not
-    code, _, numpy_loaded = probe(name)
+    code, _, numpy_loaded, _, _ = probe(name)
     assert code == 0
     assert numpy_loaded is (name not in SCALAR_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_exact_form_commands_load_no_argparse(name, probe):
+    # every flag spelled in full with its value after it: the CLI reads the
+    # argv itself, and argparse is left to every other form
+    code, _, _, argparse_loaded, _ = probe(name)
+    assert code == 0
+    assert argparse_loaded is False
+
+
+def test_an_abbreviated_flag_goes_to_argparse_and_writes_the_same_files(probe):
+    code, _, _, argparse_loaded, files = probe("statics", "--conf")
+    assert code == 0
+    assert argparse_loaded is True
+    assert files == probe("statics")[4]
+    assert "manifest.json" in files
 
 
 _IMPORT_PROBE = """
 import json, sys
 import curieweiss, curieweiss.cli
-loaded = "numpy" in sys.modules
+loaded = ["numpy" in sys.modules, "argparse" in sys.modules]
 names = {}
 exec("from curieweiss import *", names)
-print(json.dumps([loaded, sorted(set(curieweiss.__all__) - set(names))]))
+print(json.dumps([*loaded, sorted(set(curieweiss.__all__) - set(names))]))
 """
 
 
 def test_import_loads_no_numpy_and_resolves_every_export():
+    # nor argparse: the CLI imports it only for an argv it does not read itself
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, []]
+    assert json.loads(proc.stdout) == [False, False, []]
 
 
 def test_every_export_is_the_defining_modules_object():

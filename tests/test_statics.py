@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curieweiss import statics
 from curieweiss.errors import CurieWeissError, NoFerromagneticSolution, SpinodalUndefined
@@ -353,6 +354,59 @@ def test_first_stationary_at_the_branch_edges(j, x, edge, ulps, sign):
     except NoFerromagneticSolution:
         return
     assert [pt.m.hex() for pt in landscape.points] == [m.hex() for m in roots]
+
+
+def test_a_root_where_the_curvature_is_rounding_noise_is_a_minimum():
+    # T = 3J/4 - 2e-13 and g one ulp below the rounded psi(m+), above g_c:
+    # rounding puts psi(m+) above psi(m-), so the one root lies on the branch
+    # (m-, m+).  F'' there is -4e-13, rounding noise, while F' = psi - g
+    # rises across the bracket: a minimum, which the sign of F'' missed
+    p = ModelParams(n_spins=100000, coupling_g=0.3074767996712073, temperature=0.7499999999998,
+                    gamma=1e-3)
+    assert critical_coupling(p) < p.coupling_g
+    up = stationary_magnetizations(+1, p)
+    assert [(pt.m, pt.kind) for pt in up.points] == [(0.7071067811865239, PointKind.MINIMUM)]
+    assert -1e-12 < free_energy_curvature(up.points[0].m, p) < 0.0
+    assert_same_landscape(up.mirrored(), stationary_magnetizations(-1, p))
+
+
+#: a root that rounding puts on the wrong side of a branch edge m+- lies
+#: where psi is within rounding of its edge value; psi is quadratic there
+#: (cubic at the cusp), so F'' = psi' is at most of order sqrt(eps) times
+#: the scale of its terms 3 J m^2 and T / (1 - m^2)
+CURVATURE_NOISE = math.sqrt(sys.float_info.epsilon)
+#: T/J within 1e-15 to 1e-2 of the cusp 3/4
+NEAR_CUSP = st.builds(lambda mantissa, exponent: 0.75 - mantissa * 10.0 ** -exponent,
+                      st.floats(1.0, 9.99), st.integers(2, 15))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from([0.5, 1.0, 2.5, 4.0]) | st.floats(0.1, 10.0),
+       st.floats(0.02, 1.2) | NEAR_CUSP,
+       st.sampled_from(["m-", "m+"]) | st.floats(0.0, 0.6), st.sampled_from([-1, 0, 1]),
+       st.sampled_from([+1, -1]))
+@example(1.0, 0.7499999999998, "m+", -1, +1)  # F'' = -4e-13 at a minimum
+@example(1.0, 0.34, 0.05, 0, +1)  # five roots
+@example(1.0, 0.34, "m-", 0, -1)  # the double root -m-
+@example(2.5, 0.8, 0.3, 0, +1)  # T >= 3J/4: one root
+def test_sign_change_and_curvature_classify_alike_past_rounding(j, x, edge, ulps, sign):
+    # a simple root is a minimum where F' = psi - s g goes from - to +; F''
+    # says the same wherever it is larger than rounding noise.  Where no
+    # minimum is found, the scan holds a double root, classified by F''
+    t = x * j
+    assume(isinstance(edge, float) or x < 0.75)
+    p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=edge_coupling(j, t, edge, ulps),
+                    temperature=t, gamma=1e-3)
+    try:
+        points = stationary_magnetizations(sign, p).points
+    except NoFerromagneticSolution:
+        assert any(a == b for a, b, _ in statics._brackets(sign * p.coupling_g, p))
+        return
+    for pt in points:
+        curvature = free_energy_curvature(pt.m, p)
+        scale = 3.0 * j * pt.m * pt.m + t / (1.0 - pt.m * pt.m)
+        if abs(curvature) > CURVATURE_NOISE * scale:
+            assert (pt.kind is PointKind.MINIMUM) is (curvature > 0.0)
 
 
 def assert_roots_are_bisect(sign, p):

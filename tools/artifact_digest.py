@@ -74,6 +74,20 @@ COMMANDS = {
     # next to the cusp T = 3J/4, g across g_c(T) (0.269 at T = 0.70, 0.307 at 0.7499)
     "sweep_near_cusp": ({}, ["sweep", "--sweep", "temperature=0.70:0.7499:5",
                              "--sweep", "coupling_g=0.26:0.315:12"]),
+    # forms the CLI leaves to argparse: --flag=VALUE and an abbreviated flag
+    # write the same bytes as their exact twins of TWINS
+    "collapse_dispersed_echo_equals": ({"delta_g": "0.0045"}, ["collapse", "--echo-at=7.5"]),
+    "sweep_abbreviated": ({}, ["sweep", "--swe", "coupling_g=0.05:0.11:4"]),
+    # the overrides, which the config is built and validated with
+    "scenario_seed_5": ({}, ["scenario", "--seed", "5"]),
+    "validate_margin_100": ({}, ["validate", "--margin", "100"]),
+}
+
+#: command -> the command of the same argv in the exact form, whose files it
+#: writes byte for byte
+TWINS = {
+    "collapse_dispersed_echo_equals": "collapse_dispersed_echo",
+    "sweep_abbreviated": "sweep",
 }
 
 
