@@ -21,7 +21,6 @@ _EXPORTS = {
     "SystemState2x2": "model",
     "regime_valid": "model",
     "validate_regime": "model",
-    "validate_state": "model",
     "Landscape": "statics",
     "StationaryPoint": "statics",
     "critical_coupling": "statics",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, CurieWeissError
 
-#: trace and positivity tolerance of :func:`validate_state`
+#: trace and positivity tolerance of a :class:`SystemState2x2`
 STATE_TOL = 1e-12
 #: T/J must exceed 3 * 2**-52.  At the last double m below 1, 1 - m^2 is
 #: 2**-52, so below about that bound the curvature F'' = -3 J m^2 + T/(1 - m^2)
@@ -89,43 +89,30 @@ CONFIG_KEYS = tuple(f.name for f in fields(ModelParams)) + ("r_uu", "re_r_ud", "
 class SystemState2x2:
     """Initial 2x2 density matrix of the measured spin in the up/down basis.
 
-    Construction does not validate; use :func:`validate_state` to enforce
-    the density-matrix axioms.
+    Construction raises CurieWeissError on a NaN or infinite entry, a trace
+    off 1 by more than ``STATE_TOL``, or a diagonal entry or determinant
+    r_uu*r_dd - |r_ud|^2 below ``-STATE_TOL``.
     """
 
     r_uu: float
     r_dd: float
     r_ud: complex = 0j
 
+    def __post_init__(self):
+        if not all(cmath.isfinite(v) for v in (self.r_uu, self.r_dd, self.r_ud)):
+            raise CurieWeissError(f"non-finite density-matrix entry in {self}")
+        tr = self.r_uu + self.r_dd
+        if abs(tr - 1.0) > STATE_TOL:
+            raise CurieWeissError(f"trace is {tr!r}, expected 1")
+        if self.r_uu < -STATE_TOL or self.r_dd < -STATE_TOL:
+            raise CurieWeissError(f"negative diagonal entry: {self.r_uu}, {self.r_dd}")
+        det = self.r_uu * self.r_dd - abs(self.r_ud) ** 2
+        if det < -STATE_TOL:
+            raise CurieWeissError(f"negative eigenvalue: det = {det:.3e}")
+
     @classmethod
     def from_upper(cls, r_uu: float, r_ud: complex = 0j) -> "SystemState2x2":
         return cls(r_uu=r_uu, r_dd=1.0 - r_uu, r_ud=complex(r_ud))
-
-
-def validate_state(state: SystemState2x2) -> SystemState2x2:
-    """Return ``state`` unchanged iff it is a valid density matrix.
-
-    Raises CurieWeissError if an entry is NaN or infinite (NaN fails every
-    comparison below), if r_uu + r_dd differs from 1 by more than
-    ``STATE_TOL``, or if a diagonal entry or the determinant
-    r_uu*r_dd - |r_ud|^2 is below ``-STATE_TOL``.
-    """
-    if not all(cmath.isfinite(v) for v in (state.r_uu, state.r_dd, state.r_ud)):
-        raise CurieWeissError(f"non-finite density-matrix entry in {state}")
-    tr = state.r_uu + state.r_dd
-    if abs(tr - 1.0) > STATE_TOL:
-        raise CurieWeissError(f"trace is {tr!r}, expected 1")
-    if state.r_uu < -STATE_TOL or state.r_dd < -STATE_TOL:
-        raise CurieWeissError(f"negative diagonal entry: {state.r_uu}, {state.r_dd}")
-    det = state.r_uu * state.r_dd - abs(state.r_ud) ** 2
-    if det < -STATE_TOL:
-        raise CurieWeissError(f"negative eigenvalue: det = {det:.3e}")
-    return state
-
-
-def _holds(lhs: float, rhs: float, factor: float) -> bool:
-    """One inequality of the regime: strictly lhs > factor * rhs."""
-    return lhs > factor * rhs
 
 
 def check_margin(margin: float) -> None:
@@ -145,13 +132,13 @@ def _square(x: float) -> float:
 
 
 def _regime_rows(params: ModelParams, margin: float) -> tuple[tuple, ...]:
-    """The inequalities of the regime as rows (name, lhs, rhs, factor,
-    counted), in the order :func:`_overall_valid` reads them.
+    """The inequalities of the regime as rows (name, lhs, rhs, factor, role).
 
     Each ``X >> Y`` is operationalized as ``X > margin * Y``; the plain
-    inequality J > g uses factor 1.  The smallness of gamma is reported but
-    not counted: the chain hbar*Gamma >> T >> gamma*J already bounds it
-    whenever T < J (hbar = 1).
+    inequality J > g uses factor 1.  Every row of role "all" must hold, and
+    one of role "any" (off-diagonal suppression by bath or dispersion).  The
+    smallness of gamma, role None, is reported but not counted: the chain
+    hbar*Gamma >> T >> gamma*J already bounds it whenever T < J (hbar = 1).
     Raises ConfigError for a margin that is not positive and finite.
     """
     check_margin(margin)
@@ -164,30 +151,22 @@ def _regime_rows(params: ModelParams, margin: float) -> tuple[tuple, ...]:
     disp_rhs = _square(g / dg) if dg > 0 else math.inf
 
     return (
-        ("n_large", n, 1.0, margin, True),
-        ("n_vs_bath", n, bath_rhs, margin, True),
-        ("n_vs_dispersion", n, disp_rhs, margin, True),
-        ("cutoff_vs_temperature", hg, t, margin, True),
-        ("temperature_vs_gamma_j", t, params.gamma * j, margin, True),
-        ("cutoff_vs_j", hg, j, margin, True),
-        ("j_vs_g", j, g, 1.0, True),
-        ("gamma_small", 1.0, params.gamma, margin, False),
+        ("n_large", n, 1.0, margin, "all"),
+        ("n_vs_bath", n, bath_rhs, margin, "any"),
+        ("n_vs_dispersion", n, disp_rhs, margin, "any"),
+        ("cutoff_vs_temperature", hg, t, margin, "all"),
+        ("temperature_vs_gamma_j", t, params.gamma * j, margin, "all"),
+        ("cutoff_vs_j", hg, j, margin, "all"),
+        ("j_vs_g", j, g, 1.0, "all"),
+        ("gamma_small", 1.0, params.gamma, margin, None),
     )
-
-
-def _overall_valid(passed) -> bool:
-    """The regime's verdict from the passed flags of :func:`_regime_rows`, in
-    its order: every counted check holds, except that the off-diagonal
-    suppression needs only one of its two branches (bath or coupling
-    dispersion)."""
-    n_large, bath, dispersion, *chain, _gamma_small = passed
-    return n_large and (bath or dispersion) and all(chain)
 
 
 def validate_regime(params: ModelParams, margin: float = 10.0) -> dict:
     """The regime report a manifest writes: each inequality of
     :func:`_regime_rows` as a check {name, lhs, rhs, required_factor,
-    passed, margin_ratio, counted}, then overall_valid and the margin.
+    passed, margin_ratio, counted}, counted where its row has a role, then
+    :func:`regime_valid`'s verdict as overall_valid, and the margin.
 
     margin_ratio is lhs / (required_factor * rhs), > 1 where the check
     passes; where that denominator is 0 (rhs = 0, or a subnormal rhs that
@@ -195,25 +174,30 @@ def validate_regime(params: ModelParams, margin: float = 10.0) -> dict:
     Raises ConfigError for a margin that is not positive and finite.
     """
     checks = []
-    for name, lhs, rhs, factor, counted in _regime_rows(params, margin):
+    for name, lhs, rhs, factor, role in _regime_rows(params, margin):
         scale = factor * rhs
         checks.append({
             "name": name, "lhs": lhs, "rhs": rhs, "required_factor": factor,
-            "passed": _holds(lhs, rhs, factor),
+            "passed": lhs > scale,
             "margin_ratio": lhs / scale if scale else (math.inf if lhs > 0 else 0.0),
-            "counted": counted,
+            "counted": role is not None,
         })
-    return {"checks": checks, "overall_valid": _overall_valid(c["passed"] for c in checks),
-            "margin": margin}
+    return {"checks": checks, "overall_valid": regime_valid(params, margin), "margin": margin}
 
 
 def regime_valid(params: ModelParams, margin: float) -> bool:
-    """``validate_regime(params, margin)["overall_valid"]``, from the same
-    rows and verdict, without building the report: the sweep's per-point test.
+    """The regime's verdict, whatever the order of :func:`_regime_rows`:
+    every "all" row holds, and one "any" row does.  The sweep's per-point
+    test, without the report.
     Raises ConfigError for a margin that is not positive and finite.
     """
-    return _overall_valid([_holds(lhs, rhs, factor)
-                           for _, lhs, rhs, factor, _ in _regime_rows(params, margin)])
+    suppressed = False
+    for _, lhs, rhs, factor, role in _regime_rows(params, margin):
+        if lhs > factor * rhs:
+            suppressed = suppressed or role == "any"
+        elif role == "all":
+            return False
+    return suppressed
 
 
 # --- flat key = value configuration files ---------------------------------

@@ -182,17 +182,15 @@ def log_cos_product(times, couplings: Couplings):
 
     Each (value, multiplicity) pair adds its multiplicity times log|cos|, so
     magnitudes far below the float underflow threshold stay exact as logs,
-    and a multiplicity may be any Python int.  The sign is 0 where a factor
-    vanishes exactly (the log is then -inf), else (-1) to the number of
-    negative factors.
+    and a multiplicity may be any Python int.  No factor vanishes (|cos| >=
+    4.7e-19 at a finite double); the sign is 0 where a multiplicity overflows
+    the log to -inf, else (-1) to the number of negative factors.
     """
     times = np.asarray(times, dtype=float)
     logmag, sign = np.zeros_like(times), np.ones_like(times)
     for g, n in couplings:
         c = np.cos(times * (2.0 * g))
-        zero = c == 0.0
-        log_abs = np.asarray(_libm_log(np.where(zero, 1.0, np.abs(c))), dtype=float)
-        logmag = logmag + n * np.where(zero, -math.inf, log_abs)
+        logmag = logmag + n * np.asarray(_libm_log(np.abs(c)), dtype=float)
         if n % 2:
             sign = np.where(c < 0.0, -sign, sign)
     return logmag, np.where(logmag == -math.inf, 0.0, sign)

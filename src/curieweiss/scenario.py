@@ -40,7 +40,6 @@ from .model import (
     read_config_file,
     regime_valid,
     validate_regime,
-    validate_state,
 )
 from . import output, statics
 
@@ -99,7 +98,6 @@ def assemble_final_state(
     """
     from . import registration
 
-    validate_state(state)
     if sector_up.terminal is not registration.TerminalKind.CONVERGED_FERRO:
         raise MeasurementFailed(
             f"sector +1 ended {sector_up.terminal.value} at m = {sector_up.m_final:.4f}"
@@ -156,11 +154,12 @@ def entropy_budget(state: SystemState2x2, params: ModelParams, final_state: dict
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Model, initial state and run keys; construction rejects a state that
-    is not a density matrix, a negative seed, an unknown spacing, fewer than
-    two samples, a t_max or margin that is not positive and finite, and the
-    bath switched on at gamma = 0.  The coupling spread has no switch: the
-    collapse is dispersed exactly when delta_g > 0."""
+    """Model, initial state and run keys; construction rejects a negative
+    seed, an unknown spacing, fewer than two samples, a t_max or margin that
+    is not positive and finite, and the bath switched on at gamma = 0 (the
+    state has rejected itself if it is not a density matrix).  The coupling
+    spread has no switch: the collapse is dispersed exactly when
+    delta_g > 0."""
 
     params: ModelParams
     state: SystemState2x2
@@ -172,7 +171,6 @@ class RunConfig:
     margin: float = 10.0
 
     def __post_init__(self):
-        validate_state(self.state)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bath and self.params.gamma == 0:

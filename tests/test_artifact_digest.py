@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import re
 from pathlib import Path
 
@@ -58,3 +59,19 @@ def test_digest_sweeps_a_column_of_floats_then_none(tmp_path):
     for name in ("critical_g", "tau_reg"):
         cells = [row[header.index(name)] for row in rows]
         assert cells[0] == fmt(float(cells[0])) and "None" in cells
+
+
+def test_digest_validates_each_suppression_branch(tmp_path):
+    # the listing pins the verdict where the coupling spread alone suppresses
+    # the off-diagonal blocks, and where neither it nor the bath does
+    tool = load_tool()
+    for name, verdict in (("validate_dispersion_only", True), ("validate_no_suppression", False)):
+        changes, args = tool.COMMANDS[name]
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        tool._config(cfg, changes)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args[:1], "--config", str(cfg), "--out", str(out), *args[1:]]) == 0
+        regime = json.loads((out / "manifest.json").read_text())["regime"]
+        failed = {c["name"] for c in regime["checks"] if not c["passed"]}
+        assert failed == {"n_vs_bath"} | ({"n_vs_dispersion"} if not verdict else set())
+        assert regime["overall_valid"] is verdict

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 from dataclasses import fields
@@ -6,6 +7,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from curieweiss import model
 from curieweiss.errors import ConfigError, CurieWeissError
 from curieweiss.model import (
     CONFIG_KEYS,
@@ -15,9 +17,15 @@ from curieweiss.model import (
     read_config_mapping,
     regime_valid,
     validate_regime,
-    validate_state,
 )
-from curieweiss.scenario import load_run_config
+from curieweiss.scenario import (
+    RunConfig,
+    assemble_final_state,
+    dephased_entropy,
+    entropy_budget,
+    load_run_config,
+    state_entropy,
+)
 from curieweiss.statics import free_energy_curvature, stationary_magnetizations
 
 REF = dict(
@@ -115,38 +123,38 @@ def test_delta_g_unconstrained_when_g_zero():
 
 
 def test_validate_state_pure_eigenstate():
-    validate_state(SystemState2x2(1.0, 0.0, 0j))
+    SystemState2x2(1.0, 0.0, 0j)
 
 
 def test_validate_state_pure_superposition_boundary():
-    validate_state(SystemState2x2(0.5, 0.5, 0.5 + 0j))
+    SystemState2x2(0.5, 0.5, 0.5 + 0j)
 
 
 def test_validate_state_positivity_violation():
     with pytest.raises(CurieWeissError, match="negative eigenvalue: det = "):
-        validate_state(SystemState2x2(0.5, 0.5, 0.6 + 0j))
+        SystemState2x2(0.5, 0.5, 0.6 + 0j)
 
 
 def test_validate_state_trace_violation():
     with pytest.raises(CurieWeissError, match=r"trace is 1\.1, expected 1"):
-        validate_state(SystemState2x2(0.6, 0.5, 0j))
+        SystemState2x2(0.6, 0.5, 0j)
 
 
 @pytest.mark.parametrize(
-    "state",
+    "state",  # the entries; the state is built in the test, where it raises
     [
-        SystemState2x2(float("nan"), 0.5, 0j),   # NaN fails every comparison
-        SystemState2x2(0.5, float("nan"), 0j),
-        SystemState2x2(0.5, 0.5, complex(float("nan"), 0.0)),
-        SystemState2x2(0.5, 0.5, complex(0.0, float("inf"))),
+        (float("nan"), 0.5, 0j),   # NaN fails every comparison
+        (0.5, float("nan"), 0j),
+        (0.5, 0.5, complex(float("nan"), 0.0)),
+        (0.5, 0.5, complex(0.0, float("inf"))),
     ],
 )
 def test_validate_state_rejects_non_finite(state):
     with pytest.raises(CurieWeissError, match="non-finite density-matrix entry in "):
-        validate_state(state)
+        SystemState2x2(*state)
 
 
-#: the start of each of validate_state's rejections
+#: the start of each of the state's rejections
 STATE_ERRORS = ("^(non-finite density-matrix entry|trace is|negative diagonal entry"
                 "|negative eigenvalue)")
 NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(0.0, math.nan),
@@ -159,23 +167,68 @@ NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(0.0, math
        rho=st.floats(0.0, 2.0), phase=st.floats(0.0, 2.0 * math.pi),
        poison=st.sampled_from([0j] * 8 + list(NON_FINITE)))
 def test_validate_state_accepts_exactly_density_matrices(r_uu, trace_offset, rho, phase, poison):
-    # accepted iff finite, trace 1 and positive semidefinite, within tol = 1e-12;
+    # built iff finite, trace 1 and positive semidefinite, within tol = 1e-12;
     # states within 1e-9 of the positivity edge are left out as ambiguous.
     # rho scales |r_ud| against the largest value sqrt(r_uu r_dd) positivity
     # allows; poison puts a non-finite value into r_uu (real) or r_ud (imag)
     radius = rho * math.sqrt(abs(r_uu * (1.0 - r_uu)))
-    state = SystemState2x2(r_uu + poison.real, 1.0 - r_uu + trace_offset,
-                           radius * complex(math.cos(phase), math.sin(phase)) + 1j * poison.imag)
+    entries = (r_uu + poison.real, 1.0 - r_uu + trace_offset,
+               radius * complex(math.cos(phase), math.sin(phase)) + 1j * poison.imag)
     finite = poison == 0
     if finite:
-        lam_min = 0.5 * (state.r_uu + state.r_dd) - math.hypot(
-            0.5 * (state.r_uu - state.r_dd), abs(state.r_ud))
+        uu, dd, ud = entries
+        lam_min = 0.5 * (uu + dd) - math.hypot(0.5 * (uu - dd), abs(ud))
         assume(abs(lam_min) > 1e-9)
     if finite and abs(trace_offset) < 1e-12 and lam_min > 0:
-        assert validate_state(state) is state
+        state = SystemState2x2(*entries)
+        assert (state.r_uu, state.r_dd, state.r_ud) == entries
     else:
         with pytest.raises(CurieWeissError, match=STATE_ERRORS):
-            validate_state(state)
+            SystemState2x2(*entries)
+
+
+#: a state of each rejection class: its entries, and its message.  Unchecked,
+#: the last two would have a negative entropy (state_entropy -0.21879 and
+#: -0.10484 nats)
+STATE_REJECTIONS = {
+    "non_finite": ((math.nan, 0.5, 0j), r"non-finite density-matrix entry in "
+                                        r"SystemState2x2\(r_uu=nan, r_dd=0\.5, r_ud=0j\)"),
+    "trace": ((0.6, 0.5, 0j), r"trace is 1\.1, expected 1"),
+    "diagonal": ((1.2, -0.2, 0j), r"negative diagonal entry: 1\.2, -0\.2"),
+    "determinant": ((0.5, 0.5, 0.6 + 0j), r"negative eigenvalue: det = -1\.100e-01"),
+}
+
+
+@pytest.mark.parametrize("name", STATE_REJECTIONS)
+def test_no_consumer_is_handed_a_state_that_is_not_a_density_matrix(name):
+    # each public function that takes a state gets none: building it raises,
+    # in the state's own check, before the consumer is called
+    entries, message = STATE_REJECTIONS[name]
+    params = ModelParams(**REF)
+    consumers = {
+        "state_entropy": state_entropy,
+        "dephased_entropy": dephased_entropy,
+        "entropy_budget": lambda state: entropy_budget(state, params, {"branches": []}),
+        "assemble_final_state": lambda state: assemble_final_state(state, params, None, None),
+        "RunConfig": lambda state: RunConfig(params=params, state=state),
+    }
+    for consumer, consume in consumers.items():
+        with pytest.raises(CurieWeissError, match=f"^{message}$") as info:
+            consume(SystemState2x2(*entries))
+        raised_in = info.traceback[-1]
+        assert (raised_in.path.name, raised_in.name) == ("model.py", "__post_init__"), consumer
+
+
+@pytest.mark.parametrize("r_uu, r_ud, message", [
+    (math.nan, 0j, "non-finite density-matrix entry"),
+    (1e17, 0j, r"trace is 0\.0, expected 1"),   # 1 - 1e17 rounds to -1e17
+    (1.2, 0j, "negative diagonal entry"),
+    (0.5, 0.6, "negative eigenvalue"),
+])
+def test_from_upper_builds_a_checked_state(r_uu, r_ud, message):
+    with pytest.raises(CurieWeissError, match=f"^{message}"):
+        SystemState2x2.from_upper(r_uu, r_ud)
+    assert SystemState2x2.from_upper(0.3, 0.2j) == SystemState2x2(0.3, 0.7, 0.2j)
 
 
 def check(report, name):
@@ -309,6 +362,44 @@ def test_regime_tie_alone_fails_its_check(name, changes, margin):
     assert failed - {"n_vs_bath", "n_vs_dispersion"} <= {name}
     assert name in failed
     assert report["overall_valid"] is not tied["counted"]
+
+
+#: configs on each branch of the verdict: changes to REF, the checks that
+#: fail at margin 10, and the verdict
+VERDICTS = {
+    "n_large_fails": (dict(n_spins=10), {"n_large", "n_vs_dispersion"}, False),
+    "only_bath": ({}, {"n_vs_dispersion"}, True),
+    "only_dispersion": (dict(gamma=1e-10, delta_g=0.0045), {"n_vs_bath"}, True),
+    "no_suppression": (dict(gamma=1e-10), {"n_vs_bath", "n_vs_dispersion"}, False),
+    "chain_row_fails": (dict(debye_cutoff=10.0), {"cutoff_vs_j", "n_vs_dispersion"}, False),
+    "only_gamma_small_fails": (dict(gamma=0.1, temperature=2.0, delta_g=0.0045),
+                               {"gamma_small"}, True),
+}
+
+
+def reorderings(rows):
+    """rows reversed, shuffled, and with a failing uncounted row at each place."""
+    yield rows[::-1]
+    for seed in range(16):
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        yield tuple(shuffled)
+    uncounted = ("uncounted", 0.0, 1.0, 1.0, None)
+    for i in range(len(rows) + 1):
+        yield rows[:i] + (uncounted,) + rows[i:]
+
+
+@pytest.mark.parametrize("name", VERDICTS)
+def test_regime_verdict_does_not_depend_on_row_order(monkeypatch, name):
+    changes, failing, verdict = VERDICTS[name]
+    p = ModelParams(**{**REF, **changes})
+    report = validate_regime(p)
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+    assert report["overall_valid"] is regime_valid(p, 10.0) is verdict
+    for rows in reorderings(model._regime_rows(p, 10.0)):
+        monkeypatch.setattr(model, "_regime_rows", lambda params, margin, rows=rows: rows)
+        assert validate_regime(p)["overall_valid"] is verdict, rows
+        assert regime_valid(p, 10.0) is verdict, rows
 
 
 def test_regime_deterministic():

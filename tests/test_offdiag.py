@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -446,6 +447,46 @@ def test_log_cos_product_sign_at_a_multiplicity_beyond_int64(n):
     logmag, sign = log_cos_product(times, ((0.09, n),))
     assert sign.tolist() == (np.sign(c) if n % 2 else np.ones_like(c)).tolist()
     assert logmag.tolist() == pytest.approx((n * np.log(np.abs(c))).tolist(), rel=1e-15, abs=0.0)
+
+
+def doubles_nearest_the_zeros_of_cos():
+    """The double of least |cos| (6381956970095103 * 2**797), and the three
+    doubles on each side of fl((2k + 1) pi/2), which hold the nearest double
+    to each zero, for small and large k."""
+    out = [6381956970095103 * 2.0**797]
+    for k in [*range(200), 10**6, 10**9, 10**12, 2**40, 10**15]:
+        below = above = (2 * k + 1) * math.pi / 2
+        out.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**5, 10**5 + 1, 2**70, 2**70 + 1])
+def test_log_cos_product_at_the_doubles_nearest_the_zeros_of_cos(n):
+    # cos vanishes at no double, so every log is finite, n log|cos| to the
+    # bit, and the sign that of cos^n; at g = 0.5 the argument 2 g t is t
+    times = doubles_nearest_the_zeros_of_cos()
+    c = np.cos(times)
+    assert np.min(np.abs(c)) == abs(math.cos(6381956970095103 * 2.0**797)) > 4.6e-19
+    logmag, sign = log_cos_product(times, ((0.5, n),))
+    assert np.all(np.isfinite(logmag))
+    assert logmag.tolist() == [n * math.log(abs(x)) for x in c.tolist()]
+    assert sign.tolist() == (np.sign(c) if n % 2 else np.ones_like(c)).tolist()
+
+
+@pytest.mark.parametrize("n", [int(sys.float_info.max), int(sys.float_info.max) + 1])
+def test_log_cos_product_sign_is_zero_where_the_log_overflows(n):
+    # n log|cos| overflows to -inf at a multiplicity near the largest double
+    # where |cos| < 1/e: the product is 0 there, of either parity and of
+    # either sign of cos; at t = 0 it is 1
+    times = np.array([0.0, 1.3, 1.5, 4.7])
+    assert np.cos(times).tolist()[3] < 0.0
+    with np.errstate(over="ignore"):
+        logmag, sign = log_cos_product(times, ((0.5, n),))
+    assert logmag.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+    assert sign.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 @settings(deadline=None, max_examples=60)

@@ -81,6 +81,12 @@ COMMANDS = {
     # the overrides, which the config is built and validated with
     "scenario_seed_5": ({}, ["scenario", "--seed", "5"]),
     "validate_margin_100": ({}, ["validate", "--margin", "100"]),
+    # the regime's suppression branches: the coupling spread alone, then
+    # neither it nor the bath
+    "validate_dispersion_only": ({"gamma": "1e-10", "delta_g": "0.0045"}, ["validate"]),
+    "validate_no_suppression": ({"gamma": "1e-10", "delta_g": "0"}, ["validate"]),
+    # an eigenstate of the measured spin: one branch, no off-diagonal block
+    "scenario_eigenstate": ({"r_uu": "1", "re_r_ud": "0"}, ["scenario"]),
 }
 
 #: command -> the command of the same argv in the exact form, whose files it
