@@ -19,15 +19,10 @@ import math
 import os
 import sys
 import types
-from dataclasses import fields
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, CurieWeissError, NoFerromagneticSolution
 from .model import ModelParams, validate_regime
 from . import output, scenario, statics
-
-if TYPE_CHECKING:  # for the annotation; build_parser imports it when it runs
-    import argparse
 
 _EXIT = {"completed": 0, "error": 1, "measurement_failed": 2, "not_a_measurement": 3}
 
@@ -143,7 +138,7 @@ def _parse_sweep_axis(spec: str):
         raise ConfigError("sweep needs at least one step")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"bad sweep axis {spec!r}: START and STOP must be finite")
-    keys = tuple(f.name for f in fields(ModelParams))
+    keys = ModelParams._fields
     if key not in keys:
         raise ConfigError(f"cannot sweep {key!r}; choose one of {keys}")
     return key, _linspace(start, stop, steps)

@@ -9,9 +9,9 @@ it.  J stays a parameter (``coupling_j``).
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from .errors import ConfigError, CurieWeissError
 
@@ -23,8 +23,41 @@ STATE_TOL = 1e-12
 MIN_T_OVER_J = 3.0 * 2.0**-52
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class Record(tuple):
+    """Base of the value classes, ``class R(Record, namedtuple("R", fields))``
+    with empty ``__slots__`` and any checks in ``__new__``: a record equals
+    only a record of its own type, does not unpack, and ``_replace``,
+    ``_make``, pickle and ``copy`` build it through the constructor, which
+    checks again."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        # False, not NotImplemented: a tuple's own == would compare the fields
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's compares bare tuples
+    __hash__ = tuple.__hash__
+
+    def __iter__(self):
+        raise TypeError(f"cannot unpack a {type(self).__name__}")
+
+    def __reduce__(self):  # for pickle and copy; tuple's reduction would unpack
+        return type(self), self[:]
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    @classmethod
+    def _make(cls, values):  # namedtuple's would build the tuple unchecked
+        return cls(*values)
+
+
+class ModelParams(Record, collections.namedtuple(
+        "ModelParams", "n_spins coupling_j coupling_g delta_g temperature gamma debye_cutoff")):
     """All couplings, sizes and temperatures of the spin + magnet + bath model.
 
     Attributes
@@ -46,47 +79,42 @@ class ModelParams:
         Bath frequency cutoff (units of energy/hbar).
     """
 
-    n_spins: int
-    coupling_j: float = 1.0
-    coupling_g: float = 0.0
-    delta_g: float = 0.0
-    temperature: float = 0.34
-    gamma: float = 0.0
-    debye_cutoff: float = 50.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_spins: int, coupling_j: float = 1.0, coupling_g: float = 0.0,
+                delta_g: float = 0.0, temperature: float = 0.34, gamma: float = 0.0,
+                debye_cutoff: float = 50.0):
         # range first, so that int() never sees a NaN or an infinity
-        if not 1 <= self.n_spins < math.inf or int(self.n_spins) != self.n_spins:
-            raise ConfigError(f"n_spins must be a positive integer, got {self.n_spins}")
-        if self.n_spins > sys.float_info.max:  # no echo: str() of a huge int can raise
+        if not 1 <= n_spins < math.inf or int(n_spins) != n_spins:
+            raise ConfigError(f"n_spins must be a positive integer, got {n_spins}")
+        if n_spins > sys.float_info.max:  # no echo: str() of a huge int can raise
             raise ConfigError("n_spins must be at most the largest double, "
                               f"{sys.float_info.max!r}")
-        object.__setattr__(self, "n_spins", int(self.n_spins))
+        self = tuple.__new__(cls, (int(n_spins), coupling_j, coupling_g, delta_g, temperature,
+                                   gamma, debye_cutoff))
         for name in ("coupling_j", "temperature", "debye_cutoff"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if self.temperature / self.coupling_j <= MIN_T_OVER_J:
+        if temperature / coupling_j <= MIN_T_OVER_J:
             raise ConfigError(f"temperature / coupling_j must exceed {MIN_T_OVER_J!r}, "
-                              f"got {self.temperature / self.coupling_j!r}")
+                              f"got {temperature / coupling_j!r}")
         for name in ("coupling_g", "delta_g", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be non-negative and finite, got {v}")
         # delta_g < g unless the measurement coupling is absent entirely
-        if self.coupling_g > 0 and self.delta_g >= self.coupling_g:
-            raise ConfigError(
-                f"delta_g = {self.delta_g} must be smaller than coupling_g = {self.coupling_g}"
-            )
+        if coupling_g > 0 and delta_g >= coupling_g:
+            raise ConfigError(f"delta_g = {delta_g} must be smaller than coupling_g = {coupling_g}")
+        return self
 
 
 #: keys accepted in a flat ``key = value`` parameter file, in canonical order:
 #: the fields of ModelParams, then the initial state of the measured spin
-CONFIG_KEYS = tuple(f.name for f in fields(ModelParams)) + ("r_uu", "re_r_ud", "im_r_ud")
+CONFIG_KEYS = ModelParams._fields + ("r_uu", "re_r_ud", "im_r_ud")
 
 
-@dataclass(frozen=True)
-class SystemState2x2:
+class SystemState2x2(Record, collections.namedtuple("SystemState2x2", "r_uu r_dd r_ud")):
     """Initial 2x2 density matrix of the measured spin in the up/down basis.
 
     Construction raises CurieWeissError on a NaN or infinite entry, a trace
@@ -94,21 +122,21 @@ class SystemState2x2:
     r_uu*r_dd - |r_ud|^2 below ``-STATE_TOL``.
     """
 
-    r_uu: float
-    r_dd: float
-    r_ud: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(cmath.isfinite(v) for v in (self.r_uu, self.r_dd, self.r_ud)):
+    def __new__(cls, r_uu: float, r_dd: float, r_ud: complex = 0j):
+        self = tuple.__new__(cls, (r_uu, r_dd, r_ud))
+        if not all(cmath.isfinite(v) for v in (r_uu, r_dd, r_ud)):
             raise CurieWeissError(f"non-finite density-matrix entry in {self}")
-        tr = self.r_uu + self.r_dd
+        tr = r_uu + r_dd
         if abs(tr - 1.0) > STATE_TOL:
             raise CurieWeissError(f"trace is {tr!r}, expected 1")
-        if self.r_uu < -STATE_TOL or self.r_dd < -STATE_TOL:
-            raise CurieWeissError(f"negative diagonal entry: {self.r_uu}, {self.r_dd}")
-        det = self.r_uu * self.r_dd - abs(self.r_ud) ** 2
+        if r_uu < -STATE_TOL or r_dd < -STATE_TOL:
+            raise CurieWeissError(f"negative diagonal entry: {r_uu}, {r_dd}")
+        det = r_uu * r_dd - abs(r_ud) ** 2
         if det < -STATE_TOL:
             raise CurieWeissError(f"negative eigenvalue: det = {det:.3e}")
+        return self
 
     @classmethod
     def from_upper(cls, r_uu: float, r_ud: complex = 0j) -> "SystemState2x2":
@@ -245,8 +273,8 @@ def get_int(mapping: dict[str, str], key: str) -> int:
 def params_from_mapping(mapping: dict[str, str]) -> tuple[ModelParams, SystemState2x2]:
     """Build (ModelParams, SystemState2x2) from a parsed config mapping."""
     params = ModelParams(**{
-        f.name: (get_int if f.name == "n_spins" else get_float)(mapping, f.name)
-        for f in fields(ModelParams)
+        name: (get_int if name == "n_spins" else get_float)(mapping, name)
+        for name in ModelParams._fields
     })
     r_uu = get_float(mapping, "r_uu")
     r_ud = complex(get_float(mapping, "re_r_ud"), get_float(mapping, "im_r_ud"))

@@ -15,14 +15,14 @@ magnitudes far below the float underflow threshold remain exact as logs.
 
 from __future__ import annotations
 
+import collections
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CurieWeissError
-from .model import ModelParams
+from .model import ModelParams, Record
 
 _LOG10 = math.log(10.0)
 
@@ -188,11 +188,12 @@ def log_cos_product(times, couplings: Couplings):
     """
     times = np.asarray(times, dtype=float)
     logmag, sign = np.zeros_like(times), np.ones_like(times)
-    for g, n in couplings:
-        c = np.cos(times * (2.0 * g))
-        logmag = logmag + n * np.asarray(_libm_log(np.abs(c)), dtype=float)
-        if n % 2:
-            sign = np.where(c < 0.0, -sign, sign)
+    with np.errstate(over="ignore"):  # -inf is the model's value: a factor of 0
+        for g, n in couplings:
+            c = np.cos(times * (2.0 * g))
+            logmag = logmag + n * np.asarray(_libm_log(np.abs(c)), dtype=float)
+            if n % 2:
+                sign = np.where(c < 0.0, -sign, sign)
     return logmag, np.where(logmag == -math.inf, 0.0, sign)
 
 
@@ -217,9 +218,11 @@ def envelope(t, couplings: Couplings, r0: complex):
 # --- assembled trajectory ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OffDiagTrajectory:
-    """Time series of the off-diagonal amplitude with its damping factors.
+class OffDiagTrajectory(Record, collections.namedtuple(
+        "OffDiagTrajectory",
+        "times amplitude log10_abs osc_factor bath_factor dispersion_factor")):
+    """Time series of the off-diagonal amplitude with its damping factors,
+    each a read-only array.
 
     ``amplitude`` may underflow to zero in linear representation; the exact
     magnitude is always available as ``log10_abs`` (base-10 log, -inf only
@@ -229,17 +232,13 @@ class OffDiagTrajectory:
     of the uniform factor the linear dispersion column is capped at e^700.
     """
 
-    times: np.ndarray
-    amplitude: np.ndarray
-    log10_abs: np.ndarray
-    osc_factor: np.ndarray
-    bath_factor: np.ndarray
-    dispersion_factor: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("times", "amplitude", "log10_abs", "osc_factor",
-                     "bath_factor", "dispersion_factor"):
-            getattr(self, name).setflags(write=False)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for array in self[:]:
+            array.setflags(write=False)
+        return self
 
 
 def time_grid(spacing: str, samples: int, t_hi: float) -> np.ndarray:
@@ -265,10 +264,12 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
     n = params.n_spins
     uniform = ((params.coupling_g, n),)
     log_osc, sign_osc = log_cos_product(times, uniform)
-    if couplings == uniform:
-        log_total, sign_total = log_osc, sign_osc  # the same product
+    if couplings == uniform:  # the same product: no spread, so a factor of 1
+        log_total, sign_total = log_osc, sign_osc
+        dispersion = np.ones_like(times)
     else:
         log_total, sign_total = log_cos_product(times, couplings)
+        dispersion = _linear(log_total - log_osc, sign_total * sign_osc)
 
     if include_bath:
         with np.errstate(over="ignore"):  # -inf is the model's value: a bath factor of 0
@@ -276,14 +277,15 @@ def offdiag_trajectory(params: ModelParams, r0: complex, times: np.ndarray,
     else:
         log_bath = np.zeros_like(times)
 
-    log_amp = log_total + log_bath
+    with np.errstate(over="ignore"):  # as above: two huge logs sum to -inf
+        log_amp = log_total + log_bath
     return OffDiagTrajectory(
         times=times,
         amplitude=r0 * _linear(log_amp, sign_total),
         log10_abs=_log10_abs(log_amp, r0),
         osc_factor=_linear(log_osc, sign_osc),
         bath_factor=np.exp(log_bath),
-        dispersion_factor=_linear(log_total - log_osc, sign_total * sign_osc),
+        dispersion_factor=dispersion,
     )
 
 

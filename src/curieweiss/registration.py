@@ -16,14 +16,14 @@ at t_max and reads it at a threshold; :mod:`ode` takes the quadrature, and
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CurieWeissError, InsufficientTail
-from .model import ModelParams
+from .model import ModelParams, Record
 from . import ode, statics
 
 #: geometric nodes per decade of distance to the attractor
@@ -38,25 +38,20 @@ class TerminalKind(enum.Enum):
     MAX_TIME_REACHED = "max_time_reached"
 
 
-@dataclass(frozen=True)
-class MagnetizationTrajectory:
-    field_sign: int
-    times: np.ndarray
-    m: np.ndarray
-    #: dm/dt at each m, from :func:`flow_rate`
-    rate: np.ndarray
-    #: conserved sector weight; the flow does not change it, so it stays 1
-    zeta0: np.ndarray
-    terminal: TerminalKind
-    #: stationary point the flow is heading to (:func:`statics.first_stationary`,
-    #: or 0 where the rate at m = 0 vanishes)
-    attractor: float
+class MagnetizationTrajectory(Record, collections.namedtuple(
+        "MagnetizationTrajectory", "field_sign times m rate zeta0 terminal attractor")):
+    """One sector's flow.  Read-only arrays of the times, m, its rate (from
+    :func:`flow_rate`) and the sector weight zeta0, which the flow conserves
+    at 1; attractor is the stationary point the flow is heading to
+    (:func:`statics.first_stationary`, or 0 where the rate at m = 0 vanishes)."""
 
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.m.setflags(write=False)
-        self.rate.setflags(write=False)
-        self.zeta0.setflags(write=False)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for array in (self.times, self.m, self.rate, self.zeta0):
+            array.setflags(write=False)
+        return self
 
     @property
     def m_final(self) -> float:

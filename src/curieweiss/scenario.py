@@ -19,8 +19,6 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -32,6 +30,7 @@ from .errors import (
 from .model import (
     CONFIG_KEYS,
     ModelParams,
+    Record,
     SystemState2x2,
     check_margin,
     get_float,
@@ -42,9 +41,6 @@ from .model import (
     validate_regime,
 )
 from . import output, statics
-
-if TYPE_CHECKING:  # for the annotations; the stages import them when they run
-    from . import offdiag, registration
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
@@ -152,36 +148,33 @@ def entropy_budget(state: SystemState2x2, params: ModelParams, final_state: dict
 # --- run configuration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, collections.namedtuple(
+        "RunConfig", "params state t_max samples spacing bath seed margin")):
     """Model, initial state and run keys; construction rejects a negative
     seed, an unknown spacing, fewer than two samples, a t_max or margin that
     is not positive and finite, and the bath switched on at gamma = 0 (the
     state has rejected itself if it is not a density matrix).  The coupling
     spread has no switch: the collapse is dispersed exactly when
-    delta_g > 0."""
+    delta_g > 0.  spacing is "log" unless set: collapse phenomena span
+    several decades in t."""
 
-    params: ModelParams
-    state: SystemState2x2
-    t_max: float | None = None
-    samples: int = 400
-    spacing: str = "log"  # collapse phenomena span several decades in t
-    bath: bool | None = None
-    seed: int = 0
-    margin: float = 10.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.bath and self.params.gamma == 0:
+    def __new__(cls, params: ModelParams, state: SystemState2x2, t_max: float | None = None,
+                samples: int = 400, spacing: str = "log", bath: bool | None = None,
+                seed: int = 0, margin: float = 10.0):
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        if bath and params.gamma == 0:
             raise ConfigError("bath mechanism requested but gamma = 0")
-        if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.samples < 2:
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+        if samples < 2:
             raise ConfigError("samples must be at least 2")
-        if self.t_max is not None and not 0 < self.t_max < math.inf:
-            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
-        check_margin(self.margin)
+        if t_max is not None and not 0 < t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {t_max}")
+        check_margin(margin)
+        return tuple.__new__(cls, (params, state, t_max, samples, spacing, bath, seed, margin))
 
     @property
     def bath_acts(self) -> bool:
@@ -230,26 +223,17 @@ TIMESCALES = ("tau_red", "tau_2", "tau_2_prime", "log10_recurrence_bath",
               "log10_recurrence_dispersion", "tau_reg_quadrature", "tau_reg_asymptotic")
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """What a scenario run computed.  regime, critical_g, timescales,
-    final_state and entropy are the dicts its manifest writes, as their
-    stages return them."""
+class ScenarioReport(Record, collections.namedtuple(
+        "ScenarioReport", "status reason regime landscape_up critical_g config "
+        "timescales offdiag sector_up final_state entropy", defaults=(None,) * 5)):
+    """What a scenario run computed: status (completed | measurement_failed |
+    not_a_measurement), reason, the dicts its manifest writes as their
+    stages return them, the up landscape and sector (the down ones are
+    their mirror images) and the collapse.  The last five fields, the
+    stages, are None where the run did not reach them; timescales holds
+    TIMESCALES, plus tau_reg_error where set."""
 
-    status: str  # completed | measurement_failed | not_a_measurement
-    reason: str | None
-    regime: dict
-    landscape_up: statics.Landscape
-    critical_g: dict
-    config: RunConfig
-    # the stages, None where the run did not reach them; timescales is the
-    # manifest's: TIMESCALES, plus tau_reg_error where set
-    timescales: dict | None = None
-    offdiag: offdiag.OffDiagTrajectory | None = None
-    # the down sector is the up one mirrored, so the report holds the up one
-    sector_up: registration.MagnetizationTrajectory | None = None
-    final_state: dict | None = None
-    entropy: dict | None = None
+    __slots__ = ()
 
 
 # --- pipeline stages -------------------------------------------------------------
@@ -383,19 +367,19 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
         return report
     timescales = {**dict.fromkeys(TIMESCALES), **collapse_timescales(config)}
     if report.reason is not None:
-        return replace(report, timescales=timescales, offdiag=collapse_run(config, config.t_max))
+        return report._replace(timescales=timescales, offdiag=collapse_run(config, config.t_max))
     timescales.update(registration_times(params))
     up = registration.integrate_registration(+1, params, config.t_max)
     # a sector at rest at m = 0 leaves the collapse its own end
     t_end = _registration_end(timescales["tau_reg_quadrature"], up) or config.t_max
     collapse = collapse_run(config, t_end)
-    report = replace(report, timescales=timescales, offdiag=collapse, sector_up=up)
+    report = report._replace(timescales=timescales, offdiag=collapse, sector_up=up)
     try:
         final = assemble_final_state(state, params, up, collapse)
     except MeasurementFailed as exc:
-        return replace(report, status="measurement_failed", reason=str(exc))
-    return replace(report, status="completed", reason=None, final_state=final,
-                   entropy=entropy_budget(state, params, final))
+        return report._replace(status="measurement_failed", reason=str(exc))
+    return report._replace(status="completed", reason=None, final_state=final,
+                           entropy=entropy_budget(state, params, final))
 
 
 def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]:
@@ -415,7 +399,7 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
     a registered row's tau_reg quadrature reuses it.  A registered row with
     an undefined tau_reg (no spinodal, say) has None, and its error counted.
     """
-    base = {f.name: getattr(cfg.params, f.name) for f in fields(ModelParams)}
+    base = cfg.params._asdict()
     rows, errors = [], collections.Counter()
     for values in itertools.product(*grids):
         try:
@@ -458,7 +442,7 @@ def sweep_rows(cfg: RunConfig, keys, grids) -> tuple[list[list], dict[str, int]]
 def config_payload(cfg: RunConfig) -> dict:
     p, s = cfg.params, cfg.state
     return {  # the config and run keys of a parameter file, and the margin
-        **{f.name: getattr(p, f.name) for f in fields(p)},
+        **p._asdict(),
         "r_uu": s.r_uu,
         "r_dd": s.r_dd,
         "re_r_ud": s.r_ud.real,

@@ -15,14 +15,14 @@ distance) depend on the parameters alone, so they are scalar and live here.
 from __future__ import annotations
 
 import cmath
+import collections
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import (CriticalOrSubcritical, CurieWeissError, NoFerromagneticSolution,
                      SpinodalUndefined)
-from .model import ModelParams
+from .model import ModelParams, Record
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 #: distance from the attractor at which a registration flow is stopped
@@ -41,21 +41,19 @@ class PointLabel(enum.Enum):
     FERRO_DOWN = "ferro_down"
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
-    m: float
-    free_energy: float
-    kind: PointKind
-    label: PointLabel
+class StationaryPoint(Record, collections.namedtuple("StationaryPoint",
+                                                     "m free_energy kind label")):
+    """A stationary point of F_s: m, F_s(m), its PointKind and PointLabel."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Landscape:
-    """All stationary points of F_s, sorted by m."""
+class Landscape(Record, collections.namedtuple("Landscape",
+                                               "field_sign points global_minimum")):
+    """All stationary points of F_s, sorted by m (a tuple of StationaryPoint),
+    and the index of the global minimum among them."""
 
-    field_sign: int
-    points: tuple[StationaryPoint, ...]
-    global_minimum: int
+    __slots__ = ()
 
     @property
     def minima(self) -> tuple[StationaryPoint, ...]:

@@ -9,8 +9,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -591,6 +589,75 @@ def test_validate_command(cfg_path, tmp_path, capsys):
     assert "overall_valid = True" in printed
 
 
+#: command -> (its extra argv, its summary on configs/reference.cfg; {out}
+#: is the output directory)
+SUMMARIES = {
+    "validate": ([], """\
+regime overall_valid = True (margin 10.0)
+  n_large                      pass  lhs=100000 rhs=1
+  n_vs_bath                    pass  lhs=100000 rhs=0.00324
+  n_vs_dispersion              FAIL  lhs=100000 rhs=inf
+  cutoff_vs_temperature        pass  lhs=50 rhs=0.34
+  temperature_vs_gamma_j       pass  lhs=0.34 rhs=0.001
+  cutoff_vs_j                  pass  lhs=50 rhs=1
+  j_vs_g                       pass  lhs=1 rhs=0.09
+  gamma_small                  pass  lhs=1 rhs=0.001
+"""),
+    "collapse": ([], "collapse: tau_red = 0.0248452, tau_2 = 0.236015\n"),
+    "register": ([], "register: up -> 0.996513 (converged_ferro), "
+                     "down -> -0.996513 (converged_ferro)\n"),
+    "scenario": ([], "scenario: completed\n"),
+    "sweep": (["--sweep", "coupling_g=0.05:0.11:4"], "sweep: 4 points -> {out}/sweep.csv\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARIES))
+def test_command_prints_its_summary(command, tmp_path, capsys):
+    extra, summary = SUMMARIES[command]
+    out = tmp_path / command
+    assert main([command, "--config", str(REFERENCE_CFG), "--out", str(out), *extra]) == 0
+    assert capsys.readouterr().out == summary.format(out=out)
+
+
+def test_summaries_name_the_spread_and_the_reason(tmp_path, capsys):
+    # the collapse names tau_2' where the couplings spread, and a scenario
+    # that is not a measurement says why
+    cfg = write_cfg(tmp_path, delta_g=0.0045)
+    assert main(["collapse", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().out == (
+        "collapse: tau_red = 0.0248452, tau_2 = 0.236015, tau_2' = 0.496904\n")
+    cfg = write_cfg(tmp_path, gamma=0.0)
+    assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().out == (
+        "scenario: not_a_measurement (no bath (gamma = 0): the magnet cannot relax, "
+        "so nothing is registered)\n")
+
+
+def test_scenario_manifest_records_each_stage(tmp_path):
+    # the collapse is done wherever g > 0, a run short of a measurement included
+    stages = {}
+    for name, overrides in (("ref", {}), ("no_bath", {"gamma": 0.0}), ("g0", {"coupling_g": 0.0})):
+        out = tmp_path / name
+        main(["scenario", "--config", str(write_cfg(tmp_path, **overrides)), "--out", str(out)])
+        stages[name] = load_manifest(out)["stages"]
+    assert stages["ref"] == {"regime": "done", "statics": "done", "collapse": "done",
+                             "registration_up": "converged_ferro",
+                             "registration_down": "converged_ferro"}
+    assert stages["no_bath"] == {"regime": "done", "statics": "done", "collapse": "done",
+                                 "registration_up": "unavailable",
+                                 "registration_down": "unavailable"}
+    assert stages["g0"] == {**stages["no_bath"], "collapse": "skipped"}
+
+
+def test_sweep_axis_key_may_be_padded(tmp_path):
+    # spaces around the key, as around a config file's keys, are not part of it
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--sweep", " coupling_g = 0.05:0.11:2"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[0].split(",")[0] == "coupling_g"
+    assert load_manifest(out)["axes"] == [{"key": "coupling_g", "values": [0.05, 0.11]}]
+
+
 def test_validate_margin_flag(tmp_path, capsys):
     cfg = write_cfg(tmp_path, n_spins=50)
     out = tmp_path / "val50"
@@ -653,7 +720,7 @@ def assert_not_a_measurement(out, base, key):
     assert rows
     for value, outcome, _, tau_reg, m_final in rows:
         assert (outcome, tau_reg) == ("not-a-measurement", "None")
-        p = replace(base, **{key: float(value)})
+        p = base._replace(**{key: float(value)})
         assert float(m_final) == registration.integrate_registration(+1, p).m_final == 0.0
 
 
@@ -664,7 +731,7 @@ def test_sweep_temperature_at_zero_coupling(tmp_path):
     out = tmp_path / "sweepT"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--sweep", "temperature=0.30:0.42:7"]) == 0
-    base = replace(REFERENCE_PARAMS, coupling_g=0.0, n_spins=1000)
+    base = REFERENCE_PARAMS._replace(coupling_g=0.0, n_spins=1000)
     assert_not_a_measurement(out, base, "temperature")
 
 
@@ -674,7 +741,7 @@ def test_sweep_coupling_without_bath(tmp_path):
     out = tmp_path / "sweep_g"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--sweep", "coupling_g=0.05:0.2:4"]) == 0
-    assert_not_a_measurement(out, replace(REFERENCE_PARAMS, gamma=0.0), "coupling_g")
+    assert_not_a_measurement(out, REFERENCE_PARAMS._replace(gamma=0.0), "coupling_g")
 
 
 # --- the sweep from the statics ------------------------------------------------
@@ -691,7 +758,7 @@ def sweep_point(out, g, temperature):
 
 def assert_row_matches_trajectory(out, g, temperature):
     """The statics-only row equals the per-point trajectory's, bit for bit."""
-    p = replace(REFERENCE_PARAMS, coupling_g=g, temperature=temperature)
+    p = REFERENCE_PARAMS._replace(coupling_g=g, temperature=temperature)
     row = sweep_point(out, g, temperature)
     up = registration.integrate_registration(+1, p)
     registered = up.terminal is registration.TerminalKind.CONVERGED_FERRO
@@ -703,7 +770,7 @@ def assert_row_matches_trajectory(out, g, temperature):
 
 
 def _critical(temperature):
-    return critical_coupling(replace(REFERENCE_PARAMS, temperature=temperature))
+    return critical_coupling(REFERENCE_PARAMS._replace(temperature=temperature))
 
 
 SWEEP_EDGES = [
@@ -773,7 +840,7 @@ def test_sweep_with_t_max_integrates_each_point(count_calls, tmp_path):
     assert len(rows) == 12
     for g, temperature, outcome, _, tau_reg, m_final in rows:
         assert outcome.split("/")[0] == "failed" and tau_reg == "None"
-        p = replace(REFERENCE_PARAMS, coupling_g=float(g), temperature=float(temperature))
+        p = REFERENCE_PARAMS._replace(coupling_g=float(g), temperature=float(temperature))
         up = registration.integrate_registration(+1, p, 50.0)
         assert up.terminal is registration.TerminalKind.MAX_TIME_REACHED
         assert float(m_final) == up.m_final
@@ -790,13 +857,13 @@ def test_sweep_row_computes_only_what_it_keeps(tmp_path, monkeypatch):
             calls[_name] += 1
             return _f(*a, **k)
         monkeypatch.setattr(module, name, counted)
-    post_init = ModelParams.__post_init__
+    new = ModelParams.__new__
 
-    def counted_post_init(self):
+    def counted_new(cls, *args, **kwargs):
         calls["ModelParams"] += 1
-        post_init(self)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ModelParams, "__new__", counted_new)
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(out),
                  "--sweep", "coupling_g=0.09:0.12:3"]) == 0
@@ -1053,6 +1120,22 @@ def test_collapse_and_scenario_at_n_beyond_two_to_the_63(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", ["collapse", "scenario"])
+def test_collapse_and_scenario_at_the_largest_double_n_warn_nothing(tmp_path, command):
+    # N = int(largest double), uniform couplings: n log|cos|, and its sum
+    # with the bath's log, overflow to -inf at late times, the model's value
+    # (an amplitude of 0), with no warning; uniform couplings have no
+    # spread, so the dispersion factor is 1 in every row, never a nan's 0
+    cfg, out = write_cfg(tmp_path, n_spins=int(sys.float_info.max)), tmp_path / command
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "offdiag.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 400
+    assert {r[6] for r in rows} == {"1.0"}
+    assert rows[0][3] != "-inf" and rows[-1][3] == "-inf"
+
+
+@pytest.mark.parametrize("command", ["collapse", "scenario"])
 def test_collapse_and_scenario_reject_n_beyond_the_largest_double(tmp_path, capsys, command):
     # the digits are read exactly, so N = 10**400 reaches ModelParams, which
     # rejects a count that float() cannot hold
@@ -1241,7 +1324,8 @@ def test_an_output_directory_that_cannot_be_made_is_an_error(cfg_path, tmp_path,
     assert blocker.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "scenario", "sweep"])
+@pytest.mark.parametrize("command", ["validate", "scenario", "sweep", "statics", "collapse",
+                                     "register"])
 @pytest.mark.parametrize("margin", ["0", "-10", "nan"])
 def test_margin_must_be_positive(command, margin, cfg_path, tmp_path, capsys):
     out = tmp_path / "o"

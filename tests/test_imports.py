@@ -13,7 +13,8 @@ The macroscopic runs, at N = 1e12 with a coupling spread, also show that no
 command holds an array of size N.
 Importing the CLI builds no argument parser and loads no argparse, and
 neither does a command in the exact form (every flag spelled in full, each
-with its value): argparse parses only the other forms.  hbar = 1 is fixed
+with its value): argparse parses only the other forms.  Nor do the CLI and
+its scalar commands load dataclasses, inspect or typing.  hbar = 1 is fixed
 in the code, so no module names it outside docstrings and comments.
 Modules meet through public names: none reaches a private name of another.
 The package ships only what its commands, demos and acceptance criteria
@@ -383,6 +384,28 @@ def test_an_abbreviated_flag_goes_to_argparse_and_writes_the_same_files(probe):
     assert argparse_loaded is True
     assert files == probe("statics")[4]
     assert "manifest.json" in files
+
+
+_STDLIB_PROBE = """
+import json, sys
+from curieweiss.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("name", ["import", "validate", "statics", "sweep"])
+def test_cli_loads_no_dataclasses_inspect_or_typing(name, tmp_path):
+    # the value classes are namedtuple records and the annotations strings,
+    # so neither the CLI's import nor a scalar command in the exact form loads
+    # these three.  -S skips site, whose .pth hooks may import typing first
+    argv = [] if name == "import" else [*COMMANDS[name][:1], "--config", str(REFERENCE_CFG),
+                                        "--out", str(tmp_path / "out"), *COMMANDS[name][1:]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", _STDLIB_PROBE, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 _IMPORT_PROBE = """

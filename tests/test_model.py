@@ -1,8 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import re
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -38,7 +39,7 @@ def test_params_accept_reference_point():
     p = ModelParams(**REF)
     assert p.n_spins == 100000
     # hbar = 1 is fixed in the code: the fields are exactly the model's config keys
-    assert [f.name for f in fields(p)] == list(REF)
+    assert list(p._fields) == list(REF)
     assert CONFIG_KEYS == (*REF, "r_uu", "re_r_ud", "im_r_ud")
 
 
@@ -67,6 +68,14 @@ def test_params_reject_non_finite_n_spins(n_spins):
     # checked before int(), which raises ValueError on NaN and OverflowError on inf
     with pytest.raises(ConfigError, match="n_spins"):
         ModelParams(**{**REF, "n_spins": n_spins})
+
+
+def test_params_hold_n_spins_as_an_int():
+    # an integral float is accepted, and held as the int the closed forms take
+    for n_spins in (100000.0, 10.0**30):
+        n = ModelParams(**{**REF, "n_spins": n_spins}).n_spins
+        assert type(n) is int and n == n_spins
+    assert type(ModelParams(**{**REF, "n_spins": True}).n_spins) is int
 
 
 def test_params_reject_n_spins_beyond_the_largest_double():
@@ -216,7 +225,7 @@ def test_no_consumer_is_handed_a_state_that_is_not_a_density_matrix(name):
         with pytest.raises(CurieWeissError, match=f"^{message}$") as info:
             consume(SystemState2x2(*entries))
         raised_in = info.traceback[-1]
-        assert (raised_in.path.name, raised_in.name) == ("model.py", "__post_init__"), consumer
+        assert (raised_in.path.name, raised_in.name) == ("model.py", "__new__"), consumer
 
 
 @pytest.mark.parametrize("r_uu, r_ud, message", [
@@ -229,6 +238,72 @@ def test_from_upper_builds_a_checked_state(r_uu, r_ud, message):
     with pytest.raises(CurieWeissError, match=f"^{message}"):
         SystemState2x2.from_upper(r_uu, r_ud)
     assert SystemState2x2.from_upper(0.3, 0.2j) == SystemState2x2(0.3, 0.7, 0.2j)
+
+
+#: each record the config builds: its constructor, its arguments, and a
+#: field with a value the constructor rejects, with the error and its message
+RECORDS = {
+    "ModelParams": (ModelParams, REF, "delta_g", 0.2, ConfigError,
+                    r"^delta_g = 0\.2 must be smaller than coupling_g = 0\.09$"),
+    "SystemState2x2": (SystemState2x2, dict(r_uu=0.3, r_dd=0.7, r_ud=0.2j), "r_dd", 0.8,
+                       CurieWeissError, r"^trace is 1\.1, expected 1$"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_equals_only_a_record_of_its_type(name):
+    cls, kwargs, *_ = RECORDS[name]
+    record = cls(**kwargs)
+    bare = tuple(kwargs.values())
+    assert record[:] == bare
+    assert record != bare and bare != record
+    assert not record == bare and not bare == record
+    assert record == cls(**kwargs) and not record != cls(**kwargs)
+    assert hash(record) == hash(cls(**kwargs))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_does_not_unpack(name):
+    cls, kwargs, *_ = RECORDS[name]
+    record = cls(**kwargs)
+    with pytest.raises(TypeError, match=f"^cannot unpack a {name}$"):
+        first, *rest = record
+    with pytest.raises(TypeError, match="cannot unpack"):
+        list(record)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_read_only(name):
+    cls, kwargs, *_ = RECORDS[name]
+    record = cls(**kwargs)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.5)
+    with pytest.raises(AttributeError):
+        record.extra = 0.5
+    assert record == cls(**kwargs)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_replace_and_make_check_again(name):
+    cls, kwargs, field, bad, error, message = RECORDS[name]
+    record = cls(**kwargs)
+    with pytest.raises(error, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(error, match=message):
+        cls._make({**kwargs, field: bad}.values())
+    assert record._replace() == record == cls._make(kwargs.values())
+    assert record._asdict() == kwargs
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_round_trips_through_pickle_and_copy(name):
+    cls, kwargs, *_ = RECORDS[name]
+    record = cls(**kwargs)
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.copy(record), copy.deepcopy(record)]:
+        assert type(other) is cls and other == record
 
 
 def check(report, name):

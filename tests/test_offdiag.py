@@ -480,10 +480,11 @@ def test_log_cos_product_at_the_doubles_nearest_the_zeros_of_cos(n):
 def test_log_cos_product_sign_is_zero_where_the_log_overflows(n):
     # n log|cos| overflows to -inf at a multiplicity near the largest double
     # where |cos| < 1/e: the product is 0 there, of either parity and of
-    # either sign of cos; at t = 0 it is 1
+    # either sign of cos, with no warning (-inf is the model's value); at
+    # t = 0 it is 1
     times = np.array([0.0, 1.3, 1.5, 4.7])
     assert np.cos(times).tolist()[3] < 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(all="raise"):
         logmag, sign = log_cos_product(times, ((0.5, n),))
     assert logmag.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
     assert sign.tolist() == [1.0, 0.0, 0.0, 0.0]

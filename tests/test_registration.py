@@ -1,7 +1,6 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -258,8 +257,8 @@ def _probe_params(j, t_over_j, gamma, delta, below, ratio):
     try:
         gc = critical_coupling(p)
     except CurieWeissError:
-        return replace(p, coupling_g=ratio * j)
-    return replace(p, coupling_g=gc * (ratio if below else 1.0 + delta))
+        return p._replace(coupling_g=ratio * j)
+    return p._replace(coupling_g=gc * (ratio if below else 1.0 + delta))
 
 
 @settings(deadline=None, max_examples=60)
@@ -398,8 +397,8 @@ def test_scaling_g_t_and_j_by_a_power_of_two_is_exact(j, t, x, k):
     # bits, F and g_c scale by k, and tau_reg at fixed gamma by 1/k
     p = ModelParams(n_spins=100000, coupling_j=j, coupling_g=x * j, temperature=t * j,
                     gamma=1e-3)
-    q = replace(p, coupling_j=k * p.coupling_j, coupling_g=k * p.coupling_g,
-                temperature=k * p.temperature)
+    q = p._replace(coupling_j=k * p.coupling_j, coupling_g=k * p.coupling_g,
+                   temperature=k * p.temperature)
     for sign in (+1, -1):
         assert first_stationary(sign, q).hex() == first_stationary(sign, p).hex()
         before, after = (stationary_magnetizations(sign, r).points for r in (p, q))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +211,7 @@ def test_uniform_collapse_takes_one_cosine_product(monkeypatch, delta_g, product
     product = offdiag.log_cos_product
     monkeypatch.setattr(offdiag, "log_cos_product",
                         lambda *a: calls.append(1) or product(*a))
-    cfg = RunConfig(params=replace(REF_PARAMS, delta_g=delta_g), state=PLUS, samples=50)
+    cfg = RunConfig(params=REF_PARAMS._replace(delta_g=delta_g), state=PLUS, samples=50)
     collapse_run(cfg, None)
     assert len(calls) == products
 
@@ -431,7 +430,7 @@ def test_an_unset_bath_acts_where_gamma_is_positive():
     assert traj.log10_abs[-1] == pytest.approx(-3.5834e8, rel=1e-4)
     assert cfg.bath is None and cfg.bath_acts
     for bath, gamma, acts in ((None, 0.0, False), (False, 1e-3, False), (True, 1e-3, True)):
-        other = RunConfig(params=replace(REF_PARAMS, gamma=gamma), state=PLUS, bath=bath)
+        other = RunConfig(params=REF_PARAMS._replace(gamma=gamma), state=PLUS, bath=bath)
         assert other.bath_acts is acts
         assert ("tau_2" in collapse_timescales(other)) is acts
         assert bool(collapse_run(other, t).bath_factor[-1] < 1.0) is acts
@@ -471,7 +470,7 @@ def test_registration_summary_keeps_the_crossings_a_cut_run_reached():
 def test_registration_summary_writes_a_trapped_down_sector_as_integrated(g):
     # g = 0.05 < g_c traps both sectors; at g = 5e-324 gamma g underflows, so
     # neither flows: the up rate is 0.0 and the down one -0.0
-    p = replace(REF_PARAMS, coupling_g=g)
+    p = REF_PARAMS._replace(coupling_g=g)
     up, down = (registration.integrate_registration(s, p) for s in (+1, -1))
     summary = registration_summary(up, p)
     assert summary["terminal_down"] == down.terminal.value == "trapped_paramagnetic"
@@ -551,7 +550,7 @@ def test_write_landscape_formats_two_columns(tmp_path, monkeypatch):
     statics.landscape_grid.cache_clear()
     scenario._landscape_m_column.cache_clear()
     calls = count_columns(monkeypatch)
-    other = replace(REF_PARAMS, coupling_g=0.05, temperature=0.2)
+    other = REF_PARAMS._replace(coupling_g=0.05, temperature=0.2)
     for params, formatted in ((REF_PARAMS, 2), (other, 3)):
         out = tmp_path / str(formatted)
         files = write_landscape(out, params, down_dat=True)

@@ -56,6 +56,10 @@ COMMANDS = {
     "sweep_none_cells": ({}, ["sweep", "--sweep", "coupling_g=0.12:0.0:9",
                               "--sweep", "temperature=0.3:0.9:4"]),
     "collapse_n_1e30": ({"n_spins": str(10**30)}, ["collapse"]),
+    # N = int(largest double), uniform: n log|cos| overflows to -inf (a
+    # factor of 0) at late times, and the spread factor stays 1
+    "collapse_n_max_double": ({"n_spins": str(int(sys.float_info.max))}, ["collapse"]),
+    "scenario_n_max_double": ({"n_spins": str(int(sys.float_info.max))}, ["scenario"]),
     # g = g_c (1 + 1e-6) at T = 0.34: the quadrature halves at the bottleneck
     "register_near_critical": ({"coupling_g": "0.08148619374709022"}, ["register"]),
     # a rate near 1e-302, whose square underflows: the rounding bound takes
